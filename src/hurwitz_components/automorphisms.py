@@ -1,10 +1,24 @@
-"""Automorphism-group and inner-automorphism enumeration.
+"""Automorphism groups and inner automorphisms, held by generators.
 
 An automorphism is represented as an element map: a tuple m of length
-|G| with m[x] = phi(x). Family rules cover abelian homocyclic products
-(matrix action), Sym(n) for n not in {2, 6} (inner), and Alt(n) for
-n != 6 (conjugation inside Sym(n)); everything else uses backtracking
-over images of a minimal generating tuple.
+|G| with m[x] = phi(x). A group acting on a finite set has the same
+orbits whether every element or only a generating set is applied, so no
+automorphism group is ever listed in full: AutGroup holds |Aut(G)| and
+a generating set of maps, and consumers act with those.
+
+Generators come from the standard generating sets where the group is a
+known family (Seress, Permutation Group Algorithms, ch. 4):
+
+* homocyclic (Z/n)^k: Aut = GL_k(Z/n), generated by the elementary
+  transvections I + e_ij (i != j) and diag(u, 1, ..., 1) for u in a
+  generating set of (Z/n)^x; |Aut| comes from the closed formula;
+* Sym(n) and Alt(n), n != 6: Aut = Sym(n) acting by conjugation,
+  generated by the transposition (0 1) and the n-cycle (0 1 ... n-1).
+
+Every other group (Cayley tables, non-homocyclic abelian groups, degree
+6) goes through backtracking over images of a minimal generating tuple;
+that route is also the reference the family rules are tested against.
+Inn(G) is conjugation by a minimal generating tuple.
 """
 from __future__ import annotations
 
@@ -12,12 +26,10 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import BudgetExceeded, UserInputError
-from .groups import AbelianGroup, CayleyGroup, Group, PermutationGroup
+from .errors import BudgetExceeded
+from .groups import AbelianGroup, Group, PermutationGroup, prime_factorization
 
-FULL_ACTION_LIMIT = 10_000
 BACKTRACK_CANDIDATE_LIMIT = 2000
-MATRIX_ENUM_LIMIT = 2_000_000
 
 
 def compose_maps(m1, m2) -> tuple[int, ...]:
@@ -42,123 +54,52 @@ def is_automorphism(G: Group, m) -> bool:
 
 @dataclass
 class AutGroup:
-    """The automorphism group of a backend group.
+    """The automorphism group of a backend group, as its order and generators.
 
-    mode "full": maps holds every automorphism (|Aut| <= FULL_ACTION_LIMIT).
-    mode "generators": only generator_maps are materialized; consumers close
-    over them by BFS.
+    generator_maps generate Aut(G) and never include the identity map, so
+    a trivial Aut(G) has none. The whole group is reachable by closure.
     """
 
     group: Group
     order: int
     generator_maps: tuple[tuple[int, ...], ...]
-    maps: tuple[tuple[int, ...], ...] | None
-    mode: str
 
     def acting_maps(self) -> tuple[tuple[int, ...], ...]:
-        """Maps to act with: the full list when available, else generators."""
-        return self.maps if self.maps is not None else self.generator_maps
+        """The maps the engine acts with: generators, then their inverses, no repeats."""
+        maps = dict.fromkeys(self.generator_maps)
+        for m in self.generator_maps:
+            maps.setdefault(invert_map(m))
+        return tuple(maps)
+
+
+def _distinct_maps(G: Group, maps) -> tuple[tuple[int, ...], ...]:
+    """maps in first-seen order, without repeats or the identity map."""
+    ident = tuple(G.elements())
+    return tuple(m for m in dict.fromkeys(maps) if m != ident)
 
 
 def inner_automorphisms(G: Group) -> tuple[tuple[int, ...], ...]:
-    """All distinct conjugation maps x -> g^-1 x g, identity map first."""
-    seen = {}
-    for g in G.elements():
-        m = tuple(G.conj(x, g) for x in G.elements())
-        if m not in seen:
-            seen[m] = g
-    ident = tuple(G.elements())
-    maps = [ident] + [m for m in seen if m != ident]
-    return tuple(maps)
+    """Generators of Inn(G): x -> g^-1 x g for g in a minimal generating tuple.
+
+    Identity maps and repeats are dropped, so an abelian group has none.
+    """
+    return _distinct_maps(
+        G, (tuple(G.conj(x, g) for x in G.elements()) for g in minimal_generating_tuple(G))
+    )
 
 
 def automorphism_group(G: Group) -> AutGroup:
-    if isinstance(G, AbelianGroup):
-        if G.order == 1:
-            ident = (0,)
-            return AutGroup(G, 1, (ident,), (ident,), "full")
-        if len(set(G.moduli)) == 1:
-            return _homocyclic_auts(G)
-        return _backtracking_auts(G)
-    if isinstance(G, PermutationGroup):
-        if G.order == 1:
-            ident = (0,)
-            return AutGroup(G, 1, (ident,), (ident,), "full")
-        if G.kind == "Sym" and G.degree not in (2, 6):
-            maps = inner_automorphisms(G)
-            return AutGroup(G, len(maps), maps, maps, "full")
-        if G.kind == "Sym" and G.degree == 2:
-            ident = tuple(G.elements())
-            return AutGroup(G, 1, (ident,), (ident,), "full")
-        if G.kind == "Alt" and G.degree != 6:
-            return _alt_conjugation_auts(G)
-        return _backtracking_auts(G)
+    # Sym(2) is cyclic of order 2, so only the identity map is left.
+    if G.order == 1 or G.name == "Sym:2":
+        return AutGroup(G, 1, ())
+    if isinstance(G, AbelianGroup) and len(set(G.moduli)) == 1:
+        return _homocyclic_auts(G)
+    if isinstance(G, PermutationGroup) and G.degree != 6:
+        return _conjugation_auts(G)
     return _backtracking_auts(G)
 
 
 # -- abelian homocyclic (Z/n)^k: GL_k(Z/n) ------------------------------
-def _det_mod(mat: list[list[int]], n: int) -> int:
-    k = len(mat)
-    if k == 1:
-        return mat[0][0] % n
-    if k == 2:
-        return (mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]) % n
-    # Leibniz over permutations; k stays tiny for homocyclic inputs.
-    from itertools import permutations as _perms
-
-    total = 0
-    for perm in _perms(range(k)):
-        sign = 1
-        seen = [False] * k
-        for i in range(k):
-            if not seen[i]:
-                j = i
-                clen = 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    clen += 1
-                if clen % 2 == 0:
-                    sign = -sign
-        term = sign
-        for i in range(k):
-            term *= mat[i][perm[i]]
-        total += term
-    return total % n
-
-
-def _adjugate_mod(mat: list[list[int]], n: int) -> list[list[int]]:
-    k = len(mat)
-    if k == 1:
-        return [[1]]
-    adj = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            minor = [
-                [mat[r][c] for c in range(k) if c != j] for r in range(k) if r != i
-            ]
-            sign = -1 if (i + j) % 2 else 1
-            adj[j][i] = (sign * _det_mod(minor, n)) % n if k > 1 else 1
-    return adj
-
-
-def _matrix_inverse_mod(mat: list[list[int]], n: int) -> list[list[int]] | None:
-    d = _det_mod(mat, n)
-    if math.gcd(d, n) != 1:
-        return None
-    dinv = pow(d, -1, n)
-    adj = _adjugate_mod(mat, n)
-    return [[(dinv * a) % n for a in row] for row in adj]
-
-
-def _matmul_mod(a, b, n):
-    k = len(a)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) % n for j in range(k)]
-        for i in range(k)
-    ]
-
-
 def _mat_to_map(G: AbelianGroup, mat) -> tuple[int, ...]:
     k = len(G.moduli)
     n = G.moduli[0]
@@ -170,114 +111,65 @@ def _mat_to_map(G: AbelianGroup, mat) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _homocyclic_auts(G: AbelianGroup) -> AutGroup:
-    n = G.moduli[0]
-    k = len(G.moduli)
-    total = n ** (k * k)
-    if total > MATRIX_ENUM_LIMIT:
-        raise BudgetExceeded(
-            f"Aut({G.name}) needs {total} candidate matrices (> {MATRIX_ENUM_LIMIT})",
-            required=total,
-        )
-    invertible = []
-    for flat in product(range(n), repeat=k * k):
-        mat = [list(flat[i * k : (i + 1) * k]) for i in range(k)]
-        if math.gcd(_det_mod(mat, n), n) == 1:
-            invertible.append(mat)
-    order = len(invertible)
-    if order <= FULL_ACTION_LIMIT:
-        maps = tuple(_mat_to_map(G, m) for m in invertible)
-        gens = _greedy_map_generators(G, maps)
-        return AutGroup(G, order, gens, maps, "full")
-    gen_mats = _greedy_matrix_generators(invertible, n, k)
-    gen_maps = []
-    for m in gen_mats:
-        gen_maps.append(_mat_to_map(G, m))
-        minv = _matrix_inverse_mod(m, n)
-        if minv is not None and minv != m:
-            gen_maps.append(_mat_to_map(G, minv))
-    return AutGroup(G, order, tuple(dict.fromkeys(gen_maps)), None, "generators")
+def _unit_generators(n: int) -> list[int]:
+    """A generating set of the units mod n, by closure on integers.
 
-
-def _greedy_matrix_generators(invertible, n, k):
-    key = lambda m: tuple(tuple(r) for r in m)
-    all_keys = set(key(m) for m in invertible)
-    ident = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    gens: list = []
-    closed = {key(ident)}
-    closed_list = [ident]
-    for cand in invertible:
-        if key(cand) in closed:
+    The unit group is not cyclic for n = 8, 12, ..., so one generator may not do.
+    """
+    gens: list[int] = []
+    closed = {1}
+    for u in range(2, n):
+        if math.gcd(u, n) != 1 or u in closed:
             continue
-        gens.append(cand)
-        frontier = closed_list[:]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    prod_ = _matmul_mod(m, g, n)
-                    pk = key(prod_)
-                    if pk not in closed:
-                        closed.add(pk)
-                        closed_list.append(prod_)
-                        nxt.append(prod_)
-            frontier = nxt
-        if len(closed) == len(all_keys):
-            break
+        gens.append(u)
+        powers = {1}
+        x = u
+        while x != 1:
+            powers.add(x)
+            x = x * u % n
+        closed = {a * b % n for a in closed for b in powers}
     return gens
 
 
-def _greedy_map_generators(G: Group, maps) -> tuple[tuple[int, ...], ...]:
-    ident = tuple(G.elements())
-    if len(maps) == 1:
-        return (ident,)
-    mapset = set(maps)
-    gens: list = []
-    closed = {ident}
-    closed_list = [ident]
-    for cand in maps:
-        if cand in closed:
-            continue
-        gens.append(cand)
-        frontier = closed_list[:]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    c = compose_maps(m, g)
-                    if c not in closed:
-                        closed.add(c)
-                        closed_list.append(c)
-                        nxt.append(c)
-            frontier = nxt
-        if len(closed) == len(mapset):
-            break
-    return tuple(gens) if gens else (ident,)
+def _homocyclic_auts(G: AbelianGroup) -> AutGroup:
+    """Aut((Z/n)^k) = GL_k(Z/n), acting on row vectors.
+
+    Z/n is a finite (so semilocal) ring, hence SL_k(Z/n) is generated by the
+    elementary transvections, and diag(u, 1, ..., 1) supplies every determinant.
+    """
+    n = G.moduli[0]
+    k = len(G.moduli)
+
+    def elementary(i: int, j: int, entry: int) -> list[list[int]]:
+        mat = [[int(r == c) for c in range(k)] for r in range(k)]
+        mat[i][j] = entry
+        return mat
+
+    mats = [elementary(i, j, 1) for i in range(k) for j in range(k) if i != j]
+    mats += [elementary(0, 0, u) for u in _unit_generators(n)]
+    order = 1
+    for p, e in prime_factorization(n).items():
+        order *= p ** ((e - 1) * k * k) * math.prod(p**k - p**i for i in range(k))
+    return AutGroup(G, order, _distinct_maps(G, (_mat_to_map(G, m) for m in mats)))
 
 
-# -- Alt(n), n != 6: conjugation by all of Sym(n) ------------------------
-def _alt_conjugation_auts(G: PermutationGroup) -> AutGroup:
-    from itertools import permutations as _perms
-
-    seen = {}
-    for sigma in _perms(range(G.degree)):
-        sinv = [0] * G.degree
-        for i, j in enumerate(sigma):
-            sinv[j] = i
-        m = []
-        for x in G.elements():
-            p = G.perm(x)
-            q = tuple(sigma[p[sinv[i]]] for i in range(G.degree))
-            m.append(G.index_of(q))
-        m = tuple(m)
-        if m not in seen:
-            seen[m] = sigma
-    maps = tuple(seen)
-    if len(maps) <= FULL_ACTION_LIMIT:
-        gens = _greedy_map_generators(G, maps)
-        return AutGroup(G, len(maps), gens, maps, "full")
-    gens = _greedy_map_generators(G, maps)
-    return AutGroup(G, len(maps), gens, None, "generators")
+# -- Sym(n), Alt(n), n != 6: conjugation inside Sym(n) -------------------
+def _conjugation_auts(G: PermutationGroup) -> AutGroup:
+    n = G.degree
+    transposition = (1, 0) + tuple(range(2, n))
+    cycle = tuple(range(1, n)) + (0,)
+    maps = []
+    for sigma in (transposition, cycle):
+        sinv = invert_map(sigma)
+        maps.append(
+            tuple(
+                G.index_of(tuple(sigma[p[sinv[i]]] for i in range(n)))
+                for p in map(G.perm, G.elements())
+            )
+        )
+    # Alt(3) is cyclic of order 3: conjugation leaves only inversion.
+    order = 2 if G.name == "Alt:3" else math.factorial(n)
+    return AutGroup(G, order, _distinct_maps(G, maps))
 
 
 # -- generic backtracking -------------------------------------------------
@@ -353,9 +245,6 @@ def _extend_homomorphism(G: Group, gens, images) -> tuple[int, ...] | None:
 
 
 def _backtracking_auts(G: Group) -> AutGroup:
-    if G.order == 1:
-        ident = (0,)
-        return AutGroup(G, 1, (ident,), (ident,), "full")
     gens = minimal_generating_tuple(G)
     orders = [G.element_order(g) for g in gens]
     candidates = [
@@ -373,9 +262,29 @@ def _backtracking_auts(G: Group) -> AutGroup:
         phi = _extend_homomorphism(G, gens, images)
         if phi is not None:
             maps.append(phi)
-    maps = tuple(maps)
-    if len(maps) <= FULL_ACTION_LIMIT:
-        gen_maps = _greedy_map_generators(G, maps)
-        return AutGroup(G, len(maps), gen_maps, maps, "full")
-    gen_maps = _greedy_map_generators(G, maps)
-    return AutGroup(G, len(maps), gen_maps, None, "generators")
+    return AutGroup(G, len(maps), _greedy_map_generators(G, maps))
+
+
+def _greedy_map_generators(G: Group, maps) -> tuple[tuple[int, ...], ...]:
+    ident = tuple(G.elements())
+    gens: list = []
+    closed = {ident}
+    closed_list = [ident]
+    for cand in maps:
+        if cand in closed:
+            continue
+        gens.append(cand)
+        frontier = closed_list[:]
+        while frontier:
+            nxt = []
+            for m in frontier:
+                for g in gens:
+                    c = compose_maps(m, g)
+                    if c not in closed:
+                        closed.add(c)
+                        closed_list.append(c)
+                        nxt.append(c)
+            frontier = nxt
+        if len(closed) == len(maps):
+            break
+    return tuple(gens)

@@ -463,7 +463,12 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, cache: bool = False, budget: bool = True):
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted for compatibility; has no effect (the engine is single-threaded)",
+        )
         p.add_argument("--seed", type=int, default=0)
         if budget:
             p.add_argument("--budget", type=int, default=None, help="max candidate systems")

@@ -540,15 +540,3 @@ def construct_group(spec: str) -> Group:
         return CayleyGroup.from_path(rest)
     raise UserInputError(f"bad group spec {spec!r}: unknown backend {head!r}")
 
-
-# Thin wrappers matching the operation vocabulary used by the CLI and tests.
-def element_order(G: Group, x: int) -> int:
-    return G.element_order(x)
-
-
-def generates(G: Group, elems) -> bool:
-    return G.generates(elems)
-
-
-def conjugate(G: Group, x: int, g: int) -> int:
-    return G.conj(x, g)

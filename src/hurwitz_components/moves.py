@@ -21,30 +21,11 @@ from .ramification import SignatureType, long_relation_holds
 _KINDS = ("sigma", "delta", "delta~", "tau", "xi1", "xi2")
 
 
-class _ConventionState:
-    """Global word-evaluation order for the move formulas.
-
-    Composition order in the source presentation is fixed once by an
-    empirical self-check: if the move table breaks the long relation under
-    the current reading, the order is flipped and rechecked.
-    """
-
-    def __init__(self) -> None:
-        self.reversed = False
-        self.checked: set[str] = set()
-
-
-_state = _ConventionState()
-
-
 def _seq(G: Group, items) -> int:
+    """The product of items, evaluated left to right."""
     acc = G.identity
-    if not _state.reversed:
-        for x in items:
-            acc = G.mul(acc, x)
-    else:
-        for x in reversed(items):
-            acc = G.mul(acc, x)
+    for x in items:
+        acc = G.mul(acc, x)
     return acc
 
 
@@ -235,36 +216,17 @@ def apply_word(G: Group, gprime: int, entries: tuple[int, ...], word) -> tuple[i
 
 
 def convention_self_check(G: Group, gprime: int, r: int, samples) -> None:
-    """Assert relation preservation on sample systems; flip the word order once if needed.
+    """Assert that every move keeps the long relation on the sample systems.
 
     samples: iterable of entry tuples already satisfying the long relation.
+    Raises AssertionError on the first violation.
     """
-    key = f"{G.name}/{gprime}/{r}"
-    if key in _state.checked:
-        return
-    samples = list(samples)
-    if not samples or (gprime == 0 and r == 0):
-        _state.checked.add(key)
+    if (gprime, r) == (0, 0):
         return
     moves = available_moves(gprime, r)
-
-    def violations() -> int:
-        bad = 0
-        for entries in samples:
-            for m in moves:
-                if not long_relation_holds(G, gprime, apply_move(G, gprime, entries, m)):
-                    bad += 1
-        return bad
-
-    if violations() == 0:
-        _state.checked.add(key)
-        return
-    _state.reversed = not _state.reversed
-    if violations() == 0:
-        _state.checked.add(key)
-        return
-    _state.reversed = not _state.reversed
-    raise RuntimeError(
-        "move table breaks the long relation under both composition conventions; "
-        "this indicates an implementation bug"
-    )
+    for entries in samples:
+        for m in moves:
+            if not long_relation_holds(G, gprime, apply_move(G, gprime, entries, m)):
+                raise AssertionError(
+                    f"move {m} breaks the long relation on {G.name} system {entries}"
+                )

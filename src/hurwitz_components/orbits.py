@@ -6,7 +6,7 @@ Two independent routes compute h(G; tau1, tau2):
   disjointness evaluated once per orbit-label pair, then a vectorized BFS
   over disjoint label pairs under diagonal Aut(G) and the factor swap;
 * a one-stage oracle: direct BFS over raw disjoint ordered pairs under
-  per-side moves, per-side Inn, diagonal Aut generators, and swap.
+  per-side moves, per-side Inn generators, diagonal Aut generators, and swap.
 
 Both refuse honestly (BudgetExceeded) instead of degrading.
 """
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .automorphisms import AutGroup, automorphism_group, inner_automorphisms, invert_map
+from .automorphisms import automorphism_group, inner_automorphisms
 from .errors import BudgetExceeded, UserInputError
 from .groups import Group
 from .moves import available_moves, apply_move, convention_self_check
@@ -107,9 +107,9 @@ def side_orbits(
 ) -> SidePartition:
     """Partition all systems of tau's unordered type into move orbits.
 
-    Orbit labels are the lexicographically minimal members; Inn(G) is applied
-    entrywise alongside the moves (always on unless explicitly disabled, and
-    forced on for g' > 0).
+    Orbit labels are the lexicographically minimal members; conjugation by
+    generators of G is applied entrywise alongside the moves (always on
+    unless explicitly disabled, and forced on for g' > 0).
     """
     config = config or EquivalenceConfig()
     canonical = SignatureType(tau.gprime, tuple(sorted(tau.periods)))
@@ -137,7 +137,7 @@ def side_orbits(
     else:
         moves = available_moves(gp, r)
         convention_self_check(G, gp, r, systems[:20])
-    inn_maps = [m for m in inner_automorphisms(G)[1:]] if include_inn else []
+    inn_maps = inner_automorphisms(G) if include_inn else ()
 
     universe = set(systems)
     label_of: dict[tuple[int, ...], int] = {}
@@ -204,17 +204,6 @@ def _aut_label_perm(
     return out
 
 
-def _acting_aut_maps(aut: AutGroup) -> list[tuple[int, ...]]:
-    maps = list(aut.acting_maps())
-    if aut.maps is None:
-        # Generator mode: add inverses to shrink the BFS diameter.
-        for m in list(maps):
-            inv = invert_map(m)
-            if inv not in maps:
-                maps.append(inv)
-    return maps
-
-
 def count_components(
     G: Group,
     tau1: SignatureType,
@@ -249,8 +238,7 @@ def count_components(
     s1 = np.array([len(m) for m in side1.orbit_members], dtype=np.int64)
     s2 = s1 if same_types else np.array([len(m) for m in side2.orbit_members], dtype=np.int64)
 
-    aut = automorphism_group(G)
-    acting = _acting_aut_maps(aut)
+    acting = automorphism_group(G).acting_maps()
     perms1 = [_aut_label_perm(G, side1, phi) for phi in acting]
     perms2 = perms1 if same_types else [_aut_label_perm(G, side2, phi) for phi in acting]
 
@@ -397,14 +385,8 @@ def count_components_one_stage(
     gp2, r2 = t2.gprime, t2.r
     moves1 = available_moves(gp1, r1) if (gp1, r1) != (0, 0) else []
     moves2 = available_moves(gp2, r2) if (gp2, r2) != (0, 0) else []
-    inn = list(inner_automorphisms(G)[1:])
-    aut = automorphism_group(G)
-    auts = aut.generator_maps if aut.order > 1 else ()
-    aut_gens = list(auts)
-    for m in list(aut_gens):
-        inv = invert_map(m)
-        if inv not in aut_gens:
-            aut_gens.append(inv)
+    inn = inner_automorphisms(G)
+    aut_maps = automorphism_group(G).acting_maps()
 
     pair_set = set(pairs)
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
@@ -430,7 +412,7 @@ def count_components_one_stage(
                 for phi in inn:
                     neighbors.append((tuple(phi[e] for e in x), y))
                     neighbors.append((x, tuple(phi[e] for e in y)))
-                for phi in aut_gens:
+                for phi in aut_maps:
                     neighbors.append(
                         (tuple(phi[e] for e in x), tuple(phi[e] for e in y))
                     )
@@ -477,7 +459,11 @@ class InnLemmaReport:
 def verify_inn_lemma(
     G: Group, tau: SignatureType, config: EquivalenceConfig | None = None
 ) -> InnLemmaReport:
-    """Check that inner automorphisms preserve each braid orbit (g' = 0)."""
+    """Check that inner automorphisms preserve each braid orbit (g' = 0).
+
+    Conjugation by generators of G suffices: if each generator keeps every
+    orbit label, so does every product of them, i.e. all of Inn(G).
+    """
     if tau.gprime != 0:
         raise UserInputError("inner-automorphism audit applies to g' = 0 types only")
     config = config or EquivalenceConfig()
@@ -488,6 +474,7 @@ def verify_inn_lemma(
     )
     part = side_orbits(G, tau, cfg)
     inn = inner_automorphisms(G)
+    inner_count = G.order // len(G.center())
     for ent in part.systems:
         base = part.label_of[ent]
         for phi in inn:
@@ -498,13 +485,13 @@ def verify_inn_lemma(
                     str(part.tau),
                     False,
                     len(part.systems),
-                    len(inn),
+                    inner_count,
                     {
                         "system": [G.element_label(x) for x in ent],
                         "inner_image": [G.element_label(x) for x in image],
                     },
                 )
-    return InnLemmaReport(G.name, str(part.tau), True, len(part.systems), len(inn))
+    return InnLemmaReport(G.name, str(part.tau), True, len(part.systems), inner_count)
 
 
 @dataclass

@@ -171,3 +171,14 @@ def test_convention_self_check_accepts_valid_samples():
     G = construct_group("Sym:3")
     systems = list(enumerate_systems(G, SignatureType(0, (2, 2, 3))))
     convention_self_check(G, 0, 3, systems)
+
+
+def test_convention_self_check_rejects_broken_samples():
+    G = construct_group("Sym:3")
+    systems = sorted(enumerate_systems(G, SignatureType(0, (2, 2, 3))))
+    # A reversed system has the same entries; keep those whose product c1 c2 c3 != 1.
+    broken = [tuple(reversed(ent)) for ent in systems]
+    broken = [ent for ent in broken if not long_relation_holds(G, 0, ent)]
+    assert broken
+    with pytest.raises(AssertionError):
+        convention_self_check(G, 0, 3, broken)
