@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -77,15 +78,10 @@ def _cache_key(payload: dict) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def _canon_type(tau: SignatureType) -> SignatureType:
-    return SignatureType(tau.gprime, tuple(sorted(tau.periods)))
-
-
 def _config_from_args(args) -> EquivalenceConfig:
     cfg = EquivalenceConfig()
     if getattr(args, "budget", None):
         cfg.max_systems = args.budget
-    cfg.threads = getattr(args, "threads", 1)
     cfg.seed = getattr(args, "seed", 0)
     cfg.representatives = bool(getattr(args, "representatives", False))
     return cfg
@@ -104,8 +100,8 @@ def _cmd_invariants(args) -> str:
         "schema_version": SCHEMA_VERSION,
         "group": G.name,
         "order": G.order,
-        "type1": str(_canon_type(t1)),
-        "type2": str(_canon_type(t2)),
+        "type1": str(t1.with_sorted_periods()),
+        "type2": str(t2.with_sorted_periods()),
         "beauville": is_beauville(t1, t2),
     }
     doc.update(inv.to_json_dict())
@@ -144,8 +140,8 @@ def _cmd_count(args) -> str:
         "engine": __version__,
         "command": "count",
         "group": G.name,
-        "type1": str(_canon_type(t1)),
-        "type2": str(_canon_type(t2)),
+        "type1": str(t1.with_sorted_periods()),
+        "type2": str(t2.with_sorted_periods()),
         "oracle": args.oracle,
         "representatives": cfg.representatives,
         "budget": cfg.max_systems,
@@ -155,8 +151,11 @@ def _cmd_count(args) -> str:
     if not args.no_cache:
         cache_file = _cache_dir(args) / f"{_cache_key(key_payload)}.json"
         if cache_file.is_file():
-            print("cache hit", file=sys.stderr)
-            return cache_file.read_text()
+            cached = _read_cache_entry(cache_file)
+            if cached is not None:
+                print("cache hit", file=sys.stderr)
+                return cached
+            print(f"cache entry {cache_file} is damaged; recomputing it", file=sys.stderr)
     t0 = time.monotonic()
     if args.oracle == "one-stage":
         report = count_components_one_stage(G, t1, t2, cfg)
@@ -168,9 +167,33 @@ def _cmd_count(args) -> str:
     doc.update(report.to_json_dict())
     out = _canonical_json(doc)
     if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(out)
+        _write_cache_entry(cache_file, out)
     return out
+
+
+def _read_cache_entry(path: Path) -> str | None:
+    """The entry's text if it parses as a document of this schema, else None."""
+    try:
+        text = path.read_text()
+        doc = json.loads(text)
+    except (OSError, ValueError):
+        return None
+    if isinstance(doc, dict) and doc.get("schema_version") == SCHEMA_VERSION:
+        return text
+    return None
+
+
+def _write_cache_entry(path: Path, text: str) -> None:
+    """Write through a temporary file and rename it, so no reader sees a torn entry."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_theta(args) -> str:

@@ -93,16 +93,6 @@ def available_moves(gprime: int, r: int) -> list[MoveID]:
     return forward + [m.inverted() for m in forward]
 
 
-@dataclass(frozen=True)
-class MoveWords:
-    """Auxiliary words for one move application, evaluated in G."""
-
-    eta: int | None = None
-    chi: int | None = None
-    eps: int | None = None
-    eps_prime: int | None = None
-
-
 def _check_range(cond: bool, move: MoveID, gprime: int, r: int) -> None:
     if not cond:
         raise UserInputError(f"move {move} out of range for shape (g', r) = ({gprime}, {r})")
@@ -178,12 +168,10 @@ def apply_move(G: Group, gprime: int, entries: tuple[int, ...], move: MoveID) ->
         vinv = G.inv(v)
         if kind == "xi1":
             if not inv:
-                words = MoveWords(
-                    chi=_seq(G, [vinv, cd, v]),
-                    eps=_seq(G, [cd, v, a, b, G.inv(a), vinv]),
-                )
-                out[ia] = _seq(G, [words.chi, a])
-                out[ic] = _seq(G, [words.eps, cd, G.inv(words.eps)])
+                chi = _seq(G, [vinv, cd, v])
+                eps = _seq(G, [cd, v, a, b, G.inv(a), vinv])
+                out[ia] = _seq(G, [chi, a])
+                out[ic] = _seq(G, [eps, cd, G.inv(eps)])
             else:
                 w = _seq(G, [v, a, b, G.inv(a), vinv])
                 cd_old = _seq(G, [G.inv(w), cd, w])
@@ -192,12 +180,10 @@ def apply_move(G: Group, gprime: int, entries: tuple[int, ...], move: MoveID) ->
                 out[ic] = cd_old
         else:
             if not inv:
-                words = MoveWords(
-                    chi=_seq(G, [vinv, cd, v]),
-                    eps_prime=_seq(G, [cd, v, G.comm(a, b), G.inv(a), vinv]),
-                )
-                out[ib] = _seq(G, [G.inv(a), words.chi, a, b])
-                out[ic] = _seq(G, [words.eps_prime, cd, G.inv(words.eps_prime)])
+                chi = _seq(G, [vinv, cd, v])
+                eps_prime = _seq(G, [cd, v, G.comm(a, b), G.inv(a), vinv])
+                out[ib] = _seq(G, [G.inv(a), chi, a, b])
+                out[ic] = _seq(G, [eps_prime, cd, G.inv(eps_prime)])
             else:
                 m = _seq(G, [v, G.comm(a, b), G.inv(a), vinv])
                 cd_old = _seq(G, [G.inv(m), cd, m])

@@ -5,17 +5,17 @@ Two independent routes compute h(G; tau1, tau2):
 * the two-stage engine: per-side orbit partitions under moves + Inn(G),
   disjointness evaluated once per orbit-label pair, then a vectorized BFS
   over disjoint label pairs under diagonal Aut(G) and the factor swap;
-* a one-stage oracle: direct BFS over raw disjoint ordered pairs under
-  per-side moves, per-side Inn generators, diagonal Aut generators, and swap.
+* a one-stage oracle: components of the raw disjoint ordered pairs, found
+  from index maps of per-side moves, per-side Inn generators, diagonal Aut
+  generators and the swap, without orbit labels or any quotient.
 
 Both refuse honestly (BudgetExceeded) instead of degrading.
 """
 from __future__ import annotations
 
-import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,8 +29,8 @@ from .ramification import (
     curve_genus,
     enumerate_systems,
     period_multisets_with_angle_sum,
+    rh_admissible,
     sigma_set,
-    long_relation_holds,
 )
 
 DEFAULT_MAX_SYSTEMS = 10_000_000
@@ -44,7 +44,6 @@ class EquivalenceConfig:
     max_systems: int = DEFAULT_MAX_SYSTEMS
     one_stage_scan_budget: int = DEFAULT_ONE_STAGE_SCAN_BUDGET
     representatives: bool = False
-    threads: int = 1  # accepted for interface compatibility; engine is single-threaded
     seed: int = 0  # seeds the sampled Sigma-constancy assertions
 
 
@@ -102,6 +101,60 @@ def estimate_system_candidates(G: Group, tau: SignatureType) -> int:
     return total
 
 
+def _systems(G: Group, tau: SignatureType, config: EquivalenceConfig) -> list[tuple[int, ...]]:
+    """Every system of tau's unordered type, sorted; refuses past the budget."""
+    est = estimate_system_candidates(G, tau)
+    if est > config.max_systems:
+        raise BudgetExceeded(
+            f"side enumeration for {G.name} type {tau} needs {est} candidate tuples "
+            f"(> {config.max_systems})",
+            required=est,
+        )
+    systems: list[tuple[int, ...]] = []
+    for ordering in tau.orderings():
+        systems.extend(enumerate_systems(G, SignatureType(tau.gprime, ordering)))
+    systems.sort()
+    return systems
+
+
+def _images(systems: list[tuple[int, ...]], maps, where: str):
+    """For each map on systems, yield the index array i -> index of map(systems[i])."""
+    index = {ent: i for i, ent in enumerate(systems)}
+    for f in maps:
+        try:
+            yield np.fromiter((index[f(ent)] for ent in systems), np.int64, len(systems))
+        except KeyError:
+            raise AssertionError(f"a map left the system set of {where}") from None
+
+
+def _components(n: int, images) -> np.ndarray:
+    """For each index in range(n), the least index of its orbit under the maps.
+
+    The maps (int index arrays) are taken one at a time, so images may be a
+    generator. Root hooking plus pointer jumping: every edge x -> img[x]
+    whose ends have different roots hooks the larger root onto the smaller,
+    then pointers jump until every tree is a star; this repeats until no
+    edge of the map joins two roots. Merging never splits a class, so the
+    edges of earlier maps stay inside one class. Edges are used in both
+    directions, so the maps need not include inverses.
+    """
+    root = np.arange(n, dtype=np.int64)
+    for img in images:
+        while True:
+            other = root[img]
+            cut = root != other
+            if not cut.any():
+                break
+            a, b = root[cut], other[cut]
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                jumped = root[root]
+                if (jumped == root).all():
+                    break
+                root = jumped
+    return root
+
+
 def side_orbits(
     G: Group, tau: SignatureType, config: EquivalenceConfig | None = None
 ) -> SidePartition:
@@ -112,18 +165,8 @@ def side_orbits(
     unless explicitly disabled, and forced on for g' > 0).
     """
     config = config or EquivalenceConfig()
-    canonical = SignatureType(tau.gprime, tuple(sorted(tau.periods)))
-    est = estimate_system_candidates(G, canonical)
-    if est > config.max_systems:
-        raise BudgetExceeded(
-            f"side enumeration for {G.name} type {canonical} needs {est} candidate tuples "
-            f"(> {config.max_systems})",
-            required=est,
-        )
-    systems: list[tuple[int, ...]] = []
-    for ordering in canonical.orderings():
-        systems.extend(enumerate_systems(G, SignatureType(canonical.gprime, ordering)))
-    systems.sort()
+    canonical = tau.with_sorted_periods()
+    systems = _systems(G, canonical, config)
 
     include_inn = config.include_inn_per_side
     if include_inn is None:
@@ -139,36 +182,16 @@ def side_orbits(
         convention_self_check(G, gp, r, systems[:20])
     inn_maps = inner_automorphisms(G) if include_inn else ()
 
-    universe = set(systems)
-    label_of: dict[tuple[int, ...], int] = {}
-    labels: list[tuple[int, ...]] = []
-    orbit_members: list[list[tuple[int, ...]]] = []
-    for seed in systems:
-        if seed in label_of:
-            continue
-        idx = len(labels)
-        labels.append(seed)
-        members = [seed]
-        label_of[seed] = idx
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for ent in frontier:
-                neighbors = [apply_move(G, gp, ent, m) for m in moves]
-                for phi in inn_maps:
-                    neighbors.append(tuple(phi[x] for x in ent))
-                for nb in neighbors:
-                    if nb not in label_of:
-                        if nb not in universe:
-                            raise AssertionError(
-                                f"move left the system universe for {G.name} {canonical}"
-                            )
-                        label_of[nb] = idx
-                        members.append(nb)
-                        nxt.append(nb)
-            frontier = nxt
-        members.sort()
-        orbit_members.append(members)
+    maps = [lambda ent, m=m: apply_move(G, gp, ent, m) for m in moves]
+    maps += [lambda ent, phi=phi: tuple(phi[x] for x in ent) for phi in inn_maps]
+    root = _components(len(systems), _images(systems, maps, f"{G.name} {canonical}"))
+    is_label = root == np.arange(len(systems))
+    label_idx = (np.cumsum(is_label) - 1)[root].tolist()
+    labels = [systems[i] for i in np.flatnonzero(is_label)]
+    label_of = dict(zip(systems, label_idx))
+    orbit_members: list[list[tuple[int, ...]]] = [[] for _ in labels]
+    for ent, k in zip(systems, label_idx):
+        orbit_members[k].append(ent)
     return SidePartition(G, canonical, systems, labels, label_of, orbit_members)
 
 
@@ -213,8 +236,7 @@ def count_components(
     """Two-stage component count h(G; tau1, tau2)."""
     config = config or EquivalenceConfig()
     rng = random.Random(config.seed)
-    t1 = SignatureType(tau1.gprime, tuple(sorted(tau1.periods)))
-    t2 = SignatureType(tau2.gprime, tuple(sorted(tau2.periods)))
+    t1, t2 = tau1.with_sorted_periods(), tau2.with_sorted_periods()
     same_types = t1.canonical() == t2.canonical()
     include_swap = config.include_swap
     if include_swap is None:
@@ -225,9 +247,12 @@ def count_components(
     side1 = side_orbits(G, t1, config)
     side2 = side1 if same_types else side_orbits(G, t2, config)
     L1, L2 = len(side1.labels), len(side2.labels)
+    representatives: list[dict] | None = [] if config.representatives else None
     report_base = dict(group=G.name, type1=str(t1), type2=str(t2))
     if L1 == 0 or L2 == 0:
-        return OrbitReport(**report_base, h=0, orbit_sizes=[], total_pairs=0)
+        return OrbitReport(
+            **report_base, h=0, orbit_sizes=[], total_pairs=0, representatives=representatives
+        )
 
     m1 = _sigma_matrix(G, side1, rng)
     m2 = m1 if same_types else _sigma_matrix(G, side2, rng)
@@ -249,7 +274,6 @@ def count_components(
     visited = np.zeros(L1 * L2, dtype=bool)
     h = 0
     orbit_sizes: list[int] = []
-    representatives: list[dict] | None = [] if config.representatives else None
     for seed in cell_ids:
         if visited[seed]:
             continue
@@ -264,8 +288,10 @@ def count_components(
                 images.append(p1[fi] * L2 + p2[fj])
             if include_swap:
                 images.append(fj * L2 + fi)
-            nxt = np.unique(np.concatenate(images)) if images else np.array([], dtype=np.int64)
-            nxt = nxt[~visited[nxt]]
+            nxt = np.sort(np.concatenate(images)) if images else np.array([], dtype=np.int64)
+            first = np.ones(nxt.size, dtype=bool)
+            first[1:] = nxt[1:] != nxt[:-1]
+            nxt = nxt[first & ~visited[nxt]]
             if nxt.size and not valid_flat[nxt].all():
                 raise AssertionError("equivalence image left the disjoint-cell set")
             visited[nxt] = True
@@ -310,136 +336,99 @@ def count_components_one_stage(
     tau2: SignatureType,
     config: EquivalenceConfig | None = None,
 ) -> OrbitReport:
-    """Direct BFS over raw disjoint ordered pairs; the cross-checking oracle."""
+    """Components of the raw disjoint ordered pairs; the cross-checking oracle.
+
+    Pairs are flat ids i * n2 + j into the two sorted system lists. Every
+    move, Inn generator and Aut generator acts once per system as an index
+    map, pair images follow by index arithmetic, and the orbits come from
+    _components without orbit labels or any quotient.
+    """
     config = config or EquivalenceConfig()
-    t1 = SignatureType(tau1.gprime, tuple(sorted(tau1.periods)))
-    t2 = SignatureType(tau2.gprime, tuple(sorted(tau2.periods)))
+    t1, t2 = tau1.with_sorted_periods(), tau2.with_sorted_periods()
     same_types = t1.canonical() == t2.canonical()
     include_swap = config.include_swap
     if include_swap is None:
         include_swap = same_types
+    if include_swap and not same_types:
+        raise UserInputError("swap may only be enabled when the unordered types coincide")
 
-    est1 = estimate_system_candidates(G, t1)
-    est2 = estimate_system_candidates(G, t2)
-    if est1 > config.max_systems or est2 > config.max_systems:
-        raise BudgetExceeded(
-            f"one-stage side enumeration needs {max(est1, est2)} candidates "
-            f"(> {config.max_systems})",
-            required=max(est1, est2),
-        )
-
-    def collect(t: SignatureType) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-        for ordering in t.orderings():
-            out.extend(enumerate_systems(G, SignatureType(t.gprime, ordering)))
-        out.sort()
-        return out
-
-    sys1 = collect(t1)
-    sys2 = sys1 if same_types else collect(t2)
-    raw = len(sys1) * len(sys2)
+    sys1 = _systems(G, t1, config)
+    sys2 = sys1 if same_types else _systems(G, t2, config)
+    n2 = len(sys2)
+    raw = len(sys1) * n2
     if raw > config.one_stage_scan_budget:
         raise BudgetExceeded(
             f"one-stage oracle must scan {raw} raw pairs (> {config.one_stage_scan_budget})",
             required=raw,
         )
+
+    def sigma_rows(t: SignatureType, systems: list[tuple[int, ...]]) -> np.ndarray:
+        rows = np.zeros((len(systems), G.order), dtype=np.float32)
+        for k, ent in enumerate(systems):
+            rows[k, list(sigma_set(G, t.gprime, ent))] = 1.0
+        return rows
+
+    sig1 = sigma_rows(t1, sys1)
+    sig2 = sig1 if same_types else sigma_rows(t2, sys2)
+    disjoint = ((sig1 @ sig2.T) == 1.0).ravel()  # identity is in every Sigma
+    pair_ids = np.flatnonzero(disjoint)
+    total_pairs = len(pair_ids)
+    representatives: list[dict] | None = [] if config.representatives else None
     report_base = dict(group=G.name, type1=str(t1), type2=str(t2))
-    if raw == 0:
-        return OrbitReport(**report_base, h=0, orbit_sizes=[], total_pairs=0)
-
-    # Memoized conjugate closures make Sigma a cheap union per system.
-    closures: dict[int, frozenset[int]] = {}
-
-    def element_closure(c: int) -> frozenset[int]:
-        got = closures.get(c)
-        if got is None:
-            base = G.cyclic_subgroup(c)
-            if G.is_abelian():
-                got = base
-            else:
-                acc = set()
-                for y in base:
-                    for g in G.elements():
-                        acc.add(G.conj(y, g))
-                got = frozenset(acc)
-            closures[c] = got
-        return got
-
-    def sigma_of(entries: tuple[int, ...], gp: int) -> frozenset[int]:
-        out = {G.identity}
-        for c in entries[2 * gp :]:
-            out |= element_closure(c)
-        return frozenset(out)
-
-    sig1 = {e: sigma_of(e, t1.gprime) for e in sys1}
-    sig2 = sig1 if same_types else {e: sigma_of(e, t2.gprime) for e in sys2}
-
-    pairs = [
-        (x, y) for x in sys1 for y in sys2 if len(sig1[x] & sig2[y]) == 1
-    ]
-    total_pairs = len(pairs)
     if total_pairs == 0:
-        return OrbitReport(**report_base, h=0, orbit_sizes=[], total_pairs=0)
+        return OrbitReport(
+            **report_base, h=0, orbit_sizes=[], total_pairs=0, representatives=representatives
+        )
 
-    gp1, r1 = t1.gprime, t1.r
-    gp2, r2 = t2.gprime, t2.r
-    moves1 = available_moves(gp1, r1) if (gp1, r1) != (0, 0) else []
-    moves2 = available_moves(gp2, r2) if (gp2, r2) != (0, 0) else []
     inn = inner_automorphisms(G)
     aut_maps = automorphism_group(G).acting_maps()
 
-    pair_set = set(pairs)
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    h = 0
-    orbit_sizes: list[int] = []
-    representatives: list[dict] | None = [] if config.representatives else None
-    for seed in pairs:
-        if seed in seen:
-            continue
-        h += 1
-        seen.add(seed)
-        size = 0
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for (x, y) in frontier:
-                size += 1
-                neighbors = []
-                for m in moves1:
-                    neighbors.append((apply_move(G, gp1, x, m), y))
-                for m in moves2:
-                    neighbors.append((x, apply_move(G, gp2, y, m)))
-                for phi in inn:
-                    neighbors.append((tuple(phi[e] for e in x), y))
-                    neighbors.append((x, tuple(phi[e] for e in y)))
-                for phi in aut_maps:
-                    neighbors.append(
-                        (tuple(phi[e] for e in x), tuple(phi[e] for e in y))
-                    )
-                if include_swap:
-                    neighbors.append((y, x))
-                for nb in neighbors:
-                    if nb not in seen:
-                        if nb not in pair_set:
-                            raise AssertionError(
-                                "one-stage neighbor left the disjoint-pair set"
-                            )
-                        seen.add(nb)
-                        nxt.append(nb)
-            frontier = nxt
-        orbit_sizes.append(size)
-        if representatives is not None:
-            representatives.append(
-                {
-                    "first": [G.element_label(e) for e in seed[0]],
-                    "second": [G.element_label(e) for e in seed[1]],
-                }
-            )
+    def side_maps(t: SignatureType, systems: list[tuple[int, ...]]):
+        gp, r = t.gprime, t.r
+        moves = available_moves(gp, r) if (gp, r) != (0, 0) else []
+        per_side = [lambda ent, m=m: apply_move(G, gp, ent, m) for m in moves]
+        per_side += [lambda ent, phi=phi: tuple(phi[x] for x in ent) for phi in inn]
+        diagonal = [lambda ent, phi=phi: tuple(phi[x] for x in ent) for phi in aut_maps]
+        where = f"{G.name} {t}"
+        return list(_images(systems, per_side, where)), list(_images(systems, diagonal, where))
+
+    own1, aut1 = side_maps(t1, sys1)
+    own2, aut2 = (own1, aut1) if same_types else side_maps(t2, sys2)
+    i, j = pair_ids // n2, pair_ids % n2
+    rank = np.cumsum(disjoint) - 1  # flat id -> position in pair_ids
+
+    def flat_images():
+        for img in own1:
+            yield img[i] * n2 + j
+        for img in own2:
+            yield i * n2 + img[j]
+        for a1, a2 in zip(aut1, aut2):
+            yield a1[i] * n2 + a2[j]
+        if include_swap:
+            yield j * n2 + i
+
+    def pair_images():
+        for f in flat_images():
+            if not disjoint[f].all():
+                raise AssertionError("one-stage neighbor left the disjoint-pair set")
+            yield rank[f]
+
+    root = _components(total_pairs, pair_images())
+    seeds = np.flatnonzero(root == np.arange(total_pairs))
+    orbit_sizes = np.bincount(root)[seeds].tolist()
     if sum(orbit_sizes) != total_pairs:
         raise AssertionError("one-stage orbit sizes do not sum to pair count")
+    if representatives is not None:
+        for seed in pair_ids[seeds].tolist():
+            representatives.append(
+                {
+                    "first": [G.element_label(e) for e in sys1[seed // n2]],
+                    "second": [G.element_label(e) for e in sys2[seed % n2]],
+                }
+            )
     return OrbitReport(
         **report_base,
-        h=h,
+        h=len(seeds),
         orbit_sizes=sorted(orbit_sizes, reverse=True),
         total_pairs=total_pairs,
         representatives=representatives,
@@ -538,20 +527,13 @@ def admissible_type_pairs(
                 for p2 in lists2:
                     t1 = SignatureType(g1p, p1)
                     t2 = SignatureType(g2p, p2)
-                    ok1, gg1 = _genus_ok(n, t1)
-                    ok2, gg2 = _genus_ok(n, t2)
-                    if not (ok1 and ok2):
+                    if not (rh_admissible(n, t1)[0] and rh_admissible(n, t2)[0]):
                         continue
                     key = tuple(sorted([t1.canonical(), t2.canonical()]))
                     if key not in out:
                         a, b = sorted([t1, t2], key=lambda t: t.canonical())
                         out[key] = (a, b)
     return [out[k] for k in sorted(out)]
-
-
-def _genus_ok(order: int, tau: SignatureType) -> tuple[bool, Fraction]:
-    g = curve_genus(order, tau)
-    return (g.denominator == 1 and g >= 2), g
 
 
 def scan_invariants(

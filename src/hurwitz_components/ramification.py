@@ -36,8 +36,9 @@ class SignatureType:
     def canonical(self) -> tuple[int, tuple[int, ...]]:
         return (self.gprime, tuple(sorted(self.periods)))
 
-    def unordered_eq(self, other: "SignatureType") -> bool:
-        return self.canonical() == other.canonical()
+    def with_sorted_periods(self) -> "SignatureType":
+        """The same unordered type with its periods in ascending order."""
+        return SignatureType(self.gprime, tuple(sorted(self.periods)))
 
     def orderings(self) -> list[tuple[int, ...]]:
         """Distinct orderings of the period multiset, lexicographically."""

@@ -205,14 +205,18 @@ def test_criterion_11_one_stage_and_two_stage_agree_everywhere_both_run():
         ("Sym:4", "0|2,3,4", "0|2,3,4"),
         ("Alt:5", "0|2,5,5", "0|3,3,3,3"),
     ]
+    cfg = EquivalenceConfig(representatives=True)
     agreed = 0
+    t0 = time.monotonic()
     for spec, t1_text, t2_text in cases:
         G = construct_group(spec)
         t1, t2 = SignatureType.parse(t1_text), SignatureType.parse(t2_text)
-        a = count_components(G, t1, t2)
-        b = count_components_one_stage(G, t1, t2)
+        a = count_components(G, t1, t2, cfg)
+        b = count_components_one_stage(G, t1, t2, cfg)
         assert (a.h, a.orbit_sizes, a.total_pairs) == (b.h, b.orbit_sizes, b.total_pairs), spec
+        assert a.representatives == b.representatives, spec
         agreed += 1
+    assert time.monotonic() - t0 < 10.0
     print(f"criterion 11 PASS: both routes identical on {agreed} instances")
 
 

@@ -73,6 +73,21 @@ def test_count_cache_replays_bytes(capsys, isolated_cache):
     assert len(list(isolated_cache.glob("*.json"))) == 1
 
 
+def test_count_recomputes_a_damaged_cache_entry(capsys, isolated_cache):
+    argv = ("count", "--group", "Sym:3", "--type1", "0|2,2,3", "--type2", "0|2,2,3")
+    _, fresh, _ = run_cli(capsys, *argv)
+    (entry,) = isolated_cache.glob("*.json")
+    entry.write_text(fresh[:40])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == fresh
+    assert "cache hit" not in err and "damaged" in err
+    assert entry.read_text() == fresh
+    _, replay, err = run_cli(capsys, *argv)
+    assert replay == fresh and "cache hit" in err
+    assert [p.name for p in isolated_cache.iterdir()] == [entry.name]
+
+
 def test_count_cache_dir_flag_overrides_env(capsys, tmp_path):
     other = tmp_path / "elsewhere"
     argv = (

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import random
+import time
+
+import numpy as np
 import pytest
 
 from hurwitz_components.errors import BudgetExceeded, UserInputError
 from hurwitz_components.groups import AbelianGroup, construct_group
 from hurwitz_components.orbits import (
     EquivalenceConfig,
+    _components,
     admissible_type_pairs,
     count_components,
     count_components_one_stage,
@@ -39,6 +44,55 @@ def test_side_orbits_single_orbit_for_symmetric_triangle():
     part = side_orbits(G, _tau("0|2,2,3"))
     assert len(part.systems) == 18
     assert len(part.orbit_members) == 1
+
+
+def _least_member_by_bfs(n: int, maps: list[list[int]]) -> list[int]:
+    adjacent: list[set[int]] = [set() for _ in range(n)]
+    for img in maps:
+        for x, y in enumerate(img):
+            adjacent[x].add(y)
+            adjacent[y].add(x)
+    least = [-1] * n
+    for seed in range(n):
+        if least[seed] >= 0:
+            continue
+        least[seed] = seed
+        frontier = [seed]
+        while frontier:
+            frontier = [y for x in frontier for y in adjacent[x] if least[y] < 0]
+            for y in frontier:
+                least[y] = seed
+    return least
+
+
+def test_components_match_plain_bfs():
+    rng = random.Random(7)
+    for trial in range(300):
+        n = rng.randint(0, 60)
+        maps = []
+        for _ in range(rng.randint(0, 3)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            maps.append(perm)
+            if rng.random() < 0.5:  # sometimes give the inverse too
+                inverse = [0] * n
+                for x, y in enumerate(perm):
+                    inverse[y] = x
+                maps.append(inverse)
+        got = _components(n, [np.array(m, dtype=np.int64) for m in maps])
+        assert got.tolist() == _least_member_by_bfs(n, maps), (trial, n, len(maps))
+
+
+def test_components_long_cycle_is_fast():
+    n = 100_000
+    order = list(range(n))
+    random.Random(11).shuffle(order)
+    step = np.empty(n, dtype=np.int64)
+    step[order] = np.roll(order, -1)  # one cycle through every point, forward only
+    t0 = time.monotonic()
+    got = _components(n, [step])
+    assert time.monotonic() - t0 < 5.0
+    assert not got.any()
 
 
 def test_count_components_rigid_prime_five():
@@ -78,26 +132,31 @@ def test_count_components_alternating_cross_types():
     assert rep.total_pairs == 388800
 
 
-def test_one_stage_agrees_with_two_stage():
+def test_one_stage_agrees_with_two_stage(q8_path):
     cases = [
         ("Zn:5,5", "0|5,5,5", "0|5,5,5"),
         ("Zn:2", "1|2,2", "2|"),
         ("Sym:3", "0|2,2,3", "0|2,2,3"),
-        ("Sym:4", "0|2,3,4", "0|2,3,4"),
+        ("Sym:4", "0|2,3,4", "0|2,3,4"),  # systems on both sides, no disjoint pair
+        ("Sym:4", "0|2,2,2,4", "1|3"),
+        ("Sym:4", "0|3,4,4", "1|2,2"),
+        (f"cayley:{q8_path}", "0|4,4,4", "2|"),
         ("Zn:1", "2|", "2|"),
     ]
+    cfg = EquivalenceConfig(representatives=True)
     for spec, t1, t2 in cases:
         G = construct_group(spec)
-        a = count_components(G, _tau(t1), _tau(t2))
-        b = count_components_one_stage(G, _tau(t1), _tau(t2))
-        assert (a.h, a.orbit_sizes, a.total_pairs) == (b.h, b.orbit_sizes, b.total_pairs), spec
+        a = count_components(G, _tau(t1), _tau(t2), cfg)
+        b = count_components_one_stage(G, _tau(t1), _tau(t2), cfg)
+        assert a.to_json_dict() == b.to_json_dict(), (spec, t1, t2)
 
 
 def test_swap_requires_matching_types():
     G = AbelianGroup([5, 5])
     cfg = EquivalenceConfig(include_swap=True)
-    with pytest.raises(UserInputError):
-        count_components(G, _tau("0|5,5,5"), _tau("0|5,5,5,5"), cfg)
+    for route in (count_components, count_components_one_stage):
+        with pytest.raises(UserInputError):
+            route(G, _tau("0|5,5,5"), _tau("0|5,5,5,5"), cfg)
 
 
 def test_swap_defaults_follow_type_equality():
@@ -184,8 +243,8 @@ def test_estimate_candidates_guards_enumeration():
 
 def test_reports_are_deterministic():
     G = construct_group("Sym:4")
-    a = count_components(G, _tau("0|2,3,4"), _tau("0|2,3,4"), EquivalenceConfig(threads=1))
-    b = count_components(G, _tau("0|2,3,4"), _tau("0|2,3,4"), EquivalenceConfig(threads=8))
+    a = count_components(G, _tau("0|2,3,4"), _tau("0|2,3,4"))
+    b = count_components(G, _tau("0|2,3,4"), _tau("0|2,3,4"))
     assert a.to_json_dict() == b.to_json_dict()
 
 
