@@ -2,9 +2,11 @@
 
 An automorphism is represented as an element map: a tuple m of length
 |G| with m[x] = phi(x). A group acting on a finite set has the same
-orbits whether every element or only a generating set is applied, so no
-automorphism group is ever listed in full: AutGroup holds |Aut(G)| and
-a generating set of maps, and consumers act with those.
+orbits whether every element or only a generating set is applied, and
+on a finite set the inverse of a map is one of its powers. So no
+automorphism group is ever listed in full and no inverse map is built:
+AutGroup holds |Aut(G)| and a generating set of maps, and consumers act
+with those generators alone.
 
 Generators come from the standard generating sets where the group is a
 known family (Seress, Permutation Group Algorithms, ch. 4):
@@ -63,13 +65,6 @@ class AutGroup:
     group: Group
     order: int
     generator_maps: tuple[tuple[int, ...], ...]
-
-    def acting_maps(self) -> tuple[tuple[int, ...], ...]:
-        """The maps the engine acts with: generators, then their inverses, no repeats."""
-        maps = dict.fromkeys(self.generator_maps)
-        for m in self.generator_maps:
-            maps.setdefault(invert_map(m))
-        return tuple(maps)
 
 
 def _distinct_maps(G: Group, maps) -> tuple[tuple[int, ...], ...]:

@@ -8,6 +8,7 @@ CSV for scan tables); diagnostics go to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -35,6 +36,7 @@ from .groups import AbelianGroup, Group, construct_group
 from .moves import MoveID, apply_move, available_moves
 from .orbits import (
     EquivalenceConfig,
+    component_bound_warning,
     count_components,
     count_components_one_stage,
     scan_invariants,
@@ -163,6 +165,9 @@ def _cmd_count(args) -> str:
         report = count_components(G, t1, t2, cfg)
     elapsed = time.monotonic() - t0
     print(f"count finished in {elapsed * 1000.0:.1f} ms", file=sys.stderr)
+    warning = component_bound_warning(G, t1, t2, report.h)
+    if warning is not None:
+        print(f"warning: {warning}", file=sys.stderr)
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(report.to_json_dict())
     out = _canonical_json(doc)
@@ -332,6 +337,7 @@ def _verify_moves(rng_seed: int) -> tuple[bool, str]:
             continue
         sample = rng.sample(systems, min(40, len(systems)))
         moves = available_moves(gp, tau.r)
+        moves += [mv.inverted() for mv in moves]
         order_multiset = sorted(periods)
         for ent in sample:
             sig = sigma_set(G, gp, ent)
@@ -410,6 +416,7 @@ def _verify_closed_form(cfg: EquivalenceConfig) -> tuple[bool, str]:
 
 
 def _verify_two_routes(cfg: EquivalenceConfig) -> tuple[bool, str]:
+    cfg = dataclasses.replace(cfg, representatives=True)
     cases = [
         ("Zn:5,5", "0|5,5,5", "0|5,5,5"),
         ("Zn:2", "1|2,2", "2|"),
@@ -421,7 +428,7 @@ def _verify_two_routes(cfg: EquivalenceConfig) -> tuple[bool, str]:
         t1, t2 = SignatureType.parse(t1s), SignatureType.parse(t2s)
         a = count_components(G, t1, t2, cfg)
         b = count_components_one_stage(G, t1, t2, cfg)
-        if (a.h, a.orbit_sizes, a.total_pairs) != (b.h, b.orbit_sizes, b.total_pairs):
+        if a.to_json_dict() != b.to_json_dict():
             return False, f"routes disagree on {spec} ({t1s}) x ({t2s}): {a.h} vs {b.h}"
     return True, f"both orbit routes agree on {len(cases)} instances"
 

@@ -71,26 +71,24 @@ class MoveID:
 
 
 def available_moves(gprime: int, r: int) -> list[MoveID]:
-    """All moves valid for systems of shape (g', r), forward then inverse."""
+    """The forward mapping-class-group generators for systems of shape (g', r).
+
+    Each move permutes a finite set of systems, so its inverse is one of its
+    powers and adds no orbit; the inverses stay addressable via inverted().
+    """
     if gprime == 0 and r == 0:
         raise UserInputError("no moves defined for the degenerate shape (g', r) = (0, 0)")
-    forward: list[MoveID] = []
     if gprime == 0:
-        forward = [MoveID("sigma", h) for h in range(1, r)]
-    elif (gprime, r) == (1, 1):
-        forward = [MoveID("delta", 1), MoveID("delta~", 1)]
-    else:
-        forward += [MoveID("delta", j) for j in range(1, gprime + 1)]
-        forward += [MoveID("delta~", j) for j in range(1, gprime + 1)]
-        forward += [MoveID("tau", k) for k in range(1, gprime)]
-        forward += [MoveID("sigma", h) for h in range(1, r)]
-        forward += [
-            MoveID("xi1", j, d) for j in range(1, gprime + 1) for d in range(1, r + 1)
-        ]
-        forward += [
-            MoveID("xi2", j, d) for j in range(1, gprime + 1) for d in range(1, r + 1)
-        ]
-    return forward + [m.inverted() for m in forward]
+        return [MoveID("sigma", h) for h in range(1, r)]
+    if (gprime, r) == (1, 1):
+        return [MoveID("delta", 1), MoveID("delta~", 1)]
+    moves = [MoveID("delta", j) for j in range(1, gprime + 1)]
+    moves += [MoveID("delta~", j) for j in range(1, gprime + 1)]
+    moves += [MoveID("tau", k) for k in range(1, gprime)]
+    moves += [MoveID("sigma", h) for h in range(1, r)]
+    moves += [MoveID("xi1", j, d) for j in range(1, gprime + 1) for d in range(1, r + 1)]
+    moves += [MoveID("xi2", j, d) for j in range(1, gprime + 1) for d in range(1, r + 1)]
+    return moves
 
 
 def _check_range(cond: bool, move: MoveID, gprime: int, r: int) -> None:
@@ -202,7 +200,7 @@ def apply_word(G: Group, gprime: int, entries: tuple[int, ...], word) -> tuple[i
 
 
 def convention_self_check(G: Group, gprime: int, r: int, samples) -> None:
-    """Assert that every move keeps the long relation on the sample systems.
+    """Assert that every move and its inverse keep the long relation on the samples.
 
     samples: iterable of entry tuples already satisfying the long relation.
     Raises AssertionError on the first violation.
@@ -210,6 +208,7 @@ def convention_self_check(G: Group, gprime: int, r: int, samples) -> None:
     if (gprime, r) == (0, 0):
         return
     moves = available_moves(gprime, r)
+    moves += [m.inverted() for m in moves]
     for entries in samples:
         for m in moves:
             if not long_relation_holds(G, gprime, apply_move(G, gprime, entries, m)):

@@ -4,17 +4,20 @@ Two independent routes compute h(G; tau1, tau2):
 
 * the two-stage engine: per-side orbit partitions under moves + Inn(G),
   disjointness evaluated once per orbit-label pair, then a vectorized BFS
-  over disjoint label pairs under diagonal Aut(G) and the factor swap;
+  over disjoint label pairs under diagonal Aut(G) and the factor swap,
+  seeded from the least cell not yet reached;
 * a one-stage oracle: components of the raw disjoint ordered pairs, found
   from index maps of per-side moves, per-side Inn generators, diagonal Aut
   generators and the swap, without orbit labels or any quotient.
 
-Both refuse honestly (BudgetExceeded) instead of degrading.
+Both act with generators only (forward moves, Inn and Aut generator maps):
+each permutes a finite set, so its inverse is one of its powers. The swap
+acts exactly when the unordered types coincide. Both refuse honestly
+(BudgetExceeded) instead of degrading.
 """
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,8 +42,7 @@ DEFAULT_ONE_STAGE_SCAN_BUDGET = 5_000_000
 
 @dataclass
 class EquivalenceConfig:
-    include_inn_per_side: bool | None = None  # None = auto (always on)
-    include_swap: bool | None = None  # None = auto (on iff unordered types match)
+    include_inn_per_side: bool = True  # g' > 0 sides always act with Inn(G)
     max_systems: int = DEFAULT_MAX_SYSTEMS
     one_stage_scan_budget: int = DEFAULT_ONE_STAGE_SCAN_BUDGET
     representatives: bool = False
@@ -136,7 +138,8 @@ def _components(n: int, images) -> np.ndarray:
     then pointers jump until every tree is a star; this repeats until no
     edge of the map joins two roots. Merging never splits a class, so the
     edges of earlier maps stay inside one class. Edges are used in both
-    directions, so the maps need not include inverses.
+    directions, so the classes are the orbits of the group the maps
+    generate, and callers pass generators without their inverses.
     """
     root = np.arange(n, dtype=np.int64)
     for img in images:
@@ -160,19 +163,14 @@ def side_orbits(
 ) -> SidePartition:
     """Partition all systems of tau's unordered type into move orbits.
 
-    Orbit labels are the lexicographically minimal members; conjugation by
-    generators of G is applied entrywise alongside the moves (always on
-    unless explicitly disabled, and forced on for g' > 0).
+    Orbit labels are the lexicographically minimal members. The forward
+    moves act, and conjugation by generators of G is applied entrywise
+    alongside them (unless disabled; always on for g' > 0).
     """
     config = config or EquivalenceConfig()
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, config)
-
-    include_inn = config.include_inn_per_side
-    if include_inn is None:
-        include_inn = True
-    if canonical.gprime > 0:
-        include_inn = True
+    include_inn = config.include_inn_per_side or canonical.gprime > 0
 
     gp, r = canonical.gprime, canonical.r
     if gp == 0 and r == 0:
@@ -233,16 +231,16 @@ def count_components(
     tau2: SignatureType,
     config: EquivalenceConfig | None = None,
 ) -> OrbitReport:
-    """Two-stage component count h(G; tau1, tau2)."""
+    """Two-stage component count h(G; tau1, tau2).
+
+    Cells (i, j) of label pairs are flat ids i * L2 + j. Each orbit is a
+    frontier BFS under the Aut generator label permutations (and the swap)
+    from the least valid cell not yet reached.
+    """
     config = config or EquivalenceConfig()
     rng = random.Random(config.seed)
     t1, t2 = tau1.with_sorted_periods(), tau2.with_sorted_periods()
     same_types = t1.canonical() == t2.canonical()
-    include_swap = config.include_swap
-    if include_swap is None:
-        include_swap = same_types
-    if include_swap and not same_types:
-        raise UserInputError("swap may only be enabled when the unordered types coincide")
 
     side1 = side_orbits(G, t1, config)
     side2 = side1 if same_types else side_orbits(G, t2, config)
@@ -263,45 +261,43 @@ def count_components(
     s1 = np.array([len(m) for m in side1.orbit_members], dtype=np.int64)
     s2 = s1 if same_types else np.array([len(m) for m in side2.orbit_members], dtype=np.int64)
 
-    acting = automorphism_group(G).acting_maps()
-    perms1 = [_aut_label_perm(G, side1, phi) for phi in acting]
-    perms2 = perms1 if same_types else [_aut_label_perm(G, side2, phi) for phi in acting]
+    gens = automorphism_group(G).generator_maps
+    perms1 = [_aut_label_perm(G, side1, phi) for phi in gens]
+    perms2 = perms1 if same_types else [_aut_label_perm(G, side2, phi) for phi in gens]
 
+    total_pairs = sum(int(s1[i]) * int(s2[row].sum()) for i, row in enumerate(valid))
     valid_flat = valid.ravel()
-    cell_ids = np.flatnonzero(valid_flat)
-    total_pairs = int(s1[cell_ids // L2] @ s2[cell_ids % L2])
-
-    visited = np.zeros(L1 * L2, dtype=bool)
+    unseen = valid_flat.copy()
     h = 0
     orbit_sizes: list[int] = []
-    for seed in cell_ids:
-        if visited[seed]:
-            continue
+    seed = 0
+    while True:
+        seed += int(np.argmax(unseen[seed:]))
+        if not unseen[seed]:
+            break
         h += 1
-        visited[seed] = True
+        unseen[seed] = False
         frontier = np.array([seed], dtype=np.int64)
         members = [frontier]
         while frontier.size:
-            images = []
             fi, fj = frontier // L2, frontier % L2
-            for p1, p2 in zip(perms1, perms2):
-                images.append(p1[fi] * L2 + p2[fj])
-            if include_swap:
+            images = [p1[fi] * L2 + p2[fj] for p1, p2 in zip(perms1, perms2)]
+            if same_types:
                 images.append(fj * L2 + fi)
-            nxt = np.sort(np.concatenate(images)) if images else np.array([], dtype=np.int64)
+            nxt = np.sort(np.concatenate(images)) if images else frontier[:0]
             first = np.ones(nxt.size, dtype=bool)
             first[1:] = nxt[1:] != nxt[:-1]
-            nxt = nxt[first & ~visited[nxt]]
-            if nxt.size and not valid_flat[nxt].all():
+            nxt = nxt[first]
+            if not valid_flat[nxt].all():
                 raise AssertionError("equivalence image left the disjoint-cell set")
-            visited[nxt] = True
+            nxt = nxt[unseen[nxt]]
+            unseen[nxt] = False
             frontier = nxt
-            if nxt.size:
-                members.append(nxt)
+            members.append(nxt)
         cells = np.concatenate(members)
         orbit_sizes.append(int(s1[cells // L2] @ s2[cells % L2]))
         if representatives is not None:
-            i, j = int(seed) // L2, int(seed) % L2
+            i, j = divmod(seed, L2)
             representatives.append(
                 {
                     "first": [G.element_label(x) for x in side1.labels[i]],
@@ -310,7 +306,6 @@ def count_components(
             )
     if sum(orbit_sizes) != total_pairs:
         raise AssertionError("orbit sizes do not sum to the number of disjoint pairs")
-    _warn_component_bound(G, t1, t2, h)
     return OrbitReport(
         **report_base,
         h=h,
@@ -320,14 +315,17 @@ def count_components(
     )
 
 
-def _warn_component_bound(G: Group, t1: SignatureType, t2: SignatureType, h: int) -> None:
-    bound = G.order ** (t1.r + t2.r - 2) if (t1.r + t2.r) >= 2 else None
-    if bound is not None and h > bound:
-        print(
-            f"warning: h = {h} exceeds the bound |G|^(r1+r2-2) = {bound} "
-            f"for {G.name} ({t1}) x ({t2})",
-            file=sys.stderr,
-        )
+def component_bound_warning(
+    G: Group, tau1: SignatureType, tau2: SignatureType, h: int
+) -> str | None:
+    """The warning text if h exceeds |G|^(r1+r2-2), else None."""
+    r = tau1.r + tau2.r
+    if r < 2 or h <= G.order ** (r - 2):
+        return None
+    return (
+        f"h = {h} exceeds the bound |G|^(r1+r2-2) = {G.order ** (r - 2)} "
+        f"for {G.name} ({tau1.with_sorted_periods()}) x ({tau2.with_sorted_periods()})"
+    )
 
 
 def count_components_one_stage(
@@ -346,11 +344,6 @@ def count_components_one_stage(
     config = config or EquivalenceConfig()
     t1, t2 = tau1.with_sorted_periods(), tau2.with_sorted_periods()
     same_types = t1.canonical() == t2.canonical()
-    include_swap = config.include_swap
-    if include_swap is None:
-        include_swap = same_types
-    if include_swap and not same_types:
-        raise UserInputError("swap may only be enabled when the unordered types coincide")
 
     sys1 = _systems(G, t1, config)
     sys2 = sys1 if same_types else _systems(G, t2, config)
@@ -381,7 +374,7 @@ def count_components_one_stage(
         )
 
     inn = inner_automorphisms(G)
-    aut_maps = automorphism_group(G).acting_maps()
+    aut_maps = automorphism_group(G).generator_maps
 
     def side_maps(t: SignatureType, systems: list[tuple[int, ...]]):
         gp, r = t.gprime, t.r
@@ -404,7 +397,7 @@ def count_components_one_stage(
             yield i * n2 + img[j]
         for a1, a2 in zip(aut1, aut2):
             yield a1[i] * n2 + a2[j]
-        if include_swap:
+        if same_types:
             yield j * n2 + i
 
     def pair_images():
@@ -552,6 +545,9 @@ def scan_invariants(
             except BudgetExceeded as exc:
                 warnings.append(f"{G.name} ({t1}) x ({t2}): skipped, {exc}")
                 continue
+            warning = component_bound_warning(G, t1, t2, rep.h)
+            if warning is not None:
+                warnings.append(warning)
             if rep.h > 0:
                 g1 = int(curve_genus(G.order, t1))
                 g2 = int(curve_genus(G.order, t2))

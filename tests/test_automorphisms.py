@@ -121,7 +121,7 @@ def test_generator_maps_close_to_full_group():
 def test_automorphisms_preserve_element_orders(rng):
     G = construct_group("Sym:4")
     aut = automorphism_group(G)
-    for m in aut.acting_maps():
+    for m in _closure(G, aut.generator_maps):
         for x in G.elements():
             assert G.element_order(m[x]) == G.element_order(x)
 

@@ -126,6 +126,18 @@ def test_count_one_stage_oracle_flag(capsys):
     assert json.loads(out)["h"] == 1
 
 
+@pytest.mark.parametrize("oracle", ["two-stage", "one-stage"])
+def test_count_prints_the_component_bound_warning(capsys, oracle):
+    code, out, err = run_cli(
+        capsys,
+        "count", "--group", "Zn:2,2", "--type1", "1|2,2", "--type2", "2|",
+        "--oracle", oracle, "--no-cache",
+    )
+    assert code == 0
+    assert json.loads(out)["h"] == 2
+    assert "warning: h = 2 exceeds the bound |G|^(r1+r2-2) = 1 for Zn:2,2" in err
+
+
 def test_count_one_stage_budget_exit(capsys):
     code, _, err = run_cli(
         capsys,

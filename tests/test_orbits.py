@@ -6,12 +6,15 @@ import time
 import numpy as np
 import pytest
 
+from hurwitz_components.automorphisms import automorphism_group
 from hurwitz_components.errors import BudgetExceeded, UserInputError
 from hurwitz_components.groups import AbelianGroup, construct_group
+from hurwitz_components.moves import apply_move, available_moves
 from hurwitz_components.orbits import (
     EquivalenceConfig,
     _components,
     admissible_type_pairs,
+    component_bound_warning,
     count_components,
     count_components_one_stage,
     estimate_system_candidates,
@@ -19,7 +22,13 @@ from hurwitz_components.orbits import (
     side_orbits,
     verify_inn_lemma,
 )
-from hurwitz_components.ramification import SignatureType, system_valid
+from hurwitz_components.ramification import (
+    SignatureType,
+    enumerate_systems_unordered,
+    sigma_set,
+    system_valid,
+)
+from test_automorphisms import _closure
 
 
 def _tau(text: str) -> SignatureType:
@@ -151,25 +160,110 @@ def test_one_stage_agrees_with_two_stage(q8_path):
         assert a.to_json_dict() == b.to_json_dict(), (spec, t1, t2)
 
 
-def test_swap_requires_matching_types():
-    G = AbelianGroup([5, 5])
-    cfg = EquivalenceConfig(include_swap=True)
-    for route in (count_components, count_components_one_stage):
-        with pytest.raises(UserInputError):
-            route(G, _tau("0|5,5,5"), _tau("0|5,5,5,5"), cfg)
-
-
 def test_swap_defaults_follow_type_equality():
     G = construct_group("Alt:5")
     rep = count_components(G, _tau("0|2,5,5"), _tau("0|3,3,3,3"))
     assert rep.h == 1  # no swap available, still one component
     G5 = AbelianGroup([5, 5])
     with_swap = count_components(G5, _tau("0|5,5,5"), _tau("0|5,5,5"))
-    without = count_components(
-        G5, _tau("0|5,5,5"), _tau("0|5,5,5"), EquivalenceConfig(include_swap=False)
+    assert (with_swap.h, with_swap.total_pairs) == (1, 11520)
+
+
+def _full_group_pair_orbits(G, tau1, tau2):
+    """Sizes of the orbits of disjoint (tau1, tau2) pairs, by plain BFS under
+    every move in both directions, every inner automorphism x -> g^-1 x g on
+    each side, every element of Aut(G) and, for equal types, the swap."""
+    inner = [tuple(G.conj(x, g) for x in G.elements()) for g in G.elements()]
+    auts = _closure(G, automorphism_group(G).generator_maps)
+    swap = tau1.canonical() == tau2.canonical()
+
+    def side(tau):
+        gp = tau.gprime
+        moves = available_moves(gp, tau.r) if (gp, tau.r) != (0, 0) else []
+        moves += [m.inverted() for m in moves]
+        systems = sorted(enumerate_systems_unordered(G, tau))
+        steps = {
+            ent: [apply_move(G, gp, ent, m) for m in moves]
+            + [tuple(phi[x] for x in ent) for phi in inner]
+            for ent in systems
+        }
+        return steps, {ent: sigma_set(G, gp, ent) for ent in systems}
+
+    steps1, sigma1 = side(tau1)
+    steps2, sigma2 = side(tau2)
+    pairs = {
+        (a, b) for a in sigma1 for b in sigma2 if sigma1[a] & sigma2[b] == {G.identity}
+    }
+    seen: set = set()
+    sizes = []
+    for start in sorted(pairs):
+        if start in seen:
+            continue
+        seen.add(start)
+        frontier = [start]
+        size = 0
+        while frontier:
+            size += len(frontier)
+            nxt = []
+            for a, b in frontier:
+                images = [(a2, b) for a2 in steps1[a]] + [(a, b2) for b2 in steps2[b]]
+                images += [(tuple(phi[x] for x in a), tuple(phi[x] for x in b)) for phi in auts]
+                if swap:
+                    images.append((b, a))
+                for pair in images:
+                    assert pair in pairs
+                    if pair not in seen:
+                        seen.add(pair)
+                        nxt.append(pair)
+            frontier = nxt
+        sizes.append(size)
+    return sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "spec,t1,t2,h",
+    [
+        # no disjoint pair at all
+        ("Sym:3", "0|2,2,3", "0|2,2,3", 0),
+        ("Zn:3,3", "0|3,3,3", "0|3,3,3", 0),
+        ("q8", "0|4,4,4", "0|4,4,4", 0),
+        # disjoint pairs: non-abelian Inn, handle moves, the swap, several orbits
+        ("Sym:3", "1|3", "1|2,2", 1),
+        ("Alt:4", "0|3,3,3", "1|2", 1),
+        ("Zn:3,3", "0|3,3,3,3", "0|3,3,3,3", 1),
+        ("Zn:3,3", "1|", "1|", 2),
+        ("Zn:2,2", "0|2,2,2,2", "2|", 2),
+        ("Zn:2,4", "1|2,2", "1|2,2", 2),  # three orbits without the swap
+        ("q8", "0|4,4,4", "2|", 1),
+    ],
+)
+def test_generator_orbits_match_full_group_reference(spec, t1, t2, h, q8):
+    G = q8 if spec == "q8" else construct_group(spec)
+    tau1, tau2 = _tau(t1), _tau(t2)
+    sizes = _full_group_pair_orbits(G, tau1, tau2)
+    assert len(sizes) == h
+    for route in (count_components, count_components_one_stage):
+        rep = route(G, tau1, tau2)
+        assert (rep.h, rep.orbit_sizes, rep.total_pairs) == (h, sizes, sum(sizes))
+
+
+def test_count_components_writes_nothing_to_stderr(capsys):
+    G = AbelianGroup([2, 2])
+    t1, t2 = _tau("1|2,2"), _tau("2|")
+    rep = count_components(G, t1, t2)
+    assert (rep.h, rep.total_pairs) == (2, 7560)
+    assert capsys.readouterr() == ("", "")
+    assert component_bound_warning(G, t1, t2, rep.h) == (
+        "h = 2 exceeds the bound |G|^(r1+r2-2) = 1 for Zn:2,2 (1|2,2) x (2|)"
     )
-    assert with_swap.total_pairs == without.total_pairs
-    assert with_swap.h <= without.h
+
+
+def test_scan_collects_the_component_bound_warning(capsys):
+    result = scan_invariants([AbelianGroup([2, 2])], chi=2, q=3)
+    assert capsys.readouterr() == ("", "")
+    assert result.warnings == [
+        "h = 2 exceeds the bound |G|^(r1+r2-2) = 1 for Zn:2,2 (1|2,2) x (2|)"
+    ]
 
 
 def test_two_stage_budget_guard():
