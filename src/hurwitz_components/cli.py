@@ -122,7 +122,7 @@ def _cmd_enumerate(args) -> str:
         raise BudgetExceeded(
             f"enumeration needs {est} candidate tuples (> {cfg.max_systems})", required=est
         )
-    systems = list(enumerate_systems(G, tau))
+    systems = enumerate_systems(G, tau).tolist()
     doc = {
         "schema_version": SCHEMA_VERSION,
         "group": G.name,
@@ -155,8 +155,10 @@ def _cmd_count(args) -> str:
         if cache_file.is_file():
             cached = _read_cache_entry(cache_file)
             if cached is not None:
+                text, h = cached
                 print("cache hit", file=sys.stderr)
-                return cached
+                _print_bound_warning(G, t1, t2, h)
+                return text
             print(f"cache entry {cache_file} is damaged; recomputing it", file=sys.stderr)
     t0 = time.monotonic()
     if args.oracle == "one-stage":
@@ -165,9 +167,7 @@ def _cmd_count(args) -> str:
         report = count_components(G, t1, t2, cfg)
     elapsed = time.monotonic() - t0
     print(f"count finished in {elapsed * 1000.0:.1f} ms", file=sys.stderr)
-    warning = component_bound_warning(G, t1, t2, report.h)
-    if warning is not None:
-        print(f"warning: {warning}", file=sys.stderr)
+    _print_bound_warning(G, t1, t2, report.h)
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(report.to_json_dict())
     out = _canonical_json(doc)
@@ -176,15 +176,25 @@ def _cmd_count(args) -> str:
     return out
 
 
-def _read_cache_entry(path: Path) -> str | None:
-    """The entry's text if it parses as a document of this schema, else None."""
+def _print_bound_warning(G: Group, t1: SignatureType, t2: SignatureType, h: int) -> None:
+    warning = component_bound_warning(G, t1, t2, h)
+    if warning is not None:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
+def _read_cache_entry(path: Path) -> tuple[str, int] | None:
+    """The entry's text and h if it parses as a document of this schema, else None."""
     try:
         text = path.read_text()
         doc = json.loads(text)
     except (OSError, ValueError):
         return None
-    if isinstance(doc, dict) and doc.get("schema_version") == SCHEMA_VERSION:
-        return text
+    if (
+        isinstance(doc, dict)
+        and doc.get("schema_version") == SCHEMA_VERSION
+        and type(doc.get("h")) is int
+    ):
+        return text, doc["h"]
     return None
 
 
@@ -332,7 +342,7 @@ def _verify_moves(rng_seed: int) -> tuple[bool, str]:
     checked = 0
     for gp, periods in shapes:
         tau = SignatureType(gp, periods)
-        systems = list(enumerate_systems(G, tau))
+        systems = list(map(tuple, enumerate_systems(G, tau).tolist()))
         if not systems:
             continue
         sample = rng.sample(systems, min(40, len(systems)))
@@ -364,7 +374,7 @@ def _verify_moves(rng_seed: int) -> tuple[bool, str]:
 def _verify_braid_relations() -> tuple[bool, str]:
     G = construct_group("Sym:3")
     tau = SignatureType(0, (2, 2, 3, 3))
-    systems = list(enumerate_systems(G, tau))[:120]
+    systems = list(map(tuple, enumerate_systems(G, tau)[:120].tolist()))
     if not systems:
         return False, "no systems available for the braid relation check"
     s1 = MoveID("sigma", 1)

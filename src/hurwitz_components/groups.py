@@ -2,7 +2,9 @@
 
 Elements are integer indices 0..order-1 in a fixed canonical encoding per
 backend: lexicographic residue vectors (abelian), lexicographic image tuples
-(permutations), table order (Cayley).
+(permutations), table order (Cayley). One element at a time, arithmetic runs
+on Python-int list tables; whole index arrays are multiplied and inverted by
+numpy gathers on the same tables, built on first use.
 """
 from __future__ import annotations
 
@@ -12,6 +14,8 @@ import math
 from itertools import permutations
 from pathlib import Path
 
+import numpy as np
+
 from .errors import UserInputError
 
 # Full multiplication/inverse tables are built up to this order; larger
@@ -20,6 +24,11 @@ TABLE_LIMIT = 1024
 
 MAX_PERM_DEGREE = 8
 MAX_CAYLEY_ORDER = 1024
+
+
+def index_dtype(order: int):
+    """The narrowest signed integer dtype that holds every element index."""
+    return np.int16 if order <= np.iinfo(np.int16).max else np.int32
 
 
 def prime_factorization(n: int) -> dict[int, int]:
@@ -83,9 +92,12 @@ class Group:
                         inv[x] = y
                         break
             self._inv = inv
+        self._mul_array: np.ndarray | None = None
+        self._inv_array: np.ndarray | None = None
         self._orders: list[int] | None = None
         self._center: tuple[int, ...] | None = None
         self._cyclic: dict[int, frozenset[int]] = {}
+        self._classes: dict[int, frozenset[int]] = {}
 
     # -- backend hooks -------------------------------------------------
     def _mul_raw(self, x: int, y: int) -> int:
@@ -107,6 +119,26 @@ class Group:
         if self._inv is not None:
             return self._inv[x]
         return self._inv_raw(x)
+
+    def mul_array(self, x, y) -> np.ndarray:
+        """Elementwise x * y of index arrays (or ints), broadcast together."""
+        if self._table is None:
+            x, y = np.broadcast_arrays(x, y)
+            out = map(self._mul_raw, x.ravel().tolist(), y.ravel().tolist())
+            return np.fromiter(out, index_dtype(self.order), x.size).reshape(x.shape)
+        if self._mul_array is None:
+            self._mul_array = np.array(self._table, dtype=index_dtype(self.order))
+        return self._mul_array[x, y]
+
+    def inv_array(self, x) -> np.ndarray:
+        """Elementwise inverse of an index array (or int)."""
+        if self._inv is None:
+            x = np.asarray(x)
+            out = map(self._inv_raw, x.ravel().tolist())
+            return np.fromiter(out, index_dtype(self.order), x.size).reshape(x.shape)
+        if self._inv_array is None:
+            self._inv_array = np.array(self._inv, dtype=index_dtype(self.order))
+        return self._inv_array[x]
 
     def conj(self, x: int, g: int) -> int:
         """g^-1 x g."""
@@ -159,6 +191,14 @@ class Group:
                     break
             got = frozenset(elems)
             self._cyclic[x] = got
+        return got
+
+    def conjugacy_class(self, x: int) -> frozenset[int]:
+        """{g^-1 x g : g in G}, cached per element."""
+        got = self._classes.get(x)
+        if got is None:
+            got = frozenset(self.conj(x, g) for g in self.elements())
+            self._classes[x] = got
         return got
 
     def closure(self, gens) -> frozenset[int]:

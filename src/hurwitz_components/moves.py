@@ -9,24 +9,24 @@ generation, and the Sigma set.
 
 Move ids are addressable as strings: "sigma:1", "delta:2", "delta~:1",
 "tau:1", "xi1:1,3", "xi2:2,1", with suffix "'" for the inverse direction.
+
+apply_move takes one system (a tuple of Python ints, multiplied through the
+group's list tables) or a 2-D array with one system per row. The move
+formulas are written once against a multiply and an inverse; for an array
+they run on whole columns through the group's numpy gathers, so a move acts
+on every system of a side in one call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import UserInputError
 from .groups import Group
-from .ramification import SignatureType, long_relation_holds
+from .ramification import long_relation_holds
 
 _KINDS = ("sigma", "delta", "delta~", "tau", "xi1", "xi2")
-
-
-def _seq(G: Group, items) -> int:
-    """The product of items, evaluated left to right."""
-    acc = G.identity
-    for x in items:
-        acc = G.mul(acc, x)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -96,45 +96,77 @@ def _check_range(cond: bool, move: MoveID, gprime: int, r: int) -> None:
         raise UserInputError(f"move {move} out of range for shape (g', r) = ({gprime}, {r})")
 
 
-def _transport(G: Group, gprime: int, entries, j: int, d: int) -> int:
+class _Ops:
+    """Multiply and invert either Python ints or whole index columns."""
+
+    def __init__(self, G: Group, columns: bool) -> None:
+        self.identity = G.identity
+        self.mul = G.mul_array if columns else G.mul
+        self.inv = G.inv_array if columns else G.inv
+
+    def seq(self, items):
+        """The product of items, evaluated left to right."""
+        if not items:
+            return self.identity
+        acc = items[0]
+        for x in items[1:]:
+            acc = self.mul(acc, x)
+        return acc
+
+    def comm(self, a, b):
+        """a b a^-1 b^-1."""
+        return self.seq([a, b, self.inv(a), self.inv(b)])
+
+
+def _transport(ops: _Ops, gprime: int, entries, j: int, d: int):
     """V = (c_{d+1} ... c_r) * prod_{k<j} [a_k, b_k]."""
     items = list(entries[2 * gprime + d : ])
     for k in range(j - 1):
-        items.append(G.comm(entries[2 * k], entries[2 * k + 1]))
-    return _seq(G, items)
+        items.append(ops.comm(entries[2 * k], entries[2 * k + 1]))
+    return ops.seq(items)
 
 
-def apply_move(G: Group, gprime: int, entries: tuple[int, ...], move: MoveID) -> tuple[int, ...]:
+def apply_move(G: Group, gprime: int, entries, move: MoveID):
+    """The image of one system (a tuple of ints, returned as a tuple) or of
+    every row of a 2-D array of systems (returned as a new array)."""
+    if isinstance(entries, np.ndarray):
+        out = _move(_Ops(G, True), gprime, list(entries.T), move)
+        return np.stack(out, axis=1)
+    return tuple(_move(_Ops(G, False), gprime, entries, move))
+
+
+def _move(ops: _Ops, gprime: int, entries, move: MoveID) -> list:
+    seq, inv = ops.seq, ops.inv
     r = len(entries) - 2 * gprime
     out = list(entries)
-    kind, inv = move.kind, move.inverse
+    kind, backward = move.kind, move.inverse
 
     if kind == "sigma":
         h = move.i
         _check_range(1 <= h <= r - 1, move, gprime, r)
         p = 2 * gprime + (h - 1)
         x, y = entries[p], entries[p + 1]
-        if not inv:
+        if not backward:
             out[p] = y
-            out[p + 1] = _seq(G, [G.inv(y), x, y])
+            out[p + 1] = seq([inv(y), x, y])
         else:
-            out[p] = _seq(G, [x, y, G.inv(x)])
+            out[p] = seq([x, y, inv(x)])
             out[p + 1] = x
-        return tuple(out)
+        return out
 
     if kind == "delta":
         j = move.i
         _check_range(1 <= j <= gprime, move, gprime, r)
         a, b = entries[2 * (j - 1)], entries[2 * (j - 1) + 1]
-        out[2 * (j - 1)] = _seq(G, [a, G.inv(b)]) if not inv else _seq(G, [a, b])
-        return tuple(out)
+        out[2 * (j - 1)] = seq([a, inv(b)]) if not backward else seq([a, b])
+        return out
 
     if kind == "delta~":
         j = move.i
         _check_range(1 <= j <= gprime, move, gprime, r)
         a, b = entries[2 * (j - 1)], entries[2 * (j - 1) + 1]
-        out[2 * (j - 1) + 1] = _seq(G, [b, a]) if not inv else _seq(G, [b, G.inv(a)])
-        return tuple(out)
+        out[2 * (j - 1) + 1] = seq([b, a]) if not backward else seq([b, inv(a)])
+        return out
 
     if kind == "tau":
         k = move.i
@@ -143,18 +175,18 @@ def apply_move(G: Group, gprime: int, entries: tuple[int, ...], move: MoveID) ->
         ia1, ib1 = 2 * k, 2 * k + 1
         a_k, b_k = entries[ia], entries[ib]
         a_k1, b_k1 = entries[ia1], entries[ib1]
-        eta = _seq(G, [G.inv(b_k), a_k1, b_k1, G.inv(a_k1)])
-        if not inv:
-            out[ia] = _seq(G, [a_k, G.inv(eta)])
-            out[ib] = _seq(G, [eta, b_k, G.inv(eta)])
-            out[ia1] = _seq(G, [eta, a_k1])
+        eta = seq([inv(b_k), a_k1, b_k1, inv(a_k1)])
+        if not backward:
+            out[ia] = seq([a_k, inv(eta)])
+            out[ib] = seq([eta, b_k, inv(eta)])
+            out[ia1] = seq([eta, a_k1])
         else:
             # eta is invariant under the forward move, so it can be read
             # off the current entries to run the closed-form inverse.
-            out[ia] = _seq(G, [a_k, eta])
-            out[ib] = _seq(G, [G.inv(eta), b_k, eta])
-            out[ia1] = _seq(G, [G.inv(eta), a_k1])
-        return tuple(out)
+            out[ia] = seq([a_k, eta])
+            out[ib] = seq([inv(eta), b_k, eta])
+            out[ia1] = seq([inv(eta), a_k1])
+        return out
 
     if kind in ("xi1", "xi2"):
         j, d = move.i, move.d
@@ -162,33 +194,33 @@ def apply_move(G: Group, gprime: int, entries: tuple[int, ...], move: MoveID) ->
         ia, ib = 2 * (j - 1), 2 * (j - 1) + 1
         ic = 2 * gprime + (d - 1)
         a, b, cd = entries[ia], entries[ib], entries[ic]
-        v = _transport(G, gprime, entries, j, d)
-        vinv = G.inv(v)
+        v = _transport(ops, gprime, entries, j, d)
+        vinv = inv(v)
         if kind == "xi1":
-            if not inv:
-                chi = _seq(G, [vinv, cd, v])
-                eps = _seq(G, [cd, v, a, b, G.inv(a), vinv])
-                out[ia] = _seq(G, [chi, a])
-                out[ic] = _seq(G, [eps, cd, G.inv(eps)])
+            if not backward:
+                chi = seq([vinv, cd, v])
+                eps = seq([cd, v, a, b, inv(a), vinv])
+                out[ia] = seq([chi, a])
+                out[ic] = seq([eps, cd, inv(eps)])
             else:
-                w = _seq(G, [v, a, b, G.inv(a), vinv])
-                cd_old = _seq(G, [G.inv(w), cd, w])
-                chi = _seq(G, [vinv, cd_old, v])
-                out[ia] = _seq(G, [G.inv(chi), a])
+                w = seq([v, a, b, inv(a), vinv])
+                cd_old = seq([inv(w), cd, w])
+                chi = seq([vinv, cd_old, v])
+                out[ia] = seq([inv(chi), a])
                 out[ic] = cd_old
         else:
-            if not inv:
-                chi = _seq(G, [vinv, cd, v])
-                eps_prime = _seq(G, [cd, v, G.comm(a, b), G.inv(a), vinv])
-                out[ib] = _seq(G, [G.inv(a), chi, a, b])
-                out[ic] = _seq(G, [eps_prime, cd, G.inv(eps_prime)])
+            if not backward:
+                chi = seq([vinv, cd, v])
+                eps_prime = seq([cd, v, ops.comm(a, b), inv(a), vinv])
+                out[ib] = seq([inv(a), chi, a, b])
+                out[ic] = seq([eps_prime, cd, inv(eps_prime)])
             else:
-                m = _seq(G, [v, G.comm(a, b), G.inv(a), vinv])
-                cd_old = _seq(G, [G.inv(m), cd, m])
-                chi = _seq(G, [vinv, cd_old, v])
-                out[ib] = _seq(G, [G.inv(a), G.inv(chi), a, b])
+                m = seq([v, ops.comm(a, b), inv(a), vinv])
+                cd_old = seq([inv(m), cd, m])
+                chi = seq([vinv, cd_old, v])
+                out[ib] = seq([inv(a), inv(chi), a, b])
                 out[ic] = cd_old
-        return tuple(out)
+        return out
 
     raise UserInputError(f"unknown move kind {kind!r}")
 

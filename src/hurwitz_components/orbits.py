@@ -10,10 +10,14 @@ Two independent routes compute h(G; tau1, tau2):
   from index maps of per-side moves, per-side Inn generators, diagonal Aut
   generators and the swap, without orbit labels or any quotient.
 
-Both act with generators only (forward moves, Inn and Aut generator maps):
-each permutes a finite set, so its inverse is one of its powers. The swap
-acts exactly when the unordered types coincide. Both refuse honestly
-(BudgetExceeded) instead of degrading.
+A side is one sorted (N, k) array of systems. Each move is applied to the
+whole array at once and each automorphism acts as a gather phi[systems];
+image rows are located among the systems by a rank lookup over chunks of
+columns, which raises AssertionError for a row outside the set. Both
+routes act with generators only (forward moves, Inn and Aut generator
+maps): each permutes a finite set, so its inverse is one of its powers.
+The swap acts exactly when the unordered types coincide. Both refuse
+honestly (BudgetExceeded) instead of degrading.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import numpy as np
 
 from .automorphisms import automorphism_group, inner_automorphisms
 from .errors import BudgetExceeded, UserInputError
-from .groups import Group
+from .groups import Group, index_dtype
 from .moves import available_moves, apply_move, convention_self_check
 from .ramification import (
     SignatureType,
@@ -53,14 +57,18 @@ class EquivalenceConfig:
 class SidePartition:
     group: Group
     tau: SignatureType  # canonical (sorted periods)
-    systems: list[tuple[int, ...]]  # sorted
-    labels: list[tuple[int, ...]]  # lex-min member per orbit, sorted
-    label_of: dict[tuple[int, ...], int]  # system -> index into labels
-    orbit_members: list[list[tuple[int, ...]]]
+    systems: np.ndarray  # (N, k) element indices, one system per row, rows sorted
+    orbit: np.ndarray  # per system, the index of its orbit
+    leaders: np.ndarray  # per orbit, the row of its least member (ascending)
 
     @property
-    def orbit_sizes(self) -> list[int]:
-        return [len(m) for m in self.orbit_members]
+    def labels(self) -> np.ndarray:
+        """The least member of each orbit, one row per orbit."""
+        return self.systems[self.leaders]
+
+    @property
+    def orbit_sizes(self) -> np.ndarray:
+        return np.bincount(self.orbit, minlength=len(self.leaders))
 
 
 @dataclass
@@ -103,8 +111,8 @@ def estimate_system_candidates(G: Group, tau: SignatureType) -> int:
     return total
 
 
-def _systems(G: Group, tau: SignatureType, config: EquivalenceConfig) -> list[tuple[int, ...]]:
-    """Every system of tau's unordered type, sorted; refuses past the budget."""
+def _systems(G: Group, tau: SignatureType, config: EquivalenceConfig) -> np.ndarray:
+    """Every system of tau's unordered type as sorted rows; refuses past the budget."""
     est = estimate_system_candidates(G, tau)
     if est > config.max_systems:
         raise BudgetExceeded(
@@ -112,21 +120,64 @@ def _systems(G: Group, tau: SignatureType, config: EquivalenceConfig) -> list[tu
             f"(> {config.max_systems})",
             required=est,
         )
-    systems: list[tuple[int, ...]] = []
+    k = 2 * tau.gprime + tau.r
+    blocks = []
     for ordering in tau.orderings():
-        systems.extend(enumerate_systems(G, SignatureType(tau.gprime, ordering)))
-    systems.sort()
-    return systems
+        rows = enumerate_systems(G, SignatureType(tau.gprime, ordering))  # or a list of rows
+        blocks.append(np.asarray(rows, dtype=index_dtype(G.order)).reshape(len(rows), k))
+    systems = np.concatenate(blocks)
+    return systems[np.lexsort(systems.T[::-1])] if len(blocks) > 1 else systems
 
 
-def _images(systems: list[tuple[int, ...]], maps, where: str):
-    """For each map on systems, yield the index array i -> index of map(systems[i])."""
-    index = {ent: i for i, ent in enumerate(systems)}
+class _RowIndex:
+    """Locates rows among sorted distinct system rows, a chunk of columns at a time.
+
+    Columns are read in chunks of w, each chunk a base-|G| number below
+    |G|^w, with w as large as keeps N * |G|^w below 2^62. For each chunk the
+    sorted distinct keys rank(preceding columns) * |G|^w + chunk are kept,
+    and a query row's rank is looked up chunk by chunk, so no key overflows
+    int64 for any row width (w = 1 is the column-by-column lookup).
+    """
+
+    def __init__(self, systems: np.ndarray, order: int) -> None:
+        n, k = systems.shape
+        width = 1
+        while width < k and (n + 1) * order ** (width + 1) < 1 << 62:
+            width += 1
+        self.chunks = [(c, min(c + width, k)) for c in range(0, k, width)]
+        self.order = order
+        self.levels = []
+        rank = np.zeros(n, dtype=np.int64)
+        for chunk in self.chunks:
+            key = self._key(rank, systems, chunk)
+            new = np.ones(n, dtype=bool)
+            new[1:] = key[1:] != key[:-1]
+            self.levels.append(key[new])
+            rank = np.cumsum(new) - 1
+
+    def _key(self, rank: np.ndarray, rows: np.ndarray, chunk: tuple[int, int]) -> np.ndarray:
+        key = rank.copy()
+        for c in range(*chunk):
+            key *= self.order
+            key += rows[:, c]
+        return key
+
+    def __call__(self, rows: np.ndarray, where: str) -> np.ndarray:
+        """The index of each row among the systems."""
+        rank = np.zeros(len(rows), dtype=np.int64)
+        for keys, chunk in zip(self.levels, self.chunks):
+            key = self._key(rank, rows, chunk)
+            rank = np.searchsorted(keys, key)
+            if len(key) and (rank.max() >= len(keys) or (keys[rank] != key).any()):
+                raise AssertionError(f"a map left the system set of {where}")
+        return rank
+
+
+def _images(G: Group, systems: np.ndarray, maps, where: str):
+    """For each map on system arrays, yield the index array i -> index of map(systems)[i]."""
+    locate = _RowIndex(systems, G.order)
     for f in maps:
-        try:
-            yield np.fromiter((index[f(ent)] for ent in systems), np.int64, len(systems))
-        except KeyError:
-            raise AssertionError(f"a map left the system set of {where}") from None
+        yield locate(f(systems), where)
 
 
 def _components(n: int, images) -> np.ndarray:
@@ -158,14 +209,19 @@ def _components(n: int, images) -> np.ndarray:
     return root
 
 
+def _element_maps(G: Group, maps) -> list:
+    """Maps on element indices as gathers that act on whole system arrays."""
+    return [lambda rows, phi=np.asarray(phi, index_dtype(G.order)): phi[rows] for phi in maps]
+
+
 def side_orbits(
     G: Group, tau: SignatureType, config: EquivalenceConfig | None = None
 ) -> SidePartition:
     """Partition all systems of tau's unordered type into move orbits.
 
-    Orbit labels are the lexicographically minimal members. The forward
-    moves act, and conjugation by generators of G is applied entrywise
-    alongside them (unless disabled; always on for g' > 0).
+    Orbits are numbered by their least members. Each forward move acts on
+    the whole system array at once, and conjugation by generators of G is
+    applied entrywise alongside them (unless disabled; always on for g' > 0).
     """
     config = config or EquivalenceConfig()
     canonical = tau.with_sorted_periods()
@@ -177,52 +233,42 @@ def side_orbits(
         moves = []
     else:
         moves = available_moves(gp, r)
-        convention_self_check(G, gp, r, systems[:20])
-    inn_maps = inner_automorphisms(G) if include_inn else ()
-
-    maps = [lambda ent, m=m: apply_move(G, gp, ent, m) for m in moves]
-    maps += [lambda ent, phi=phi: tuple(phi[x] for x in ent) for phi in inn_maps]
-    root = _components(len(systems), _images(systems, maps, f"{G.name} {canonical}"))
-    is_label = root == np.arange(len(systems))
-    label_idx = (np.cumsum(is_label) - 1)[root].tolist()
-    labels = [systems[i] for i in np.flatnonzero(is_label)]
-    label_of = dict(zip(systems, label_idx))
-    orbit_members: list[list[tuple[int, ...]]] = [[] for _ in labels]
-    for ent, k in zip(systems, label_idx):
-        orbit_members[k].append(ent)
-    return SidePartition(G, canonical, systems, labels, label_of, orbit_members)
+        convention_self_check(G, gp, r, map(tuple, systems[:20].tolist()))
+    maps = [lambda rows, m=m: apply_move(G, gp, rows, m) for m in moves]
+    maps += _element_maps(G, inner_automorphisms(G) if include_inn else ())
+    root = _components(len(systems), _images(G, systems, maps, f"{G.name} {canonical}"))
+    is_leader = root == np.arange(len(systems))
+    orbit = (np.cumsum(is_leader) - 1)[root]
+    return SidePartition(G, canonical, systems, orbit, np.flatnonzero(is_leader))
 
 
 def _sigma_matrix(
     G: Group, part: SidePartition, rng: random.Random
 ) -> np.ndarray:
     """Bool matrix (labels x |G|) of Sigma sets, with sampled orbit-constancy checks."""
-    mat = np.zeros((len(part.labels), G.order), dtype=bool)
-    for i, label in enumerate(part.labels):
-        sig = sigma_set(G, part.tau.gprime, label)
-        for x in sig:
-            mat[i, x] = True
-        members = part.orbit_members[i]
-        for ent in rng.sample(members, min(3, len(members))):
-            if sigma_set(G, part.tau.gprime, ent) != sig:
+    gp = part.tau.gprime
+    mat = np.zeros((len(part.leaders), G.order), dtype=bool)
+    by_orbit = np.argsort(part.orbit, kind="stable")
+    ends = np.cumsum(part.orbit_sizes).tolist()
+    starts = [0] + ends[:-1]
+    for i, label in enumerate(part.labels.tolist()):
+        sig = sigma_set(G, gp, label)
+        mat[i, list(sig)] = True
+        size = ends[i] - starts[i]
+        for k in rng.sample(range(size), min(3, size)):
+            if sigma_set(G, gp, part.systems[by_orbit[starts[i] + k]].tolist()) != sig:
                 raise AssertionError(
                     f"Sigma not constant on orbit {i} of {G.name} {part.tau}"
                 )
     return mat
 
 
-def _aut_label_perm(
-    G: Group, part: SidePartition, phi: tuple[int, ...]
-) -> np.ndarray:
-    """Permutation induced on orbit labels by the automorphism phi."""
-    out = np.empty(len(part.labels), dtype=np.int64)
-    for i, label in enumerate(part.labels):
-        image = tuple(phi[x] for x in label)
-        j = part.label_of.get(image)
-        if j is None:
-            raise AssertionError(f"automorphism image left the system set for {G.name}")
-        out[i] = j
-    return out
+def _aut_label_perms(G: Group, part: SidePartition, maps) -> list[np.ndarray]:
+    """The permutation each automorphism induces on the orbit labels."""
+    locate = _RowIndex(part.systems, G.order)
+    labels = part.labels
+    where = f"{G.name} {part.tau} under an automorphism"
+    return [part.orbit[locate(f(labels), where)] for f in _element_maps(G, maps)]
 
 
 def count_components(
@@ -238,15 +284,34 @@ def count_components(
     from the least valid cell not yet reached.
     """
     config = config or EquivalenceConfig()
-    rng = random.Random(config.seed)
     t1, t2 = tau1.with_sorted_periods(), tau2.with_sorted_periods()
-    same_types = t1.canonical() == t2.canonical()
-
     side1 = side_orbits(G, t1, config)
-    side2 = side1 if same_types else side_orbits(G, t2, config)
-    L1, L2 = len(side1.labels), len(side2.labels)
+    side2 = side1 if t1.canonical() == t2.canonical() else side_orbits(G, t2, config)
+    return _count_pairs(G, side1, side2, config)
+
+
+def _valid_cells(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Bool matrix of label pairs whose Sigma sets meet only in the identity,
+    computed in row blocks of at most about a million cells."""
+    valid = np.empty((len(m1), len(m2)), dtype=bool)
+    f2 = m2.T.astype(np.float32)
+    step = max(1, (1 << 20) // max(1, len(m2)))
+    for start in range(0, len(m1), step):
+        block = m1[start : start + step].astype(np.float32) @ f2
+        valid[start : start + step] = block == 1.0  # identity is shared by every Sigma pair
+    return valid
+
+
+def _count_pairs(
+    G: Group, side1: SidePartition, side2: SidePartition, config: EquivalenceConfig
+) -> OrbitReport:
+    """The pair stage of count_components, on side partitions already built;
+    the swap acts when the unordered types coincide."""
+    rng = random.Random(config.seed)
+    same_types = side1.tau.canonical() == side2.tau.canonical()
+    L1, L2 = len(side1.leaders), len(side2.leaders)
     representatives: list[dict] | None = [] if config.representatives else None
-    report_base = dict(group=G.name, type1=str(t1), type2=str(t2))
+    report_base = dict(group=G.name, type1=str(side1.tau), type2=str(side2.tau))
     if L1 == 0 or L2 == 0:
         return OrbitReport(
             **report_base, h=0, orbit_sizes=[], total_pairs=0, representatives=representatives
@@ -254,17 +319,15 @@ def count_components(
 
     m1 = _sigma_matrix(G, side1, rng)
     m2 = m1 if same_types else _sigma_matrix(G, side2, rng)
-    inter = m1.astype(np.float32) @ m2.astype(np.float32).T
-    valid = inter == 1.0  # identity is shared by every Sigma pair
-    del inter
+    valid = _valid_cells(m1, m2)
 
-    s1 = np.array([len(m) for m in side1.orbit_members], dtype=np.int64)
-    s2 = s1 if same_types else np.array([len(m) for m in side2.orbit_members], dtype=np.int64)
+    s1 = side1.orbit_sizes
+    s2 = s1 if same_types else side2.orbit_sizes
 
     gens = automorphism_group(G).generator_maps
-    perms1 = [_aut_label_perm(G, side1, phi) for phi in gens]
-    perms2 = perms1 if same_types else [_aut_label_perm(G, side2, phi) for phi in gens]
-
+    perms1 = _aut_label_perms(G, side1, gens)
+    perms2 = perms1 if same_types else _aut_label_perms(G, side2, gens)
+    labels1, labels2 = side1.labels, side2.labels
     total_pairs = sum(int(s1[i]) * int(s2[row].sum()) for i, row in enumerate(valid))
     valid_flat = valid.ravel()
     unseen = valid_flat.copy()
@@ -300,8 +363,8 @@ def count_components(
             i, j = divmod(seed, L2)
             representatives.append(
                 {
-                    "first": [G.element_label(x) for x in side1.labels[i]],
-                    "second": [G.element_label(x) for x in side2.labels[j]],
+                    "first": [G.element_label(x) for x in labels1[i].tolist()],
+                    "second": [G.element_label(x) for x in labels2[j].tolist()],
                 }
             )
     if sum(orbit_sizes) != total_pairs:
@@ -355,9 +418,9 @@ def count_components_one_stage(
             required=raw,
         )
 
-    def sigma_rows(t: SignatureType, systems: list[tuple[int, ...]]) -> np.ndarray:
+    def sigma_rows(t: SignatureType, systems: np.ndarray) -> np.ndarray:
         rows = np.zeros((len(systems), G.order), dtype=np.float32)
-        for k, ent in enumerate(systems):
+        for k, ent in enumerate(systems.tolist()):
             rows[k, list(sigma_set(G, t.gprime, ent))] = 1.0
         return rows
 
@@ -376,14 +439,14 @@ def count_components_one_stage(
     inn = inner_automorphisms(G)
     aut_maps = automorphism_group(G).generator_maps
 
-    def side_maps(t: SignatureType, systems: list[tuple[int, ...]]):
+    def side_maps(t: SignatureType, systems: np.ndarray):
         gp, r = t.gprime, t.r
         moves = available_moves(gp, r) if (gp, r) != (0, 0) else []
-        per_side = [lambda ent, m=m: apply_move(G, gp, ent, m) for m in moves]
-        per_side += [lambda ent, phi=phi: tuple(phi[x] for x in ent) for phi in inn]
-        diagonal = [lambda ent, phi=phi: tuple(phi[x] for x in ent) for phi in aut_maps]
-        where = f"{G.name} {t}"
-        return list(_images(systems, per_side, where)), list(_images(systems, diagonal, where))
+        per_side = [lambda rows, m=m: apply_move(G, gp, rows, m) for m in moves]
+        per_side += _element_maps(G, inn)
+        maps = per_side + _element_maps(G, aut_maps)
+        images = list(_images(G, systems, maps, f"{G.name} {t}"))
+        return images[: len(per_side)], images[len(per_side) :]
 
     own1, aut1 = side_maps(t1, sys1)
     own2, aut2 = (own1, aut1) if same_types else side_maps(t2, sys2)
@@ -415,8 +478,8 @@ def count_components_one_stage(
         for seed in pair_ids[seeds].tolist():
             representatives.append(
                 {
-                    "first": [G.element_label(e) for e in sys1[seed // n2]],
-                    "second": [G.element_label(e) for e in sys2[seed % n2]],
+                    "first": [G.element_label(e) for e in sys1[seed // n2].tolist()],
+                    "second": [G.element_label(e) for e in sys2[seed % n2].tolist()],
                 }
             )
     return OrbitReport(
@@ -457,22 +520,28 @@ def verify_inn_lemma(
     part = side_orbits(G, tau, cfg)
     inn = inner_automorphisms(G)
     inner_count = G.order // len(G.center())
-    for ent in part.systems:
-        base = part.label_of[ent]
-        for phi in inn:
-            image = tuple(phi[x] for x in ent)
-            if part.label_of.get(image) != base:
-                return InnLemmaReport(
-                    G.name,
-                    str(part.tau),
-                    False,
-                    len(part.systems),
-                    inner_count,
-                    {
-                        "system": [G.element_label(x) for x in ent],
-                        "inner_image": [G.element_label(x) for x in image],
-                    },
-                )
+    where = f"{G.name} {part.tau} under an inner automorphism"
+    images = _images(G, part.systems, _element_maps(G, inn), where)
+    # The first system (then the first generator) that changes its orbit.
+    bad = []
+    for k, img in enumerate(images):
+        moved = np.flatnonzero(part.orbit[img] != part.orbit)
+        if len(moved):
+            bad.append((int(moved[0]), k))
+    if bad:
+        row, k = min(bad)
+        ent = part.systems[row].tolist()
+        return InnLemmaReport(
+            G.name,
+            str(part.tau),
+            False,
+            len(part.systems),
+            inner_count,
+            {
+                "system": [G.element_label(x) for x in ent],
+                "inner_image": [G.element_label(inn[k][x]) for x in ent],
+            },
+        )
     return InnLemmaReport(G.name, str(part.tau), True, len(part.systems), inner_count)
 
 
@@ -539,9 +608,17 @@ def scan_invariants(
     rows: list[ScanRow] = []
     warnings: list[str] = []
     for G in catalog:
+        sides: dict[tuple, SidePartition] = {}  # one build per canonical type of G
+
+        def side(tau: SignatureType) -> SidePartition:
+            key = tau.canonical()
+            if key not in sides:
+                sides[key] = side_orbits(G, tau, config)
+            return sides[key]
+
         for t1, t2 in admissible_type_pairs(G, chi, q):
             try:
-                rep = count_components(G, t1, t2, config)
+                rep = _count_pairs(G, side(t1), side(t2), config)
             except BudgetExceeded as exc:
                 warnings.append(f"{G.name} ({t1}) x ({t2}): skipped, {exc}")
                 continue

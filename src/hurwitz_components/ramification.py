@@ -1,8 +1,10 @@
 """Signature types, generator systems, disjointness, and surface invariants.
 
-A system of generators is stored as a flat tuple of element indices
+A system of generators is a flat sequence of element indices
 (a1, b1, ..., ag', bg', c1, ..., cr) subject to the long relation
-c1...cr * prod_k [a_k, b_k] = identity.
+c1...cr * prod_k [a_k, b_k] = identity: one system is a tuple of ints, and
+enumerate_systems returns all systems of a type as one 2-D array with a
+system per row, built with numpy gathers on the group's tables.
 """
 from __future__ import annotations
 
@@ -10,8 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
+
 from .errors import UserInputError
-from .groups import Group
+from .groups import Group, index_dtype
 
 
 @dataclass(frozen=True)
@@ -126,82 +130,127 @@ def system_valid(G: Group, tau: SignatureType, entries: tuple[int, ...]) -> bool
     return G.generates(entries)
 
 
-def enumerate_systems(G: Group, tau: SignatureType):
-    """Yield every system of exact (ordered) type tau once, lexicographically.
+class _Joins:
+    """Ids of the subgroups that prefixes of systems generate, for one enumeration.
 
-    Free entries are (a1, b1, ..., ag', bg', c1, ..., c_{r-1}); the last
-    branch entry is solved from the long relation, then filtered on order
-    and generation. For r = 0 the commutator relation is checked directly.
+    Id 0 is the trivial subgroup. Each subgroup keeps a short generating
+    tuple, and <H, x> is closed from that tuple plus x once per distinct
+    (H, x) pair; the ids of the joins are kept in a dense table.
+    """
+
+    def __init__(self, G: Group) -> None:
+        self.G = G
+        trivial = frozenset((G.identity,))
+        self.members = [trivial]
+        self.gens: list[tuple[int, ...]] = [()]
+        self.ids = {trivial: 0}
+        self.table = np.full((1, G.order), -1, dtype=np.int32)
+
+    def join(self, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The id of <H, x> for each subgroup id H and element x."""
+        got = self.table[ids, x]
+        todo = got < 0
+        if todo.any():
+            n = self.G.order
+            for key in np.unique(ids[todo].astype(np.int64) * n + x[todo]).tolist():
+                h, y = divmod(key, n)
+                self.table[h, y] = self._close(h, y)
+            got = self.table[ids, x]
+        return got
+
+    def _close(self, h: int, y: int) -> int:
+        if y in self.members[h]:
+            return h
+        gens = self.gens[h] + (y,)
+        members = self.G.closure(gens)
+        got = self.ids.get(members)
+        if got is None:
+            got = len(self.gens)
+            self.ids[members] = got
+            self.members.append(members)
+            self.gens.append(gens)
+            if got == len(self.table):
+                self.table = np.concatenate([self.table, np.full_like(self.table, -1)])
+        return got
+
+    def generates(self, ids: np.ndarray) -> np.ndarray:
+        """Whether each subgroup id is the whole group."""
+        orders = np.array([len(m) for m in self.members])
+        return orders[ids] == self.G.order
+
+
+def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
+    """Every system of exact (ordered) type tau, one per row, lexicographically.
+
+    Free entries (a1, b1, ..., ag', bg', c1, ..., c_{r-1}) are expanded one
+    slot at a time, in blocks of one leading-slot value, so memory stays
+    near one block. Each row carries the running product
+    K = prod_k [a_k, b_k] times c1 ... c_j and the id of the subgroup its
+    entries generate. The last branch entry is solved from the long relation
+    as (K c1 ... c_{r-1})^-1 and filtered on its order; for r = 0 the
+    relation K = 1 is checked instead. Rows that generate G are kept.
     """
     gp, r = tau.gprime, tau.r
-    all_elems = list(G.elements())
-    by_order: dict[int, list[int]] = {}
-    for m in set(tau.periods):
-        by_order[m] = [x for x in all_elems if G.element_order(x) == m]
-    slots = [all_elems] * (2 * gp) + [by_order[m] for m in tau.periods[: r - 1 if r else 0]]
-
-    def relation_tail(prefix: tuple[int, ...]) -> int:
-        # Solve c_r: (c1...c_{r-1}) * c_r * K = e.
-        head = G.identity
-        for c in prefix[2 * gp :]:
-            head = G.mul(head, c)
-        k = G.identity
-        for j in range(gp):
-            k = G.mul(k, G.comm(prefix[2 * j], prefix[2 * j + 1]))
-        return G.mul(G.inv(head), G.inv(k))
-
-    if r == 0:
-        def rec0(i: int, prefix: tuple[int, ...]):
-            if i == 2 * gp:
-                if long_relation_holds(G, gp, prefix) and G.generates(prefix):
-                    yield prefix
-                return
-            for x in all_elems:
-                yield from rec0(i + 1, prefix + (x,))
-
-        yield from rec0(0, ())
-        return
-
-    m_last = tau.periods[-1]
-
-    def rec(i: int, prefix: tuple[int, ...]):
-        if i == len(slots):
-            c_last = relation_tail(prefix)
-            if G.element_order(c_last) != m_last:
-                return
-            full = prefix + (c_last,)
-            if G.generates(full):
-                yield full
-            return
-        for x in slots[i]:
-            yield from rec(i + 1, prefix + (x,))
-
-    yield from rec(0, ())
+    dtype = index_dtype(G.order)
+    orders = np.array([G.element_order(x) for x in G.elements()])
+    elems = np.arange(G.order, dtype=dtype)
+    slots = [elems] * (2 * gp) + [elems[orders == m] for m in tau.periods[: max(r - 1, 0)]]
+    joins = _Joins(G)
+    blocks = [np.zeros((0, 2 * gp + r), dtype=dtype)]
+    for lead in range(len(slots[0])) if slots else [None]:
+        rows = np.zeros((1, 0), dtype=dtype)
+        acc = np.full(1, G.identity, dtype=dtype)
+        ids = np.zeros(1, dtype=np.int32)
+        for level, values in enumerate(slots):
+            if level == 0:
+                values = values[lead : lead + 1]
+            rows = np.concatenate(
+                [np.repeat(rows, len(values), axis=0), np.tile(values, len(rows))[:, None]],
+                axis=1,
+            )
+            acc = np.repeat(acc, len(values))
+            x = rows[:, level]
+            if level >= 2 * gp:
+                acc = G.mul_array(acc, x)
+            elif level % 2:
+                a = rows[:, level - 1]
+                comm = G.mul_array(G.mul_array(a, x), G.mul_array(G.inv_array(a), G.inv_array(x)))
+                acc = G.mul_array(acc, comm)
+            ids = joins.join(np.repeat(ids, len(values)), x)
+        if r:
+            last = G.inv_array(acc)
+            keep = orders[last] == tau.periods[-1]
+            rows = np.concatenate([rows[keep], last[keep, None]], axis=1)
+            ids = joins.join(ids[keep], last[keep])
+        else:
+            keep = acc == G.identity
+            rows, ids = rows[keep], ids[keep]
+        blocks.append(rows[joins.generates(ids)])
+    return np.concatenate(blocks)
 
 
-def enumerate_systems_unordered(G: Group, tau: SignatureType):
-    """Union of enumerate_systems over the distinct orderings of tau's periods."""
-    for ordering in tau.orderings():
-        yield from enumerate_systems(G, SignatureType(tau.gprime, ordering))
+def enumerate_systems_unordered(G: Group, tau: SignatureType) -> np.ndarray:
+    """enumerate_systems over the distinct orderings of tau's periods, stacked."""
+    return np.concatenate(
+        [enumerate_systems(G, SignatureType(tau.gprime, o)) for o in tau.orderings()]
+    )
 
 
 def count_systems(G: Group, tau: SignatureType) -> int:
-    return sum(1 for _ in enumerate_systems(G, tau))
+    return len(enumerate_systems(G, tau))
 
 
 def sigma_set(G: Group, gprime: int, entries: tuple[int, ...]) -> frozenset[int]:
     """All conjugates of all powers of the branch entries, plus the identity."""
     out = {G.identity}
-    branch = entries[2 * gprime :]
     abelian = G.is_abelian()
-    for c in branch:
+    for c in entries[2 * gprime :]:
         powers = G.cyclic_subgroup(c)
         if abelian:
             out.update(powers)
         else:
             for y in powers:
-                for g in G.elements():
-                    out.add(G.conj(y, g))
+                out |= G.conjugacy_class(y)
     return frozenset(out)
 
 

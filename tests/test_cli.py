@@ -138,6 +138,19 @@ def test_count_prints_the_component_bound_warning(capsys, oracle):
     assert "warning: h = 2 exceeds the bound |G|^(r1+r2-2) = 1 for Zn:2,2" in err
 
 
+def test_count_cache_hit_prints_the_component_bound_warning(capsys, tmp_path):
+    argv = (
+        "count", "--group", "Zn:2,2", "--type1", "1|2,2", "--type2", "2|",
+        "--cache-dir", str(tmp_path / "entries"),
+    )
+    warning = "warning: h = 2 exceeds the bound |G|^(r1+r2-2) = 1 for Zn:2,2 (1|2,2) x (2|)"
+    _, miss, err_miss = run_cli(capsys, *argv)
+    code, hit, err_hit = run_cli(capsys, *argv)
+    assert code == 0 and hit == miss
+    assert "cache hit" not in err_miss and warning in err_miss
+    assert "cache hit" in err_hit and warning in err_hit
+
+
 def test_count_one_stage_budget_exit(capsys):
     code, _, err = run_cli(
         capsys,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hurwitz_components.errors import UserInputError
@@ -10,9 +11,27 @@ from hurwitz_components.groups import (
     AbelianGroup,
     CayleyGroup,
     PermutationGroup,
+    TABLE_LIMIT,
     construct_group,
     invariant_factors,
 )
+
+
+@pytest.mark.parametrize("spec", ["Sym:7", "Zn:37,37", "Sym:4", "Zn:5,5", "q8"])
+def test_array_arithmetic_matches_scalar(spec, q8):
+    G = q8 if spec == "q8" else construct_group(spec)
+    assert (G.order > TABLE_LIMIT) == (spec in ("Sym:7", "Zn:37,37"))
+    rng = np.random.default_rng(G.order)
+    x = rng.integers(0, G.order, size=(20, 10)).astype(np.int16)
+    y = rng.integers(0, G.order, size=(20, 10)).astype(np.int16)
+    prod, inv = G.mul_array(x, y), G.inv_array(x)
+    assert prod.dtype == inv.dtype == np.int16 and prod.shape == inv.shape == x.shape
+    pairs = zip(x.ravel().tolist(), y.ravel().tolist())
+    assert prod.ravel().tolist() == [G.mul(a, b) for a, b in pairs]
+    assert inv.ravel().tolist() == [G.inv(a) for a in x.ravel().tolist()]
+    g = int(y[0, 0])
+    assert G.mul_array(x, g).tolist() == [[G.mul(a, g) for a in row] for row in x.tolist()]
+    assert G.mul_array(x[:0], y[:0]).shape == (0, 10)
 
 
 def test_construct_group_parses_each_backend(q8_path):

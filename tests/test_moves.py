@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from hurwitz_components.automorphisms import automorphism_group
@@ -21,6 +22,11 @@ from hurwitz_components.ramification import (
     long_relation_holds,
     sigma_set,
 )
+
+def _tuples(systems) -> list[tuple[int, ...]]:
+    """The rows of a system array as tuples of Python ints."""
+    return list(map(tuple, systems.tolist()))
+
 
 SUITE_SHAPES = [
     ("Sym:4", 0, (2, 3, 4)),
@@ -51,8 +57,8 @@ def run_move_property_suite(q8_group, rng: random.Random, per_shape: int):
         tau = SignatureType(gp, periods)
         if (gp, tau.r) == (0, 0):
             continue
-        exact = set(enumerate_systems(G, tau))
-        universe = set(enumerate_systems_unordered(G, tau))
+        exact = set(_tuples(enumerate_systems(G, tau)))
+        universe = set(_tuples(enumerate_systems_unordered(G, tau)))
         if not exact:
             violations.append(f"{spec} {tau}: no systems to test")
             continue
@@ -86,6 +92,22 @@ def run_move_property_suite(q8_group, rng: random.Random, per_shape: int):
     return systems_seen, applications, violations
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (1, 1), (1, 4), (2, 1), (2, 0)])
+def test_column_moves_match_scalar_moves(shape, q8):
+    gp, r = shape
+    rng = np.random.default_rng(gp * 10 + r)
+    for G in (construct_group("Sym:4"), q8):
+        rows = rng.integers(0, G.order, size=(40, 2 * gp + r)).astype(np.int16)
+        moves = available_moves(gp, r)
+        for mv in moves + [m.inverted() for m in moves]:
+            got = apply_move(G, gp, rows, mv)
+            assert got.dtype == np.int16 and got.shape == rows.shape
+            want = [apply_move(G, gp, ent, mv) for ent in map(tuple, rows.tolist())]
+            assert list(map(tuple, got.tolist())) == want, (G.name, mv)
+            assert all(type(x) is int for x in want[0])
+        assert apply_move(G, gp, rows[:0], moves[0]).shape == (0, 2 * gp + r)
+
+
 def test_move_id_string_grammar():
     for text in ("sigma:1", "delta:2", "delta~:1", "tau:1", "xi1:1,3", "xi2:2,1", "sigma:3'"):
         assert str(MoveID.parse(text)) == text
@@ -113,7 +135,7 @@ def test_available_moves_inventory():
 
 def test_out_of_range_moves_rejected():
     G = construct_group("Sym:3")
-    ent = next(iter(enumerate_systems(G, SignatureType(0, (2, 2, 3)))))
+    ent = _tuples(enumerate_systems(G, SignatureType(0, (2, 2, 3))))[0]
     with pytest.raises(UserInputError):
         apply_move(G, 0, ent, MoveID("sigma", 3))
     with pytest.raises(UserInputError):
@@ -131,7 +153,7 @@ def test_braid_relations_are_map_identities():
     G = construct_group("Sym:3")
     tau = SignatureType(0, (2, 2, 3, 3))
     s1, s2, s3 = MoveID("sigma", 1), MoveID("sigma", 2), MoveID("sigma", 3)
-    systems = list(enumerate_systems(G, tau))
+    systems = _tuples(enumerate_systems(G, tau))
     assert systems
     for ent in systems:
         assert apply_word(G, 0, ent, (s1, s2, s1)) == apply_word(G, 0, ent, (s2, s1, s2))
@@ -142,7 +164,7 @@ def test_moves_commute_with_automorphisms(rng, q8):
     for G in (construct_group("Sym:4"), construct_group("Zn:8,8"), q8):
         maps = automorphism_group(G).generator_maps
         tau = SignatureType(1, (2, 2)) if G.order > 8 else SignatureType(0, (4, 4, 4))
-        systems = sorted(enumerate_systems(G, tau))
+        systems = sorted(_tuples(enumerate_systems(G, tau)))
         if not systems:
             continue
         sample = systems if len(systems) <= 15 else rng.sample(systems, 15)
@@ -159,7 +181,7 @@ def test_moves_commute_with_automorphisms(rng, q8):
 
 def test_apply_word_composes():
     G = construct_group("Sym:3")
-    ent = next(iter(enumerate_systems(G, SignatureType(0, (2, 2, 3)))))
+    ent = _tuples(enumerate_systems(G, SignatureType(0, (2, 2, 3))))[0]
     word = (MoveID("sigma", 1), MoveID("sigma", 2), MoveID("sigma", 1, None, True))
     step = ent
     for mv in word:
@@ -169,13 +191,13 @@ def test_apply_word_composes():
 
 def test_convention_self_check_accepts_valid_samples():
     G = construct_group("Sym:3")
-    systems = list(enumerate_systems(G, SignatureType(0, (2, 2, 3))))
+    systems = _tuples(enumerate_systems(G, SignatureType(0, (2, 2, 3))))
     convention_self_check(G, 0, 3, systems)
 
 
 def test_convention_self_check_rejects_broken_samples():
     G = construct_group("Sym:3")
-    systems = sorted(enumerate_systems(G, SignatureType(0, (2, 2, 3))))
+    systems = sorted(_tuples(enumerate_systems(G, SignatureType(0, (2, 2, 3)))))
     # A reversed system has the same entries; keep those whose product c1 c2 c3 != 1.
     broken = [tuple(reversed(ent)) for ent in systems]
     broken = [ent for ent in broken if not long_relation_holds(G, 0, ent)]

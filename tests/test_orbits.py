@@ -10,9 +10,13 @@ from hurwitz_components.automorphisms import automorphism_group
 from hurwitz_components.errors import BudgetExceeded, UserInputError
 from hurwitz_components.groups import AbelianGroup, construct_group
 from hurwitz_components.moves import apply_move, available_moves
+from hurwitz_components import orbits
 from hurwitz_components.orbits import (
     EquivalenceConfig,
+    _RowIndex,
     _components,
+    _images,
+    _valid_cells,
     admissible_type_pairs,
     component_bound_warning,
     count_components,
@@ -24,6 +28,7 @@ from hurwitz_components.orbits import (
 )
 from hurwitz_components.ramification import (
     SignatureType,
+    enumerate_systems,
     enumerate_systems_unordered,
     sigma_set,
     system_valid,
@@ -38,21 +43,98 @@ def _tau(text: str) -> SignatureType:
 def test_side_orbits_label_partition():
     G = AbelianGroup([5, 5])
     part = side_orbits(G, _tau("0|5,5,5"))
-    assert len(part.systems) == 480
-    assert len(part.orbit_members) == 80
+    systems = list(map(tuple, part.systems.tolist()))
+    assert len(systems) == 480 and systems == sorted(set(systems))
+    assert len(part.leaders) == 80
     assert sum(part.orbit_sizes) == 480
-    # orbit ids are contiguous from zero and each orbit's label is its seed
-    assert set(part.label_of.values()) == set(range(80))
-    for oid, seed in enumerate(part.labels):
-        assert part.label_of[seed] == oid
-        assert seed == min(part.orbit_members[oid])
+    # orbit ids are contiguous from zero and each orbit's label is its least member
+    assert set(part.orbit.tolist()) == set(range(80))
+    for oid, seed in enumerate(map(tuple, part.labels.tolist())):
+        members = [ent for ent, k in zip(systems, part.orbit.tolist()) if k == oid]
+        assert seed == min(members)
+        assert len(members) == part.orbit_sizes[oid]
 
 
 def test_side_orbits_single_orbit_for_symmetric_triangle():
     G = construct_group("Sym:3")
     part = side_orbits(G, _tau("0|2,2,3"))
     assert len(part.systems) == 18
-    assert len(part.orbit_members) == 1
+    assert len(part.leaders) == 1
+
+
+def test_side_orbits_accept_enumeration_as_row_list(monkeypatch):
+    G = construct_group("Sym:4")
+    tau = _tau("1|2,2")
+    want = side_orbits(G, tau)
+    monkeypatch.setattr(orbits, "enumerate_systems", lambda G, t: list(enumerate_systems(G, t)))
+    got = side_orbits(G, tau)
+    assert got.systems.dtype == want.systems.dtype
+    for field in ("systems", "orbit", "leaders"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_row_index_locates_rows_and_refuses_strangers():
+    G = construct_group("Sym:3")
+    systems = enumerate_systems_unordered(G, _tau("0|2,2,3"))
+    systems = systems[np.lexsort(systems.T[::-1])]
+    locate = _RowIndex(systems, G.order)
+    shuffled = np.random.default_rng(3).permutation(len(systems))
+    assert locate(systems[shuffled], "Sym:3").tolist() == shuffled.tolist()
+    with pytest.raises(AssertionError, match="left the system set"):
+        list(_images(G, systems, [lambda rows: rows[:, ::-1]], "Sym:3 (0|2,2,3)"))
+
+
+def test_row_index_keys_stay_in_int64():
+    order, width = 40_320, 12  # Sym:8 indices, rows of six handles
+    rows = np.random.default_rng(5).integers(0, order, size=(5000, width)).astype(np.int32)
+    rows = np.unique(rows, axis=0)  # sorted distinct rows
+    locate = _RowIndex(rows, order)
+    assert len(locate.chunks) > 1
+    assert all(int(keys.max()) < 1 << 62 for keys in locate.levels)
+    assert locate(rows[::-1], "rows").tolist() == list(range(len(rows)))[::-1]
+
+
+def test_planted_map_that_leaves_the_system_set_raises(monkeypatch):
+    G = construct_group("Sym:3")
+    collapse = tuple(G.identity for _ in G.elements())  # not an automorphism
+    monkeypatch.setattr(orbits, "inner_automorphisms", lambda G: (collapse,))
+    with pytest.raises(AssertionError, match="left the system set"):
+        side_orbits(G, _tau("0|2,2,3"))
+
+
+def test_valid_cells_in_row_blocks_match_one_product():
+    rng = np.random.default_rng(9)
+    m1 = rng.random((3000, 17)) < 0.2
+    m2 = rng.random((700, 17)) < 0.2
+    m1[:, 0] = m2[:, 0] = True  # the identity is in every Sigma
+    whole = (m1.astype(np.float32) @ m2.astype(np.float32).T) == 1.0
+    got = _valid_cells(m1, m2)
+    assert got.any() and np.array_equal(got, whole)
+
+
+def test_scan_builds_each_side_once_per_group(monkeypatch):
+    catalog = [construct_group("Sym:3"), construct_group("Zn:2,2"), construct_group("Sym:3")]
+    pairs = {id(G): admissible_type_pairs(G, 1, 1) for G in catalog}
+    want = sorted(
+        (G.name, str(t1), str(t2), h)
+        for G in catalog
+        for t1, t2 in pairs[id(G)]
+        if (h := count_components(G, t1, t2).h) > 0
+    )
+    distinct = sum(len({t.canonical() for p in pairs[id(G)] for t in p}) for G in catalog)
+    assert distinct < 2 * sum(len(p) for p in pairs.values())  # some type repeats
+
+    built = []
+    real = orbits.side_orbits
+
+    def counted(G, tau, config=None):
+        built.append((id(G), tau.canonical()))
+        return real(G, tau, config)
+
+    monkeypatch.setattr(orbits, "side_orbits", counted)
+    result = scan_invariants(catalog, chi=1, q=1)
+    assert len(built) == distinct
+    assert sorted((r.group, r.type1, r.type2, r.h) for r in result.rows) == want
 
 
 def _least_member_by_bfs(n: int, maps: list[list[int]]) -> list[int]:
@@ -181,7 +263,7 @@ def _full_group_pair_orbits(G, tau1, tau2):
         gp = tau.gprime
         moves = available_moves(gp, tau.r) if (gp, tau.r) != (0, 0) else []
         moves += [m.inverted() for m in moves]
-        systems = sorted(enumerate_systems_unordered(G, tau))
+        systems = sorted(map(tuple, enumerate_systems_unordered(G, tau).tolist()))
         steps = {
             ent: [apply_move(G, gp, ent, m) for m in moves]
             + [tuple(phi[x] for x in ent) for phi in inner]

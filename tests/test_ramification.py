@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from hurwitz_components.errors import UserInputError
@@ -65,7 +66,7 @@ def test_long_relation_with_handles():
 def test_enumerate_matches_brute_force_filter():
     G = construct_group("Sym:3")
     tau = SignatureType(0, (2, 2, 3))
-    got = set(enumerate_systems(G, tau))
+    got = set(map(tuple, enumerate_systems(G, tau).tolist()))
     want = {
         ent
         for ent in product(G.elements(), repeat=3)
@@ -76,11 +77,66 @@ def test_enumerate_matches_brute_force_filter():
     assert count_systems(G, tau) == 6
 
 
+@pytest.mark.parametrize(
+    "spec,text",
+    [
+        ("Sym:3", "0|2,2,3"),
+        ("Sym:4", "1|3"),  # g' = 1, r = 1
+        ("Alt:4", "0|3,3,3"),
+        ("Alt:4", "1|2"),
+        ("Zn:2,4", "2|"),  # r = 0
+        ("Zn:2,4", "1|2,2"),
+        ("q8", "0|4,4,4"),
+        ("q8", "1|2"),
+        ("Zn:5,5", "0|5,5,5"),
+    ],
+)
+def test_enumerate_array_matches_product_reference(spec, text, q8):
+    G = q8 if spec == "q8" else construct_group(spec)
+    tau = SignatureType.parse(text)
+    got = enumerate_systems(G, tau)
+    k = 2 * tau.gprime + tau.r
+    want = [
+        ent for ent in product(G.elements(), repeat=k) if system_valid(G, tau, ent)
+    ]  # product order is lexicographic
+    assert got.dtype == np.int16 and got.shape == (len(want), k)
+    assert want and list(map(tuple, got.tolist())) == want
+
+
+def test_enumerate_without_tables_uses_native_arithmetic():
+    G = construct_group("Zn:1031")  # order above TABLE_LIMIT: no tables
+    got = enumerate_systems(G, SignatureType(0, (1031, 1031)))
+    assert got.tolist() == [[x, G.inv(x)] for x in range(1, 1031)]
+    assert len(enumerate_systems(construct_group("Sym:7"), SignatureType(0, (2, 2)))) == 0
+
+
+def _sigma_by_conjugation(G, gprime, entries):
+    """Sigma as first defined: every conjugate of every power of a branch entry."""
+    out = {G.identity}
+    for c in entries[2 * gprime :]:
+        for y in G.cyclic_subgroup(c):
+            for g in G.elements():
+                out.add(G.conj(y, g))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("spec,text", [("Sym:4", "0|2,3,4"), ("Alt:5", "0|2,5,5"), ("q8", "1|2")])
+def test_sigma_set_matches_conjugation_closure(spec, text, q8):
+    G = q8 if spec == "q8" else construct_group(spec)
+    tau = SignatureType.parse(text)
+    systems = enumerate_systems(G, tau).tolist()
+    assert systems
+    for ent in systems:
+        assert sigma_set(G, tau.gprime, ent) == _sigma_by_conjugation(G, tau.gprime, ent)
+
+
 def test_enumerate_known_counts():
     G = AbelianGroup([5, 5])
     tau = SignatureType(0, (5, 5, 5))
     assert count_systems(G, tau) == 480
     assert count_systems(construct_group("Zn:1"), SignatureType(2, ())) == 1
+    # no element of order 7: no candidate at all
+    assert enumerate_systems(construct_group("Sym:4"), SignatureType(0, (7, 7, 7))).shape == (0, 3)
 
 
 def test_enumerate_unordered_unions_orderings():
