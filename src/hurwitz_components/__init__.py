@@ -1,11 +1,11 @@
 """Counting connected components of moduli of product-quotient surfaces."""
 from __future__ import annotations
 
-__version__ = "0.1.1"
+__version__ = "0.1.2"
 
 from .errors import BudgetExceeded, UserInputError
 from .groups import AbelianGroup, CayleyGroup, Group, PermutationGroup, construct_group
-from .ramification import GeneratorSystem, SignatureType, surface_invariants
+from .ramification import SignatureType, surface_invariants
 from .orbits import EquivalenceConfig, OrbitReport, count_components, side_orbits
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "BudgetExceeded",
     "CayleyGroup",
     "EquivalenceConfig",
-    "GeneratorSystem",
     "Group",
     "OrbitReport",
     "PermutationGroup",

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, UserInputError
-from .groups import AbelianGroup, prime_factorization
+from .groups import AbelianGroup, _rank_mod_p, prime_factorization
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +337,7 @@ class _PrimaryGroup:
     def spans(self, vs) -> bool:
         # generation of an abelian p-group is exactly spanning its Frattini
         # quotient, which is coordinatewise reduction mod p
-        p = self.p
-        mat = [[x % p for x in v] for v in vs]
-        rank = 0
-        for c in range(self.rank):
-            piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            inv = pow(mat[rank][c], -1, p)
-            for r in range(len(mat)):
-                if r != rank and mat[r][c]:
-                    f = (mat[r][c] * inv) % p
-                    mat[r] = [(mat[r][cc] - f * mat[rank][cc]) % p for cc in range(self.rank)]
-            rank += 1
-        return rank == self.rank
+        return _rank_mod_p([[x % self.p for x in v] for v in vs], self.p) == self.rank
 
     def allowed_elements(self, allowed_atoms: frozenset[int]) -> list:
         return [v for v in self.nonzero if self.atom_of[v] in allowed_atoms]

@@ -34,11 +34,6 @@ from .groups import AbelianGroup, Group, PermutationGroup, prime_factorization
 BACKTRACK_CANDIDATE_LIMIT = 2000
 
 
-def compose_maps(m1, m2) -> tuple[int, ...]:
-    """Apply m1 then m2."""
-    return tuple(m2[x] for x in m1)
-
-
 def invert_map(m) -> tuple[int, ...]:
     out = [0] * len(m)
     for i, j in enumerate(m):
@@ -274,7 +269,7 @@ def _greedy_map_generators(G: Group, maps) -> tuple[tuple[int, ...], ...]:
             nxt = []
             for m in frontier:
                 for g in gens:
-                    c = compose_maps(m, g)
+                    c = tuple(g[x] for x in m)  # m, then g
                     if c not in closed:
                         closed.add(c)
                         closed_list.append(c)

@@ -44,6 +44,7 @@ from .orbits import (
 )
 from .ramification import (
     SignatureType,
+    candidate_tuples,
     enumerate_systems,
     fraction_to_json,
     is_beauville,
@@ -114,10 +115,7 @@ def _cmd_enumerate(args) -> str:
     G = construct_group(args.group)
     tau = SignatureType.parse(args.type)
     cfg = _config_from_args(args)
-    counts = {m: sum(1 for x in G.elements() if G.element_order(x) == m) for m in set(tau.periods)}
-    est = G.order ** (2 * tau.gprime)
-    for m in tau.periods[: max(tau.r - 1, 0)]:
-        est *= counts[m]
+    est = candidate_tuples(G, tau)
     if est > cfg.max_systems:
         raise BudgetExceeded(
             f"enumeration needs {est} candidate tuples (> {cfg.max_systems})", required=est

@@ -225,12 +225,6 @@ def _move(ops: _Ops, gprime: int, entries, move: MoveID) -> list:
     raise UserInputError(f"unknown move kind {kind!r}")
 
 
-def apply_word(G: Group, gprime: int, entries: tuple[int, ...], word) -> tuple[int, ...]:
-    for m in word:
-        entries = apply_move(G, gprime, entries, m)
-    return entries
-
-
 def convention_self_check(G: Group, gprime: int, r: int, samples) -> None:
     """Assert that every move and its inverse keep the long relation on the samples.
 

@@ -10,14 +10,21 @@ Two independent routes compute h(G; tau1, tau2):
   from index maps of per-side moves, per-side Inn generators, diagonal Aut
   generators and the swap, without orbit labels or any quotient.
 
-A side is one sorted (N, k) array of systems. Each move is applied to the
-whole array at once and each automorphism acts as a gather phi[systems];
-image rows are located among the systems by a rank lookup over chunks of
-columns, which raises AssertionError for a row outside the set. Both
-routes act with generators only (forward moves, Inn and Aut generator
-maps): each permutes a finite set, so its inverse is one of its powers.
-The swap acts exactly when the unordered types coincide. Both refuse
-honestly (BudgetExceeded) instead of degrading.
+A side is one sorted (N, k) array of systems, one system per row; there
+is no other model of a system. The routes share only steps that read
+system rows and Sigma rows, never orbit labels or a quotient: _systems
+(enumeration under the budget), _move_maps (the forward moves),
+_images and _components (index maps and their orbits), and _valid_cells
+(Sigma rows that meet only in the identity).
+
+Each move is applied to the whole array at once and each automorphism
+acts as a gather phi[systems]; image rows are located among the systems
+by a rank lookup over chunks of columns, which raises AssertionError for
+a row outside the set. Both routes act with generators only (forward
+moves, Inn and Aut generator maps): each permutes a finite set, so its
+inverse is one of its powers. The swap acts exactly when the unordered
+types coincide. Both refuse honestly (BudgetExceeded) instead of
+degrading.
 """
 from __future__ import annotations
 
@@ -33,6 +40,7 @@ from .groups import Group, index_dtype
 from .moves import available_moves, apply_move, convention_self_check
 from .ramification import (
     SignatureType,
+    candidate_tuples,
     curve_genus,
     enumerate_systems,
     period_multisets_with_angle_sum,
@@ -46,9 +54,7 @@ DEFAULT_ONE_STAGE_SCAN_BUDGET = 5_000_000
 
 @dataclass
 class EquivalenceConfig:
-    include_inn_per_side: bool = True  # g' > 0 sides always act with Inn(G)
     max_systems: int = DEFAULT_MAX_SYSTEMS
-    one_stage_scan_budget: int = DEFAULT_ONE_STAGE_SCAN_BUDGET
     representatives: bool = False
     seed: int = 0  # seeds the sampled Sigma-constancy assertions
 
@@ -79,7 +85,6 @@ class OrbitReport:
     h: int
     orbit_sizes: list[int]  # descending
     total_pairs: int
-    elapsed_ms: float | None = None
     representatives: list[dict] | None = None
 
     def to_json_dict(self) -> dict:
@@ -90,25 +95,13 @@ class OrbitReport:
             "h": self.h,
             "orbit_sizes": self.orbit_sizes,
             "total_pairs": self.total_pairs,
-            "elapsed_ms": self.elapsed_ms,
             "representatives": self.representatives,
         }
 
 
 def estimate_system_candidates(G: Group, tau: SignatureType) -> int:
     """Upper bound on tuples enumerated for the unordered type (pre-filter)."""
-    counts_by_order: dict[int, int] = {}
-    for m in set(tau.periods):
-        counts_by_order[m] = sum(1 for x in G.elements() if G.element_order(x) == m)
-    total = 0
-    for ordering in tau.orderings():
-        cand = G.order ** (2 * tau.gprime)
-        for m in ordering[: len(ordering) - 1] if ordering else ():
-            cand *= counts_by_order[m]
-        total += cand
-    if tau.r == 0:
-        total = G.order ** (2 * tau.gprime)
-    return total
+    return sum(candidate_tuples(G, SignatureType(tau.gprime, o)) for o in tau.orderings())
 
 
 def _systems(G: Group, tau: SignatureType, config: EquivalenceConfig) -> np.ndarray:
@@ -214,6 +207,14 @@ def _element_maps(G: Group, maps) -> list:
     return [lambda rows, phi=np.asarray(phi, index_dtype(G.order)): phi[rows] for phi in maps]
 
 
+def _move_maps(G: Group, tau: SignatureType) -> list:
+    """The forward moves of tau's shape as maps on whole system arrays
+    (none for (g', r) = (0, 0))."""
+    gp, r = tau.gprime, tau.r
+    moves = available_moves(gp, r) if (gp, r) != (0, 0) else []
+    return [lambda rows, m=m: apply_move(G, gp, rows, m) for m in moves]
+
+
 def side_orbits(
     G: Group, tau: SignatureType, config: EquivalenceConfig | None = None
 ) -> SidePartition:
@@ -221,21 +222,13 @@ def side_orbits(
 
     Orbits are numbered by their least members. Each forward move acts on
     the whole system array at once, and conjugation by generators of G is
-    applied entrywise alongside them (unless disabled; always on for g' > 0).
+    applied entrywise alongside them.
     """
     config = config or EquivalenceConfig()
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, config)
-    include_inn = config.include_inn_per_side or canonical.gprime > 0
-
-    gp, r = canonical.gprime, canonical.r
-    if gp == 0 and r == 0:
-        moves = []
-    else:
-        moves = available_moves(gp, r)
-        convention_self_check(G, gp, r, map(tuple, systems[:20].tolist()))
-    maps = [lambda rows, m=m: apply_move(G, gp, rows, m) for m in moves]
-    maps += _element_maps(G, inner_automorphisms(G) if include_inn else ())
+    convention_self_check(G, canonical.gprime, canonical.r, map(tuple, systems[:20].tolist()))
+    maps = _move_maps(G, canonical) + _element_maps(G, inner_automorphisms(G))
     root = _components(len(systems), _images(G, systems, maps, f"{G.name} {canonical}"))
     is_leader = root == np.arange(len(systems))
     orbit = (np.cumsum(is_leader) - 1)[root]
@@ -291,8 +284,9 @@ def count_components(
 
 
 def _valid_cells(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Bool matrix of label pairs whose Sigma sets meet only in the identity,
-    computed in row blocks of at most about a million cells."""
+    """Bool matrix of row pairs (orbit labels, or systems in the one-stage
+    oracle) whose Sigma rows meet only in the identity, computed in row
+    blocks of at most about a million cells."""
     valid = np.empty((len(m1), len(m2)), dtype=bool)
     f2 = m2.T.astype(np.float32)
     step = max(1, (1 << 20) // max(1, len(m2)))
@@ -412,21 +406,21 @@ def count_components_one_stage(
     sys2 = sys1 if same_types else _systems(G, t2, config)
     n2 = len(sys2)
     raw = len(sys1) * n2
-    if raw > config.one_stage_scan_budget:
+    if raw > DEFAULT_ONE_STAGE_SCAN_BUDGET:
         raise BudgetExceeded(
-            f"one-stage oracle must scan {raw} raw pairs (> {config.one_stage_scan_budget})",
+            f"one-stage oracle must scan {raw} raw pairs (> {DEFAULT_ONE_STAGE_SCAN_BUDGET})",
             required=raw,
         )
 
     def sigma_rows(t: SignatureType, systems: np.ndarray) -> np.ndarray:
-        rows = np.zeros((len(systems), G.order), dtype=np.float32)
+        rows = np.zeros((len(systems), G.order), dtype=bool)
         for k, ent in enumerate(systems.tolist()):
-            rows[k, list(sigma_set(G, t.gprime, ent))] = 1.0
+            rows[k, list(sigma_set(G, t.gprime, ent))] = True
         return rows
 
     sig1 = sigma_rows(t1, sys1)
     sig2 = sig1 if same_types else sigma_rows(t2, sys2)
-    disjoint = ((sig1 @ sig2.T) == 1.0).ravel()  # identity is in every Sigma
+    disjoint = _valid_cells(sig1, sig2).ravel()
     pair_ids = np.flatnonzero(disjoint)
     total_pairs = len(pair_ids)
     representatives: list[dict] | None = [] if config.representatives else None
@@ -440,10 +434,7 @@ def count_components_one_stage(
     aut_maps = automorphism_group(G).generator_maps
 
     def side_maps(t: SignatureType, systems: np.ndarray):
-        gp, r = t.gprime, t.r
-        moves = available_moves(gp, r) if (gp, r) != (0, 0) else []
-        per_side = [lambda rows, m=m: apply_move(G, gp, rows, m) for m in moves]
-        per_side += _element_maps(G, inn)
+        per_side = _move_maps(G, t) + _element_maps(G, inn)
         maps = per_side + _element_maps(G, aut_maps)
         images = list(_images(G, systems, maps, f"{G.name} {t}"))
         return images[: len(per_side)], images[len(per_side) :]
@@ -451,7 +442,9 @@ def count_components_one_stage(
     own1, aut1 = side_maps(t1, sys1)
     own2, aut2 = (own1, aut1) if same_types else side_maps(t2, sys2)
     i, j = pair_ids // n2, pair_ids % n2
-    rank = np.cumsum(disjoint) - 1  # flat id -> position in pair_ids
+    # flat id -> position in pair_ids; int32 holds it under the raw-pair budget
+    rank = np.cumsum(disjoint, dtype=np.int32)
+    rank -= 1
 
     def flat_images():
         for img in own1:
@@ -467,7 +460,7 @@ def count_components_one_stage(
         for f in flat_images():
             if not disjoint[f].all():
                 raise AssertionError("one-stage neighbor left the disjoint-pair set")
-            yield rank[f]
+            yield rank[f].astype(np.intp)  # so _components' gathers need no cast
 
     root = _components(total_pairs, pair_images())
     seeds = np.flatnonzero(root == np.arange(total_pairs))
@@ -512,37 +505,35 @@ def verify_inn_lemma(
     if tau.gprime != 0:
         raise UserInputError("inner-automorphism audit applies to g' = 0 types only")
     config = config or EquivalenceConfig()
-    cfg = EquivalenceConfig(
-        include_inn_per_side=False,
-        max_systems=config.max_systems,
-        seed=config.seed,
-    )
-    part = side_orbits(G, tau, cfg)
+    canonical = tau.with_sorted_periods()
+    systems = _systems(G, canonical, config)
+    convention_self_check(G, 0, canonical.r, map(tuple, systems[:20].tolist()))
+    where = f"{G.name} {canonical}"
+    root = _components(len(systems), _images(G, systems, _move_maps(G, canonical), where))
     inn = inner_automorphisms(G)
     inner_count = G.order // len(G.center())
-    where = f"{G.name} {part.tau} under an inner automorphism"
-    images = _images(G, part.systems, _element_maps(G, inn), where)
-    # The first system (then the first generator) that changes its orbit.
+    images = _images(G, systems, _element_maps(G, inn), f"{where} under an inner automorphism")
+    # The first system (then the first generator) that changes its braid orbit.
     bad = []
     for k, img in enumerate(images):
-        moved = np.flatnonzero(part.orbit[img] != part.orbit)
+        moved = np.flatnonzero(root[img] != root)
         if len(moved):
             bad.append((int(moved[0]), k))
     if bad:
         row, k = min(bad)
-        ent = part.systems[row].tolist()
+        ent = systems[row].tolist()
         return InnLemmaReport(
             G.name,
-            str(part.tau),
+            str(canonical),
             False,
-            len(part.systems),
+            len(systems),
             inner_count,
             {
                 "system": [G.element_label(x) for x in ent],
                 "inner_image": [G.element_label(inn[k][x]) for x in ent],
             },
         )
-    return InnLemmaReport(G.name, str(part.tau), True, len(part.systems), inner_count)
+    return InnLemmaReport(G.name, str(canonical), True, len(systems), inner_count)
 
 
 @dataclass

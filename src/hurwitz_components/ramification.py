@@ -1,13 +1,18 @@
-"""Signature types, generator systems, disjointness, and surface invariants.
+"""Signature types, generator systems, Sigma sets, and surface invariants.
 
 A system of generators is a flat sequence of element indices
 (a1, b1, ..., ag', bg', c1, ..., cr) subject to the long relation
-c1...cr * prod_k [a_k, b_k] = identity: one system is a tuple of ints, and
-enumerate_systems returns all systems of a type as one 2-D array with a
-system per row, built with numpy gathers on the group's tables.
+c1...cr * prod_k [a_k, b_k] = identity. A system is only ever a row of
+ints: enumerate_systems returns all systems of a type as one 2-D array
+with a system per row, built with numpy gathers on the group's tables,
+and the per-system checks (long_relation_holds, system_valid, sigma_set)
+read one row as a sequence of ints. Two systems are disjoint when their
+Sigma sets meet only in the identity.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -73,35 +78,6 @@ class SignatureType:
                 )
             periods.append(int(tok))
         return SignatureType(int(left), tuple(periods))
-
-
-@dataclass(frozen=True)
-class GeneratorSystem:
-    group: Group
-    gprime: int
-    entries: tuple[int, ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.entries) - 2 * self.gprime
-
-    @property
-    def hyperbolic_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (self.entries[2 * k], self.entries[2 * k + 1]) for k in range(self.gprime)
-        )
-
-    @property
-    def branch(self) -> tuple[int, ...]:
-        return self.entries[2 * self.gprime :]
-
-    def signature(self) -> SignatureType:
-        return SignatureType(
-            self.gprime, tuple(self.group.element_order(c) for c in self.branch)
-        )
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.group.element_label(x) for x in self.entries)
 
 
 def long_relation_value(G: Group, gprime: int, entries: tuple[int, ...]) -> int:
@@ -179,6 +155,14 @@ class _Joins:
         return orders[ids] == self.G.order
 
 
+def candidate_tuples(G: Group, tau: SignatureType) -> int:
+    """How many tuples enumerate_systems(G, tau) expands before filtering:
+    |G| per handle entry, times the elements of each period's order but the
+    last (which is solved from the long relation)."""
+    per_order = Counter(map(G.element_order, G.elements()))
+    return G.order ** (2 * tau.gprime) * math.prod(per_order[m] for m in tau.periods[:-1])
+
+
 def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
     """Every system of exact (ordered) type tau, one per row, lexicographically.
 
@@ -229,17 +213,6 @@ def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def enumerate_systems_unordered(G: Group, tau: SignatureType) -> np.ndarray:
-    """enumerate_systems over the distinct orderings of tau's periods, stacked."""
-    return np.concatenate(
-        [enumerate_systems(G, SignatureType(tau.gprime, o)) for o in tau.orderings()]
-    )
-
-
-def count_systems(G: Group, tau: SignatureType) -> int:
-    return len(enumerate_systems(G, tau))
-
-
 def sigma_set(G: Group, gprime: int, entries: tuple[int, ...]) -> frozenset[int]:
     """All conjugates of all powers of the branch entries, plus the identity."""
     out = {G.identity}
@@ -254,20 +227,6 @@ def sigma_set(G: Group, gprime: int, entries: tuple[int, ...]) -> frozenset[int]
     return frozenset(out)
 
 
-def sigma_of_system(V: GeneratorSystem) -> frozenset[int]:
-    return sigma_set(V.group, V.gprime, V.entries)
-
-
-def is_disjoint(V1: GeneratorSystem, V2: GeneratorSystem) -> bool:
-    if V1.group is not V2.group and V1.group.name != V2.group.name:
-        raise UserInputError(
-            f"cannot compare systems over different groups {V1.group.name} vs {V2.group.name}"
-        )
-    s1 = sigma_of_system(V1)
-    s2 = sigma_of_system(V2)
-    return len(s1 & s2) == 1
-
-
 def curve_genus(group_order: int, tau: SignatureType) -> Fraction:
     """g with 2g - 2 = |G| (2g' - 2 + sum(1 - 1/m_i)), exact."""
     s = sum(Fraction(1) - Fraction(1, m) for m in tau.periods)
@@ -278,35 +237,6 @@ def rh_admissible(group_order: int, tau: SignatureType) -> tuple[bool, Fraction]
     """Whether the covering-curve genus is an integer >= 2, plus the genus."""
     g = curve_genus(group_order, tau)
     return (g.denominator == 1 and g >= 2), g
-
-
-@dataclass(frozen=True)
-class PairReport:
-    ok: bool
-    failing_clause: str | None
-    genera: tuple[Fraction, Fraction] | None
-
-
-def validate_pair(V1: GeneratorSystem, V2: GeneratorSystem) -> PairReport:
-    """Check both systems' invariants, disjointness, and genus >= 2 both sides."""
-    for side, V in (("first", V1), ("second", V2)):
-        if not long_relation_holds(V.group, V.gprime, V.entries):
-            return PairReport(False, f"long-relation ({side} system)", None)
-        if any(V.group.element_order(c) < 2 for c in V.branch):
-            return PairReport(False, f"branch-order ({side} system)", None)
-        if not V.group.generates(V.entries):
-            return PairReport(False, f"generation ({side} system)", None)
-    if not is_disjoint(V1, V2):
-        return PairReport(False, "disjointness", None)
-    genera = []
-    for side, V in (("first", V1), ("second", V2)):
-        ok, g = rh_admissible(V.group.order, V.signature())
-        if g.denominator != 1:
-            return PairReport(False, f"genus-integrality ({side} system)", None)
-        if g < 2:
-            return PairReport(False, f"genus-minimum ({side} system)", None)
-        genera.append(g)
-    return PairReport(True, None, (genera[0], genera[1]))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ import sympy
 from hurwitz_components.automorphisms import (
     _backtracking_auts,
     automorphism_group,
-    compose_maps,
     inner_automorphisms,
     is_automorphism,
     minimal_generating_tuple,
@@ -24,7 +23,7 @@ def _closure(G, gens) -> set[tuple[int, ...]]:
         nxt = set()
         for m in frontier:
             for g in gens:
-                c = compose_maps(m, g)
+                c = tuple(g[x] for x in m)  # m, then g
                 if c not in seen:
                     seen.add(c)
                     nxt.add(c)

@@ -45,6 +45,12 @@ def test_enumerate_budget_exit_code(capsys):
     )
     assert code == 2
     assert "budget" in err.lower()
+    # one ordering only: 9 elements of order 2 times 8 of order 3 (the 4 is solved)
+    code, _, err = run_cli(
+        capsys, "enumerate", "--group", "Sym:4", "--type", "0|2,3,4", "--budget", "10"
+    )
+    assert code == 2
+    assert "needs 72 candidate tuples (> 10)" in err
 
 
 def test_count_byte_identical_across_threads(capsys):

@@ -11,14 +11,13 @@ from hurwitz_components.groups import construct_group
 from hurwitz_components.moves import (
     MoveID,
     apply_move,
-    apply_word,
     available_moves,
     convention_self_check,
 )
+from hurwitz_components.orbits import EquivalenceConfig, _systems
 from hurwitz_components.ramification import (
     SignatureType,
     enumerate_systems,
-    enumerate_systems_unordered,
     long_relation_holds,
     sigma_set,
 )
@@ -58,7 +57,7 @@ def run_move_property_suite(q8_group, rng: random.Random, per_shape: int):
         if (gp, tau.r) == (0, 0):
             continue
         exact = set(_tuples(enumerate_systems(G, tau)))
-        universe = set(_tuples(enumerate_systems_unordered(G, tau)))
+        universe = set(_tuples(_systems(G, tau, EquivalenceConfig())))
         if not exact:
             violations.append(f"{spec} {tau}: no systems to test")
             continue
@@ -155,9 +154,15 @@ def test_braid_relations_are_map_identities():
     s1, s2, s3 = MoveID("sigma", 1), MoveID("sigma", 2), MoveID("sigma", 3)
     systems = _tuples(enumerate_systems(G, tau))
     assert systems
+
+    def word(ent, moves):
+        for mv in moves:
+            ent = apply_move(G, 0, ent, mv)
+        return ent
+
     for ent in systems:
-        assert apply_word(G, 0, ent, (s1, s2, s1)) == apply_word(G, 0, ent, (s2, s1, s2))
-        assert apply_word(G, 0, ent, (s1, s3)) == apply_word(G, 0, ent, (s3, s1))
+        assert word(ent, (s1, s2, s1)) == word(ent, (s2, s1, s2))
+        assert word(ent, (s1, s3)) == word(ent, (s3, s1))
 
 
 def test_moves_commute_with_automorphisms(rng, q8):
@@ -177,16 +182,6 @@ def test_moves_commute_with_automorphisms(rng, q8):
                     lhs = tuple(phi[x] for x in apply_move(G, tau.gprime, ent, mv))
                     rhs = apply_move(G, tau.gprime, mapped, mv)
                     assert lhs == rhs
-
-
-def test_apply_word_composes():
-    G = construct_group("Sym:3")
-    ent = _tuples(enumerate_systems(G, SignatureType(0, (2, 2, 3))))[0]
-    word = (MoveID("sigma", 1), MoveID("sigma", 2), MoveID("sigma", 1, None, True))
-    step = ent
-    for mv in word:
-        step = apply_move(G, 0, step, mv)
-    assert apply_word(G, 0, ent, word) == step
 
 
 def test_convention_self_check_accepts_valid_samples():

@@ -15,6 +15,7 @@ from hurwitz_components.orbits import (
     EquivalenceConfig,
     _RowIndex,
     _components,
+    _systems,
     _images,
     _valid_cells,
     admissible_type_pairs,
@@ -29,7 +30,6 @@ from hurwitz_components.orbits import (
 from hurwitz_components.ramification import (
     SignatureType,
     enumerate_systems,
-    enumerate_systems_unordered,
     sigma_set,
     system_valid,
 )
@@ -75,8 +75,7 @@ def test_side_orbits_accept_enumeration_as_row_list(monkeypatch):
 
 def test_row_index_locates_rows_and_refuses_strangers():
     G = construct_group("Sym:3")
-    systems = enumerate_systems_unordered(G, _tau("0|2,2,3"))
-    systems = systems[np.lexsort(systems.T[::-1])]
+    systems = _systems(G, _tau("0|2,2,3"), EquivalenceConfig())
     locate = _RowIndex(systems, G.order)
     shuffled = np.random.default_rng(3).permutation(len(systems))
     assert locate(systems[shuffled], "Sym:3").tolist() == shuffled.tolist()
@@ -263,7 +262,7 @@ def _full_group_pair_orbits(G, tau1, tau2):
         gp = tau.gprime
         moves = available_moves(gp, tau.r) if (gp, tau.r) != (0, 0) else []
         moves += [m.inverted() for m in moves]
-        systems = sorted(map(tuple, enumerate_systems_unordered(G, tau).tolist()))
+        systems = sorted(map(tuple, _systems(G, tau, EquivalenceConfig()).tolist()))
         steps = {
             ent: [apply_move(G, gp, ent, m) for m in moves]
             + [tuple(phi[x] for x in ent) for phi in inner]
@@ -386,6 +385,31 @@ def test_inn_lemma_exhaustive_small_cases():
         verify_inn_lemma(construct_group("Sym:3"), _tau("1|2"))
 
 
+def test_inn_lemma_reports_the_least_moved_system(monkeypatch):
+    G = AbelianGroup([5, 5])
+    tau = _tau("0|5,5,5")
+    maps = automorphism_group(G).generator_maps
+    part = side_orbits(G, tau)  # G is abelian: Inn(G) is trivial, so braid orbits only
+    index = {ent: i for i, ent in enumerate(map(tuple, part.systems.tolist()))}
+    moved = [
+        (row, k)
+        for k, phi in enumerate(maps)
+        for ent, row in index.items()
+        if part.orbit[index[tuple(phi[x] for x in ent)]] != part.orbit[row]
+    ]
+    row, k = min(moved)  # the least system, then the first map that moves it
+    ent = part.systems[row].tolist()
+    want = {
+        "system": [G.element_label(x) for x in ent],
+        "inner_image": [G.element_label(maps[k][x]) for x in ent],
+    }
+    monkeypatch.setattr(orbits, "inner_automorphisms", lambda G: maps)
+    rep = verify_inn_lemma(G, tau)
+    assert rep.passed is False
+    assert rep.counterexample == want
+    assert rep.systems_checked == len(index)
+
+
 def test_admissible_type_pairs_census_fragments():
     pairs = admissible_type_pairs(construct_group("Zn:1"), chi=1, q=4)
     assert [(str(a), str(b)) for a, b in pairs] == [("2|", "2|")]
@@ -415,6 +439,8 @@ def test_estimate_candidates_guards_enumeration():
     est = estimate_system_candidates(G, _tau("0|11,11,11"))
     assert est >= 120 * 120
     assert estimate_system_candidates(construct_group("Zn:1"), _tau("2|")) == 1
+    # the six orderings of (2, 3, 4) in Sym:4: 72 + 54 + 72 + 48 + 54 + 48
+    assert estimate_system_candidates(construct_group("Sym:4"), _tau("0|2,3,4")) == 348
 
 
 def test_reports_are_deterministic():
@@ -432,3 +458,4 @@ def test_report_json_shape():
     assert doc["orbit_sizes"] == [1]
     assert doc["total_pairs"] == 1
     assert "type1" in doc and "type2" in doc
+    assert "elapsed_ms" not in doc

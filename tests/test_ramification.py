@@ -8,16 +8,13 @@ import pytest
 
 from hurwitz_components.errors import UserInputError
 from hurwitz_components.groups import AbelianGroup, construct_group
+from hurwitz_components.orbits import EquivalenceConfig, _systems
 from hurwitz_components.ramification import (
-    GeneratorSystem,
     SignatureType,
-    count_systems,
     curve_genus,
     enumerate_systems,
-    enumerate_systems_unordered,
     fraction_to_json,
     is_beauville,
-    is_disjoint,
     long_relation_holds,
     long_relation_value,
     period_multisets_with_angle_sum,
@@ -25,7 +22,6 @@ from hurwitz_components.ramification import (
     sigma_set,
     surface_invariants,
     system_valid,
-    validate_pair,
 )
 
 
@@ -74,7 +70,7 @@ def test_enumerate_matches_brute_force_filter():
     }
     assert got == want
     assert len(got) == 6
-    assert count_systems(G, tau) == 6
+    assert len(enumerate_systems(G, tau)) == 6
 
 
 @pytest.mark.parametrize(
@@ -133,8 +129,8 @@ def test_sigma_set_matches_conjugation_closure(spec, text, q8):
 def test_enumerate_known_counts():
     G = AbelianGroup([5, 5])
     tau = SignatureType(0, (5, 5, 5))
-    assert count_systems(G, tau) == 480
-    assert count_systems(construct_group("Zn:1"), SignatureType(2, ())) == 1
+    assert len(enumerate_systems(G, tau)) == 480
+    assert len(enumerate_systems(construct_group("Zn:1"), SignatureType(2, ()))) == 1
     # no element of order 7: no candidate at all
     assert enumerate_systems(construct_group("Sym:4"), SignatureType(0, (7, 7, 7))).shape == (0, 3)
 
@@ -142,8 +138,8 @@ def test_enumerate_known_counts():
 def test_enumerate_unordered_unions_orderings():
     G = construct_group("Sym:3")
     tau = SignatureType(0, (2, 3, 2))
-    per_order = sum(count_systems(G, SignatureType(0, o)) for o in tau.orderings())
-    assert len(list(enumerate_systems_unordered(G, tau))) == per_order == 18
+    per_order = sum(len(enumerate_systems(G, SignatureType(0, o))) for o in tau.orderings())
+    assert len(_systems(G, tau, EquivalenceConfig())) == per_order == 18
 
 
 def test_sigma_set_abelian_is_union_of_cyclic_subgroups():
@@ -167,12 +163,12 @@ def test_sigma_set_closes_under_conjugation():
 
 def test_disjointness_is_symmetric_and_detects_overlap():
     G = AbelianGroup([5, 5])
-    V1 = GeneratorSystem(G, 0, (G.encode((1, 0)), G.encode((0, 1)), G.encode((4, 4))))
-    V2 = GeneratorSystem(G, 0, (G.encode((1, 2)), G.encode((1, 4)), G.encode((3, 4))))
-    assert is_disjoint(V1, V2) and is_disjoint(V2, V1)
-    assert not is_disjoint(V1, V1)
-    overlap = GeneratorSystem(G, 0, (G.encode((1, 1)), G.encode((1, 2)), G.encode((3, 2))))
-    assert not is_disjoint(V1, overlap)
+    s1 = sigma_set(G, 0, (G.encode((1, 0)), G.encode((0, 1)), G.encode((4, 4))))
+    s2 = sigma_set(G, 0, (G.encode((1, 2)), G.encode((1, 4)), G.encode((3, 4))))
+    assert s1 & s2 == {G.identity} and s2 & s1 == {G.identity}
+    assert s1 & s1 != {G.identity}
+    overlap = sigma_set(G, 0, (G.encode((1, 1)), G.encode((1, 2)), G.encode((3, 2))))
+    assert s1 & overlap != {G.identity}
 
 
 def test_curve_genus_and_rh_admissible():
@@ -202,19 +198,6 @@ def test_surface_invariants_rigid_case():
     assert not is_beauville(SignatureType(1, (2, 2)), SignatureType(0, (5, 5, 5)))
 
 
-def test_validate_pair_reports_first_failure():
-    G = AbelianGroup([5, 5])
-    good1 = GeneratorSystem(G, 0, (G.encode((1, 0)), G.encode((0, 1)), G.encode((4, 4))))
-    good2 = GeneratorSystem(G, 0, (G.encode((1, 2)), G.encode((1, 4)), G.encode((3, 4))))
-    rep = validate_pair(good1, good2)
-    assert rep.ok and rep.genera == (Fraction(6), Fraction(6))
-    rep = validate_pair(good1, good1)
-    assert not rep.ok and rep.failing_clause == "disjointness"
-    broken = GeneratorSystem(G, 0, (G.encode((1, 0)), G.encode((0, 1)), G.encode((1, 1))))
-    rep = validate_pair(broken, good2)
-    assert not rep.ok and rep.failing_clause == "long-relation (first system)"
-
-
 def test_period_multisets_with_angle_sum():
     # 3 * (1 - 1/5) = 12/5 picks out the triple (5, 5, 5)
     got = period_multisets_with_angle_sum((2, 3, 5), Fraction(12, 5))
@@ -228,11 +211,3 @@ def test_fraction_to_json():
     assert fraction_to_json(Fraction(701, 9)) == "701/9"
     assert fraction_to_json(Fraction(-3, 2)) == "-3/2"
 
-
-def test_generator_system_accessors():
-    G = construct_group("Sym:4")
-    V = GeneratorSystem(G, 1, (2, 3, 5, 7))
-    assert V.r == 2
-    assert V.hyperbolic_pairs == ((2, 3),)
-    assert V.branch == (5, 7)
-    assert len(V.labels()) == 4
