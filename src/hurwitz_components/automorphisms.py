@@ -164,6 +164,13 @@ def _conjugation_auts(G: PermutationGroup) -> AutGroup:
 
 # -- generic backtracking -------------------------------------------------
 def minimal_generating_tuple(G: Group) -> tuple[int, ...]:
+    """A short generating tuple of G, searched once per group and kept on it."""
+    if G._generating_tuple is None:
+        G._generating_tuple = _search_generating_tuple(G)
+    return G._generating_tuple
+
+
+def _search_generating_tuple(G: Group) -> tuple[int, ...]:
     if G.order == 1:
         return ()
     if isinstance(G, AbelianGroup):

@@ -98,6 +98,8 @@ class Group:
         self._center: tuple[int, ...] | None = None
         self._cyclic: dict[int, frozenset[int]] = {}
         self._classes: dict[int, frozenset[int]] = {}
+        self._joins: SubgroupJoins | None = None
+        self._generating_tuple: tuple[int, ...] | None = None  # automorphisms.minimal_generating_tuple
 
     # -- backend hooks -------------------------------------------------
     def _mul_raw(self, x: int, y: int) -> int:
@@ -223,6 +225,12 @@ class Group:
     def generates(self, gens) -> bool:
         return len(self.closure(gens)) == self.order
 
+    def subgroup_joins(self) -> SubgroupJoins:
+        """The table of subgroup joins <H, x>, built on first use and kept."""
+        if self._joins is None:
+            self._joins = SubgroupJoins(self)
+        return self._joins
+
     def center(self) -> tuple[int, ...]:
         if self._center is None:
             self._center = tuple(
@@ -237,6 +245,57 @@ class Group:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} order={self.order}>"
+
+
+class SubgroupJoins:
+    """Ids of the subgroups of one group that tuples of its elements generate.
+
+    Id 0 is the trivial subgroup. Each subgroup keeps a short generating
+    tuple, and <H, x> is closed from that tuple plus x once per distinct
+    (H, x) pair; the ids of the joins are kept in a dense table. The
+    group keeps one (Group.subgroup_joins), so every enumeration of its
+    systems reuses the closures of the ones before.
+    """
+
+    def __init__(self, G: Group) -> None:
+        self.G = G
+        trivial = frozenset((G.identity,))
+        self.members = [trivial]
+        self.gens: list[tuple[int, ...]] = [()]
+        self.ids = {trivial: 0}
+        self.table = np.full((1, G.order), -1, dtype=np.int32)
+
+    def join(self, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The id of <H, x> for each subgroup id H and element x."""
+        got = self.table[ids, x]
+        todo = got < 0
+        if todo.any():
+            n = self.G.order
+            for key in np.unique(ids[todo].astype(np.int64) * n + x[todo]).tolist():
+                h, y = divmod(key, n)
+                self.table[h, y] = self._close(h, y)
+            got = self.table[ids, x]
+        return got
+
+    def _close(self, h: int, y: int) -> int:
+        if y in self.members[h]:
+            return h
+        gens = self.gens[h] + (y,)
+        members = self.G.closure(gens)
+        got = self.ids.get(members)
+        if got is None:
+            got = len(self.gens)
+            self.ids[members] = got
+            self.members.append(members)
+            self.gens.append(gens)
+            if got == len(self.table):
+                self.table = np.concatenate([self.table, np.full_like(self.table, -1)])
+        return got
+
+    def generates(self, ids: np.ndarray) -> np.ndarray:
+        """Whether each subgroup id is the whole group."""
+        orders = np.array([len(m) for m in self.members])
+        return orders[ids] == self.G.order
 
 
 class AbelianGroup(Group):

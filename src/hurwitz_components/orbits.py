@@ -3,9 +3,10 @@
 Two independent routes compute h(G; tau1, tau2):
 
 * the two-stage engine: per-side orbit partitions under moves + Inn(G),
-  disjointness evaluated once per orbit-label pair, then a vectorized BFS
-  over disjoint label pairs under diagonal Aut(G) and the factor swap,
-  seeded from the least cell not yet reached;
+  then the pair stage quotiented by diagonal Aut(G): a Schreier vector
+  per Aut orbit of side-1 labels, and the orbits of the root label's
+  stabilizer (plus the factor swap) on the disjoint cells of that one
+  root's row;
 * a one-stage oracle: components of the raw disjoint ordered pairs, found
   from index maps of per-side moves, per-side Inn generators, diagonal Aut
   generators and the swap, without orbit labels or any quotient.
@@ -15,7 +16,9 @@ is no other model of a system. The routes share only steps that read
 system rows and Sigma rows, never orbit labels or a quotient: _systems
 (enumeration under the budget), _move_maps (the forward moves),
 _images and _components (index maps and their orbits), and _valid_cells
-(Sigma rows that meet only in the identity).
+(Sigma rows that meet only in the identity). Each route builds its own
+Sigma rows: the oracle calls sigma_set per system, the two-stage engine
+gathers per-element rows over whole system arrays.
 
 Each move is applied to the whole array at once and each automorphism
 acts as a gather phi[systems]; image rows are located among the systems
@@ -34,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .automorphisms import automorphism_group, inner_automorphisms
+from .automorphisms import automorphism_group, inner_automorphisms, minimal_generating_tuple
 from .errors import BudgetExceeded, UserInputError
 from .groups import Group, index_dtype
 from .moves import available_moves, apply_move, convention_self_check
@@ -56,7 +59,7 @@ DEFAULT_ONE_STAGE_SCAN_BUDGET = 5_000_000
 class EquivalenceConfig:
     max_systems: int = DEFAULT_MAX_SYSTEMS
     representatives: bool = False
-    seed: int = 0  # seeds the sampled Sigma-constancy assertions
+    seed: int = 0  # seeds the labels sampled by the pair stage's row check
 
 
 @dataclass
@@ -235,24 +238,47 @@ def side_orbits(
     return SidePartition(G, canonical, systems, orbit, np.flatnonzero(is_leader))
 
 
-def _sigma_matrix(
-    G: Group, part: SidePartition, rng: random.Random
-) -> np.ndarray:
-    """Bool matrix (labels x |G|) of Sigma sets, with sampled orbit-constancy checks."""
-    gp = part.tau.gprime
-    mat = np.zeros((len(part.leaders), G.order), dtype=bool)
-    by_orbit = np.argsort(part.orbit, kind="stable")
-    ends = np.cumsum(part.orbit_sizes).tolist()
-    starts = [0] + ends[:-1]
-    for i, label in enumerate(part.labels.tolist()):
-        sig = sigma_set(G, gp, label)
-        mat[i, list(sig)] = True
-        size = ends[i] - starts[i]
-        for k in rng.sample(range(size), min(3, size)):
-            if sigma_set(G, gp, part.systems[by_orbit[starts[i] + k]].tolist()) != sig:
-                raise AssertionError(
-                    f"Sigma not constant on orbit {i} of {G.name} {part.tau}"
-                )
+def _sigma_rows(G: Group, elements) -> np.ndarray:
+    """Bool rows, one per element x: the conjugacy classes of the powers of x
+    (just the cyclic subgroup <x> when G is abelian), the share of a Sigma
+    set that one branch entry x contributes."""
+    rows = np.zeros((len(elements), G.order), dtype=bool)
+    abelian = G.is_abelian()
+    for k, x in enumerate(elements):
+        powers = G.cyclic_subgroup(x)
+        members = powers if abelian else frozenset().union(*map(G.conjugacy_class, powers))
+        rows[k, list(members)] = True
+    return rows
+
+
+def _sigma_matrix(G: Group, part: SidePartition) -> np.ndarray:
+    """Bool matrix (labels x |G|) of Sigma sets, checked constant on every orbit.
+
+    A system's Sigma row is the identity column OR-ed with the _sigma_rows
+    row of each branch entry, gathered from one table over the distinct
+    branch entries of the side. Every system's row is compared with its
+    orbit label's row, a block of systems at a time.
+    """
+    branch = part.systems[:, 2 * part.tau.gprime :]
+    entries, at = np.unique(branch, return_inverse=True)
+    at = at.reshape(branch.shape)
+    table = _sigma_rows(G, entries.tolist())
+
+    def sigma(rows: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(rows), G.order), dtype=bool)
+        out[:, G.identity] = True
+        for col in at[rows].T:
+            out |= table[col]
+        return out
+
+    mat = sigma(part.leaders)
+    step = max(1, (1 << 20) // G.order)
+    for start in range(0, len(part.systems), step):
+        rows = np.arange(start, min(start + step, len(part.systems)))
+        bad = (sigma(rows) != mat[part.orbit[rows]]).any(axis=1)
+        if bad.any():
+            orbit = part.orbit[rows[np.argmax(bad)]]
+            raise AssertionError(f"Sigma not constant on orbit {orbit} of {G.name} {part.tau}")
     return mat
 
 
@@ -272,9 +298,10 @@ def count_components(
 ) -> OrbitReport:
     """Two-stage component count h(G; tau1, tau2).
 
-    Cells (i, j) of label pairs are flat ids i * L2 + j. Each orbit is a
-    frontier BFS under the Aut generator label permutations (and the swap)
-    from the least valid cell not yet reached.
+    The side partitions under moves and Inn(G) come from side_orbits; the
+    pair stage (_count_pairs) then counts orbits of disjoint label pairs
+    under diagonal Aut(G) and the swap, one row of cells per Aut orbit of
+    side-1 labels.
     """
     config = config or EquivalenceConfig()
     t1, t2 = tau1.with_sorted_periods(), tau2.with_sorted_periods()
@@ -296,11 +323,107 @@ def _valid_cells(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return valid
 
 
+def _transversals(
+    G: Group, n: int, maps: list[np.ndarray], perms: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A Schreier vector for each Aut orbit (block) of n labels.
+
+    Returns root, the least label of each label's block, and u, one element
+    map per label whose label permutation sends root[x] to x. The rows of u
+    grow breadth first from the roots: a generator s whose label permutation
+    sends x to a new label y gives u_y = s o u_x, the gather s[u_x].
+    """
+    root = _components(n, perms)
+    u = np.empty((n, G.order), dtype=index_dtype(G.order))
+    reached = root == np.arange(n)
+    frontier = np.flatnonzero(reached)
+    u[frontier] = np.arange(G.order)
+    while frontier.size:
+        grown = []
+        for s, perm in zip(maps, perms):
+            img = perm[frontier]
+            new = ~reached[img]
+            img = img[new]
+            u[img] = s[u[frontier[new]]]
+            reached[img] = True
+            grown.append(img)
+        frontier = np.concatenate(grown) if grown else frontier[:0]
+    return root, u
+
+
+def _stabilizer_gens(
+    G: Group, gens: tuple[int, ...], maps: list[np.ndarray], perms: list[np.ndarray], root, u, uinv
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schreier generators u_{s(x)}^-1 o s o u_x of Stab(root[x]), over every
+    label x and generator s, without repeats or the identity.
+
+    An automorphism is fixed by its images of the generating tuple gens, so
+    the generators are told apart by those few columns alone. Returns the
+    distinct generators (one element map per row) and the (root, generator)
+    pairs that occur, as two arrays sorted by root.
+    """
+    n = len(root)
+    if not maps:
+        none = np.zeros(0, dtype=np.intp)
+        return np.zeros((0, G.order), dtype=u.dtype), none, none
+    gens = np.array(gens, dtype=np.intp)
+    images = np.concatenate([uinv[perm[:, None], s[u[:, gens]]] for s, perm in zip(maps, perms)])
+    moved = np.flatnonzero((images != gens).any(axis=1))  # drop the identity
+    _, first, which = np.unique(
+        images[moved], axis=0, return_index=True, return_inverse=True
+    )
+    stab = np.array(
+        [uinv[perms[t][x]][maps[t][u[x]]] for t, x in (divmod(int(r), n) for r in moved[first])],
+        dtype=u.dtype,
+    ).reshape(len(first), G.order)
+    pairs = np.unique(root[moved % n] * len(first) + which.ravel())
+    return stab, pairs // len(first), pairs % len(first)
+
+
+def _generating_subset(maps: list[list[int]], gens: tuple[int, ...]) -> tuple[int, list[int]]:
+    """|<maps>| and the positions of the maps that enlarge the group of the
+    ones kept before them, a generating set without redundant members.
+
+    Closure runs on the images of the generating tuple gens, which fix an
+    automorphism, since (s o h)(g) = s(h(g)).
+    """
+    kept: list[int] = []
+    seen = {gens}
+    for pos, s in enumerate(maps):
+        if tuple(s[v] for v in gens) in seen:
+            continue
+        kept.append(pos)
+        frontier = list(seen)
+        while frontier:
+            grown = []
+            for t in frontier:
+                for k in kept:
+                    img = tuple(maps[k][v] for v in t)
+                    if img not in seen:
+                        seen.add(img)
+                        grown.append(img)
+            frontier = grown
+    return len(seen), kept
+
+
 def _count_pairs(
     G: Group, side1: SidePartition, side2: SidePartition, config: EquivalenceConfig
 ) -> OrbitReport:
     """The pair stage of count_components, on side partitions already built;
-    the swap acts when the unordered types coincide."""
+    the swap acts when the unordered types coincide.
+
+    Cells are label pairs (i, j) whose Sigma rows meet only in the
+    identity. Aut(G) splits the side-1 labels into blocks (its orbits), each
+    with a Schreier vector rooted at its least label i0, and every orbit of
+    cells under diagonal Aut meets the row of i0 in one orbit of Stab(i0).
+    So only the row cells (i0, j) are kept, and their orbits come from
+    _components under the Schreier generators of each Stab(i0) and, for
+    equal types, the swap (i0, j) -> (j, i0) carried back to a row by j's
+    transversal. Label orbit sizes are Aut-invariant, so a row cell weighs
+    |block| s1[i0] s2[j]. An orbit's least cell lies in a row and is its
+    least row cell, so the _components roots are the representatives, in
+    ascending order of the least cells.
+    """
     rng = random.Random(config.seed)
     same_types = side1.tau.canonical() == side2.tau.canonical()
     L1, L2 = len(side1.leaders), len(side2.leaders)
@@ -311,61 +434,109 @@ def _count_pairs(
             **report_base, h=0, orbit_sizes=[], total_pairs=0, representatives=representatives
         )
 
-    m1 = _sigma_matrix(G, side1, rng)
-    m2 = m1 if same_types else _sigma_matrix(G, side2, rng)
-    valid = _valid_cells(m1, m2)
-
+    m1 = _sigma_matrix(G, side1)
+    m2 = m1 if same_types else _sigma_matrix(G, side2)
     s1 = side1.orbit_sizes
     s2 = s1 if same_types else side2.orbit_sizes
-
-    gens = automorphism_group(G).generator_maps
-    perms1 = _aut_label_perms(G, side1, gens)
-    perms2 = perms1 if same_types else _aut_label_perms(G, side2, gens)
     labels1, labels2 = side1.labels, side2.labels
-    total_pairs = sum(int(s1[i]) * int(s2[row].sum()) for i, row in enumerate(valid))
-    valid_flat = valid.ravel()
-    unseen = valid_flat.copy()
-    h = 0
-    orbit_sizes: list[int] = []
-    seed = 0
-    while True:
-        seed += int(np.argmax(unseen[seed:]))
-        if not unseen[seed]:
-            break
-        h += 1
-        unseen[seed] = False
-        frontier = np.array([seed], dtype=np.int64)
-        members = [frontier]
-        while frontier.size:
-            fi, fj = frontier // L2, frontier % L2
-            images = [p1[fi] * L2 + p2[fj] for p1, p2 in zip(perms1, perms2)]
-            if same_types:
-                images.append(fj * L2 + fi)
-            nxt = np.sort(np.concatenate(images)) if images else frontier[:0]
-            first = np.ones(nxt.size, dtype=bool)
-            first[1:] = nxt[1:] != nxt[:-1]
-            nxt = nxt[first]
-            if not valid_flat[nxt].all():
-                raise AssertionError("equivalence image left the disjoint-cell set")
-            nxt = nxt[unseen[nxt]]
-            unseen[nxt] = False
-            frontier = nxt
-            members.append(nxt)
-        cells = np.concatenate(members)
-        orbit_sizes.append(int(s1[cells // L2] @ s2[cells % L2]))
-        if representatives is not None:
-            i, j = divmod(seed, L2)
-            representatives.append(
-                {
-                    "first": [G.element_label(x) for x in labels1[i].tolist()],
-                    "second": [G.element_label(x) for x in labels2[j].tolist()],
-                }
+    locate1 = _RowIndex(side1.systems, G.order)
+    locate2 = locate1 if same_types else _RowIndex(side2.systems, G.order)
+    where1, where2 = (f"{G.name} {t} under an automorphism" for t in (side1.tau, side2.tau))
+
+    aut = automorphism_group(G)
+    maps = [np.asarray(phi, index_dtype(G.order)) for phi in aut.generator_maps]
+    perms = _aut_label_perms(G, side1, aut.generator_maps)
+    root, u = _transversals(G, L1, maps, perms)
+    uinv = np.empty_like(u)
+    np.put_along_axis(uinv, u, np.arange(G.order, dtype=u.dtype)[None, :], axis=1)
+    gens = minimal_generating_tuple(G)
+    stab, use_root, use_gen = _stabilizer_gens(G, gens, maps, perms, root, u, uinv)
+    roots = np.flatnonzero(root == np.arange(L1))
+    block = np.searchsorted(roots, root)  # block number of each side-1 label
+    block_size = np.bincount(block)
+
+    fixed = side1.orbit[locate1(stab[use_gen[:, None], labels1[use_root]], where1)]
+    if (fixed != use_root).any():
+        raise AssertionError("a stabilizer generator moves the root label of its block")
+    stab_lists = stab.tolist()
+    gens_of: dict[int, tuple[int, ...]] = {}
+    for r, k in zip(use_root.tolist(), use_gen.tolist()):
+        gens_of[r] = gens_of.get(r, ()) + (k,)
+    subsets: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    uses = np.zeros((len(stab), len(roots)), dtype=bool)  # generator k acts on block b
+    for b, r in enumerate(roots.tolist()):
+        key = gens_of.get(r, ())
+        if key not in subsets:
+            subsets[key] = _generating_subset([stab_lists[k] for k in key], gens)
+        order, kept = subsets[key]
+        if block_size[b] * order != aut.order:
+            raise AssertionError(
+                f"orbit-stabilizer fails for the Aut orbit of label {r} of {G.name} {side1.tau}"
             )
+        uses[[key[i] for i in kept], b] = True
+    acting = np.flatnonzero(uses.any(axis=1))
+
+    valid_rows = _valid_cells(m1[roots], m2)
+    cell_block, cell_j = np.nonzero(valid_rows)
+    cell_i = roots[cell_block]
+    flat = cell_i.astype(np.int64) * L2 + cell_j
+    weight = block_size[cell_block] * s1[cell_i] * s2[cell_j]
+    total_pairs = int(weight.sum())
+
+    def cells_at(target: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(flat, target)
+        if len(target) and (pos.max() >= len(flat) or (flat[pos] != target).any()):
+            raise AssertionError("equivalence image left the disjoint-cell set")
+        return pos
+
+    def cell_maps():
+        for k, perm2 in zip(acting.tolist(), _aut_label_perms(G, side2, stab[acting])):
+            img = np.arange(len(flat))
+            on = uses[k, cell_block]
+            img[on] = cells_at(cell_i[on].astype(np.int64) * L2 + perm2[cell_j[on]])
+            yield img
+        if same_types:
+            back = side1.orbit[locate1(uinv[cell_j[:, None], labels1[cell_i]], where1)]
+            yield cells_at(root[cell_j] * L2 + back)
+
+    least = _components(len(flat), cell_maps())
+    seeds = np.flatnonzero(least == np.arange(len(flat)))
+    sizes = np.zeros(len(flat), dtype=np.int64)
+    np.add.at(sizes, least, weight)
+    orbit_sizes = sizes[seeds].tolist()
     if sum(orbit_sizes) != total_pairs:
         raise AssertionError("orbit sizes do not sum to the number of disjoint pairs")
+
+    # A sampled label x of each block: its row of cells is row i0 carried by u_x.
+    members = np.argsort(block, kind="stable")  # by block, each root first
+    starts = np.concatenate([[0], np.cumsum(block_size)])
+    picked = []
+    for b in np.flatnonzero(block_size > 1).tolist():
+        others = members[starts[b] + 1 : starts[b + 1]].tolist()
+        picked += [(b, x) for x in rng.sample(others, min(3, len(others)))]
+    if picked:
+        direct = _valid_cells(m1[[x for _, x in picked]], m2)
+        row_cuts = np.searchsorted(cell_block, np.arange(len(roots) + 1))
+        for (b, x), row in zip(picked, direct):
+            js = cell_j[row_cuts[b] : row_cuts[b + 1]]
+            carried = side2.orbit[locate2(u[x][labels2[js]], where2)]
+            if not np.array_equal(np.sort(carried), np.flatnonzero(row)):
+                raise AssertionError(
+                    f"the cells of label {x} are not those of label {roots[b]} carried by "
+                    f"its transversal in {G.name} {side1.tau} x {side2.tau}"
+                )
+
+    if representatives is not None:
+        for c in seeds.tolist():
+            representatives.append(
+                {
+                    "first": [G.element_label(x) for x in labels1[cell_i[c]].tolist()],
+                    "second": [G.element_label(x) for x in labels2[cell_j[c]].tolist()],
+                }
+            )
     return OrbitReport(
         **report_base,
-        h=h,
+        h=len(seeds),
         orbit_sizes=sorted(orbit_sizes, reverse=True),
         total_pairs=total_pairs,
         representatives=representatives,

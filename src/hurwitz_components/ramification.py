@@ -106,55 +106,6 @@ def system_valid(G: Group, tau: SignatureType, entries: tuple[int, ...]) -> bool
     return G.generates(entries)
 
 
-class _Joins:
-    """Ids of the subgroups that prefixes of systems generate, for one enumeration.
-
-    Id 0 is the trivial subgroup. Each subgroup keeps a short generating
-    tuple, and <H, x> is closed from that tuple plus x once per distinct
-    (H, x) pair; the ids of the joins are kept in a dense table.
-    """
-
-    def __init__(self, G: Group) -> None:
-        self.G = G
-        trivial = frozenset((G.identity,))
-        self.members = [trivial]
-        self.gens: list[tuple[int, ...]] = [()]
-        self.ids = {trivial: 0}
-        self.table = np.full((1, G.order), -1, dtype=np.int32)
-
-    def join(self, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The id of <H, x> for each subgroup id H and element x."""
-        got = self.table[ids, x]
-        todo = got < 0
-        if todo.any():
-            n = self.G.order
-            for key in np.unique(ids[todo].astype(np.int64) * n + x[todo]).tolist():
-                h, y = divmod(key, n)
-                self.table[h, y] = self._close(h, y)
-            got = self.table[ids, x]
-        return got
-
-    def _close(self, h: int, y: int) -> int:
-        if y in self.members[h]:
-            return h
-        gens = self.gens[h] + (y,)
-        members = self.G.closure(gens)
-        got = self.ids.get(members)
-        if got is None:
-            got = len(self.gens)
-            self.ids[members] = got
-            self.members.append(members)
-            self.gens.append(gens)
-            if got == len(self.table):
-                self.table = np.concatenate([self.table, np.full_like(self.table, -1)])
-        return got
-
-    def generates(self, ids: np.ndarray) -> np.ndarray:
-        """Whether each subgroup id is the whole group."""
-        orders = np.array([len(m) for m in self.members])
-        return orders[ids] == self.G.order
-
-
 def candidate_tuples(G: Group, tau: SignatureType) -> int:
     """How many tuples enumerate_systems(G, tau) expands before filtering:
     |G| per handle entry, times the elements of each period's order but the
@@ -179,7 +130,7 @@ def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
     orders = np.array([G.element_order(x) for x in G.elements()])
     elems = np.arange(G.order, dtype=dtype)
     slots = [elems] * (2 * gp) + [elems[orders == m] for m in tau.periods[: max(r - 1, 0)]]
-    joins = _Joins(G)
+    joins = G.subgroup_joins()
     blocks = [np.zeros((0, 2 * gp + r), dtype=dtype)]
     for lead in range(len(slots[0])) if slots else [None]:
         rows = np.zeros((1, 0), dtype=dtype)

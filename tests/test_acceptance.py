@@ -90,6 +90,19 @@ def test_criterion_04_integrality_flags_and_enumeration_ground_truth():
     print("criterion 4 PASS: integral at 5, 7; " + "; ".join(flagged))
 
 
+def test_two_stage_matches_quadruple_classes_at_seventeen_and_nineteen():
+    t0 = time.monotonic()
+    shown = []
+    for n, want in ((17, 634), (19, 1054)):
+        rep = _count_square(n)
+        classes, _ = quadruple_classes(n)
+        assert rep.h == classes == want, (n, rep.h, classes)
+        shown.append(f"n={n}: h={rep.h}, theta integral: {theta_is_integral(n)}")
+    elapsed = time.monotonic() - t0
+    assert elapsed < 60.0
+    print("closed-form classes PASS: " + "; ".join(shown) + f", {elapsed:.1f}s")
+
+
 def _all_abelian_moduli_up_to(limit: int):
     out = []
     for n in range(2, limit + 1):

@@ -135,3 +135,11 @@ def test_minimal_generating_tuple(q8):
 def test_crt_collapses_aut():
     # Zn:2,3 is cyclic of order 6, so only inversion remains
     assert automorphism_group(AbelianGroup([2, 3])).order == math.prod([2])
+
+
+def test_minimal_generating_tuple_is_searched_once_per_group(monkeypatch):
+    G = construct_group("Sym:4")
+    gens = minimal_generating_tuple(G)
+    monkeypatch.setattr(G, "generates", lambda xs: pytest.fail("searched again"))
+    assert minimal_generating_tuple(G) is gens
+    assert minimal_generating_tuple(construct_group("Sym:4")) == gens  # a new group searches anew

@@ -6,17 +6,20 @@ import time
 import numpy as np
 import pytest
 
-from hurwitz_components.automorphisms import automorphism_group
+from hurwitz_components.automorphisms import AutGroup, automorphism_group
 from hurwitz_components.errors import BudgetExceeded, UserInputError
 from hurwitz_components.groups import AbelianGroup, construct_group
 from hurwitz_components.moves import apply_move, available_moves
 from hurwitz_components import orbits
 from hurwitz_components.orbits import (
     EquivalenceConfig,
+    OrbitReport,
     _RowIndex,
     _components,
     _systems,
     _images,
+    _sigma_matrix,
+    _sigma_rows,
     _valid_cells,
     admissible_type_pairs,
     component_bound_warning,
@@ -109,6 +112,42 @@ def test_valid_cells_in_row_blocks_match_one_product():
     whole = (m1.astype(np.float32) @ m2.astype(np.float32).T) == 1.0
     got = _valid_cells(m1, m2)
     assert got.any() and np.array_equal(got, whole)
+
+
+@pytest.mark.parametrize("spec", ["Sym:4", "Alt:5", "q8", "Zn:5,5"])
+def test_sigma_table_matches_sigma_set(spec, q8):
+    G = q8 if spec == "q8" else construct_group(spec)
+    table = _sigma_rows(G, list(G.elements()))
+    assert table.shape == (G.order, G.order)
+    for x in G.elements():
+        assert set(np.flatnonzero(table[x]).tolist()) == sigma_set(G, 0, (x,)), x
+
+
+@pytest.mark.parametrize(
+    "spec,text",
+    [("Sym:4", "0|2,3,4"), ("Alt:5", "0|2,5,5"), ("q8", "1|2"), ("Zn:5,5", "0|5,5,5"), ("Zn:2,4", "2|")],
+)
+def test_sigma_matrix_rows_match_sigma_set(spec, text, q8):
+    G = q8 if spec == "q8" else construct_group(spec)
+    tau = _tau(text)
+    part = side_orbits(G, tau)
+    mat = _sigma_matrix(G, part)
+    assert mat.shape == (len(part.leaders), G.order)
+    for row, label in zip(mat, part.labels.tolist()):
+        assert set(np.flatnonzero(row).tolist()) == sigma_set(G, tau.gprime, label)
+
+
+def test_sigma_matrix_checks_every_system_of_an_orbit():
+    G = AbelianGroup([5, 5])
+    part = side_orbits(G, _tau("0|5,5,5"))
+    mat = _sigma_matrix(G, part)
+    row = len(part.systems) - 1  # the last system is no orbit's least member
+    assert row not in part.leaders.tolist()
+    other = next(k for k in range(len(mat)) if (mat[k] != mat[part.orbit[row]]).any())
+    part.orbit = part.orbit.copy()
+    part.orbit[row] = other  # file one system under an orbit with another Sigma
+    with pytest.raises(AssertionError, match=f"Sigma not constant on orbit {other} "):
+        _sigma_matrix(G, part)
 
 
 def test_scan_builds_each_side_once_per_group(monkeypatch):
@@ -326,6 +365,141 @@ def test_generator_orbits_match_full_group_reference(spec, t1, t2, h, q8):
     for route in (count_components, count_components_one_stage):
         rep = route(G, tau1, tau2)
         assert (rep.h, rep.orbit_sizes, rep.total_pairs) == (h, sizes, sum(sizes))
+
+
+def _frontier_bfs_count(G, tau1, tau2, config):
+    """The pair stage as a frontier BFS over every valid label cell: cells
+    (i, j) are flat ids i * L2 + j, and each orbit grows under the Aut
+    generator label permutations (and the swap) from the least valid cell
+    not yet reached. The reference the Aut quotient is pinned to."""
+    t1, t2 = tau1.with_sorted_periods(), tau2.with_sorted_periods()
+    same_types = t1.canonical() == t2.canonical()
+    side1 = side_orbits(G, t1, config)
+    side2 = side1 if same_types else side_orbits(G, t2, config)
+    L2 = len(side2.leaders)
+
+    def sigma(part):
+        mat = np.zeros((len(part.leaders), G.order), dtype=bool)
+        for i, label in enumerate(part.labels.tolist()):
+            mat[i, list(sigma_set(G, part.tau.gprime, label))] = True
+        return mat
+
+    valid = _valid_cells(sigma(side1), sigma(side2))
+    s1, s2 = side1.orbit_sizes, side2.orbit_sizes
+    gens = automorphism_group(G).generator_maps
+    perms1 = orbits._aut_label_perms(G, side1, gens)
+    perms2 = orbits._aut_label_perms(G, side2, gens)
+    total_pairs = sum(int(s1[i]) * int(s2[row].sum()) for i, row in enumerate(valid))
+    valid_flat = valid.ravel()
+    unseen = valid_flat.copy()
+    sizes, representatives = [], []
+    seed = 0
+    while unseen[seed:].any():
+        seed += int(np.argmax(unseen[seed:]))
+        unseen[seed] = False
+        frontier = np.array([seed], dtype=np.int64)
+        members = [frontier]
+        while frontier.size:
+            fi, fj = frontier // L2, frontier % L2
+            images = [p1[fi] * L2 + p2[fj] for p1, p2 in zip(perms1, perms2)]
+            if same_types:
+                images.append(fj * L2 + fi)
+            nxt = np.unique(np.concatenate(images)) if images else frontier[:0]
+            assert valid_flat[nxt].all()
+            nxt = nxt[unseen[nxt]]
+            unseen[nxt] = False
+            frontier = nxt
+            members.append(nxt)
+        cells = np.concatenate(members)
+        sizes.append(int(s1[cells // L2] @ s2[cells % L2]))
+        i, j = divmod(seed, L2)
+        representatives.append(
+            {
+                "first": [G.element_label(x) for x in side1.labels[i].tolist()],
+                "second": [G.element_label(x) for x in side2.labels[j].tolist()],
+            }
+        )
+    assert sum(sizes) == total_pairs
+    return OrbitReport(
+        G.name, str(t1), str(t2), len(sizes), sorted(sizes, reverse=True), total_pairs,
+        representatives if config.representatives else None,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec,t1,t2",
+    [
+        ("Zn:5,5", "0|5,5,5", "0|5,5,5"),
+        ("Zn:7,7", "0|7,7,7", "0|7,7,7"),
+        ("Zn:11,11", "0|11,11,11", "0|11,11,11"),
+        ("Zn:2,4", "0|2,2,4,4", "1|2,2"),  # three Aut orbits of side-1 labels
+        ("Alt:4", "0|3,3,3,3", "1|2"),
+        ("Zn:2,2", "0|2,2,2,2,2,2", "1|2,2"),
+        ("Zn:3,3", "0|3,3,3,3", "0|3,3,3,3"),  # two Aut orbits joined by the swap
+        ("Sym:4", "0|2,2,2,2,2,2", "0|3,4,4"),
+    ],
+)
+def test_aut_quotient_matches_frontier_bfs(spec, t1, t2):
+    G = construct_group(spec)
+    cfg = EquivalenceConfig(representatives=True)
+    want = _frontier_bfs_count(G, _tau(t1), _tau(t2), cfg).to_json_dict()
+    assert count_components(G, _tau(t1), _tau(t2), cfg).to_json_dict() == want
+
+
+def test_pair_stage_reads_only_root_and_sampled_rows(monkeypatch):
+    G = AbelianGroup([7, 7])
+    tau = _tau("0|7,7,7")
+    labels = len(side_orbits(G, tau).leaders)
+    rows = []
+    real = orbits._valid_cells
+
+    def counted(m1, m2):
+        rows.append(len(m1))
+        return real(m1, m2)
+
+    monkeypatch.setattr(orbits, "_valid_cells", counted)
+    assert count_components(G, tau, tau).h == 7
+    assert rows[0] == 1  # Aut(G) is transitive on the labels: one root row
+    assert sum(rows) <= 1 + 3 < labels
+
+
+def test_planted_wrong_aut_order_fails_orbit_stabilizer(monkeypatch):
+    G = AbelianGroup([5, 5])
+    aut = automorphism_group(G)
+    wrong = AutGroup(G, 2 * aut.order, aut.generator_maps)
+    monkeypatch.setattr(orbits, "automorphism_group", lambda G: wrong)
+    with pytest.raises(AssertionError, match="orbit-stabilizer"):
+        count_components(G, _tau("0|5,5,5"), _tau("0|5,5,5"))
+
+
+def test_planted_bad_transversal_fails_the_root_check(monkeypatch):
+    G = AbelianGroup([7, 7])
+    real = orbits._transversals
+
+    def shifted(G, n, maps, perms):
+        root, u = real(G, n, maps, perms)
+        return root, np.roll(u, 1, axis=0)  # u_x now belongs to label x - 1
+
+    monkeypatch.setattr(orbits, "_transversals", shifted)
+    with pytest.raises(AssertionError, match="moves the root label"):
+        count_components(G, _tau("0|7,7,7"), _tau("0|7,7,7"))
+
+
+def test_planted_row_mismatch_fails_the_sampled_rows(monkeypatch):
+    G = AbelianGroup([7, 7])
+    real = orbits._valid_cells
+    calls = []
+
+    def flipped(m1, m2):
+        got = real(m1, m2)
+        calls.append(len(m1))
+        if len(calls) == 2:  # the sampled rows, after the root rows
+            got[0, 0] = not got[0, 0]
+        return got
+
+    monkeypatch.setattr(orbits, "_valid_cells", flipped)
+    with pytest.raises(AssertionError, match="carried by its transversal"):
+        count_components(G, _tau("0|7,7,7"), _tau("0|7,7,7"))
 
 
 def test_count_components_writes_nothing_to_stderr(capsys):

@@ -106,6 +106,22 @@ def test_enumerate_without_tables_uses_native_arithmetic():
     assert len(enumerate_systems(construct_group("Sym:7"), SignatureType(0, (2, 2)))) == 0
 
 
+def test_enumerations_of_one_group_share_its_join_table(monkeypatch):
+    tau = SignatureType(0, (3, 4, 4))
+    fresh = [enumerate_systems(construct_group("Sym:4"), SignatureType(0, o)) for o in tau.orderings()]
+    G = construct_group("Sym:4")
+    joins = G.subgroup_joins()
+    first = [enumerate_systems(G, SignatureType(0, o)) for o in tau.orderings()]
+    assert G.subgroup_joins() is joins and len(joins.members) > 1
+    closed = []
+    real = G.closure
+    monkeypatch.setattr(G, "closure", lambda gens: closed.append(gens) or real(gens))
+    again = [enumerate_systems(G, SignatureType(0, o)) for o in tau.orderings()]
+    assert closed == []  # every join is already in the group's table
+    for a, b, c in zip(fresh, first, again):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
 def _sigma_by_conjugation(G, gprime, entries):
     """Sigma as first defined: every conjugate of every power of a branch entry."""
     out = {G.identity}
