@@ -11,6 +11,7 @@ Three independent routes live here:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -288,7 +289,12 @@ def admits_unmixed_abelian(profile: AbelianProfile, r1: int, r2: int) -> AdmitsR
 #   * Sigma sets of abelian systems are unions of cyclic subgroups, and two
 #     subgroups meet trivially iff they share no prime-order subgroup (atom);
 #   * everything splits over the primary decomposition, with slot coverage
-#     requiring the per-prime nonzero-entry counts to sum to at least r.
+#     requiring the per-prime nonzero-entry counts to sum to at least r;
+#   * a p-group is generated exactly when the mod-p images span its Frattini
+#     quotient F_p^rank, and a multiset's sum and span do not depend on the
+#     order of its entries. So which entry counts k admit a system is one
+#     reachable-state DP over (sum, span) pairs (_achievable_counts), with
+#     no search tree.
 
 BRUTE_FORCE_SUBSET_LIMIT = 2_000_000
 MULTI_PRIME_ATOM_LIMIT = 12
@@ -302,8 +308,17 @@ def _primary_chains(chain: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     return {p: tuple(sorted(v)) for p, v in out.items()}
 
 
+def _ravel(coords: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Indices, in itertools.product order, of coordinate rows (last axis)."""
+    return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), dims)
+
+
 class _PrimaryGroup:
-    """A p-group Z/q_1 x ... x Z/q_s with atom bookkeeping."""
+    """A p-group Z/q_1 x ... x Z/q_s with atom bookkeeping.
+
+    Elements are indexed in itertools.product order, so the zero is 0. The
+    DP tables are built on first use, per instance.
+    """
 
     def __init__(self, p: int, chain: tuple[int, ...]):
         self.p = p
@@ -327,6 +342,8 @@ class _PrimaryGroup:
             self.atom_of[v] = atoms[canon]
         self.atom_count = len(atoms)
         self.nonzero = [v for v in self.elements if v != self.zero]
+        # atoms[i] is the atom of elements[i]; the zero gets atom_count
+        self.atoms = np.array([self.atom_of.get(v, self.atom_count) for v in self.elements])
 
     def _order(self, v: tuple[int, ...]) -> int:
         return math.lcm(*[q // math.gcd(x, q) for x, q in zip(v, self.chain)]) if any(v) else 1
@@ -339,66 +356,71 @@ class _PrimaryGroup:
         # quotient, which is coordinatewise reduction mod p
         return _rank_mod_p([[x % self.p for x in v] for v in vs], self.p) == self.rank
 
-    def allowed_elements(self, allowed_atoms: frozenset[int]) -> list:
-        return [v for v in self.nonzero if self.atom_of[v] in allowed_atoms]
+    @functools.cached_property
+    def add_table(self) -> np.ndarray:
+        """add_table[i, j] is the index of elements[i] + elements[j]."""
+        coords = np.array(self.elements)
+        return _ravel((coords[:, None] + coords[None]) % self.chain, self.chain)
+
+    @functools.cached_property
+    def span_tables(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(join, reduce, full) over the subspaces of F_p^rank, by index, with
+        0 the zero subspace: join[V, w] is the index of V + <w> for each
+        vector w, reduce[i] the vector of elements[i] mod p, and full the
+        index of the whole space."""
+        p, dims = self.p, (self.p,) * self.rank
+        vecs = np.array(list(itertools.product(range(p), repeat=self.rank)))
+        n = len(vecs)
+        vsum = _ravel((vecs[:, None] + vecs[None]) % p, dims)
+        lines = _ravel((np.arange(p)[:, None, None] * vecs[None]) % p, dims)
+        index: dict[bytes, int] = {}
+        members: list[np.ndarray] = []
+
+        def intern(mask: np.ndarray) -> int:
+            key = mask.tobytes()
+            if key not in index:
+                index[key] = len(members)
+                members.append(np.flatnonzero(mask))
+            return index[key]
+
+        intern(np.arange(n) == 0)
+        join = []
+        while len(join) < len(members):
+            # V + <w> = {v + c w}: one membership row per vector w
+            masks = np.zeros((n, n), dtype=bool)
+            masks[np.arange(n), vsum[members[len(join)][:, None, None], lines]] = True
+            join.append([intern(mask) for mask in masks])
+        return np.array(join), _ravel(np.array(self.elements) % p, dims), index[np.ones(n, bool).tobytes()]
 
 
-def _mod_p_reduce(basis: list, v, p: int):
-    """Reduce v against an echelon basis of (pivot, row) pairs; return the
-    extended basis if v is independent, else None."""
-    row = list(v)
-    for pc, br in basis:
-        if row[pc] % p:
-            f = (row[pc] * pow(br[pc], -1, p)) % p
-            row = [(a - f * b) % p for a, b in zip(row, br)]
-    piv = next((i for i, a in enumerate(row) if a % p), None)
-    if piv is None:
-        return None
-    return basis + [(piv, row)]
+def _achievable_counts(
+    gp: _PrimaryGroup, allowed_atoms: frozenset[int], r_max: int
+) -> frozenset[int]:
+    """Which k <= r_max admit k nonzero entries with atoms inside
+    allowed_atoms, zero sum, spanning the whole p-group.
 
-
-def _suffix_sums(gp: _PrimaryGroup, elems: list, r: int) -> list[list[set]]:
-    """sums[pos][k] = totals achievable with k entries drawn (with repeats,
-    non-decreasing) from elems[pos:]."""
-    n = len(elems)
-    sums: list[list[set]] = [[set() for _ in range(r + 1)] for _ in range(n + 1)]
-    for pos in range(n + 1):
-        sums[pos][0].add(gp.zero)
-    for pos in range(n - 1, -1, -1):
-        for k in range(1, r + 1):
-            acc = set(sums[pos + 1][k])
-            for s in sums[pos][k - 1]:
-                acc.add(gp.add(s, elems[pos]))
-            sums[pos][k] = acc
-    return sums
-
-
-def _has_system(gp: _PrimaryGroup, allowed_atoms: frozenset[int], r: int) -> bool:
-    """Is there an r-tuple of nonzero entries with atoms inside allowed_atoms,
-    zero sum, spanning the whole p-group?"""
-    elems = gp.allowed_elements(allowed_atoms)
-    if len(elems) == 0 or not gp.spans(elems):
-        return False
-    p = gp.p
-    sums = _suffix_sums(gp, elems, r)
-    reduced = [[x % p for x in v] for v in elems]
-
-    def dfs(pos: int, count: int, total, basis: list) -> bool:
-        left = r - count
-        if left == 0:
-            return total == gp.zero and len(basis) == gp.rank
-        if len(basis) + left < gp.rank:
-            return False
-        need = tuple((-x) % q for x, q in zip(total, gp.chain))
-        if need not in sums[pos][left]:
-            return False
-        for i in range(pos, len(elems)):
-            ext = _mod_p_reduce(basis, reduced[i], p)
-            if dfs(i, count + 1, gp.add(total, elems[i]), ext if ext else basis):
-                return True
-        return False
-
-    return dfs(0, 0, gp.zero, [])
+    S_k, the (sum, span of the mod-p images) pairs of k-entry multisets, is
+    {(s + e, span + <e mod p>) : (s, span) in S_{k-1}, e allowed}, from
+    S_0 = {(0, 0)}; k is achievable iff (0, whole space) lies in S_k. A
+    pair is held as sum * (number of subspaces) + span.
+    """
+    join, reduce, full = gp.span_tables
+    allowed = np.zeros(gp.atom_count + 1, dtype=bool)
+    allowed[list(allowed_atoms)] = True
+    elems = np.flatnonzero(allowed[gp.atoms])
+    n_spans = len(join)
+    next_sum = gp.add_table[:, elems] * n_spans
+    next_span = join[:, reduce[elems]]
+    reached = np.zeros(gp.order * n_spans, dtype=bool)
+    reached[0] = True
+    out = []
+    for k in range(1, r_max + 1):
+        s, span = np.divmod(np.flatnonzero(reached), n_spans)
+        reached = np.zeros_like(reached)
+        reached[next_sum[s] + next_span[span]] = True
+        if reached[full]:
+            out.append(k)
+    return frozenset(out)
 
 
 def _quick_yes(gp: _PrimaryGroup, r1: int, r2: int) -> bool:
@@ -437,38 +459,9 @@ def _quick_yes(gp: _PrimaryGroup, r1: int, r2: int) -> bool:
             tried.add(fp)
             if len(tried) > 60:
                 return False
-            if _has_system(gp, atoms - fp, r2):
+            if r2 in _achievable_counts(gp, atoms - fp, r2):
                 return True
     return False
-
-
-def _achievable_counts(
-    gp: _PrimaryGroup, allowed_atoms: frozenset[int], r_max: int, memo: dict
-) -> frozenset[int]:
-    """Which k <= r_max admit k nonzero entries with atoms inside
-    allowed_atoms, zero sum, spanning the whole p-group."""
-    key = (allowed_atoms, r_max)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    elems = gp.allowed_elements(allowed_atoms)
-    results: set[int] = set()
-    if elems and gp.spans(elems):
-
-        def dfs(pos: int, count: int, total, chosen: list):
-            if count >= gp.rank and total == gp.zero and gp.spans(chosen):
-                results.add(count)
-            if count == r_max:
-                return
-            for i in range(pos, len(elems)):
-                chosen.append(elems[i])
-                dfs(i, count + 1, gp.add(total, elems[i]), chosen)
-                chosen.pop()
-
-        dfs(0, 0, gp.zero, [])
-    out = frozenset(results)
-    memo[key] = out
-    return out
 
 
 def _single_prime_admits(gp: _PrimaryGroup, r1: int, r2: int) -> bool:
@@ -494,7 +487,7 @@ def _single_prime_admits(gp: _PrimaryGroup, r1: int, r2: int) -> bool:
             for r, mine, other in passes:
                 if size > r or any(m <= fs for m in mine):
                     continue
-                if not _has_system(gp, fs, r):
+                if r not in _achievable_counts(gp, fs, r):
                     continue
                 mine.append(fs)
                 if any(not (fs & o) for o in other):
@@ -510,14 +503,14 @@ def brute_force_admits(chain: tuple[int, ...], r1: int, r2: int) -> bool:
     if not chain:
         return False
     primary = _primary_chains(chain)
-    groups = {p: _PrimaryGroup(p, pc) for p, pc in primary.items()}
-    for gp in groups.values():
-        if gp.rank > min(r1, r2) - 1:
+    for pc in primary.values():
+        if len(pc) > min(r1, r2) - 1:
             return False
         # a rank-1 primary part is cyclic: its unique minimal subgroup lies
         # inside every generating set's Sigma, so the two sides always collide
-        if gp.rank == 1:
+        if len(pc) == 1:
             return False
+    groups = {p: _PrimaryGroup(p, pc) for p, pc in primary.items()}
 
     if len(groups) == 1:
         return _single_prime_admits(next(iter(groups.values())), r1, r2)
@@ -531,18 +524,15 @@ def brute_force_admits(chain: tuple[int, ...], r1: int, r2: int) -> bool:
                 f"existence search over 2^{gp.atom_count} atom splits for p = {p}",
                 required=2**gp.atom_count,
             )
-        atoms = frozenset(range(gp.atom_count))
-        memo: dict = {}
+        full = 2**gp.atom_count - 1
+        subsets = (frozenset(a for a in range(gp.atom_count) if bits >> a & 1) for bits in range(full + 1))
+        counts = [_achievable_counts(gp, s, max(r1, r2)) for s in subsets]
         best: set[tuple[int, int]] = set()
-        for bits in range(1, 2**gp.atom_count - 1):
-            s1 = frozenset(a for a in atoms if bits & (1 << a))
-            k1 = _achievable_counts(gp, s1, r1, memo)
-            if not k1:
-                continue
-            k2 = _achievable_counts(gp, atoms - s1, r2, memo)
-            if not k2:
-                continue
-            best.add((max(k1), max(k2)))
+        for bits in range(1, full):
+            k1 = [k for k in counts[bits] if k <= r1]
+            k2 = [k for k in counts[full ^ bits] if k <= r2]
+            if k1 and k2:
+                best.add((max(k1), max(k2)))
         if not best:
             return False
         per_prime.append(best)

@@ -259,29 +259,33 @@ def _backtracking_auts(G: Group) -> AutGroup:
         phi = _extend_homomorphism(G, gens, images)
         if phi is not None:
             maps.append(phi)
-    return AutGroup(G, len(maps), _greedy_map_generators(G, maps))
+    order, kept = _generating_subset(maps, gens)
+    if order != len(maps):
+        raise AssertionError(f"Aut({G.name}): the kept maps generate {order} of {len(maps)}")
+    return AutGroup(G, order, tuple(maps[k] for k in kept))
 
 
-def _greedy_map_generators(G: Group, maps) -> tuple[tuple[int, ...], ...]:
-    ident = tuple(G.elements())
-    gens: list = []
-    closed = {ident}
-    closed_list = [ident]
-    for cand in maps:
-        if cand in closed:
+def _generating_subset(maps: list[list[int]], gens: tuple[int, ...]) -> tuple[int, list[int]]:
+    """|<maps>| and the positions of the maps that enlarge the group of the
+    ones kept before them, a generating set without redundant members.
+
+    Closure runs on the images of the generating tuple gens, which fix an
+    automorphism, since (s o h)(g) = s(h(g)).
+    """
+    kept: list[int] = []
+    seen = {gens}
+    for pos, s in enumerate(maps):
+        if tuple(s[v] for v in gens) in seen:
             continue
-        gens.append(cand)
-        frontier = closed_list[:]
+        kept.append(pos)
+        frontier = list(seen)
         while frontier:
-            nxt = []
-            for m in frontier:
-                for g in gens:
-                    c = tuple(g[x] for x in m)  # m, then g
-                    if c not in closed:
-                        closed.add(c)
-                        closed_list.append(c)
-                        nxt.append(c)
-            frontier = nxt
-        if len(closed) == len(maps):
-            break
-    return tuple(gens)
+            grown = []
+            for t in frontier:
+                for k in kept:
+                    img = tuple(maps[k][v] for v in t)
+                    if img not in seen:
+                        seen.add(img)
+                        grown.append(img)
+            frontier = grown
+    return len(seen), kept

@@ -37,7 +37,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .automorphisms import automorphism_group, inner_automorphisms, minimal_generating_tuple
+from .automorphisms import (
+    _generating_subset,
+    automorphism_group,
+    inner_automorphisms,
+    minimal_generating_tuple,
+)
 from .errors import BudgetExceeded, UserInputError
 from .groups import Group, index_dtype
 from .moves import available_moves, apply_move, convention_self_check
@@ -378,32 +383,6 @@ def _stabilizer_gens(
     ).reshape(len(first), G.order)
     pairs = np.unique(root[moved % n] * len(first) + which.ravel())
     return stab, pairs // len(first), pairs % len(first)
-
-
-def _generating_subset(maps: list[list[int]], gens: tuple[int, ...]) -> tuple[int, list[int]]:
-    """|<maps>| and the positions of the maps that enlarge the group of the
-    ones kept before them, a generating set without redundant members.
-
-    Closure runs on the images of the generating tuple gens, which fix an
-    automorphism, since (s o h)(g) = s(h(g)).
-    """
-    kept: list[int] = []
-    seen = {gens}
-    for pos, s in enumerate(maps):
-        if tuple(s[v] for v in gens) in seen:
-            continue
-        kept.append(pos)
-        frontier = list(seen)
-        while frontier:
-            grown = []
-            for t in frontier:
-                for k in kept:
-                    img = tuple(maps[k][v] for v in t)
-                    if img not in seen:
-                        seen.add(img)
-                        grown.append(img)
-            frontier = grown
-    return len(seen), kept
 
 
 def _count_pairs(

@@ -15,7 +15,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
@@ -50,8 +49,22 @@ class SignatureType:
         return SignatureType(self.gprime, tuple(sorted(self.periods)))
 
     def orderings(self) -> list[tuple[int, ...]]:
-        """Distinct orderings of the period multiset, lexicographically."""
-        return sorted(set(permutations(self.periods)))
+        """Distinct orderings of the period multiset, lexicographically: next
+        permutation from the ascending order, so each is built once."""
+        p = sorted(self.periods)
+        out = [tuple(p)]
+        while True:
+            i = len(p) - 2
+            while i >= 0 and p[i] >= p[i + 1]:
+                i -= 1
+            if i < 0:
+                return out
+            j = len(p) - 1
+            while p[j] <= p[i]:
+                j -= 1
+            p[i], p[j] = p[j], p[i]
+            p[i + 1 :] = reversed(p[i + 1 :])
+            out.append(tuple(p))
 
     def __str__(self) -> str:
         return f"{self.gprime}|" + ",".join(str(m) for m in self.periods)

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from hurwitz_components import abelian
 from hurwitz_components.abelian import (
     SIX_RENORMALIZERS,
     AbelianProfile,
+    _achievable_counts,
+    _PrimaryGroup,
     admits_unmixed_abelian,
     brute_force_admits,
     n_count,
@@ -173,3 +177,95 @@ def test_criterion_vs_search_random_sample(rng):
             want = brute_force_admits(chain, r1, r2)
             got = admits_unmixed_abelian(prof, r1, r2).admits
             assert want == got, (chain, r1, r2)
+
+
+def test_rank_six_is_refused_before_any_search(monkeypatch):
+    # rank 6 > r - 1: no p-group is built, so neither are the 2,825 subspaces of F_2^6
+    monkeypatch.setattr(abelian, "_PrimaryGroup", lambda p, chain: pytest.fail("built a p-group"))
+    assert brute_force_admits((2,) * 6, 5, 5) is False
+
+
+# -- the reachable-state DP against the depth-first search it replaced ------
+
+
+def _ref_mod_p_reduce(basis, v, p):
+    row = list(v)
+    for pc, br in basis:
+        if row[pc] % p:
+            f = (row[pc] * pow(br[pc], -1, p)) % p
+            row = [(a - f * b) % p for a, b in zip(row, br)]
+    piv = next((i for i, a in enumerate(row) if a % p), None)
+    if piv is None:
+        return None
+    return basis + [(piv, row)]
+
+
+def _ref_suffix_sums(gp, elems, r):
+    # sums[pos][k]: totals of k entries drawn non-decreasingly from elems[pos:]
+    sums = [[set() for _ in range(r + 1)] for _ in range(len(elems) + 1)]
+    for pos in range(len(elems) + 1):
+        sums[pos][0].add(gp.zero)
+    for pos in range(len(elems) - 1, -1, -1):
+        for k in range(1, r + 1):
+            acc = set(sums[pos + 1][k])
+            for s in sums[pos][k - 1]:
+                acc.add(gp.add(s, elems[pos]))
+            sums[pos][k] = acc
+    return sums
+
+
+def _ref_has_system(gp, allowed_atoms, r):
+    """Depth-first search over non-decreasing r-tuples, pruned by suffix sums
+    and by the rank still reachable."""
+    elems = [v for v in gp.nonzero if gp.atom_of[v] in allowed_atoms]
+    if not elems or not gp.spans(elems):
+        return False
+    p = gp.p
+    sums = _ref_suffix_sums(gp, elems, r)
+    reduced = [[x % p for x in v] for v in elems]
+
+    def dfs(pos, count, total, basis):
+        left = r - count
+        if left == 0:
+            return total == gp.zero and len(basis) == gp.rank
+        if len(basis) + left < gp.rank:
+            return False
+        need = tuple((-x) % q for x, q in zip(total, gp.chain))
+        if need not in sums[pos][left]:
+            return False
+        for i in range(pos, len(elems)):
+            ext = _ref_mod_p_reduce(basis, reduced[i], p)
+            if dfs(i, count + 1, gp.add(total, elems[i]), ext if ext else basis):
+                return True
+        return False
+
+    return dfs(0, 0, gp.zero, [])
+
+
+# Every primary group criterion 5's loop searches (rank 2-4, order <= 100),
+# except (4, 4, 4), where the reference search alone takes half a minute.
+SEARCHED_PRIMARY = [
+    (2, 2), (2, 4), (2, 8), (2, 16), (2, 32), (4, 4), (4, 8), (4, 16), (8, 8),
+    (3, 3), (3, 9), (3, 27), (9, 9), (5, 5), (7, 7),
+    (2, 2, 2), (2, 2, 4), (2, 2, 8), (2, 2, 16), (2, 4, 4), (2, 4, 8), (3, 3, 3), (3, 3, 9),
+    (2, 2, 2, 2), (2, 2, 2, 4), (2, 2, 2, 8), (2, 2, 4, 4), (3, 3, 3, 3),
+]
+
+
+def test_achievable_counts_match_reference_search():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for chain in SEARCHED_PRIMARY:
+        gp = _PrimaryGroup(next(p for p in (2, 3, 5, 7) if chain[0] % p == 0), chain)
+        atoms = list(range(gp.atom_count))
+        atom_sets = [frozenset(atoms)] + [
+            frozenset(rng.sample(atoms, rng.randint(gp.rank, max(gp.rank, gp.atom_count // 2)))) for _ in range(2)
+        ]
+        for r in (3, 4, 5):
+            if gp.rank > r - 1:
+                continue
+            for allowed in atom_sets:
+                want = _ref_has_system(gp, allowed, r)
+                assert (r in _achievable_counts(gp, allowed, r)) == want, (chain, sorted(allowed), r)
+                outcomes.add(want)
+    assert outcomes == {True, False}

@@ -5,6 +5,7 @@ import math
 import pytest
 import sympy
 
+from hurwitz_components import automorphisms
 from hurwitz_components.automorphisms import (
     _backtracking_auts,
     automorphism_group,
@@ -143,3 +144,10 @@ def test_minimal_generating_tuple_is_searched_once_per_group(monkeypatch):
     monkeypatch.setattr(G, "generates", lambda xs: pytest.fail("searched again"))
     assert minimal_generating_tuple(G) is gens
     assert minimal_generating_tuple(construct_group("Sym:4")) == gens  # a new group searches anew
+
+
+def test_backtracking_refuses_generators_that_miss_maps(monkeypatch):
+    # a kept set that closes to fewer maps than backtracking found is an error
+    monkeypatch.setattr(automorphisms, "_generating_subset", lambda maps, gens: (len(maps) - 1, [0]))
+    with pytest.raises(AssertionError):
+        _backtracking_auts(AbelianGroup([2, 4]))

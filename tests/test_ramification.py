@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -32,6 +32,18 @@ def test_type_parse_and_str_roundtrip():
     assert (tau.gprime, tau.periods) == (1, (3, 2))
     assert tau.canonical() == (1, (2, 3))
     assert tau.orderings() == [(2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize(
+    "periods", [(), (2,), (3, 2), (3, 2, 2), (2, 3, 3, 4), (5, 2, 5, 2, 7), (4, 4, 2, 2, 3, 3)]
+)
+def test_orderings_are_the_distinct_permutations_in_order(periods):
+    assert SignatureType(0, periods).orderings() == sorted(set(permutations(periods)))
+
+
+def test_orderings_of_equal_periods_is_one_ordering():
+    # twelve equal periods: 12! permutations, one ordering
+    assert SignatureType(0, (2,) * 12).orderings() == [(2,) * 12]
 
 
 @pytest.mark.parametrize("text", ["5,5,5", "-1|2", "0|1", "0|2,x", "a|2"])
