@@ -82,16 +82,8 @@ class Group:
         self._table: list[list[int]] | None = None
         self._inv: list[int] | None = None
         if n <= TABLE_LIMIT:
-            self._table = [[self._mul_raw(x, y) for y in range(n)] for x in range(n)]
-            e = self.identity
-            inv = [-1] * n
-            for x in range(n):
-                row = self._table[x]
-                for y in range(n):
-                    if row[y] == e:
-                        inv[x] = y
-                        break
-            self._inv = inv
+            self._table = self._mul_table()
+            self._inv = [row.index(self.identity) for row in self._table]
         self._mul_array: np.ndarray | None = None
         self._inv_array: np.ndarray | None = None
         self._orders: list[int] | None = None
@@ -104,6 +96,11 @@ class Group:
     # -- backend hooks -------------------------------------------------
     def _mul_raw(self, x: int, y: int) -> int:
         raise NotImplementedError
+
+    def _mul_table(self) -> list[list[int]]:
+        """The full multiplication table, row x holding x * y for every y."""
+        n = self.order
+        return [[self._mul_raw(x, y) for y in range(n)] for x in range(n)]
 
     def _inv_raw(self, x: int) -> int:
         raise NotImplementedError
@@ -250,20 +247,34 @@ class Group:
 class SubgroupJoins:
     """Ids of the subgroups of one group that tuples of its elements generate.
 
-    Id 0 is the trivial subgroup. Each subgroup keeps a short generating
-    tuple, and <H, x> is closed from that tuple plus x once per distinct
-    (H, x) pair; the ids of the joins are kept in a dense table. The
-    group keeps one (Group.subgroup_joins), so every enumeration of its
-    systems reuses the closures of the ones before.
+    Id 0 is the trivial subgroup. Each subgroup keeps its members (a sorted
+    index array), its order and a short generating tuple; the ids of the
+    joins <H, y> are kept in a dense table, filled on demand. The group
+    keeps one (Group.subgroup_joins), so every enumeration of its systems
+    reuses the joins of the ones before. A join is found without listing
+    <H, y> element by element:
+
+    * Lagrange shortcut: |<H, y>| is a multiple of lcm(|H|, ord y) that
+      divides |G| and exceeds |H|. When |G| is the only such divisor, the
+      join is G.
+    * Coset closure: otherwise <H, y> grows as a union of right cosets H r.
+      For each representative r and each generator s of H plus y, a product
+      r s outside the union adds its whole coset H (r s).
+    * Coset fills: <H, a y> = <H, y a> = <H, y> for every a in H, so one join
+      fills the row of H on both cosets H y and y H, and a new subgroup K
+      fills its own row on K with its id.
     """
 
     def __init__(self, G: Group) -> None:
         self.G = G
-        trivial = frozenset((G.identity,))
-        self.members = [trivial]
-        self.gens: list[tuple[int, ...]] = [()]
-        self.ids = {trivial: 0}
-        self.table = np.full((1, G.order), -1, dtype=np.int32)
+        n = G.order
+        self.divisors = [d for d in range(1, n + 1) if n % d == 0]
+        self.members: list[np.ndarray] = []
+        self.gens: list[tuple[int, ...]] = []
+        self.ids: dict[bytes, int] = {}
+        self.orders = np.zeros(1, dtype=np.int64)
+        self.table = np.full((1, n), -1, dtype=np.int32)
+        self._subgroup(np.array([G.identity], dtype=index_dtype(n)), ())
 
     def join(self, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The id of <H, x> for each subgroup id H and element x."""
@@ -273,29 +284,53 @@ class SubgroupJoins:
             n = self.G.order
             for key in np.unique(ids[todo].astype(np.int64) * n + x[todo]).tolist():
                 h, y = divmod(key, n)
-                self.table[h, y] = self._close(h, y)
+                if self.table[h, y] < 0:  # not filled by an earlier coset
+                    self._close(h, y)
             got = self.table[ids, x]
         return got
 
-    def _close(self, h: int, y: int) -> int:
-        if y in self.members[h]:
-            return h
+    def _close(self, h: int, y: int) -> None:
+        """Find <H, y> for y not in H and fill the row of H on H y and y H."""
+        G = self.G
+        H = self.members[h]
         gens = self.gens[h] + (y,)
-        members = self.G.closure(gens)
-        got = self.ids.get(members)
+        step = math.lcm(len(H), G.element_order(y))
+        if any(len(H) < d < G.order and d % step == 0 for d in self.divisors):
+            coset = H.tolist()
+            seen = set(coset)
+            reps = [G.identity]
+            for r in reps:  # grows while it is walked
+                for s in gens:
+                    z = G.mul(r, s)
+                    if z not in seen:
+                        seen.update([G.mul(a, z) for a in coset])
+                        reps.append(z)
+            members = np.array(sorted(seen), dtype=H.dtype)
+        else:
+            members = np.arange(G.order, dtype=H.dtype)
+        got = self._subgroup(members, gens)
+        self.table[h, G.mul_array(H, y)] = got
+        self.table[h, G.mul_array(y, H)] = got
+
+    def _subgroup(self, members: np.ndarray, gens: tuple[int, ...]) -> int:
+        """The id of the subgroup with these sorted members, added if new."""
+        key = members.tobytes()
+        got = self.ids.get(key)
         if got is None:
             got = len(self.gens)
-            self.ids[members] = got
+            self.ids[key] = got
             self.members.append(members)
             self.gens.append(gens)
             if got == len(self.table):
                 self.table = np.concatenate([self.table, np.full_like(self.table, -1)])
+                self.orders = np.concatenate([self.orders, np.zeros_like(self.orders)])
+            self.orders[got] = len(members)
+            self.table[got, members] = got
         return got
 
     def generates(self, ids: np.ndarray) -> np.ndarray:
         """Whether each subgroup id is the whole group."""
-        orders = np.array([len(m) for m in self.members])
-        return orders[ids] == self.G.order
+        return self.orders[ids] == self.G.order
 
 
 class AbelianGroup(Group):
@@ -343,6 +378,14 @@ class AbelianGroup(Group):
     def _mul_raw(self, x: int, y: int) -> int:
         vx, vy = self._vectors[x], self._vectors[y]
         return self.encode(a + b for a, b in zip(vx, vy))
+
+    def _mul_table(self) -> list[list[int]]:
+        # One coordinate at a time, so no temporary holds more than |G|^2 entries.
+        V = np.array(self._vectors, dtype=np.int64)
+        table = np.zeros((self.order, self.order), dtype=np.int64)
+        for v, m, s in zip(V.T, self.moduli, self._strides):
+            table += (v[:, None] + v[None, :]) % m * s
+        return table.tolist()
 
     def _inv_raw(self, x: int) -> int:
         return self.encode(-a for a in self._vectors[x])

@@ -10,11 +10,13 @@ from hurwitz_components.errors import UserInputError
 from hurwitz_components.groups import (
     AbelianGroup,
     CayleyGroup,
+    Group,
     PermutationGroup,
     TABLE_LIMIT,
     construct_group,
     invariant_factors,
 )
+from hurwitz_components.ramification import SignatureType, enumerate_systems
 
 
 @pytest.mark.parametrize("spec", ["Sym:7", "Zn:37,37", "Sym:4", "Zn:5,5", "q8"])
@@ -180,3 +182,36 @@ def test_trivial_group():
     assert G.order == 1
     assert math.prod([G.mul(0, 0) + 1]) == 1
     assert G.generates(())
+
+
+@pytest.mark.parametrize(
+    "spec,texts",
+    [
+        ("Zn:7,7", ("0|7,7,7",)),
+        ("Zn:2,4", ("0|2,4,4", "1|2,2", "2|")),
+        ("Zn:2,2,2", ("0|2,2,2,2", "1|2,2")),
+        ("Sym:4", ("0|2,3,4", "0|3,4,4", "1|2")),
+        ("Alt:5", ("0|2,5,5", "0|3,3,5")),
+        ("q8", ("0|4,4,4", "1|2")),
+    ],
+)
+def test_join_table_names_plain_closures(spec, texts, q8):
+    G = q8 if spec == "q8" else construct_group(spec)
+    for text in texts:
+        enumerate_systems(G, SignatureType.parse(text))
+    joins = G.subgroup_joins()
+    subgroups = [frozenset(m.tolist()) for m in joins.members]
+    assert len(set(subgroups)) == len(subgroups)
+    for h, gens in enumerate(joins.gens):
+        assert subgroups[h] == G.closure(gens) and joins.orders[h] == len(subgroups[h])
+    filled = np.argwhere(joins.table[: len(subgroups)] >= 0).tolist()
+    assert len(filled) > G.order
+    for h, y in filled:
+        assert subgroups[joins.table[h, y]] == G.closure(joins.gens[h] + (y,))
+
+
+@pytest.mark.parametrize("spec", ["Zn:1", "Zn:6,10", "Zn:2,4,8", "Zn:13,13"])
+def test_abelian_table_matches_elementwise_products(spec):
+    G = construct_group(spec)
+    assert G._mul_table() == Group._mul_table(G)
+    assert [G.mul(x, G.inv(x)) for x in G.elements()] == [G.identity] * G.order

@@ -111,6 +111,23 @@ def test_enumerate_array_matches_product_reference(spec, text, q8):
     assert want and list(map(tuple, got.tolist())) == want
 
 
+@pytest.mark.parametrize(
+    "spec,texts",
+    [
+        ("Sym:4", ("0|3,4,4", "0|2,3,4", "1|3", "0|4,3,2")),
+        ("Zn:5,5", ("1|", "0|5,5,5")),
+    ],
+)
+def test_enumerations_on_one_join_table_match_product_reference(spec, texts):
+    # One group object, so later types read joins that earlier ones filled.
+    G = construct_group(spec)
+    for text in texts:
+        tau = SignatureType.parse(text)
+        k = 2 * tau.gprime + tau.r
+        want = [ent for ent in product(G.elements(), repeat=k) if system_valid(G, tau, ent)]
+        assert want and enumerate_systems(G, tau).tolist() == list(map(list, want))
+
+
 def test_enumerate_without_tables_uses_native_arithmetic():
     G = construct_group("Zn:1031")  # order above TABLE_LIMIT: no tables
     got = enumerate_systems(G, SignatureType(0, (1031, 1031)))
@@ -123,11 +140,13 @@ def test_enumerations_of_one_group_share_its_join_table(monkeypatch):
     fresh = [enumerate_systems(construct_group("Sym:4"), SignatureType(0, o)) for o in tau.orderings()]
     G = construct_group("Sym:4")
     joins = G.subgroup_joins()
+    closed = []
+    real = joins._close
+    monkeypatch.setattr(joins, "_close", lambda h, y: closed.append((h, y)) or real(h, y))
     first = [enumerate_systems(G, SignatureType(0, o)) for o in tau.orderings()]
     assert G.subgroup_joins() is joins and len(joins.members) > 1
-    closed = []
-    real = G.closure
-    monkeypatch.setattr(G, "closure", lambda gens: closed.append(gens) or real(gens))
+    assert closed  # the first enumerations fill the table
+    closed.clear()
     again = [enumerate_systems(G, SignatureType(0, o)) for o in tau.orderings()]
     assert closed == []  # every join is already in the group's table
     for a, b, c in zip(fresh, first, again):
