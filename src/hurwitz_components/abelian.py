@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, UserInputError
-from .groups import AbelianGroup, _rank_mod_p, prime_factorization
+from .groups import AbelianGroup, prime_factorization
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +311,34 @@ def _primary_chains(chain: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
 def _ravel(coords: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """Indices, in itertools.product order, of coordinate rows (last axis)."""
     return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)), dims)
+
+
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Gaussian elimination rank over F_p."""
+    rows = [r[:] for r in rows]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] % p:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(a * inv) % p for a in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 class _PrimaryGroup:

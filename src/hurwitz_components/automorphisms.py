@@ -18,15 +18,15 @@ known family (Seress, Permutation Group Algorithms, ch. 4):
   generated by the transposition (0 1) and the n-cycle (0 1 ... n-1).
 
 Every other group (Cayley tables, non-homocyclic abelian groups, degree
-6) goes through backtracking over images of a minimal generating tuple;
-that route is also the reference the family rules are tested against.
-Inn(G) is conjugation by a minimal generating tuple.
+6) goes through backtracking over images of the group's generating tuple
+(Group.generating_tuple); that route is also the reference the family
+rules are tested against. Inn(G) is conjugation by the same tuple.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from .errors import BudgetExceeded
 from .groups import AbelianGroup, Group, PermutationGroup, prime_factorization
@@ -69,12 +69,12 @@ def _distinct_maps(G: Group, maps) -> tuple[tuple[int, ...], ...]:
 
 
 def inner_automorphisms(G: Group) -> tuple[tuple[int, ...], ...]:
-    """Generators of Inn(G): x -> g^-1 x g for g in a minimal generating tuple.
+    """Generators of Inn(G): x -> g^-1 x g for g in the generating tuple.
 
     Identity maps and repeats are dropped, so an abelian group has none.
     """
     return _distinct_maps(
-        G, (tuple(G.conj(x, g) for x in G.elements()) for g in minimal_generating_tuple(G))
+        G, (tuple(G.conj(x, g) for x in G.elements()) for g in G.generating_tuple())
     )
 
 
@@ -163,50 +163,6 @@ def _conjugation_auts(G: PermutationGroup) -> AutGroup:
 
 
 # -- generic backtracking -------------------------------------------------
-def minimal_generating_tuple(G: Group) -> tuple[int, ...]:
-    """A short generating tuple of G, searched once per group and kept on it."""
-    if G._generating_tuple is None:
-        G._generating_tuple = _search_generating_tuple(G)
-    return G._generating_tuple
-
-
-def _search_generating_tuple(G: Group) -> tuple[int, ...]:
-    if G.order == 1:
-        return ()
-    if isinstance(G, AbelianGroup):
-        gens = []
-        for i in range(len(G.moduli)):
-            v = [0] * len(G.moduli)
-            v[i] = 1
-            gens.append(G.encode(v))
-        return tuple(gens)
-    elems = [x for x in G.elements() if x != G.identity]
-    for d in (1, 2, 3):
-        count = math.comb(len(elems), d)
-        if count > 100_000:
-            break
-        for combo in combinations(elems, d):
-            if G.generates(combo):
-                return combo
-    # Greedy fallback: always terminates, possibly non-minimal.
-    gens: list[int] = []
-    closed = G.closure(gens)
-    while len(closed) < G.order:
-        best = None
-        best_size = len(closed)
-        for x in G.elements():
-            if x in closed:
-                continue
-            size = len(G.closure(gens + [x]))
-            if size > best_size:
-                best, best_size = x, size
-                if size == G.order:
-                    break
-        gens.append(best)
-        closed = G.closure(gens)
-    return tuple(gens)
-
-
 def _extend_homomorphism(G: Group, gens, images) -> tuple[int, ...] | None:
     """Extend gens -> images to a map on all of G via BFS replay; None if inconsistent."""
     n = G.order
@@ -242,7 +198,7 @@ def _extend_homomorphism(G: Group, gens, images) -> tuple[int, ...] | None:
 
 
 def _backtracking_auts(G: Group) -> AutGroup:
-    gens = minimal_generating_tuple(G)
+    gens = G.generating_tuple()
     orders = [G.element_order(g) for g in gens]
     candidates = [
         [x for x in G.elements() if G.element_order(x) == o] for o in orders

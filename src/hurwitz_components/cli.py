@@ -63,6 +63,12 @@ class _Parser(argparse.ArgumentParser):
         raise UserInputError(message)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def _canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -83,7 +89,7 @@ def _cache_key(payload: dict) -> str:
 
 def _config_from_args(args) -> EquivalenceConfig:
     cfg = EquivalenceConfig()
-    if getattr(args, "budget", None):
+    if getattr(args, "budget", None) is not None:
         cfg.max_systems = args.budget
     cfg.seed = getattr(args, "seed", 0)
     cfg.representatives = bool(getattr(args, "representatives", False))
@@ -170,7 +176,10 @@ def _cmd_count(args) -> str:
     doc.update(report.to_json_dict())
     out = _canonical_json(doc)
     if cache_file is not None:
-        _write_cache_entry(cache_file, out)
+        try:
+            _write_cache_entry(cache_file, out)
+        except OSError as exc:
+            print(f"warning: result not cached: {exc}", file=sys.stderr)
     return out
 
 
@@ -509,7 +518,9 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--seed", type=int, default=0)
         if budget:
-            p.add_argument("--budget", type=int, default=None, help="max candidate systems")
+            p.add_argument(
+                "--budget", type=_positive_int, default=None, help="max candidate systems"
+            )
         if cache:
             p.add_argument("--no-cache", action="store_true")
             p.add_argument("--cache-dir", default=None)

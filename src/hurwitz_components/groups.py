@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +91,7 @@ class Group:
         self._cyclic: dict[int, frozenset[int]] = {}
         self._classes: dict[int, frozenset[int]] = {}
         self._joins: SubgroupJoins | None = None
-        self._generating_tuple: tuple[int, ...] | None = None  # automorphisms.minimal_generating_tuple
+        self._generating_tuple: tuple[int, ...] | None = None
 
     # -- backend hooks -------------------------------------------------
     def _mul_raw(self, x: int, y: int) -> int:
@@ -193,11 +193,21 @@ class Group:
         return got
 
     def conjugacy_class(self, x: int) -> frozenset[int]:
-        """{g^-1 x g : g in G}, cached per element."""
+        """{g^-1 x g : g in G}, the orbit of x under conjugation by the
+        generating tuple; kept for every member of the class."""
         got = self._classes.get(x)
         if got is None:
-            got = frozenset(self.conj(x, g) for g in self.elements())
-            self._classes[x] = got
+            gens = self.generating_tuple()
+            seen = {x}
+            todo = [x]
+            for y in todo:  # grows while it is walked
+                for g in gens:
+                    z = self.conj(y, g)
+                    if z not in seen:
+                        seen.add(z)
+                        todo.append(z)
+            got = frozenset(seen)
+            self._classes.update(dict.fromkeys(got, got))
         return got
 
     def closure(self, gens) -> frozenset[int]:
@@ -222,6 +232,42 @@ class Group:
     def generates(self, gens) -> bool:
         return len(self.closure(gens)) == self.order
 
+    def generating_tuple(self) -> tuple[int, ...]:
+        """A short generating tuple of G, searched once and kept. Inn(G), the
+        conjugacy classes and the center are all read from it."""
+        if self._generating_tuple is None:
+            self._generating_tuple = self._search_generating_tuple()
+        return self._generating_tuple
+
+    def _search_generating_tuple(self) -> tuple[int, ...]:
+        if self.order == 1:
+            return ()
+        elems = [x for x in self.elements() if x != self.identity]
+        for d in (1, 2, 3):
+            count = math.comb(len(elems), d)
+            if count > 100_000:
+                break
+            for combo in combinations(elems, d):
+                if self.generates(combo):
+                    return combo
+        # Greedy fallback: always terminates, possibly non-minimal.
+        gens: list[int] = []
+        closed = self.closure(gens)
+        while len(closed) < self.order:
+            best = None
+            best_size = len(closed)
+            for x in self.elements():
+                if x in closed:
+                    continue
+                size = len(self.closure(gens + [x]))
+                if size > best_size:
+                    best, best_size = x, size
+                    if size == self.order:
+                        break
+            gens.append(best)
+            closed = self.closure(gens)
+        return tuple(gens)
+
     def subgroup_joins(self) -> SubgroupJoins:
         """The table of subgroup joins <H, x>, built on first use and kept."""
         if self._joins is None:
@@ -229,11 +275,11 @@ class Group:
         return self._joins
 
     def center(self) -> tuple[int, ...]:
+        """The elements that commute with each member of the generating tuple."""
         if self._center is None:
+            gens = self.generating_tuple()
             self._center = tuple(
-                z
-                for z in self.elements()
-                if all(self.mul(z, x) == self.mul(x, z) for x in self.elements())
+                z for z in self.elements() if all(self.mul(z, g) == self.mul(g, z) for g in gens)
             )
         return self._center
 
@@ -397,51 +443,8 @@ class AbelianGroup(Group):
         v = self._vectors[x]
         return math.lcm(*(m // math.gcd(m, a) for m, a in zip(self.moduli, v))) if v else 1
 
-    def generates(self, gens) -> bool:
-        # Burnside basis for abelian groups: a set generates iff it spans
-        # G/pG for every prime p dividing the exponent.
-        if not self.moduli:
-            return True
-        vecs = [self._vectors[g] for g in gens]
-        exponent = self.moduli[-1]
-        for p in prime_factorization(exponent):
-            cols = [i for i, m in enumerate(self.moduli) if m % p == 0]
-            need = len(cols)
-            rows = [[v[i] % p for i in cols] for v in vecs]
-            if _rank_mod_p(rows, p) != need:
-                return False
-        return True
-
-    def center(self) -> tuple[int, ...]:
-        return tuple(self.elements())
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination rank over F_p."""
-    rows = [r[:] for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(a * inv) % p for a in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    def _search_generating_tuple(self) -> tuple[int, ...]:
+        return self._strides  # the unit vector e_i encodes to strides[i]
 
 
 def perm_parity(perm: tuple[int, ...]) -> int:

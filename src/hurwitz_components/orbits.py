@@ -41,7 +41,6 @@ from .automorphisms import (
     _generating_subset,
     automorphism_group,
     inner_automorphisms,
-    minimal_generating_tuple,
 )
 from .errors import BudgetExceeded, UserInputError
 from .groups import Group, index_dtype
@@ -244,15 +243,12 @@ def side_orbits(
 
 
 def _sigma_rows(G: Group, elements) -> np.ndarray:
-    """Bool rows, one per element x: the conjugacy classes of the powers of x
-    (just the cyclic subgroup <x> when G is abelian), the share of a Sigma
-    set that one branch entry x contributes."""
+    """Bool rows, one per element x: the conjugates of the powers of x, which
+    are the cyclic subgroups of its conjugates, the share of a Sigma set that
+    one branch entry x contributes."""
     rows = np.zeros((len(elements), G.order), dtype=bool)
-    abelian = G.is_abelian()
     for k, x in enumerate(elements):
-        powers = G.cyclic_subgroup(x)
-        members = powers if abelian else frozenset().union(*map(G.conjugacy_class, powers))
-        rows[k, list(members)] = True
+        rows[k, list(frozenset().union(*map(G.cyclic_subgroup, G.conjugacy_class(x))))] = True
     return rows
 
 
@@ -428,7 +424,7 @@ def _count_pairs(
     root, u = _transversals(G, L1, maps, perms)
     uinv = np.empty_like(u)
     np.put_along_axis(uinv, u, np.arange(G.order, dtype=u.dtype)[None, :], axis=1)
-    gens = minimal_generating_tuple(G)
+    gens = G.generating_tuple()
     stab, use_root, use_gen = _stabilizer_gens(G, gens, maps, perms, root, u, uinv)
     roots = np.flatnonzero(root == np.arange(L1))
     block = np.searchsorted(roots, root)  # block number of each side-1 label

@@ -178,16 +178,11 @@ def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
 
 
 def sigma_set(G: Group, gprime: int, entries: tuple[int, ...]) -> frozenset[int]:
-    """All conjugates of all powers of the branch entries, plus the identity."""
+    """All conjugates of all powers of the branch entries, plus the identity:
+    the cyclic subgroups of the conjugates, since (g^-1 c g)^k = g^-1 c^k g."""
     out = {G.identity}
-    abelian = G.is_abelian()
     for c in entries[2 * gprime :]:
-        powers = G.cyclic_subgroup(c)
-        if abelian:
-            out.update(powers)
-        else:
-            for y in powers:
-                out |= G.conjugacy_class(y)
+        out.update(*map(G.cyclic_subgroup, G.conjugacy_class(c)))
     return frozenset(out)
 
 

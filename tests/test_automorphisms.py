@@ -11,7 +11,6 @@ from hurwitz_components.automorphisms import (
     automorphism_group,
     inner_automorphisms,
     is_automorphism,
-    minimal_generating_tuple,
 )
 from hurwitz_components.groups import AbelianGroup, construct_group
 
@@ -128,9 +127,9 @@ def test_automorphisms_preserve_element_orders(rng):
 
 def test_minimal_generating_tuple(q8):
     for G in (construct_group("Sym:4"), construct_group("Alt:5"), q8, AbelianGroup([2, 2, 4])):
-        gens = minimal_generating_tuple(G)
+        gens = G.generating_tuple()
         assert G.generates(gens)
-    assert minimal_generating_tuple(construct_group("Zn:1")) == ()
+    assert construct_group("Zn:1").generating_tuple() == ()
 
 
 def test_crt_collapses_aut():
@@ -140,10 +139,10 @@ def test_crt_collapses_aut():
 
 def test_minimal_generating_tuple_is_searched_once_per_group(monkeypatch):
     G = construct_group("Sym:4")
-    gens = minimal_generating_tuple(G)
+    gens = G.generating_tuple()
     monkeypatch.setattr(G, "generates", lambda xs: pytest.fail("searched again"))
-    assert minimal_generating_tuple(G) is gens
-    assert minimal_generating_tuple(construct_group("Sym:4")) == gens  # a new group searches anew
+    assert G.generating_tuple() is gens
+    assert construct_group("Sym:4").generating_tuple() == gens  # a new group searches anew
 
 
 def test_backtracking_refuses_generators_that_miss_maps(monkeypatch):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,27 @@ def test_enumerate_budget_exit_code(capsys):
     assert "needs 72 candidate tuples (> 10)" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5", "x"])
+def test_budget_below_one_is_a_user_error(capsys, budget):
+    code, out, err = run_cli(
+        capsys,
+        "count", "--group", "Zn:5,5", "--type1", "0|5,5,5", "--type2", "0|5,5,5",
+        "--budget", budget, "--no-cache",
+    )
+    assert code == 1 and out == ""
+    assert "--budget" in err and "not a positive integer" in err
+
+
+def test_budget_of_one_still_refuses(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "count", "--group", "Zn:5,5", "--type1", "0|5,5,5", "--type2", "0|5,5,5",
+        "--budget", "1", "--no-cache",
+    )
+    assert code == 2 and out == ""
+    assert "(> 1)" in err
+
+
 def test_count_byte_identical_across_threads(capsys):
     outs = []
     for threads in ("1", "4", "8"):
@@ -103,6 +126,18 @@ def test_count_cache_dir_flag_overrides_env(capsys, tmp_path):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(list(other.glob("*.json"))) == 1
+
+
+def test_count_prints_its_result_when_the_cache_cannot_be_written(capsys, tmp_path):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    argv = ("count", "--group", "Sym:3", "--type1", "0|2,2,3", "--type2", "0|2,2,3")
+    _, fresh, _ = run_cli(capsys, *argv, "--no-cache")
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(blocker / "entries"))
+    assert code == 0
+    assert out == fresh
+    assert "warning: result not cached" in err
+    assert blocker.read_text() == ""
 
 
 def test_count_no_cache_leaves_no_files(capsys, isolated_cache):
@@ -263,3 +298,27 @@ def test_verify_runs_property_suites(capsys):
     assert {"move-invariants", "inner-automorphism-lemma", "two-route-agreement"} <= names
     assert all(c["passed"] for c in doc["checks"])
     assert "[ok]" in err
+
+
+def _writes_to_a_stream(node: ast.AST) -> bool:
+    """A print call, a sys.stdout / sys.stderr reference, or an import of either."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "print"
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == "sys" and node.attr in ("stdout", "stderr")
+    if isinstance(node, ast.ImportFrom) and node.module == "sys":
+        return any(a.name in ("stdout", "stderr") for a in node.names)
+    return False
+
+
+def test_library_modules_do_not_print():
+    # the CLI owns stdout and stderr; every other module reports through return values
+    paths = [p for p in sorted(Path(cli.__file__).parent.glob("*.py")) if p.name != "cli.py"]
+    assert len(paths) >= 8
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if _writes_to_a_stream(node)
+    ]
+    assert offenders == []

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from hurwitz_components.abelian import _rank_mod_p
 from hurwitz_components.errors import UserInputError
 from hurwitz_components.groups import (
     AbelianGroup,
@@ -15,6 +17,7 @@ from hurwitz_components.groups import (
     TABLE_LIMIT,
     construct_group,
     invariant_factors,
+    prime_factorization,
 )
 from hurwitz_components.ramification import SignatureType, enumerate_systems
 
@@ -123,6 +126,56 @@ def test_center_sizes(q8):
     assert len(construct_group("Sym:3").center()) == 1
     assert len(q8.center()) == 2
     assert q8.is_abelian() is False
+
+
+def _abelian_cayley_group() -> CayleyGroup:
+    """Z/4 x Z/6 as a Cayley table, so the generic (non-abelian-backend) code runs."""
+    pairs = [(a, b) for a in range(4) for b in range(6)]
+    index = {v: i for i, v in enumerate(pairs)}
+    doc = {
+        "order": len(pairs),
+        "labels": [f"{a},{b}" for a, b in pairs],
+        "table": [[index[(a + c) % 4, (b + d) % 6] for c, d in pairs] for a, b in pairs],
+    }
+    return CayleyGroup(doc)
+
+
+@pytest.mark.parametrize("spec", ["Sym:4", "Alt:5", "q8", "Zn:2,4", "cayley-abelian"])
+def test_classes_and_center_match_full_group_definitions(spec, q8):
+    # conjugacy classes and the center are read from the generating tuple;
+    # pin them to the definitions over every element of G
+    G = {"q8": q8, "cayley-abelian": _abelian_cayley_group()}.get(spec) or construct_group(spec)
+    elems = list(G.elements())
+    assert G.generates(G.generating_tuple())
+    for x in elems:
+        assert G.conjugacy_class(x) == frozenset(G.mul(G.mul(G.inv(g), x), g) for g in elems)
+    assert G.center() == tuple(
+        z for z in elems if all(G.mul(z, x) == G.mul(x, z) for x in elems)
+    )
+    assert G.is_abelian() == (spec in ("Zn:2,4", "cayley-abelian"))
+
+
+def _burnside_generates(G: AbelianGroup, gens) -> bool:
+    """A tuple generates a finite abelian group iff it spans G/pG for every
+    prime p dividing the exponent (Burnside basis theorem)."""
+    vecs = [G.vector(g) for g in gens]
+    for p in prime_factorization(G.moduli[-1]) if G.moduli else ():
+        cols = [i for i, m in enumerate(G.moduli) if m % p == 0]
+        if _rank_mod_p([[v[i] % p for i in cols] for v in vecs], p) != len(cols):
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "spec,size",
+    [("Zn:1", 1), ("Zn:12", 2), ("Zn:2,4", 2), ("Zn:3,9", 2), ("Zn:6,10", 2), ("Zn:2,2,2", 3)],
+)
+def test_abelian_generates_matches_burnside_rank(spec, size):
+    G = construct_group(spec)
+    tuples = [()] + list(itertools.product(G.elements(), repeat=size))
+    got = [G.generates(gens) for gens in tuples]
+    assert got == [_burnside_generates(G, gens) for gens in tuples]
+    assert True in got and (False in got or G.order == 1)  # both verdicts are exercised
 
 
 def test_orders_present():
