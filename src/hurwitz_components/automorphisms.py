@@ -14,11 +14,13 @@ known family (Seress, Permutation Group Algorithms, ch. 4):
 * homocyclic (Z/n)^k: Aut = GL_k(Z/n), generated by the elementary
   transvections I + e_ij (i != j) and diag(u, 1, ..., 1) for u in a
   generating set of (Z/n)^x; |Aut| comes from the closed formula;
-* Sym(n) and Alt(n), n != 6: Aut = Sym(n) acting by conjugation,
-  generated by the transposition (0 1) and the n-cycle (0 1 ... n-1).
+* Sym(n) and Alt(n) of order > 3, n != 6: Aut = Sym(n) acting by
+  conjugation, generated by the transposition (0 1) and the n-cycle
+  (0 1 ... n-1).
 
 Every other group (Cayley tables, non-homocyclic abelian groups, degree
-6) goes through backtracking over images of the group's generating tuple
+6, and the permutation groups of order at most 3) goes through
+backtracking over images of the group's generating tuple
 (Group.generating_tuple); that route is also the reference the family
 rules are tested against. Inn(G) is conjugation by the same tuple.
 """
@@ -27,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from .errors import BudgetExceeded
 from .groups import AbelianGroup, Group, PermutationGroup, prime_factorization
@@ -79,12 +83,11 @@ def inner_automorphisms(G: Group) -> tuple[tuple[int, ...], ...]:
 
 
 def automorphism_group(G: Group) -> AutGroup:
-    # Sym(2) is cyclic of order 2, so only the identity map is left.
-    if G.order == 1 or G.name == "Sym:2":
-        return AutGroup(G, 1, ())
     if isinstance(G, AbelianGroup) and len(set(G.moduli)) == 1:
         return _homocyclic_auts(G)
-    if isinstance(G, PermutationGroup) and G.degree != 6:
+    # Aut(G) is Sym(n) acting by conjugation except at degree 6 and on the
+    # cyclic groups of order at most 3: Sym(1), Sym(2) and Alt(1), ..., Alt(3).
+    if isinstance(G, PermutationGroup) and G.degree != 6 and G.order > 3:
         return _conjugation_auts(G)
     return _backtracking_auts(G)
 
@@ -157,9 +160,7 @@ def _conjugation_auts(G: PermutationGroup) -> AutGroup:
                 for p in map(G.perm, G.elements())
             )
         )
-    # Alt(3) is cyclic of order 3: conjugation leaves only inversion.
-    order = 2 if G.name == "Alt:3" else math.factorial(n)
-    return AutGroup(G, order, _distinct_maps(G, maps))
+    return AutGroup(G, math.factorial(n), _distinct_maps(G, maps))
 
 
 # -- generic backtracking -------------------------------------------------
@@ -199,10 +200,7 @@ def _extend_homomorphism(G: Group, gens, images) -> tuple[int, ...] | None:
 
 def _backtracking_auts(G: Group) -> AutGroup:
     gens = G.generating_tuple()
-    orders = [G.element_order(g) for g in gens]
-    candidates = [
-        [x for x in G.elements() if G.element_order(x) == o] for o in orders
-    ]
+    candidates = [np.flatnonzero(G.orders == G.orders[g]).tolist() for g in gens]
     total = math.prod(len(c) for c in candidates)
     if total > BACKTRACK_CANDIDATE_LIMIT:
         raise BudgetExceeded(

@@ -488,6 +488,8 @@ def _cmd_verify(args) -> tuple[str, bool]:
         t0 = time.monotonic()
         try:
             ok, detail = fn()
+        except BudgetExceeded:
+            raise  # a refusal, not a failed check: main exits 2
         except Exception as exc:  # a crash is a failed check, not a crash of verify
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok &= ok

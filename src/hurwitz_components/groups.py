@@ -2,15 +2,18 @@
 
 Elements are integer indices 0..order-1 in a fixed canonical encoding per
 backend: lexicographic residue vectors (abelian), lexicographic image tuples
-(permutations), table order (Cayley). One element at a time, arithmetic runs
-on Python-int list tables; whole index arrays are multiplied and inverted by
-numpy gathers on the same tables, built on first use.
+(permutations), table order (Cayley). Up to TABLE_LIMIT a group holds one
+multiplication table, an (order, order) index array, and the inverses read
+from it: scalar products read one entry as a Python int, and whole index
+arrays are multiplied and inverted by gathers on the same arrays. Element
+orders are one array too, built on first use.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+from functools import cached_property
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -73,20 +76,15 @@ def invariant_factors(moduli: tuple[int, ...] | list[int]) -> tuple[int, ...]:
 
 
 class Group:
-    """Base class: index arithmetic with optional precomputed tables."""
+    """Base class: index arithmetic on one precomputed table, or native."""
 
     backend = "generic"
 
     def __init__(self) -> None:
-        n = self.order
-        self._table: list[list[int]] | None = None
-        self._inv: list[int] | None = None
-        if n <= TABLE_LIMIT:
-            self._table = self._mul_table()
-            self._inv = [row.index(self.identity) for row in self._table]
-        self._mul_array: np.ndarray | None = None
-        self._inv_array: np.ndarray | None = None
-        self._orders: list[int] | None = None
+        table = self._mul_table() if self.order <= TABLE_LIMIT else None
+        self._products, self._inverses = table, None
+        if table is not None:
+            self._inverses = np.argmax(table == self.identity, axis=1).astype(table.dtype)
         self._center: tuple[int, ...] | None = None
         self._cyclic: dict[int, frozenset[int]] = {}
         self._classes: dict[int, frozenset[int]] = {}
@@ -97,10 +95,12 @@ class Group:
     def _mul_raw(self, x: int, y: int) -> int:
         raise NotImplementedError
 
-    def _mul_table(self) -> list[list[int]]:
+    def _mul_table(self) -> np.ndarray:
         """The full multiplication table, row x holding x * y for every y."""
         n = self.order
-        return [[self._mul_raw(x, y) for y in range(n)] for x in range(n)]
+        return np.array(
+            [[self._mul_raw(x, y) for y in range(n)] for x in range(n)], dtype=index_dtype(n)
+        )
 
     def _inv_raw(self, x: int) -> int:
         raise NotImplementedError
@@ -110,34 +110,31 @@ class Group:
 
     # -- arithmetic ----------------------------------------------------
     def mul(self, x: int, y: int) -> int:
-        if self._table is not None:
-            return self._table[x][y]
+        if self._products is not None:
+            return self._products.item(x, y)
         return self._mul_raw(x, y)
 
     def inv(self, x: int) -> int:
-        if self._inv is not None:
-            return self._inv[x]
+        if self._inverses is not None:
+            return self._inverses.item(x)
         return self._inv_raw(x)
 
     def mul_array(self, x, y) -> np.ndarray:
         """Elementwise x * y of index arrays (or ints), broadcast together."""
-        if self._table is None:
+        if self._products is None:
             x, y = np.broadcast_arrays(x, y)
             out = map(self._mul_raw, x.ravel().tolist(), y.ravel().tolist())
             return np.fromiter(out, index_dtype(self.order), x.size).reshape(x.shape)
-        if self._mul_array is None:
-            self._mul_array = np.array(self._table, dtype=index_dtype(self.order))
-        return self._mul_array[x, y]
+        # One gather from the flat table: entry x * |G| + y holds x * y.
+        return self._products.take(np.asarray(x, dtype=np.intp) * self.order + y)
 
     def inv_array(self, x) -> np.ndarray:
         """Elementwise inverse of an index array (or int)."""
-        if self._inv is None:
+        if self._inverses is None:
             x = np.asarray(x)
             out = map(self._inv_raw, x.ravel().tolist())
             return np.fromiter(out, index_dtype(self.order), x.size).reshape(x.shape)
-        if self._inv_array is None:
-            self._inv_array = np.array(self._inv, dtype=index_dtype(self.order))
-        return self._inv_array[x]
+        return self._inverses[x]
 
     def conj(self, x: int, g: int) -> int:
         """g^-1 x g."""
@@ -162,21 +159,27 @@ class Group:
     def elements(self) -> range:
         return range(self.order)
 
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """The order of every element, indexed by element."""
+        # Each element not yet back at the identity is multiplied by itself
+        # once more per round, so it costs as many products as its order.
+        orders = np.zeros(self.order, dtype=np.int64)
+        pending = acc = np.arange(self.order, dtype=index_dtype(self.order))
+        k = 1
+        while pending.size:
+            done = acc == self.identity
+            orders[pending[done]] = k
+            pending, acc = pending[~done], acc[~done]
+            acc = self.mul_array(acc, pending)
+            k += 1
+        return orders
+
     def element_order(self, x: int) -> int:
-        if self._orders is None:
-            orders = []
-            for y in self.elements():
-                k = 1
-                acc = y
-                while acc != self.identity:
-                    acc = self.mul(acc, y)
-                    k += 1
-                orders.append(k)
-            self._orders = orders
-        return self._orders[x]
+        return self.orders.item(x)
 
     def orders_present(self) -> tuple[int, ...]:
-        return tuple(sorted({self.element_order(x) for x in self.elements()}))
+        return tuple(np.unique(self.orders).tolist())
 
     def cyclic_subgroup(self, x: int) -> frozenset[int]:
         got = self._cyclic.get(x)
@@ -425,13 +428,14 @@ class AbelianGroup(Group):
         vx, vy = self._vectors[x], self._vectors[y]
         return self.encode(a + b for a, b in zip(vx, vy))
 
-    def _mul_table(self) -> list[list[int]]:
+    def _mul_table(self) -> np.ndarray:
         # One coordinate at a time, so no temporary holds more than |G|^2 entries.
-        V = np.array(self._vectors, dtype=np.int64)
-        table = np.zeros((self.order, self.order), dtype=np.int64)
+        dtype = index_dtype(self.order)
+        V = np.array(self._vectors, dtype=dtype)
+        table = np.zeros((self.order, self.order), dtype=dtype)
         for v, m, s in zip(V.T, self.moduli, self._strides):
             table += (v[:, None] + v[None, :]) % m * s
-        return table.tolist()
+        return table
 
     def _inv_raw(self, x: int) -> int:
         return self.encode(-a for a in self._vectors[x])
@@ -439,9 +443,12 @@ class AbelianGroup(Group):
     def element_label(self, x: int) -> str:
         return "(" + ",".join(str(a) for a in self._vectors[x]) + ")"
 
-    def element_order(self, x: int) -> int:
-        v = self._vectors[x]
-        return math.lcm(*(m // math.gcd(m, a) for m, a in zip(self.moduli, v))) if v else 1
+    @cached_property
+    def orders(self) -> np.ndarray:
+        # The order of a vector is the lcm over coordinates of m / gcd(m, a).
+        V = np.array(self._vectors, dtype=np.int64)
+        moduli = np.array(self.moduli, dtype=np.int64)
+        return np.lcm.reduce(moduli // np.gcd(moduli, V), axis=1, initial=1)
 
     def _search_generating_tuple(self) -> tuple[int, ...]:
         return self._strides  # the unit vector e_i encodes to strides[i]
@@ -549,10 +556,10 @@ class CayleyGroup(Group):
         order, labels, table = self._validate(doc, source)
         self.order = order
         self.labels = labels
-        self._cayley = table
         self.identity = self._find_identity(table, order, source)
         self._check_inverses(table, order, self.identity, source)
-        self._check_associativity(table, order, source)
+        self._products = np.array(table, dtype=index_dtype(order))
+        self._check_associativity(self._products, order, source)
         canon = json.dumps(
             {"order": order, "labels": labels, "table": table},
             sort_keys=True,
@@ -621,13 +628,10 @@ class CayleyGroup(Group):
 
     @staticmethod
     def _check_associativity(table, order, source) -> None:
-        import numpy as np
-
-        t = np.asarray(table, dtype=np.int32)
         for z in range(order):
-            col = t[:, z]
-            left = col[t]        # (x*y)*z
-            right = t[:, col]    # x*(y*z)
+            col = table[:, z]
+            left = col[table]        # (x*y)*z
+            right = table[:, col]    # x*(y*z)
             if not np.array_equal(left, right):
                 bad = np.argwhere(left != right)[0]
                 x, y = int(bad[0]), int(bad[1])
@@ -651,8 +655,8 @@ class CayleyGroup(Group):
             ) from exc
         return cls(doc, source=str(path))
 
-    def _mul_raw(self, x: int, y: int) -> int:
-        return self._cayley[x][y]
+    def _mul_table(self) -> np.ndarray:
+        return self._products  # the validated document table, set in __init__
 
     def element_label(self, x: int) -> str:
         return self.labels[x]

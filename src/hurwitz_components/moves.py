@@ -7,14 +7,14 @@ entries, and the xi-twists linking both. Every move is an invertible
 transformation preserving the long relation, the unordered type,
 generation, and the Sigma set.
 
-Move ids are addressable as strings: "sigma:1", "delta:2", "delta~:1",
-"tau:1", "xi1:1,3", "xi2:2,1", with suffix "'" for the inverse direction.
+Move ids print as "sigma:1", "delta:2", "delta~:1", "tau:1", "xi1:1,3",
+"xi2:2,1", with suffix "'" for the inverse direction.
 
-apply_move takes one system (a tuple of Python ints, multiplied through the
-group's list tables) or a 2-D array with one system per row. The move
-formulas are written once against a multiply and an inverse; for an array
-they run on whole columns through the group's numpy gathers, so a move acts
-on every system of a side in one call.
+apply_move takes one system (a tuple of Python ints, multiplied one product
+at a time) or a 2-D array with one system per row. The move formulas are
+written once against a multiply and an inverse; for an array they run on
+whole columns through the group's numpy gathers, so a move acts on every
+system of a side in one call.
 """
 from __future__ import annotations
 
@@ -48,26 +48,6 @@ class MoveID:
     def __str__(self) -> str:
         idx = f"{self.i},{self.d}" if self.d is not None else str(self.i)
         return f"{self.kind}:{idx}" + ("'" if self.inverse else "")
-
-    @staticmethod
-    def parse(text: str) -> "MoveID":
-        s = text.strip()
-        inverse = s.endswith("'")
-        if inverse:
-            s = s[:-1]
-        if ":" not in s:
-            raise UserInputError(f"bad move id {text!r}: expected kind:index")
-        kind, _, idx = s.partition(":")
-        if kind not in _KINDS:
-            raise UserInputError(f"bad move id {text!r}: unknown kind {kind!r}")
-        parts = [p.strip() for p in idx.split(",")]
-        if kind in ("xi1", "xi2"):
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
-                raise UserInputError(f"bad move id {text!r}: expected {kind}:<j>,<d>")
-            return MoveID(kind, int(parts[0]), int(parts[1]), inverse)
-        if len(parts) != 1 or not parts[0].isdigit():
-            raise UserInputError(f"bad move id {text!r}: expected {kind}:<index>")
-        return MoveID(kind, int(parts[0]), None, inverse)
 
 
 def available_moves(gprime: int, r: int) -> list[MoveID]:

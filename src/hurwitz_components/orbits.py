@@ -51,7 +51,6 @@ from .ramification import (
     curve_genus,
     enumerate_systems,
     period_multisets_with_angle_sum,
-    rh_admissible,
     sigma_set,
 )
 
@@ -705,7 +704,10 @@ def admissible_type_pairs(
     G: Group, chi: int, q: int
 ) -> list[tuple[SignatureType, SignatureType]]:
     """All unordered pairs (tau1, tau2) with g1'+g2' = q and
-    (g1-1)(g2-1) = |G| chi, periods drawn from element orders of G."""
+    (g1-1)(g2-1) = |G| chi, periods drawn from element orders of G.
+
+    Each type is built with angle sum 2u/|G| + 2 - 2g' for a divisor u of
+    |G| chi, so its genus is u + 1 >= 2 and it is always admissible."""
     n = G.order
     target = n * chi
     orders = [m for m in G.orders_present() if m >= 2]
@@ -726,8 +728,6 @@ def admissible_type_pairs(
                 for p2 in lists2:
                     t1 = SignatureType(g1p, p1)
                     t2 = SignatureType(g2p, p2)
-                    if not (rh_admissible(n, t1)[0] and rh_admissible(n, t2)[0]):
-                        continue
                     key = tuple(sorted([t1.canonical(), t2.canonical()]))
                     if key not in out:
                         a, b = sorted([t1, t2], key=lambda t: t.canonical())

@@ -4,7 +4,7 @@ A system of generators is a flat sequence of element indices
 (a1, b1, ..., ag', bg', c1, ..., cr) subject to the long relation
 c1...cr * prod_k [a_k, b_k] = identity. A system is only ever a row of
 ints: enumerate_systems returns all systems of a type as one 2-D array
-with a system per row, built with numpy gathers on the group's tables,
+with a system per row, built with numpy gathers on the group's table,
 and the per-system checks (long_relation_holds, system_valid, sigma_set)
 read one row as a sequence of ints. Two systems are disjoint when their
 Sigma sets meet only in the identity.
@@ -12,7 +12,6 @@ Sigma sets meet only in the identity.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,8 +122,8 @@ def candidate_tuples(G: Group, tau: SignatureType) -> int:
     """How many tuples enumerate_systems(G, tau) expands before filtering:
     |G| per handle entry, times the elements of each period's order but the
     last (which is solved from the long relation)."""
-    per_order = Counter(map(G.element_order, G.elements()))
-    return G.order ** (2 * tau.gprime) * math.prod(per_order[m] for m in tau.periods[:-1])
+    per_order = (np.count_nonzero(G.orders == m) for m in tau.periods[:-1])
+    return G.order ** (2 * tau.gprime) * math.prod(per_order)
 
 
 def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
@@ -140,7 +139,7 @@ def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
     """
     gp, r = tau.gprime, tau.r
     dtype = index_dtype(G.order)
-    orders = np.array([G.element_order(x) for x in G.elements()])
+    orders = G.orders
     elems = np.arange(G.order, dtype=dtype)
     slots = [elems] * (2 * gp) + [elems[orders == m] for m in tau.periods[: max(r - 1, 0)]]
     joins = G.subgroup_joins()

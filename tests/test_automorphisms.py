@@ -81,7 +81,17 @@ def test_homocyclic_route_agrees_with_backtracking():
 
 @pytest.mark.parametrize(
     "spec,expected",
-    [("Sym:3", 6), ("Sym:4", 24), ("Alt:4", 24), ("Alt:5", 120), ("Zn:5,5", 480)],
+    [
+        ("Sym:1", 1),
+        ("Sym:2", 1),
+        ("Sym:3", 6),
+        ("Sym:4", 24),
+        ("Alt:3", 2),
+        ("Alt:4", 24),
+        ("Alt:5", 120),
+        ("Zn:1", 1),
+        ("Zn:5,5", 480),
+    ],
 )
 def test_known_automorphism_group_orders(spec, expected):
     assert automorphism_group(construct_group(spec)).order == expected

@@ -283,6 +283,12 @@ def test_scan_missing_source_is_user_error(capsys):
     assert run_cli(capsys, "scan", "--catalog", "/nonexistent", "--chi", "1", "--q", "4")[0] == 1
 
 
+def test_verify_budget_refusal_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--budget", "100")
+    assert code == 2 and out == ""
+    assert "budget exceeded: side enumeration" in err and "[FAIL]" not in err
+
+
 def test_output_is_canonical_json(capsys):
     _, out, _ = run_cli(capsys, "theta", "--n", "35")
     doc = json.loads(out)

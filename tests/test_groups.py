@@ -35,6 +35,7 @@ def test_array_arithmetic_matches_scalar(spec, q8):
     assert prod.ravel().tolist() == [G.mul(a, b) for a, b in pairs]
     assert inv.ravel().tolist() == [G.inv(a) for a in x.ravel().tolist()]
     g = int(y[0, 0])
+    assert type(G.mul(int(x[0, 0]), g)) is int and type(G.inv(g)) is int
     assert G.mul_array(x, g).tolist() == [[G.mul(a, g) for a in row] for row in x.tolist()]
     assert G.mul_array(x[:0], y[:0]).shape == (0, 10)
 
@@ -92,9 +93,9 @@ def test_group_identities_hold_on_samples(rng, q8):
             assert G.conj(G.mul(x, y), g) == G.mul(G.conj(x, g), G.conj(y, g))
 
 
-def test_element_order_matches_brute_force(rng):
-    for spec in ("Zn:12", "Sym:4", "Alt:4"):
-        G = construct_group(spec)
+def test_element_order_matches_brute_force(q8):
+    for spec in ("Zn:12", "Sym:4", "Alt:4", "Zn:2,4,8", "q8", "Zn:37,37", "Sym:7"):
+        G = q8 if spec == "q8" else construct_group(spec)
         for x in G.elements():
             k, acc = 1, x
             while acc != G.identity:
@@ -204,6 +205,13 @@ def test_cayley_rejects_broken_tables(tmp_path, q8_path):
             construct_group(f"cayley:{path}")
 
 
+def test_cayley_table_is_its_document(q8, q8_path):
+    table = json.loads(q8_path.read_text())["table"]
+    elems = np.arange(q8.order)
+    assert q8.mul_array(elems[:, None], elems[None, :]).tolist() == table
+    assert [[q8.mul(x, y) for y in q8.elements()] for x in q8.elements()] == table
+
+
 def test_cayley_and_builtin_agree_on_quaternion_orders(q8):
     assert sorted(q8.element_order(x) for x in q8.elements()) == [1, 2, 4, 4, 4, 4, 4, 4]
 
@@ -266,5 +274,5 @@ def test_join_table_names_plain_closures(spec, texts, q8):
 @pytest.mark.parametrize("spec", ["Zn:1", "Zn:6,10", "Zn:2,4,8", "Zn:13,13"])
 def test_abelian_table_matches_elementwise_products(spec):
     G = construct_group(spec)
-    assert G._mul_table() == Group._mul_table(G)
+    assert np.array_equal(G._mul_table(), Group._mul_table(G))
     assert [G.mul(x, G.inv(x)) for x in G.elements()] == [G.identity] * G.order

@@ -33,6 +33,7 @@ from hurwitz_components.orbits import (
 from hurwitz_components.ramification import (
     SignatureType,
     enumerate_systems,
+    rh_admissible,
     sigma_set,
     system_valid,
 )
@@ -589,6 +590,21 @@ def test_admissible_type_pairs_census_fragments():
     assert [(str(a), str(b)) for a, b in pairs] == [("2|", "2|")]
     pairs = admissible_type_pairs(construct_group("Zn:2"), chi=1, q=3)
     assert [(str(a), str(b)) for a, b in pairs] == [("1|2,2", "2|")]
+
+
+def test_admissible_type_pairs_are_admissible(q8):
+    specs = ("Sym:3", "Sym:4", "Alt:4", "Zn:2,2", "Zn:2,4", "Zn:2,2,2", "Alt:5")
+    checked = 0
+    for G in [*map(construct_group, specs), q8]:
+        for chi in (1, 2, 3):
+            for q in (0, 1, 2):
+                for t1, t2 in admissible_type_pairs(G, chi, q):
+                    (ok1, g1), (ok2, g2) = rh_admissible(G.order, t1), rh_admissible(G.order, t2)
+                    assert ok1 and ok2
+                    assert (g1 - 1) * (g2 - 1) == G.order * chi
+                    assert t1.gprime + t2.gprime == q
+                    checked += 1
+    assert checked > 100
 
 
 def test_scan_census_fragments():
