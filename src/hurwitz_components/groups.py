@@ -125,8 +125,10 @@ class Group:
             x, y = np.broadcast_arrays(x, y)
             out = map(self._mul_raw, x.ravel().tolist(), y.ravel().tolist())
             return np.fromiter(out, index_dtype(self.order), x.size).reshape(x.shape)
-        # One gather from the flat table: entry x * |G| + y holds x * y.
-        return self._products.take(np.asarray(x, dtype=np.intp) * self.order + y)
+        # One gather from the flat table: entry x * |G| + y holds x * y. Both
+        # operands go to intp first, so the index cannot wrap in y's dtype.
+        flat = np.asarray(x, dtype=np.intp) * self.order + np.asarray(y, dtype=np.intp)
+        return self._products.take(flat)
 
     def inv_array(self, x) -> np.ndarray:
         """Elementwise inverse of an index array (or int)."""

@@ -276,3 +276,14 @@ def test_abelian_table_matches_elementwise_products(spec):
     G = construct_group(spec)
     assert np.array_equal(G._mul_table(), Group._mul_table(G))
     assert [G.mul(x, G.inv(x)) for x in G.elements()] == [G.identity] * G.order
+
+
+@pytest.mark.parametrize("spec", ["Zn:17,17", "Zn:19,19"])
+def test_mul_array_scalar_times_small_index_array_matches_mul(spec):
+    # y * |G| + h passes the int16 range for large y, so the flat index
+    # must be computed in intp whatever the operands' dtypes are.
+    G = construct_group(spec)
+    H = np.arange(G.order, dtype=np.int16)
+    for y in (113, G.order - 1):
+        assert G.mul_array(y, H).tolist() == [G.mul(y, h) for h in range(G.order)]
+        assert G.mul_array(H, y).tolist() == [G.mul(h, y) for h in range(G.order)]
