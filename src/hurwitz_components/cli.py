@@ -349,53 +349,54 @@ def _verify_moves(rng_seed: int) -> tuple[bool, str]:
     checked = 0
     for gp, periods in shapes:
         tau = SignatureType(gp, periods)
-        systems = list(map(tuple, enumerate_systems(G, tau).tolist()))
-        if not systems:
+        systems = enumerate_systems(G, tau)
+        if not len(systems):
             continue
-        sample = rng.sample(systems, min(40, len(systems)))
+        sample = systems[rng.sample(range(len(systems)), min(40, len(systems)))]
+        sigmas = [sigma_set(G, gp, ent) for ent in sample.tolist()]
         moves = available_moves(gp, tau.r)
         moves += [mv.inverted() for mv in moves]
         order_multiset = sorted(periods)
-        for ent in sample:
-            sig = sigma_set(G, gp, ent)
-            for mv in moves:
-                out = apply_move(G, gp, ent, mv)
-                branch_orders = sorted(G.element_order(c) for c in out[2 * gp :])
-                ok = (
-                    len(out) == len(ent)
-                    and branch_orders == order_multiset
-                    and long_relation_holds(G, gp, out)
-                    and G.generates(out)
-                )
-                if not ok:
-                    return False, f"move {mv} broke a system invariant on {tau}"
-                if sigma_set(G, gp, out) != sig:
-                    return False, f"move {mv} changed the Sigma set on {tau}"
-                back = apply_move(G, gp, out, mv.inverted())
-                if back != ent:
-                    return False, f"move {mv} is not inverted by {mv.inverted()} on {tau}"
-                checked += 1
+        for mv in moves:
+            out = apply_move(G, gp, sample, mv)
+            branch_orders = G.orders[out[:, 2 * gp :]]
+            branch_orders.sort(axis=1)
+            ok = (
+                out.shape == sample.shape
+                and (branch_orders == order_multiset).all()
+                and long_relation_holds(G, gp, out).all()
+                and all(map(G.generates, out.tolist()))
+            )
+            if not ok:
+                return False, f"move {mv} broke a system invariant on {tau}"
+            if [sigma_set(G, gp, ent) for ent in out.tolist()] != sigmas:
+                return False, f"move {mv} changed the Sigma set on {tau}"
+            if not (apply_move(G, gp, out, mv.inverted()) == sample).all():
+                return False, f"move {mv} is not inverted by {mv.inverted()} on {tau}"
+            checked += len(sample)
     return True, f"{checked} move applications preserved all invariants"
 
 
 def _verify_braid_relations() -> tuple[bool, str]:
     G = construct_group("Sym:3")
     tau = SignatureType(0, (2, 2, 3, 3))
-    systems = list(map(tuple, enumerate_systems(G, tau)[:120].tolist()))
-    if not systems:
+    systems = enumerate_systems(G, tau)[:120]
+    if not len(systems):
         return False, "no systems available for the braid relation check"
     s1 = MoveID("sigma", 1)
     s2 = MoveID("sigma", 2)
     s3 = MoveID("sigma", 3)
-    for ent in systems:
-        a = apply_move(G, 0, apply_move(G, 0, apply_move(G, 0, ent, s1), s2), s1)
-        b = apply_move(G, 0, apply_move(G, 0, apply_move(G, 0, ent, s2), s1), s2)
-        if a != b:
-            return False, "sigma_1 sigma_2 sigma_1 != sigma_2 sigma_1 sigma_2"
-        c = apply_move(G, 0, apply_move(G, 0, ent, s1), s3)
-        d = apply_move(G, 0, apply_move(G, 0, ent, s3), s1)
-        if c != d:
-            return False, "distant braid generators fail to commute"
+
+    def word(*moves):
+        rows = systems
+        for mv in moves:
+            rows = apply_move(G, 0, rows, mv)
+        return rows
+
+    if not (word(s1, s2, s1) == word(s2, s1, s2)).all():
+        return False, "sigma_1 sigma_2 sigma_1 != sigma_2 sigma_1 sigma_2"
+    if not (word(s1, s3) == word(s3, s1)).all():
+        return False, "distant braid generators fail to commute"
     return True, f"braid relations hold as map identities on {len(systems)} systems"
 
 
@@ -439,6 +440,8 @@ def _verify_two_routes(cfg: EquivalenceConfig) -> tuple[bool, str]:
         ("Zn:2", "1|2,2", "2|"),
         ("Sym:4", "0|2,3,4", "0|2,3,4"),
         ("Zn:1", "2|", "2|"),
+        ("Sym:4", "0|2,2,2,4", "1|3"),
+        ("Sym:4", "0|3,4,4", "1|2,2"),
     ]
     for spec, t1s, t2s in cases:
         G = construct_group(spec)

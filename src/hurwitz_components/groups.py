@@ -142,21 +142,10 @@ class Group:
         """g^-1 x g."""
         return self.mul(self.mul(self.inv(g), x), g)
 
-    def comm(self, a: int, b: int) -> int:
-        """a b a^-1 b^-1."""
-        return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(x), -k)
-        acc = self.identity
-        base = x
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
+    def comm(self, a, b) -> np.ndarray:
+        """Elementwise a b a^-1 b^-1 of index arrays (or ints)."""
+        inverses = self.mul_array(self.inv_array(a), self.inv_array(b))
+        return self.mul_array(self.mul_array(a, b), inverses)
 
     def elements(self) -> range:
         return range(self.order)

@@ -10,15 +10,15 @@ generation, and the Sigma set.
 Move ids print as "sigma:1", "delta:2", "delta~:1", "tau:1", "xi1:1,3",
 "xi2:2,1", with suffix "'" for the inverse direction.
 
-apply_move takes one system (a tuple of Python ints, multiplied one product
-at a time) or a 2-D array with one system per row. The move formulas are
-written once against a multiply and an inverse; for an array they run on
-whole columns through the group's numpy gathers, so a move acts on every
-system of a side in one call.
+apply_move takes a 2-D array with one system per row and returns the
+array of images. The move formulas run on whole columns through the
+group's numpy gathers (G.mul_array, G.inv_array, G.comm), so a move acts
+on every system of a side in one call; one system is a 1-row array.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -76,47 +76,32 @@ def _check_range(cond: bool, move: MoveID, gprime: int, r: int) -> None:
         raise UserInputError(f"move {move} out of range for shape (g', r) = ({gprime}, {r})")
 
 
-class _Ops:
-    """Multiply and invert either Python ints or whole index columns."""
-
-    def __init__(self, G: Group, columns: bool) -> None:
-        self.identity = G.identity
-        self.mul = G.mul_array if columns else G.mul
-        self.inv = G.inv_array if columns else G.inv
-
-    def seq(self, items):
-        """The product of items, evaluated left to right."""
-        if not items:
-            return self.identity
-        acc = items[0]
-        for x in items[1:]:
-            acc = self.mul(acc, x)
-        return acc
-
-    def comm(self, a, b):
-        """a b a^-1 b^-1."""
-        return self.seq([a, b, self.inv(a), self.inv(b)])
+def _seq(G: Group, items):
+    """The product of index columns (or ints), evaluated left to right."""
+    if not items:
+        return G.identity
+    acc = items[0]
+    for x in items[1:]:
+        acc = G.mul_array(acc, x)
+    return acc
 
 
-def _transport(ops: _Ops, gprime: int, entries, j: int, d: int):
+def _transport(G: Group, gprime: int, entries, j: int, d: int):
     """V = (c_{d+1} ... c_r) * prod_{k<j} [a_k, b_k]."""
     items = list(entries[2 * gprime + d : ])
     for k in range(j - 1):
-        items.append(ops.comm(entries[2 * k], entries[2 * k + 1]))
-    return ops.seq(items)
+        items.append(G.comm(entries[2 * k], entries[2 * k + 1]))
+    return _seq(G, items)
 
 
-def apply_move(G: Group, gprime: int, entries, move: MoveID):
-    """The image of one system (a tuple of ints, returned as a tuple) or of
-    every row of a 2-D array of systems (returned as a new array)."""
-    if isinstance(entries, np.ndarray):
-        out = _move(_Ops(G, True), gprime, list(entries.T), move)
-        return np.stack(out, axis=1)
-    return tuple(_move(_Ops(G, False), gprime, entries, move))
+def apply_move(G: Group, gprime: int, rows: np.ndarray, move: MoveID) -> np.ndarray:
+    """The image of every row of a 2-D array of systems, as a new array."""
+    return np.stack(_move(G, gprime, list(rows.T), move), axis=1)
 
 
-def _move(ops: _Ops, gprime: int, entries, move: MoveID) -> list:
-    seq, inv = ops.seq, ops.inv
+def _move(G: Group, gprime: int, entries: list, move: MoveID) -> list:
+    """The image columns of one move, from the columns of a system array."""
+    seq, inv = partial(_seq, G), G.inv_array
     r = len(entries) - 2 * gprime
     out = list(entries)
     kind, backward = move.kind, move.inverse
@@ -174,7 +159,7 @@ def _move(ops: _Ops, gprime: int, entries, move: MoveID) -> list:
         ia, ib = 2 * (j - 1), 2 * (j - 1) + 1
         ic = 2 * gprime + (d - 1)
         a, b, cd = entries[ia], entries[ib], entries[ic]
-        v = _transport(ops, gprime, entries, j, d)
+        v = _transport(G, gprime, entries, j, d)
         vinv = inv(v)
         if kind == "xi1":
             if not backward:
@@ -191,11 +176,11 @@ def _move(ops: _Ops, gprime: int, entries, move: MoveID) -> list:
         else:
             if not backward:
                 chi = seq([vinv, cd, v])
-                eps_prime = seq([cd, v, ops.comm(a, b), inv(a), vinv])
+                eps_prime = seq([cd, v, G.comm(a, b), inv(a), vinv])
                 out[ib] = seq([inv(a), chi, a, b])
                 out[ic] = seq([eps_prime, cd, inv(eps_prime)])
             else:
-                m = seq([v, ops.comm(a, b), inv(a), vinv])
+                m = seq([v, G.comm(a, b), inv(a), vinv])
                 cd_old = seq([inv(m), cd, m])
                 chi = seq([vinv, cd_old, v])
                 out[ib] = seq([inv(a), inv(chi), a, b])
@@ -205,19 +190,18 @@ def _move(ops: _Ops, gprime: int, entries, move: MoveID) -> list:
     raise UserInputError(f"unknown move kind {kind!r}")
 
 
-def convention_self_check(G: Group, gprime: int, r: int, samples) -> None:
+def convention_self_check(G: Group, gprime: int, r: int, rows: np.ndarray) -> None:
     """Assert that every move and its inverse keep the long relation on the samples.
 
-    samples: iterable of entry tuples already satisfying the long relation.
-    Raises AssertionError on the first violation.
+    rows: a 2-D array of systems already satisfying the long relation; each
+    move acts on all of them at once. Raises AssertionError on a violation.
     """
     if (gprime, r) == (0, 0):
         return
     moves = available_moves(gprime, r)
     moves += [m.inverted() for m in moves]
-    for entries in samples:
-        for m in moves:
-            if not long_relation_holds(G, gprime, apply_move(G, gprime, entries, m)):
-                raise AssertionError(
-                    f"move {m} breaks the long relation on {G.name} system {entries}"
-                )
+    for m in moves:
+        broken = ~long_relation_holds(G, gprime, apply_move(G, gprime, rows, m))
+        if broken.any():
+            entries = tuple(rows[np.argmax(broken)].tolist())
+            raise AssertionError(f"move {m} breaks the long relation on {G.name} system {entries}")

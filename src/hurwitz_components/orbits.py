@@ -233,7 +233,7 @@ def side_orbits(
     config = config or EquivalenceConfig()
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, config)
-    convention_self_check(G, canonical.gprime, canonical.r, map(tuple, systems[:20].tolist()))
+    convention_self_check(G, canonical.gprime, canonical.r, systems[:20])
     maps = _move_maps(G, canonical) + _element_maps(G, inner_automorphisms(G))
     root = _components(len(systems), _images(G, systems, maps, f"{G.name} {canonical}"))
     is_leader = root == np.arange(len(systems))
@@ -652,7 +652,7 @@ def verify_inn_lemma(
     config = config or EquivalenceConfig()
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, config)
-    convention_self_check(G, 0, canonical.r, map(tuple, systems[:20].tolist()))
+    convention_self_check(G, 0, canonical.r, systems[:20])
     where = f"{G.name} {canonical}"
     root = _components(len(systems), _images(G, systems, _move_maps(G, canonical), where))
     inn = inner_automorphisms(G)

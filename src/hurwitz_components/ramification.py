@@ -5,9 +5,10 @@ A system of generators is a flat sequence of element indices
 c1...cr * prod_k [a_k, b_k] = identity. A system is only ever a row of
 ints: enumerate_systems returns all systems of a type as one 2-D array
 with a system per row, built with numpy gathers on the group's table,
-and the per-system checks (long_relation_holds, system_valid, sigma_set)
-read one row as a sequence of ints. Two systems are disjoint when their
-Sigma sets meet only in the identity.
+and long_relation_value / long_relation_holds evaluate every row of such
+an array at once. system_valid and sigma_set read one system as a
+sequence of ints. Two systems are disjoint when their Sigma sets meet
+only in the identity.
 """
 from __future__ import annotations
 
@@ -92,28 +93,31 @@ class SignatureType:
         return SignatureType(int(left), tuple(periods))
 
 
-def long_relation_value(G: Group, gprime: int, entries: tuple[int, ...]) -> int:
-    """c1...cr * prod_k [a_k, b_k], which must equal the identity."""
-    acc = G.identity
-    for c in entries[2 * gprime :]:
-        acc = G.mul(acc, c)
+def long_relation_value(G: Group, gprime: int, rows: np.ndarray) -> np.ndarray:
+    """c1...cr * prod_k [a_k, b_k] of every row of a 2-D system array, one
+    element per row; each must equal the identity."""
+    acc = np.full(len(rows), G.identity, dtype=index_dtype(G.order))
+    for c in rows[:, 2 * gprime :].T:
+        acc = G.mul_array(acc, c)
     for k in range(gprime):
-        a, b = entries[2 * k], entries[2 * k + 1]
-        acc = G.mul(acc, G.comm(a, b))
+        acc = G.mul_array(acc, G.comm(rows[:, 2 * k], rows[:, 2 * k + 1]))
     return acc
 
 
-def long_relation_holds(G: Group, gprime: int, entries: tuple[int, ...]) -> bool:
-    return long_relation_value(G, gprime, entries) == G.identity
+def long_relation_holds(G: Group, gprime: int, rows: np.ndarray) -> np.ndarray:
+    """Whether each row of a 2-D system array satisfies the long relation."""
+    return long_relation_value(G, gprime, rows) == G.identity
 
 
 def system_valid(G: Group, tau: SignatureType, entries: tuple[int, ...]) -> bool:
+    """Whether one system (a sequence of ints) has exact type tau, satisfies
+    the long relation and generates G."""
     if len(entries) != 2 * tau.gprime + tau.r:
         return False
     branch = entries[2 * tau.gprime :]
     if any(G.element_order(c) != m for c, m in zip(branch, tau.periods)):
         return False
-    if not long_relation_holds(G, tau.gprime, entries):
+    if not long_relation_holds(G, tau.gprime, np.array([entries], dtype=np.intp))[0]:
         return False
     return G.generates(entries)
 
@@ -160,9 +164,7 @@ def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
             if level >= 2 * gp:
                 acc = G.mul_array(acc, x)
             elif level % 2:
-                a = rows[:, level - 1]
-                comm = G.mul_array(G.mul_array(a, x), G.mul_array(G.inv_array(a), G.inv_array(x)))
-                acc = G.mul_array(acc, comm)
+                acc = G.mul_array(acc, G.comm(rows[:, level - 1], x))
             ids = joins.join(np.repeat(ids, len(values)), x)
         if r:
             last = G.inv_array(acc)

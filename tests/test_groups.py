@@ -104,13 +104,10 @@ def test_element_order_matches_brute_force(q8):
             assert G.element_order(x) == k
 
 
-def test_power_and_cyclic_subgroup():
+def test_cyclic_subgroup():
     G = construct_group("Zn:12")
-    x = 1
-    assert G.power(x, 5) == 5 % 12
-    assert G.power(x, -1) == G.inv(x)
-    assert len(G.cyclic_subgroup(x)) == 12
-    assert len(G.cyclic_subgroup(G.power(x, 4))) == 3
+    assert len(G.cyclic_subgroup(1)) == 12
+    assert G.cyclic_subgroup(4) == {0, 4, 8}
 
 
 def test_closure_and_generates():

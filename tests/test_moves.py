@@ -27,6 +27,13 @@ def _tuples(systems) -> list[tuple[int, ...]]:
     return list(map(tuple, systems.tolist()))
 
 
+def _sample(rng: random.Random, systems, k: int):
+    """Every row of a system array, or k rows drawn by rng when there are more."""
+    if len(systems) <= k:
+        return systems
+    return systems[rng.sample(range(len(systems)), k)]
+
+
 SUITE_SHAPES = [
     ("Sym:4", 0, (2, 3, 4)),
     ("Sym:4", 0, (3, 4, 4)),
@@ -46,7 +53,9 @@ SUITE_SHAPES = [
 def run_move_property_suite(q8_group, rng: random.Random, per_shape: int):
     """Apply every available move and its inverse to sampled systems and recheck invariants.
 
-    Returns (distinct systems exercised, move applications, violations).
+    Each move acts once on the whole sample array; the invariants are then
+    checked row by row. Returns (distinct systems exercised, move
+    applications, violations).
     """
     systems_seen = 0
     applications = 0
@@ -56,55 +65,61 @@ def run_move_property_suite(q8_group, rng: random.Random, per_shape: int):
         tau = SignatureType(gp, periods)
         if (gp, tau.r) == (0, 0):
             continue
-        exact = set(_tuples(enumerate_systems(G, tau)))
+        exact = enumerate_systems(G, tau)
         universe = set(_tuples(_systems(G, tau, EquivalenceConfig())))
-        if not exact:
+        if not len(exact):
             violations.append(f"{spec} {tau}: no systems to test")
             continue
-        ordered = sorted(exact)
-        sample = ordered if len(ordered) <= per_shape else rng.sample(ordered, per_shape)
+        sample = _sample(rng, exact, per_shape)
+        systems_seen += len(sample)
+        sigmas = [sigma_set(G, gp, ent) for ent in _tuples(sample)]
         moves = available_moves(gp, tau.r)
         moves += [mv.inverted() for mv in moves]
         order_multiset = sorted(periods)
-        for ent in sample:
-            systems_seen += 1
-            sig = sigma_set(G, gp, ent)
-            for mv in moves:
-                out = apply_move(G, gp, ent, mv)
-                applications += 1
-                branch_orders = sorted(G.element_order(c) for c in out[2 * gp:])
+        for mv in moves:
+            out = apply_move(G, gp, sample, mv)
+            applications += len(sample)
+            where = f"{spec} {tau} {mv}"
+            if out.shape != sample.shape:
+                violations.append(f"{where}: system shape changed")
+                continue
+            for ent, sig in zip(_tuples(out), sigmas):
+                branch_orders = sorted(G.element_order(c) for c in ent[2 * gp:])
                 if branch_orders != order_multiset:
-                    violations.append(f"{spec} {tau} {mv}: period multiset changed")
-                if not long_relation_holds(G, gp, out):
-                    violations.append(f"{spec} {tau} {mv}: long relation broken")
-                if not G.generates(out):
-                    violations.append(f"{spec} {tau} {mv}: generation lost")
-                if sigma_set(G, gp, out) != sig:
-                    violations.append(f"{spec} {tau} {mv}: Sigma set changed")
-                if apply_move(G, gp, out, mv.inverted()) != ent:
-                    violations.append(f"{spec} {tau} {mv}: inverse does not undo")
-        # moves act inside the unordered system universe
-        for ent in sample[: min(10, len(sample))]:
-            for mv in moves:
-                if apply_move(G, gp, ent, mv) not in universe:
-                    violations.append(f"{spec} {tau} {mv}: image left the universe")
+                    violations.append(f"{where}: period multiset changed")
+                if not G.generates(ent):
+                    violations.append(f"{where}: generation lost")
+                if sigma_set(G, gp, ent) != sig:
+                    violations.append(f"{where}: Sigma set changed")
+                # moves act inside the unordered system universe
+                if ent not in universe:
+                    violations.append(f"{where}: image left the universe")
+            broken = np.count_nonzero(~long_relation_holds(G, gp, out))
+            violations += [f"{where}: long relation broken"] * broken
+            back = apply_move(G, gp, out, mv.inverted())
+            not_undone = np.count_nonzero((back != sample).any(axis=1))
+            violations += [f"{where}: inverse does not undo"] * not_undone
     return systems_seen, applications, violations
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (1, 1), (1, 4), (2, 1), (2, 0)])
 def test_column_moves_match_scalar_moves(shape, q8):
+    """A move on a 40-row block (each column at once) equals the stack of its
+    images of one system at a time, each a 1-row array."""
     gp, r = shape
+    k = 2 * gp + r
     rng = np.random.default_rng(gp * 10 + r)
-    for G in (construct_group("Sym:4"), q8):
-        rows = rng.integers(0, G.order, size=(40, 2 * gp + r)).astype(np.int16)
+    for G in (construct_group("Sym:4"), q8, construct_group("Zn:1031")):
+        rows = rng.integers(0, G.order, size=(40, k)).astype(np.int16)
         moves = available_moves(gp, r)
         for mv in moves + [m.inverted() for m in moves]:
             got = apply_move(G, gp, rows, mv)
             assert got.dtype == np.int16 and got.shape == rows.shape
-            want = [apply_move(G, gp, ent, mv) for ent in map(tuple, rows.tolist())]
-            assert list(map(tuple, got.tolist())) == want, (G.name, mv)
-            assert all(type(x) is int for x in want[0])
-        assert apply_move(G, gp, rows[:0], moves[0]).shape == (0, 2 * gp + r)
+            images = [apply_move(G, gp, rows[i : i + 1], mv) for i in range(len(rows))]
+            assert all(img.dtype == np.int16 and img.shape == (1, k) for img in images)
+            assert np.array_equal(got, np.concatenate(images)), (G.name, mv)
+            empty = apply_move(G, gp, rows[:0], mv)
+            assert empty.dtype == np.int16 and empty.shape == (0, k)
 
 
 def test_move_id_string_grammar():
@@ -137,7 +152,7 @@ def test_available_moves_inventory():
 
 def test_out_of_range_moves_rejected():
     G = construct_group("Sym:3")
-    ent = _tuples(enumerate_systems(G, SignatureType(0, (2, 2, 3))))[0]
+    ent = enumerate_systems(G, SignatureType(0, (2, 2, 3)))[:1]
     with pytest.raises(UserInputError):
         apply_move(G, 0, ent, MoveID("sigma", 3))
     with pytest.raises(UserInputError):
@@ -155,50 +170,49 @@ def test_braid_relations_are_map_identities():
     G = construct_group("Sym:3")
     tau = SignatureType(0, (2, 2, 3, 3))
     s1, s2, s3 = MoveID("sigma", 1), MoveID("sigma", 2), MoveID("sigma", 3)
-    systems = _tuples(enumerate_systems(G, tau))
-    assert systems
+    systems = enumerate_systems(G, tau)
+    assert len(systems)
 
-    def word(ent, moves):
+    def word(*moves):
+        rows = systems
         for mv in moves:
-            ent = apply_move(G, 0, ent, mv)
-        return ent
+            rows = apply_move(G, 0, rows, mv)
+        return rows
 
-    for ent in systems:
-        assert word(ent, (s1, s2, s1)) == word(ent, (s2, s1, s2))
-        assert word(ent, (s1, s3)) == word(ent, (s3, s1))
+    assert np.array_equal(word(s1, s2, s1), word(s2, s1, s2))
+    assert np.array_equal(word(s1, s3), word(s3, s1))
 
 
 def test_moves_commute_with_automorphisms(rng, q8):
     for G in (construct_group("Sym:4"), construct_group("Zn:8,8"), q8):
         maps = automorphism_group(G).generator_maps
         tau = SignatureType(1, (2, 2)) if G.order > 8 else SignatureType(0, (4, 4, 4))
-        systems = sorted(_tuples(enumerate_systems(G, tau)))
-        if not systems:
+        systems = enumerate_systems(G, tau)
+        if not len(systems):
             continue
-        sample = systems if len(systems) <= 15 else rng.sample(systems, 15)
+        sample = _sample(rng, systems, 15)
         moves = available_moves(tau.gprime, tau.r)
         moves += [mv.inverted() for mv in moves]
-        for ent in sample:
-            for phi in maps:
-                mapped = tuple(phi[x] for x in ent)
-                for mv in moves:
-                    lhs = tuple(phi[x] for x in apply_move(G, tau.gprime, ent, mv))
-                    rhs = apply_move(G, tau.gprime, mapped, mv)
-                    assert lhs == rhs
+        for phi in map(np.asarray, maps):
+            mapped = phi[sample]
+            for mv in moves:
+                lhs = phi[apply_move(G, tau.gprime, sample, mv)]
+                rhs = apply_move(G, tau.gprime, mapped, mv)
+                assert np.array_equal(lhs, rhs)
 
 
 def test_convention_self_check_accepts_valid_samples():
     G = construct_group("Sym:3")
-    systems = _tuples(enumerate_systems(G, SignatureType(0, (2, 2, 3))))
+    systems = enumerate_systems(G, SignatureType(0, (2, 2, 3)))
     convention_self_check(G, 0, 3, systems)
 
 
 def test_convention_self_check_rejects_broken_samples():
     G = construct_group("Sym:3")
-    systems = sorted(_tuples(enumerate_systems(G, SignatureType(0, (2, 2, 3)))))
+    systems = enumerate_systems(G, SignatureType(0, (2, 2, 3)))
     # A reversed system has the same entries; keep those whose product c1 c2 c3 != 1.
-    broken = [tuple(reversed(ent)) for ent in systems]
-    broken = [ent for ent in broken if not long_relation_holds(G, 0, ent)]
-    assert broken
-    with pytest.raises(AssertionError):
+    reversed_rows = systems[:, ::-1]
+    broken = reversed_rows[~long_relation_holds(G, 0, reversed_rows)]
+    assert len(broken)
+    with pytest.raises(AssertionError, match="breaks the long relation"):
         convention_self_check(G, 0, 3, broken)

@@ -302,11 +302,12 @@ def _full_group_pair_orbits(G, tau1, tau2):
         gp = tau.gprime
         moves = available_moves(gp, tau.r) if (gp, tau.r) != (0, 0) else []
         moves += [m.inverted() for m in moves]
-        systems = sorted(map(tuple, _systems(G, tau, EquivalenceConfig()).tolist()))
+        rows = _systems(G, tau, EquivalenceConfig())
+        systems = list(map(tuple, rows.tolist()))
+        images = [apply_move(G, gp, rows, m).tolist() for m in moves]  # one call per move
         steps = {
-            ent: [apply_move(G, gp, ent, m) for m in moves]
-            + [tuple(phi[x] for x in ent) for phi in inner]
-            for ent in systems
+            ent: [tuple(img[i]) for img in images] + [tuple(phi[x] for x in ent) for phi in inner]
+            for i, ent in enumerate(systems)
         }
         return steps, {ent: sigma_set(G, gp, ent) for ent in systems}
 

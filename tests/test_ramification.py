@@ -23,6 +23,7 @@ from hurwitz_components.ramification import (
     surface_invariants,
     system_valid,
 )
+from test_moves import SUITE_SHAPES
 
 
 def test_type_parse_and_str_roundtrip():
@@ -57,18 +58,47 @@ def test_long_relation_explicit_symmetric_case():
     c1 = G.index_of((1, 0, 2))
     c2 = G.index_of((0, 2, 1))
     prod = G.mul(c1, c2)
-    entries = (c1, c2, G.inv(prod))
-    assert long_relation_value(G, 0, entries) == G.identity
-    assert long_relation_holds(G, 0, entries)
-    assert not long_relation_holds(G, 0, (c1, c2, prod)) or prod == G.inv(prod)
+    rows = np.array([(c1, c2, G.inv(prod)), (c1, c2, prod)], dtype=np.int16)
+    assert long_relation_value(G, 0, rows)[0] == G.identity
+    holds = long_relation_holds(G, 0, rows)
+    assert holds.shape == (2,) and holds[0]
+    assert not holds[1] or prod == G.inv(prod)
 
 
 def test_long_relation_with_handles():
     G = construct_group("Sym:4")
     a, b = 5, 9
     comm = G.comm(a, b)
-    entries = (a, b, G.inv(comm))
-    assert long_relation_holds(G, 1, entries)
+    rows = np.array([(a, b, G.inv(comm))], dtype=np.int16)
+    assert long_relation_holds(G, 1, rows).all()
+
+
+def _scalar_long_relation(G, gprime: int, ent: list[int]) -> int:
+    """c1...cr * prod_k a_k b_k a_k^-1 b_k^-1, folded one G.mul at a time."""
+    acc = G.identity
+    for x in ent[2 * gprime :]:
+        acc = G.mul(acc, x)
+    for a, b in zip(ent[0 : 2 * gprime : 2], ent[1 : 2 * gprime : 2]):
+        for x in (a, b, G.inv(a), G.inv(b)):
+            acc = G.mul(acc, x)
+    return acc
+
+
+@pytest.mark.parametrize("spec,gp,periods", SUITE_SHAPES + [("Zn:1031", 0, (1031, 1031))])
+def test_long_relation_rows_match_scalar_fold(spec, gp, periods, q8):
+    # Zn:1031 is above TABLE_LIMIT, so its products take the per-element path.
+    G = q8 if spec == "q8" else construct_group(spec)
+    systems = enumerate_systems(G, SignatureType(gp, periods))
+    k = systems.shape[1]
+    random_rows = np.random.default_rng(k).integers(0, G.order, size=(300, k)).astype(systems.dtype)
+    for rows in (systems, random_rows):
+        value = long_relation_value(G, gp, rows)
+        assert value.shape == (len(rows),)
+        assert value.tolist() == [_scalar_long_relation(G, gp, ent) for ent in rows.tolist()]
+        assert np.array_equal(long_relation_holds(G, gp, rows), value == G.identity)
+    assert len(systems) and long_relation_holds(G, gp, systems).all()
+    if periods:  # with branch entries, random rows are mostly not relations
+        assert np.count_nonzero(long_relation_holds(G, gp, random_rows)) < len(random_rows) // 2
 
 
 def test_enumerate_matches_brute_force_filter():
