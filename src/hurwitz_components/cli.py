@@ -16,7 +16,6 @@ import os
 import sys
 import tempfile
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__

@@ -21,12 +21,11 @@ import numpy as np
 
 from .errors import UserInputError
 
-# Full multiplication/inverse tables are built up to this order; larger
-# groups fall back to native per-backend arithmetic.
+# Full multiplication/inverse tables are built up to this order; larger groups
+# fall back to native per-backend arithmetic (Cayley documents have none).
 TABLE_LIMIT = 1024
 
 MAX_PERM_DEGREE = 8
-MAX_CAYLEY_ORDER = 1024
 
 
 def index_dtype(order: int):
@@ -289,10 +288,11 @@ class SubgroupJoins:
 
     Id 0 is the trivial subgroup. Each subgroup keeps its members (a sorted
     index array), its order and a short generating tuple; the ids of the
-    joins <H, y> are kept in a dense table, filled on demand. The group
-    keeps one (Group.subgroup_joins), so every enumeration of its systems
-    reuses the joins of the ones before. A join is found without listing
-    <H, y> element by element:
+    joins <H, y> are kept in a dense table, filled on demand as generates
+    folds join over the columns of finished systems. The group keeps one
+    (Group.subgroup_joins), so every enumeration of its systems reuses the
+    joins of the ones before. A join is found without listing <H, y>
+    element by element:
 
     * Lagrange shortcut: |<H, y>| is a multiple of lcm(|H|, ord y) that
       divides |G| and exceeds |H|. When |G| is the only such divisor, the
@@ -368,8 +368,11 @@ class SubgroupJoins:
             self.table[got, members] = got
         return got
 
-    def generates(self, ids: np.ndarray) -> np.ndarray:
-        """Whether each subgroup id is the whole group."""
+    def generates(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each row of a 2-D index array generates the whole group."""
+        ids = np.zeros(len(rows), dtype=np.int32)
+        for x in rows.T:
+            ids = self.join(ids, x)
         return self.orders[ids] == self.G.order
 
 
@@ -570,8 +573,8 @@ class CayleyGroup(Group):
         order = doc["order"]
         if not isinstance(order, int) or order < 1:
             raise UserInputError(f"{source}: order must be a positive integer")
-        if order > MAX_CAYLEY_ORDER:
-            raise UserInputError(f"{source}: order {order} exceeds limit {MAX_CAYLEY_ORDER}")
+        if order > TABLE_LIMIT:  # products are read from the table only
+            raise UserInputError(f"{source}: order {order} exceeds limit {TABLE_LIMIT}")
         labels = doc["labels"]
         if (
             not isinstance(labels, list)

@@ -241,13 +241,13 @@ def side_orbits(
     return SidePartition(G, canonical, systems, orbit, np.flatnonzero(is_leader))
 
 
-def _sigma_rows(G: Group, elements) -> np.ndarray:
+def _sigma_rows(G: Group) -> np.ndarray:
     """Bool rows, one per element x: the conjugates of the powers of x, which
     are the cyclic subgroups of its conjugates, the share of a Sigma set that
     one branch entry x contributes."""
-    rows = np.zeros((len(elements), G.order), dtype=bool)
-    for k, x in enumerate(elements):
-        rows[k, list(frozenset().union(*map(G.cyclic_subgroup, G.conjugacy_class(x))))] = True
+    rows = np.zeros((G.order, G.order), dtype=bool)
+    for x in G.elements():
+        rows[x, list(frozenset().union(*map(G.cyclic_subgroup, G.conjugacy_class(x))))] = True
     return rows
 
 
@@ -255,19 +255,17 @@ def _sigma_matrix(G: Group, part: SidePartition) -> np.ndarray:
     """Bool matrix (labels x |G|) of Sigma sets, checked constant on every orbit.
 
     A system's Sigma row is the identity column OR-ed with the _sigma_rows
-    row of each branch entry, gathered from one table over the distinct
-    branch entries of the side. Every system's row is compared with its
-    orbit label's row, a block of systems at a time.
+    row of each branch entry, gathered by element index from one table over
+    the whole group. Every system's row is compared with its orbit label's
+    row, a block of systems at a time.
     """
     branch = part.systems[:, 2 * part.tau.gprime :]
-    entries, at = np.unique(branch, return_inverse=True)
-    at = at.reshape(branch.shape)
-    table = _sigma_rows(G, entries.tolist())
+    table = _sigma_rows(G)
 
     def sigma(rows: np.ndarray) -> np.ndarray:
         out = np.zeros((len(rows), G.order), dtype=bool)
         out[:, G.identity] = True
-        for col in at[rows].T:
+        for col in branch[rows].T:
             out |= table[col]
         return out
 

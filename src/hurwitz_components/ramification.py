@@ -4,9 +4,10 @@ A system of generators is a flat sequence of element indices
 (a1, b1, ..., ag', bg', c1, ..., cr) subject to the long relation
 c1...cr * prod_k [a_k, b_k] = identity. A system is only ever a row of
 ints: enumerate_systems returns all systems of a type as one 2-D array
-with a system per row, built with numpy gathers on the group's table,
-and long_relation_value / long_relation_holds evaluate every row of such
-an array at once. system_valid and sigma_set read one system as a
+with a system per row, built with numpy gathers on the group's table and
+tested for generation once per finished row by the group's subgroup
+joins, and long_relation_value / long_relation_holds evaluate every row
+of such an array at once. system_valid and sigma_set read one system as a
 sequence of ints. Two systems are disjoint when their Sigma sets meet
 only in the identity.
 """
@@ -135,11 +136,12 @@ def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
 
     Free entries (a1, b1, ..., ag', bg', c1, ..., c_{r-1}) are expanded one
     slot at a time, in blocks of one leading-slot value, so memory stays
-    near one block. Each row carries the running product
-    K = prod_k [a_k, b_k] times c1 ... c_j and the id of the subgroup its
-    entries generate. The last branch entry is solved from the long relation
-    as (K c1 ... c_{r-1})^-1 and filtered on its order; for r = 0 the
-    relation K = 1 is checked instead. Rows that generate G are kept.
+    near one block. Each row carries only its entries and the running
+    product K = prod_k [a_k, b_k] times c1 ... c_j. The last branch entry
+    is solved from the long relation as (K c1 ... c_{r-1})^-1 and filtered
+    on its order; for r = 0 the relation K = 1 is checked instead. Of the
+    finished rows, one SubgroupJoins.generates call keeps those that
+    generate G, so no join is closed for a prefix that the filters discard.
     """
     gp, r = tau.gprime, tau.r
     dtype = index_dtype(G.order)
@@ -151,7 +153,6 @@ def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
     for lead in range(len(slots[0])) if slots else [None]:
         rows = np.zeros((1, 0), dtype=dtype)
         acc = np.full(1, G.identity, dtype=dtype)
-        ids = np.zeros(1, dtype=np.int32)
         for level, values in enumerate(slots):
             if level == 0:
                 values = values[lead : lead + 1]
@@ -165,16 +166,13 @@ def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
                 acc = G.mul_array(acc, x)
             elif level % 2:
                 acc = G.mul_array(acc, G.comm(rows[:, level - 1], x))
-            ids = joins.join(np.repeat(ids, len(values)), x)
         if r:
             last = G.inv_array(acc)
             keep = orders[last] == tau.periods[-1]
             rows = np.concatenate([rows[keep], last[keep, None]], axis=1)
-            ids = joins.join(ids[keep], last[keep])
         else:
-            keep = acc == G.identity
-            rows, ids = rows[keep], ids[keep]
-        blocks.append(rows[joins.generates(ids)])
+            rows = rows[acc == G.identity]
+        blocks.append(rows[joins.generates(rows)])
     return np.concatenate(blocks)
 
 

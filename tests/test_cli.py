@@ -328,3 +328,33 @@ def test_library_modules_do_not_print():
         if _writes_to_a_stream(node)
     ]
     assert offenders == []
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Top-level imported names that the module never reads nor lists in __all__."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return [f"{name}:{line}" for name, line in bound.items() if name not in read | exported]
+
+
+def test_library_modules_read_every_import():
+    paths = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert len(paths) >= 9
+    unread = [
+        f"{path.name}:{where}"
+        for path in paths
+        for where in _unread_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert unread == []

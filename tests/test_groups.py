@@ -202,6 +202,15 @@ def test_cayley_rejects_broken_tables(tmp_path, q8_path):
             construct_group(f"cayley:{path}")
 
 
+def test_cayley_order_limit_is_the_table_limit(tmp_path):
+    # above TABLE_LIMIT a group keeps no table, and a Cayley group has no other products
+    path = tmp_path / "big.json"
+    for order, message in ((TABLE_LIMIT + 1, "order 1025 exceeds limit 1024"), (TABLE_LIMIT, "labels")):
+        path.write_text(json.dumps({"order": order, "labels": [], "table": []}))
+        with pytest.raises(UserInputError, match=message):
+            construct_group(f"cayley:{path}")
+
+
 def test_cayley_table_is_its_document(q8, q8_path):
     table = json.loads(q8_path.read_text())["table"]
     elems = np.arange(q8.order)

@@ -118,7 +118,7 @@ def test_valid_cells_in_row_blocks_match_one_product():
 @pytest.mark.parametrize("spec", ["Sym:4", "Alt:5", "q8", "Zn:5,5"])
 def test_sigma_table_matches_sigma_set(spec, q8):
     G = q8 if spec == "q8" else construct_group(spec)
-    table = _sigma_rows(G, list(G.elements()))
+    table = _sigma_rows(G)
     assert table.shape == (G.order, G.order)
     for x in G.elements():
         assert set(np.flatnonzero(table[x]).tolist()) == sigma_set(G, 0, (x,)), x

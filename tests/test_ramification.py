@@ -158,6 +158,35 @@ def test_enumerations_on_one_join_table_match_product_reference(spec, texts):
         assert want and enumerate_systems(G, tau).tolist() == list(map(list, want))
 
 
+@pytest.mark.parametrize(
+    "spec,text",
+    [
+        ("Alt:5", "0|2,5,5"),
+        ("Sym:4", "1|3"),
+        ("Sym:5", "0|2,4,5"),
+        ("q8", "0|4,4,4"),
+        ("Zn:5,5", "0|5,5,5"),
+        ("Zn:2,4", "2|"),
+    ],
+)
+def test_generation_closes_joins_only_for_prefixes_of_finished_rows(spec, text, q8_path):
+    # A fresh group, so its join table holds only what this enumeration met:
+    # the subgroups that the prefixes of rows passing the long relation and
+    # the branch orders generate, whether or not the rows generate G.
+    G = construct_group(f"cayley:{q8_path}" if spec == "q8" else spec)
+    tau = SignatureType.parse(text)
+    slots = [G.elements()] * (2 * tau.gprime) + [
+        [x for x in G.elements() if G.element_order(x) == m] for m in tau.periods
+    ]
+    rows = np.array(list(product(*slots)), dtype=np.intp)
+    rows = rows[long_relation_holds(G, tau.gprime, rows)]
+    prefixes = {frozenset(row[:i]) for row in rows.tolist() for i in range(len(row) + 1)}
+    want = set(map(G.closure, prefixes))
+    enumerate_systems(G, tau)
+    got = [frozenset(m.tolist()) for m in G.subgroup_joins().members]
+    assert len(got) == len(set(got)) and set(got) == want
+
+
 def test_enumerate_without_tables_uses_native_arithmetic():
     G = construct_group("Zn:1031")  # order above TABLE_LIMIT: no tables
     got = enumerate_systems(G, SignatureType(0, (1031, 1031)))
