@@ -31,7 +31,7 @@ from .abelian import (
     theta_is_integral,
 )
 from .errors import BudgetExceeded, UserInputError
-from .groups import AbelianGroup, Group, construct_group
+from .groups import AbelianGroup, CayleyGroup, Group, construct_group
 from .moves import MoveID, apply_move, available_moves
 from .orbits import (
     EquivalenceConfig,
@@ -432,23 +432,37 @@ def _verify_closed_form(cfg: EquivalenceConfig) -> tuple[bool, str]:
     return True, "; ".join(notes)
 
 
+def _quaternion_group() -> CayleyGroup:
+    """Q8 as a Cayley table, the document of tests/data/q8.json: element
+    2u + s is (-1)^s times the unit u of 1, i, j, k. Units multiply as
+    u * v = +-(u XOR v), negative where sign[u][v] is 1."""
+    sign = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1))
+    table = [
+        [2 * ((a // 2) ^ (b // 2)) + (a + b + sign[a // 2][b // 2]) % 2 for b in range(8)]
+        for a in range(8)
+    ]
+    labels = [s + u for u in ("1", "i", "j", "k") for s in ("", "-")]
+    return CayleyGroup({"order": 8, "labels": labels, "table": table}, "<quaternion group>")
+
+
 def _verify_two_routes(cfg: EquivalenceConfig) -> tuple[bool, str]:
     cfg = dataclasses.replace(cfg, representatives=True)
+    # Q8 is the one group here whose centre and Inn(G) are both non-trivial.
     cases = [
-        ("Zn:5,5", "0|5,5,5", "0|5,5,5"),
-        ("Zn:2", "1|2,2", "2|"),
-        ("Sym:4", "0|2,3,4", "0|2,3,4"),
-        ("Zn:1", "2|", "2|"),
-        ("Sym:4", "0|2,2,2,4", "1|3"),
-        ("Sym:4", "0|3,4,4", "1|2,2"),
+        (construct_group("Zn:5,5"), "0|5,5,5", "0|5,5,5"),
+        (construct_group("Zn:2"), "1|2,2", "2|"),
+        (construct_group("Sym:4"), "0|2,3,4", "0|2,3,4"),
+        (construct_group("Zn:1"), "2|", "2|"),
+        (construct_group("Sym:4"), "0|2,2,2,4", "1|3"),
+        (construct_group("Sym:4"), "0|3,4,4", "1|2,2"),
+        (_quaternion_group(), "0|4,4,4", "2|"),
     ]
-    for spec, t1s, t2s in cases:
-        G = construct_group(spec)
+    for G, t1s, t2s in cases:
         t1, t2 = SignatureType.parse(t1s), SignatureType.parse(t2s)
         a = count_components(G, t1, t2, cfg)
         b = count_components_one_stage(G, t1, t2, cfg)
         if a.to_json_dict() != b.to_json_dict():
-            return False, f"routes disagree on {spec} ({t1s}) x ({t2s}): {a.h} vs {b.h}"
+            return False, f"routes disagree on {G.name} ({t1s}) x ({t2s}): {a.h} vs {b.h}"
     return True, f"both orbit routes agree on {len(cases)} instances"
 
 

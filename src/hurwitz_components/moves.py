@@ -190,18 +190,35 @@ def _move(G: Group, gprime: int, entries: list, move: MoveID) -> list:
     raise UserInputError(f"unknown move kind {kind!r}")
 
 
-def convention_self_check(G: Group, gprime: int, r: int, rows: np.ndarray) -> None:
-    """Assert that every move and its inverse keep the long relation on the samples.
+def convention_self_check(
+    G: Group, gprime: int, r: int, rows: np.ndarray, inner=()
+) -> None:
+    """Assert that every move and its inverse keep the long relation on the
+    samples, and that every forward move commutes with the inner maps.
 
-    rows: a 2-D array of systems already satisfying the long relation; each
-    move acts on all of them at once. Raises AssertionError on a violation.
+    rows: a 2-D array of systems already satisfying the long relation.
+    inner: element maps of inner automorphisms (Inn(G) generators). The
+    rows are stacked with their image under each map, and each move acts
+    once on the whole stack; a forward move m must then satisfy
+    phi(m(x)) = m(phi(x)) on every sample x, as a word in the entries
+    does. Raises AssertionError naming the move on a violation.
     """
     if (gprime, r) == (0, 0):
         return
-    moves = available_moves(gprime, r)
-    moves += [m.inverted() for m in moves]
-    for m in moves:
-        broken = ~long_relation_holds(G, gprime, apply_move(G, gprime, rows, m))
+    inner = [np.asarray(phi, dtype=rows.dtype) for phi in inner]
+    stack = np.concatenate([rows] + [phi[rows] for phi in inner])
+    forward = available_moves(gprime, r)
+    for m in forward + [m.inverted() for m in forward]:
+        out = apply_move(G, gprime, stack, m)
+        broken = ~long_relation_holds(G, gprime, out)
         if broken.any():
-            entries = tuple(rows[np.argmax(broken)].tolist())
+            entries = tuple(stack[np.argmax(broken)].tolist())
             raise AssertionError(f"move {m} breaks the long relation on {G.name} system {entries}")
+        if m.inverse:
+            continue
+        moved, *conjugates = out.reshape(1 + len(inner), len(rows), out.shape[1])
+        for k, (phi, img) in enumerate(zip(inner, conjugates)):
+            if not np.array_equal(phi[moved], img):
+                raise AssertionError(
+                    f"move {m} does not commute with inner automorphism {k} on {G.name}"
+                )

@@ -20,14 +20,16 @@ _images and _components (index maps and their orbits), and _valid_cells
 Sigma rows: the oracle calls sigma_set per system, the two-stage engine
 gathers per-element rows over whole system arrays.
 
-Each move is applied to the whole array at once and each automorphism
+Each move is applied to a whole array at once and each automorphism
 acts as a gather phi[systems]; image rows are located among the systems
 by a rank lookup over chunks of columns, which raises AssertionError for
 a row outside the set. Both routes act with generators only (forward
 moves, Inn and Aut generator maps): each permutes a finite set, so its
-inverse is one of its powers. The swap acts exactly when the unordered
-types coincide. Both refuse honestly (BudgetExceeded) instead of
-degrading.
+inverse is one of its powers. The two-stage side partition applies the
+moves to one system per Inn(G) class, since a move is a word in the
+entries and commutes with conjugation; the oracle applies every move to
+every system. The swap acts exactly when the unordered types coincide.
+Both refuse honestly (BudgetExceeded) instead of degrading.
 """
 from __future__ import annotations
 
@@ -224,19 +226,42 @@ def _move_maps(G: Group, tau: SignatureType) -> list:
 def side_orbits(
     G: Group, tau: SignatureType, config: EquivalenceConfig | None = None
 ) -> SidePartition:
-    """Partition all systems of tau's unordered type into move orbits.
+    """Partition all systems of tau's unordered type into orbits under the
+    moves and Inn(G).
 
-    Orbits are numbered by their least members. Each forward move acts on
-    the whole system array at once, and conjugation by generators of G is
-    applied entrywise alongside them.
+    Orbits are numbered by their least members. The Inn classes come first:
+    the components of the Inn generator maps over all systems, each of
+    exactly |G|/|Z(G)| members, since Inn(G) acts freely on generating
+    systems. A move is a word in a system's entries, so it commutes with
+    every inner automorphism and carries whole classes onto classes; each
+    forward move therefore acts on one system per class, the least, and
+    the move orbits are found over the classes. An orbit's least member is
+    the least member of its least class. Without Inn generators (G
+    abelian) every class is a single system.
     """
     config = config or EquivalenceConfig()
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, config)
-    convention_self_check(G, canonical.gprime, canonical.r, systems[:20])
-    maps = _move_maps(G, canonical) + _element_maps(G, inner_automorphisms(G))
-    root = _components(len(systems), _images(G, systems, maps, f"{G.name} {canonical}"))
-    is_leader = root == np.arange(len(systems))
+    inn = inner_automorphisms(G)
+    convention_self_check(G, canonical.gprime, canonical.r, systems[:20], inn)
+    locate = _RowIndex(systems, G.order)
+    where = f"{G.name} {canonical}"
+    n = len(systems)
+    if inn:
+        inn_root = _components(n, (locate(f(systems), where) for f in _element_maps(G, inn)))
+        is_rep = inn_root == np.arange(n)
+        cls = (np.cumsum(is_rep) - 1)[inn_root]  # class number of each system
+        reps = np.flatnonzero(is_rep)
+        size = G.order // len(G.center())
+        if (np.bincount(cls) != size).any():
+            raise AssertionError(f"Inn(G) classes of {where} do not all have {size} members")
+        rows = systems[reps]
+        images = (cls[locate(f(rows), where)] for f in _move_maps(G, canonical))
+        root = reps[_components(len(reps), images)[cls]]
+    else:
+        images = (locate(f(systems), where) for f in _move_maps(G, canonical))
+        root = _components(n, images)
+    is_leader = root == np.arange(n)
     orbit = (np.cumsum(is_leader) - 1)[root]
     return SidePartition(G, canonical, systems, orbit, np.flatnonzero(is_leader))
 

@@ -303,7 +303,15 @@ def test_verify_runs_property_suites(capsys):
     names = {c["name"] for c in doc["checks"]}
     assert {"move-invariants", "inner-automorphism-lemma", "two-route-agreement"} <= names
     assert all(c["passed"] for c in doc["checks"])
+    routes = next(c for c in doc["checks"] if c["name"] == "two-route-agreement")
+    assert routes["detail"] == "both orbit routes agree on 7 instances"
     assert "[ok]" in err
+
+
+def test_verify_quaternion_table_is_the_q8_document(q8_path):
+    G, doc = cli._quaternion_group(), json.loads(q8_path.read_text())
+    assert G.labels == doc["labels"] and G._products.tolist() == doc["table"]
+    assert G.name == cli.construct_group(f"cayley:{q8_path}").name
 
 
 def _writes_to_a_stream(node: ast.AST) -> bool:

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from hurwitz_components.automorphisms import automorphism_group
+from hurwitz_components import moves
+from hurwitz_components.automorphisms import automorphism_group, inner_automorphisms
 from hurwitz_components.errors import UserInputError
 from hurwitz_components.groups import construct_group
 from hurwitz_components.moves import (
@@ -14,7 +15,7 @@ from hurwitz_components.moves import (
     available_moves,
     convention_self_check,
 )
-from hurwitz_components.orbits import EquivalenceConfig, _systems
+from hurwitz_components.orbits import EquivalenceConfig, _systems, side_orbits
 from hurwitz_components.ramification import (
     SignatureType,
     enumerate_systems,
@@ -216,3 +217,39 @@ def test_convention_self_check_rejects_broken_samples():
     assert len(broken)
     with pytest.raises(AssertionError, match="breaks the long relation"):
         convention_self_check(G, 0, 3, broken)
+
+
+def test_convention_self_check_applies_each_move_once_with_inner_maps(monkeypatch):
+    G = construct_group("Sym:4")
+    systems = enumerate_systems(G, SignatureType(1, (2, 2)))[:20]
+    inner = inner_automorphisms(G)
+    assert inner
+    calls = []
+    real = moves.apply_move
+
+    def counted(G, gp, rows, mv):
+        calls.append((mv, len(rows)))
+        return real(G, gp, rows, mv)
+
+    monkeypatch.setattr(moves, "apply_move", counted)
+    convention_self_check(G, 1, 2, systems, inner)
+    forward = available_moves(1, 2)
+    stacked = len(systems) * (1 + len(inner))
+    assert calls == [(mv, stacked) for mv in forward + [mv.inverted() for mv in forward]]
+
+
+def test_a_move_that_conjugates_by_a_non_central_element_is_refused(monkeypatch):
+    # Such a "move" keeps the long relation, generation and every Sigma set,
+    # but does not commute with Inn(G), which the side stage relies on.
+    G = construct_group("Sym:4")
+    g = next(x for x in G.elements() if x not in G.center())
+    conj = np.array([G.conj(x, g) for x in G.elements()])
+    planted_move = MoveID("sigma", 2)
+    real = moves.apply_move
+
+    def planted(G, gp, rows, mv):
+        return conj[rows].astype(rows.dtype) if mv == planted_move else real(G, gp, rows, mv)
+
+    monkeypatch.setattr(moves, "apply_move", planted)
+    with pytest.raises(AssertionError, match="move sigma:2 does not commute"):
+        side_orbits(G, SignatureType(0, (2, 3, 4)))

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from hurwitz_components.automorphisms import AutGroup, automorphism_group
+from hurwitz_components.automorphisms import AutGroup, automorphism_group, inner_automorphisms
 from hurwitz_components.errors import BudgetExceeded, UserInputError
 from hurwitz_components.groups import AbelianGroup, construct_group
 from hurwitz_components.moves import apply_move, available_moves
@@ -75,6 +75,62 @@ def test_side_orbits_accept_enumeration_as_row_list(monkeypatch):
     assert got.systems.dtype == want.systems.dtype
     for field in ("systems", "orbit", "leaders"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def _side_orbits_on_every_system(G, tau):
+    """The side partition with every forward move and every Inn generator
+    map acting on every system: the reference for side_orbits, which moves
+    one system per Inn class."""
+    canonical = tau.with_sorted_periods()
+    systems = _systems(G, canonical, EquivalenceConfig())
+    maps = orbits._move_maps(G, canonical) + orbits._element_maps(G, inner_automorphisms(G))
+    root = _components(len(systems), _images(G, systems, maps, "reference"))
+    is_leader = root == np.arange(len(systems))
+    return systems, (np.cumsum(is_leader) - 1)[root], np.flatnonzero(is_leader)
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        ("Sym:3", "0|2,2,3"),
+        ("Sym:4", "1|2,2"),
+        ("Sym:4", "0|2,2,2,4"),
+        ("Sym:4", "1|3,3,3"),
+        ("Alt:4", "1|3,3,3"),
+        ("Alt:5", "0|2,5,5"),
+        ("Alt:5", "1|2"),  # no systems
+        ("q8", "0|4,4,4"),  # a centre of order 2
+        ("q8", "1|2"),
+        ("Zn:2,4", "1|2,2"),  # no Inn generators
+    ],
+)
+def test_side_orbits_over_inn_classes_match_every_system(spec, text, q8, monkeypatch):
+    G = q8 if spec == "q8" else construct_group(spec)
+    tau = _tau(text)
+    systems, orbit, leaders = _side_orbits_on_every_system(G, tau)
+    rows_per_call = []
+    real = orbits.apply_move
+
+    def counted(G, gp, rows, mv):
+        rows_per_call.append(len(rows))
+        return real(G, gp, rows, mv)
+
+    monkeypatch.setattr(orbits, "apply_move", counted)
+    part = side_orbits(G, tau)
+    assert np.array_equal(part.systems, systems)
+    assert np.array_equal(part.orbit, orbit)
+    assert np.array_equal(part.leaders, leaders)
+    classes = len(systems) // (G.order // len(G.center()))
+    assert rows_per_call == [classes] * len(available_moves(tau.gprime, tau.r))
+
+
+def test_side_orbits_refuse_inn_classes_of_the_wrong_size(monkeypatch):
+    G = construct_group("Sym:4")
+    inn = inner_automorphisms(G)
+    assert len(inn) > 1
+    monkeypatch.setattr(orbits, "inner_automorphisms", lambda G: inn[1:])
+    with pytest.raises(AssertionError, match="do not all have 24 members"):
+        side_orbits(G, _tau("0|2,3,4"))
 
 
 def test_row_index_locates_rows_and_refuses_strangers():
