@@ -1,12 +1,14 @@
 """Automorphism groups and inner automorphisms, held by generators.
 
-An automorphism is represented as an element map: a tuple m of length
-|G| with m[x] = phi(x). A group acting on a finite set has the same
-orbits whether every element or only a generating set is applied, and
-on a finite set the inverse of a map is one of its powers. So no
-automorphism group is ever listed in full and no inverse map is built:
-AutGroup holds |Aut(G)| and a generating set of maps, and consumers act
-with those generators alone.
+An automorphism is represented as an element map: a row m of length |G|
+with m[x] = phi(x). A set of maps is one 2-D index array of shape
+(maps, |G|) and dtype index_dtype(|G|), so a map acts on a whole array
+of systems as the gather m[systems]. A group acting on a finite set has
+the same orbits whether every element or only a generating set is
+applied, and on a finite set the inverse of a map is one of its powers.
+So no automorphism group is ever listed in full and no inverse map is
+built: AutGroup holds |Aut(G)| and an array of generator maps, and
+consumers act with those generators alone.
 
 Generators come from the standard generating sets where the group is a
 known family (Seress, Permutation Group Algorithms, ch. 4):
@@ -33,16 +35,9 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceeded
-from .groups import AbelianGroup, Group, PermutationGroup, prime_factorization
+from .groups import AbelianGroup, Group, PermutationGroup, index_dtype, prime_factorization
 
 BACKTRACK_CANDIDATE_LIMIT = 2000
-
-
-def invert_map(m) -> tuple[int, ...]:
-    out = [0] * len(m)
-    for i, j in enumerate(m):
-        out[j] = i
-    return tuple(out)
 
 
 def is_automorphism(G: Group, m) -> bool:
@@ -57,29 +52,32 @@ def is_automorphism(G: Group, m) -> bool:
 class AutGroup:
     """The automorphism group of a backend group, as its order and generators.
 
-    generator_maps generate Aut(G) and never include the identity map, so
-    a trivial Aut(G) has none. The whole group is reachable by closure.
+    generator_maps holds one element map per row, shape (maps, |G|) and
+    dtype index_dtype(|G|). The rows generate Aut(G) and never include the
+    identity map, so a trivial Aut(G) has none. The whole group is
+    reachable by closure.
     """
 
     group: Group
     order: int
-    generator_maps: tuple[tuple[int, ...], ...]
+    generator_maps: np.ndarray
 
 
-def _distinct_maps(G: Group, maps) -> tuple[tuple[int, ...], ...]:
-    """maps in first-seen order, without repeats or the identity map."""
-    ident = tuple(G.elements())
-    return tuple(m for m in dict.fromkeys(maps) if m != ident)
+def _distinct_maps(G: Group, maps: np.ndarray) -> np.ndarray:
+    """The rows of maps in first-seen order, without repeats or the identity map."""
+    _, first = np.unique(maps, axis=0, return_index=True)
+    first.sort()
+    return maps[first[(maps[first] != np.arange(G.order)).any(axis=1)]]
 
 
-def inner_automorphisms(G: Group) -> tuple[tuple[int, ...], ...]:
-    """Generators of Inn(G): x -> g^-1 x g for g in the generating tuple.
+def inner_automorphisms(G: Group) -> np.ndarray:
+    """Generators of Inn(G), one map per row: x -> g^-1 x g for g in the
+    generating tuple.
 
     Identity maps and repeats are dropped, so an abelian group has none.
     """
-    return _distinct_maps(
-        G, (tuple(G.conj(x, g) for x in G.elements()) for g in G.generating_tuple())
-    )
+    g = np.array(G.generating_tuple(), dtype=np.intp)[:, None]
+    return _distinct_maps(G, G.mul_array(G.mul_array(G.inv_array(g), np.arange(G.order)), g))
 
 
 def automorphism_group(G: Group) -> AutGroup:
@@ -93,17 +91,6 @@ def automorphism_group(G: Group) -> AutGroup:
 
 
 # -- abelian homocyclic (Z/n)^k: GL_k(Z/n) ------------------------------
-def _mat_to_map(G: AbelianGroup, mat) -> tuple[int, ...]:
-    k = len(G.moduli)
-    n = G.moduli[0]
-    out = []
-    for x in G.elements():
-        v = G.vector(x)
-        w = tuple(sum(v[i] * mat[i][j] for i in range(k)) % n for j in range(k))
-        out.append(G.encode(w))
-    return tuple(out)
-
-
 def _unit_generators(n: int) -> list[int]:
     """A generating set of the units mod n, by closure on integers.
 
@@ -143,24 +130,25 @@ def _homocyclic_auts(G: AbelianGroup) -> AutGroup:
     order = 1
     for p, e in prime_factorization(n).items():
         order *= p ** ((e - 1) * k * k) * math.prod(p**k - p**i for i in range(k))
-    return AutGroup(G, order, _distinct_maps(G, (_mat_to_map(G, m) for m in mats)))
+    # An index is the dot product of its vector with the indices of the unit
+    # vectors, so vectors and images are read off by integer arithmetic.
+    place = np.array([G.encode(e) for e in np.eye(k, dtype=np.int64).tolist()])
+    vectors = np.arange(G.order)[:, None] // place % n
+    images = vectors @ np.array(mats, dtype=np.int64).reshape(-1, k, k) % n @ place
+    return AutGroup(G, order, _distinct_maps(G, images.astype(index_dtype(G.order))))
 
 
 # -- Sym(n), Alt(n), n != 6: conjugation inside Sym(n) -------------------
 def _conjugation_auts(G: PermutationGroup) -> AutGroup:
     n = G.degree
-    transposition = (1, 0) + tuple(range(2, n))
-    cycle = tuple(range(1, n)) + (0,)
+    perms = np.array([G.perm(x) for x in G.elements()])
     maps = []
-    for sigma in (transposition, cycle):
-        sinv = invert_map(sigma)
-        maps.append(
-            tuple(
-                G.index_of(tuple(sigma[p[sinv[i]]] for i in range(n)))
-                for p in map(G.perm, G.elements())
-            )
-        )
-    return AutGroup(G, math.factorial(n), _distinct_maps(G, maps))
+    transposition = np.array([1, 0] + list(range(2, n)))
+    for sigma in (transposition, np.roll(np.arange(n), -1)):  # (0 1), (0 1 ... n-1)
+        # the conjugate sigma o p o sigma^-1 of each permutation p
+        images = sigma[perms[:, np.argsort(sigma)]]
+        maps.append([G.index_of(tuple(q)) for q in images.tolist()])
+    return AutGroup(G, math.factorial(n), _distinct_maps(G, np.array(maps, index_dtype(G.order))))
 
 
 # -- generic backtracking -------------------------------------------------
@@ -208,38 +196,34 @@ def _backtracking_auts(G: Group) -> AutGroup:
             f"(> {BACKTRACK_CANDIDATE_LIMIT})",
             required=total,
         )
-    maps = []
-    for images in product(*candidates):
-        phi = _extend_homomorphism(G, gens, images)
-        if phi is not None:
-            maps.append(phi)
+    found = (_extend_homomorphism(G, gens, images) for images in product(*candidates))
+    maps = np.array([phi for phi in found if phi is not None], index_dtype(G.order))
     order, kept = _generating_subset(maps, gens)
     if order != len(maps):
         raise AssertionError(f"Aut({G.name}): the kept maps generate {order} of {len(maps)}")
-    return AutGroup(G, order, tuple(maps[k] for k in kept))
+    return AutGroup(G, order, maps[kept])
 
 
-def _generating_subset(maps: list[list[int]], gens: tuple[int, ...]) -> tuple[int, list[int]]:
-    """|<maps>| and the positions of the maps that enlarge the group of the
-    ones kept before them, a generating set without redundant members.
+def _generating_subset(maps: np.ndarray, gens: tuple[int, ...]) -> tuple[int, list[int]]:
+    """|<maps>| and the positions of the rows of maps that enlarge the group
+    of the ones kept before them, a generating set without redundant members.
 
     Closure runs on the images of the generating tuple gens, which fix an
-    automorphism, since (s o h)(g) = s(h(g)).
+    automorphism, since (s o h)(g) = s(h(g)): the kept rows act on a whole
+    frontier of image tuples as one gather.
     """
+    cols = list(gens)
     kept: list[int] = []
     seen = {gens}
     for pos, s in enumerate(maps):
-        if tuple(s[v] for v in gens) in seen:
+        if tuple(s[cols].tolist()) in seen:
             continue
         kept.append(pos)
-        frontier = list(seen)
-        while frontier:
-            grown = []
-            for t in frontier:
-                for k in kept:
-                    img = tuple(maps[k][v] for v in t)
-                    if img not in seen:
-                        seen.add(img)
-                        grown.append(img)
-            frontier = grown
+        acting = maps[kept]
+        grown = seen
+        while grown:
+            frontier = np.array(list(grown), dtype=np.intp)
+            images = acting[:, frontier].reshape(-1, len(cols))
+            grown = set(map(tuple, images.tolist())) - seen
+            seen |= grown
     return len(seen), kept

@@ -197,15 +197,15 @@ def convention_self_check(
     samples, and that every forward move commutes with the inner maps.
 
     rows: a 2-D array of systems already satisfying the long relation.
-    inner: element maps of inner automorphisms (Inn(G) generators). The
-    rows are stacked with their image under each map, and each move acts
+    inner: element maps of inner automorphisms (Inn(G) generators), one
+    per row of an index array. The rows are stacked with their image
+    under each map (the gather phi[rows]), and each move acts
     once on the whole stack; a forward move m must then satisfy
     phi(m(x)) = m(phi(x)) on every sample x, as a word in the entries
     does. Raises AssertionError naming the move on a violation.
     """
     if (gprime, r) == (0, 0):
         return
-    inner = [np.asarray(phi, dtype=rows.dtype) for phi in inner]
     stack = np.concatenate([rows] + [phi[rows] for phi in inner])
     forward = available_moves(gprime, r)
     for m in forward + [m.inverted() for m in forward]:

@@ -15,21 +15,24 @@ A side is one sorted (N, k) array of systems, one system per row; there
 is no other model of a system. The routes share only steps that read
 system rows and Sigma rows, never orbit labels or a quotient: _systems
 (enumeration under the budget), _move_maps (the forward moves),
-_images and _components (index maps and their orbits), and _valid_cells
+_RowIndex and _components (index maps and their orbits), and _valid_cells
 (Sigma rows that meet only in the identity). Each route builds its own
 Sigma rows: the oracle calls sigma_set per system, the two-stage engine
 gathers per-element rows over whole system arrays.
 
-Each move is applied to a whole array at once and each automorphism
-acts as a gather phi[systems]; image rows are located among the systems
-by a rank lookup over chunks of columns, which raises AssertionError for
-a row outside the set. Both routes act with generators only (forward
-moves, Inn and Aut generator maps): each permutes a finite set, so its
-inverse is one of its powers. The two-stage side partition applies the
-moves to one system per Inn(G) class, since a move is a word in the
-entries and commutes with conjugation; the oracle applies every move to
-every system. The swap acts exactly when the unordered types coincide.
-Both refuse honestly (BudgetExceeded) instead of degrading.
+Each move is applied to a whole array at once. An automorphism is a row
+phi of a (maps, |G|) index array (see automorphisms) and acts as the
+gather phi[systems]. Image rows are located among the systems by a
+_RowIndex, a rank lookup over chunks of columns that raises
+AssertionError for a row outside the set; side_orbits builds one per
+side and keeps it on the SidePartition, whose label_of gives the pair
+stage the orbit of each row. Both routes act with generators only
+(forward moves, Inn and Aut generator maps): each permutes a finite set,
+so its inverse is one of its powers. The two-stage side partition
+applies the moves to one system per Inn(G) class, since a move is a word
+in the entries and commutes with conjugation; the oracle applies every
+move to every system. The swap acts exactly when the unordered types
+coincide. Both refuse honestly (BudgetExceeded) instead of degrading.
 """
 from __future__ import annotations
 
@@ -74,6 +77,11 @@ class SidePartition:
     systems: np.ndarray  # (N, k) element indices, one system per row, rows sorted
     orbit: np.ndarray  # per system, the index of its orbit
     leaders: np.ndarray  # per orbit, the row of its least member (ascending)
+    locate: _RowIndex  # the row index of systems, built once by side_orbits
+
+    def label_of(self, rows: np.ndarray, where: str) -> np.ndarray:
+        """The orbit of each row, which must be one of the systems."""
+        return self.orbit[self.locate(rows, where)]
 
     @property
     def labels(self) -> np.ndarray:
@@ -122,12 +130,20 @@ def _systems(G: Group, tau: SignatureType, config: EquivalenceConfig) -> np.ndar
             required=est,
         )
     k = 2 * tau.gprime + tau.r
-    blocks = []
-    for ordering in tau.orderings():
+
+    def block(ordering: tuple[int, ...]) -> np.ndarray:
         rows = enumerate_systems(G, SignatureType(tau.gprime, ordering))  # or a list of rows
-        blocks.append(np.asarray(rows, dtype=index_dtype(G.order)).reshape(len(rows), k))
+        return np.asarray(rows, dtype=index_dtype(G.order)).reshape(len(rows), k)
+
+    blocks = [block(ordering) for ordering in tau.orderings()]
+    if len(blocks) == 1:
+        return blocks[0]
     systems = np.concatenate(blocks)
-    return systems[np.lexsort(systems.T[::-1])] if len(blocks) > 1 else systems
+    blocks.clear()  # the sort then holds no per-ordering copy
+    order = np.lexsort(systems.T[::-1])
+    for column in systems.T:  # sorted in place, one column of scratch at a time
+        column[:] = column[order]
+    return systems
 
 
 class _RowIndex:
@@ -174,13 +190,6 @@ class _RowIndex:
         return rank
 
 
-def _images(G: Group, systems: np.ndarray, maps, where: str):
-    """For each map on system arrays, yield the index array i -> index of map(systems)[i]."""
-    locate = _RowIndex(systems, G.order)
-    for f in maps:
-        yield locate(f(systems), where)
-
-
 def _components(n: int, images) -> np.ndarray:
     """For each index in range(n), the least index of its orbit under the maps.
 
@@ -208,11 +217,6 @@ def _components(n: int, images) -> np.ndarray:
                     break
                 root = jumped
     return root
-
-
-def _element_maps(G: Group, maps) -> list:
-    """Maps on element indices as gathers that act on whole system arrays."""
-    return [lambda rows, phi=np.asarray(phi, index_dtype(G.order)): phi[rows] for phi in maps]
 
 
 def _move_maps(G: Group, tau: SignatureType) -> list:
@@ -247,8 +251,8 @@ def side_orbits(
     locate = _RowIndex(systems, G.order)
     where = f"{G.name} {canonical}"
     n = len(systems)
-    if inn:
-        inn_root = _components(n, (locate(f(systems), where) for f in _element_maps(G, inn)))
+    if len(inn):
+        inn_root = _components(n, (locate(phi[systems], where) for phi in inn))
         is_rep = inn_root == np.arange(n)
         cls = (np.cumsum(is_rep) - 1)[inn_root]  # class number of each system
         reps = np.flatnonzero(is_rep)
@@ -263,7 +267,7 @@ def side_orbits(
         root = _components(n, images)
     is_leader = root == np.arange(n)
     orbit = (np.cumsum(is_leader) - 1)[root]
-    return SidePartition(G, canonical, systems, orbit, np.flatnonzero(is_leader))
+    return SidePartition(G, canonical, systems, orbit, np.flatnonzero(is_leader), locate)
 
 
 def _sigma_rows(G: Group) -> np.ndarray:
@@ -305,12 +309,11 @@ def _sigma_matrix(G: Group, part: SidePartition) -> np.ndarray:
     return mat
 
 
-def _aut_label_perms(G: Group, part: SidePartition, maps) -> list[np.ndarray]:
-    """The permutation each automorphism induces on the orbit labels."""
-    locate = _RowIndex(part.systems, G.order)
+def _aut_label_perms(G: Group, part: SidePartition, maps: np.ndarray) -> list[np.ndarray]:
+    """The permutation each automorphism (a row of maps) induces on the orbit labels."""
     labels = part.labels
     where = f"{G.name} {part.tau} under an automorphism"
-    return [part.orbit[locate(f(labels), where)] for f in _element_maps(G, maps)]
+    return [part.label_of(phi[labels], where) for phi in maps]
 
 
 def count_components(
@@ -347,7 +350,7 @@ def _valid_cells(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
 
 
 def _transversals(
-    G: Group, n: int, maps: list[np.ndarray], perms: list[np.ndarray]
+    G: Group, n: int, maps: np.ndarray, perms: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """A Schreier vector for each Aut orbit (block) of n labels.
 
@@ -375,7 +378,7 @@ def _transversals(
 
 
 def _stabilizer_gens(
-    G: Group, gens: tuple[int, ...], maps: list[np.ndarray], perms: list[np.ndarray], root, u, uinv
+    G: Group, gens: tuple[int, ...], maps: np.ndarray, perms: list[np.ndarray], root, u, uinv
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Schreier generators u_{s(x)}^-1 o s o u_x of Stab(root[x]), over every
     label x and generator s, without repeats or the identity.
@@ -386,7 +389,7 @@ def _stabilizer_gens(
     pairs that occur, as two arrays sorted by root.
     """
     n = len(root)
-    if not maps:
+    if not len(maps):
         none = np.zeros(0, dtype=np.intp)
         return np.zeros((0, G.order), dtype=u.dtype), none, none
     gens = np.array(gens, dtype=np.intp)
@@ -436,13 +439,11 @@ def _count_pairs(
     s1 = side1.orbit_sizes
     s2 = s1 if same_types else side2.orbit_sizes
     labels1, labels2 = side1.labels, side2.labels
-    locate1 = _RowIndex(side1.systems, G.order)
-    locate2 = locate1 if same_types else _RowIndex(side2.systems, G.order)
     where1, where2 = (f"{G.name} {t} under an automorphism" for t in (side1.tau, side2.tau))
 
     aut = automorphism_group(G)
-    maps = [np.asarray(phi, index_dtype(G.order)) for phi in aut.generator_maps]
-    perms = _aut_label_perms(G, side1, aut.generator_maps)
+    maps = aut.generator_maps
+    perms = _aut_label_perms(G, side1, maps)
     root, u = _transversals(G, L1, maps, perms)
     uinv = np.empty_like(u)
     np.put_along_axis(uinv, u, np.arange(G.order, dtype=u.dtype)[None, :], axis=1)
@@ -452,10 +453,9 @@ def _count_pairs(
     block = np.searchsorted(roots, root)  # block number of each side-1 label
     block_size = np.bincount(block)
 
-    fixed = side1.orbit[locate1(stab[use_gen[:, None], labels1[use_root]], where1)]
+    fixed = side1.label_of(stab[use_gen[:, None], labels1[use_root]], where1)
     if (fixed != use_root).any():
         raise AssertionError("a stabilizer generator moves the root label of its block")
-    stab_lists = stab.tolist()
     gens_of: dict[int, tuple[int, ...]] = {}
     for r, k in zip(use_root.tolist(), use_gen.tolist()):
         gens_of[r] = gens_of.get(r, ()) + (k,)
@@ -464,7 +464,7 @@ def _count_pairs(
     for b, r in enumerate(roots.tolist()):
         key = gens_of.get(r, ())
         if key not in subsets:
-            subsets[key] = _generating_subset([stab_lists[k] for k in key], gens)
+            subsets[key] = _generating_subset(stab[list(key)], gens)
         order, kept = subsets[key]
         if block_size[b] * order != aut.order:
             raise AssertionError(
@@ -493,7 +493,7 @@ def _count_pairs(
             img[on] = cells_at(cell_i[on].astype(np.int64) * L2 + perm2[cell_j[on]])
             yield img
         if same_types:
-            back = side1.orbit[locate1(uinv[cell_j[:, None], labels1[cell_i]], where1)]
+            back = side1.label_of(uinv[cell_j[:, None], labels1[cell_i]], where1)
             yield cells_at(root[cell_j] * L2 + back)
 
     least = _components(len(flat), cell_maps())
@@ -516,7 +516,7 @@ def _count_pairs(
         row_cuts = np.searchsorted(cell_block, np.arange(len(roots) + 1))
         for (b, x), row in zip(picked, direct):
             js = cell_j[row_cuts[b] : row_cuts[b + 1]]
-            carried = side2.orbit[locate2(u[x][labels2[js]], where2)]
+            carried = side2.label_of(u[x][labels2[js]], where2)
             if not np.array_equal(np.sort(carried), np.flatnonzero(row)):
                 raise AssertionError(
                     f"the cells of label {x} are not those of label {roots[b]} carried by "
@@ -602,10 +602,11 @@ def count_components_one_stage(
     aut_maps = automorphism_group(G).generator_maps
 
     def side_maps(t: SignatureType, systems: np.ndarray):
-        per_side = _move_maps(G, t) + _element_maps(G, inn)
-        maps = per_side + _element_maps(G, aut_maps)
-        images = list(_images(G, systems, maps, f"{G.name} {t}"))
-        return images[: len(per_side)], images[len(per_side) :]
+        """Index maps of the moves and Inn generators, then of the Aut generators."""
+        locate, where = _RowIndex(systems, G.order), f"{G.name} {t}"
+        own = [locate(f(systems), where) for f in _move_maps(G, t)]
+        own += [locate(phi[systems], where) for phi in inn]
+        return own, [locate(phi[systems], where) for phi in aut_maps]
 
     own1, aut1 = side_maps(t1, sys1)
     own2, aut2 = (own1, aut1) if same_types else side_maps(t2, sys2)
@@ -676,11 +677,11 @@ def verify_inn_lemma(
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, config)
     convention_self_check(G, 0, canonical.r, systems[:20])
-    where = f"{G.name} {canonical}"
-    root = _components(len(systems), _images(G, systems, _move_maps(G, canonical), where))
+    locate, where = _RowIndex(systems, G.order), f"{G.name} {canonical}"
+    root = _components(len(systems), (locate(f(systems), where) for f in _move_maps(G, canonical)))
     inn = inner_automorphisms(G)
     inner_count = G.order // len(G.center())
-    images = _images(G, systems, _element_maps(G, inn), f"{where} under an inner automorphism")
+    images = (locate(phi[systems], f"{where} under an inner automorphism") for phi in inn)
     # The first system (then the first generator) that changes its braid orbit.
     bad = []
     for k, img in enumerate(images):
@@ -698,7 +699,7 @@ def verify_inn_lemma(
             inner_count,
             {
                 "system": [G.element_label(x) for x in ent],
-                "inner_image": [G.element_label(inn[k][x]) for x in ent],
+                "inner_image": [G.element_label(x) for x in inn[k][ent].tolist()],
             },
         )
     return InnLemmaReport(G.name, str(canonical), True, len(systems), inner_count)
@@ -734,6 +735,7 @@ def admissible_type_pairs(
     n = G.order
     target = n * chi
     orders = [m for m in G.orders_present() if m >= 2]
+    multisets: dict[Fraction, list] = {}  # angle sum -> its period multisets, for this call
     out: dict[tuple, tuple[SignatureType, SignatureType]] = {}
     for g1p in range(q + 1):
         g2p = q - g1p
@@ -745,10 +747,11 @@ def admissible_type_pairs(
             s2 = Fraction(2 * v, n) + 2 - 2 * g2p
             if s1 < 0 or s2 < 0:
                 continue
-            lists1 = period_multisets_with_angle_sum(orders, s1)
-            lists2 = period_multisets_with_angle_sum(orders, s2)
-            for p1 in lists1:
-                for p2 in lists2:
+            for s in (s1, s2):
+                if s not in multisets:
+                    multisets[s] = period_multisets_with_angle_sum(orders, s)
+            for p1 in multisets[s1]:
+                for p2 in multisets[s2]:
                     t1 = SignatureType(g1p, p1)
                     t2 = SignatureType(g2p, p2)
                     key = tuple(sorted([t1.canonical(), t2.canonical()]))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
+import numpy as np
 import pytest
 import sympy
 
@@ -12,11 +14,13 @@ from hurwitz_components.automorphisms import (
     inner_automorphisms,
     is_automorphism,
 )
-from hurwitz_components.groups import AbelianGroup, construct_group
+from hurwitz_components.groups import AbelianGroup, construct_group, index_dtype
 
 
 def _closure(G, gens) -> set[tuple[int, ...]]:
-    """Every map reachable from the identity map by composing with gens (BFS)."""
+    """Every map reachable from the identity map by composing with gens (BFS),
+    each a tuple of ints."""
+    gens = [np.asarray(g).tolist() for g in gens]
     frontier = {tuple(G.elements())}
     seen = set(frontier)
     while frontier:
@@ -109,7 +113,7 @@ def test_inner_count_is_index_of_center(q8):
         closed = _closure(G, inner_automorphisms(G))
         assert closed == inn
         assert len(closed) == G.order // len(G.center())
-    assert inner_automorphisms(construct_group("Zn:9")) == ()
+    assert inner_automorphisms(construct_group("Zn:9")).shape == (0, 9)
 
 
 def test_every_map_is_an_automorphism(q8):
@@ -160,3 +164,124 @@ def test_backtracking_refuses_generators_that_miss_maps(monkeypatch):
     monkeypatch.setattr(automorphisms, "_generating_subset", lambda maps, gens: (len(maps) - 1, [0]))
     with pytest.raises(AssertionError):
         _backtracking_auts(AbelianGroup([2, 4]))
+
+
+# -- the tuple builders the index-array builders replaced, kept as references --
+def _tuple_distinct_maps(G, maps):
+    ident = tuple(G.elements())
+    return tuple(m for m in dict.fromkeys(maps) if m != ident)
+
+
+def _tuple_inner_automorphisms(G):
+    return _tuple_distinct_maps(
+        G, (tuple(G.conj(x, g) for x in G.elements()) for g in G.generating_tuple())
+    )
+
+
+def _tuple_mat_to_map(G, mat):
+    k = len(G.moduli)
+    n = G.moduli[0]
+    out = []
+    for x in G.elements():
+        v = G.vector(x)
+        w = tuple(sum(v[i] * mat[i][j] for i in range(k)) % n for j in range(k))
+        out.append(G.encode(w))
+    return tuple(out)
+
+
+def _tuple_homocyclic_maps(G):
+    n, k = G.moduli[0], len(G.moduli)
+
+    def elementary(i, j, entry):
+        mat = [[int(r == c) for c in range(k)] for r in range(k)]
+        mat[i][j] = entry
+        return mat
+
+    mats = [elementary(i, j, 1) for i in range(k) for j in range(k) if i != j]
+    mats += [elementary(0, 0, u) for u in automorphisms._unit_generators(n)]
+    return _tuple_distinct_maps(G, (_tuple_mat_to_map(G, m) for m in mats))
+
+
+def _tuple_invert_map(m):
+    out = [0] * len(m)
+    for i, j in enumerate(m):
+        out[j] = i
+    return tuple(out)
+
+
+def _tuple_conjugation_maps(G):
+    n = G.degree
+    transposition = (1, 0) + tuple(range(2, n))
+    cycle = tuple(range(1, n)) + (0,)
+    maps = []
+    for sigma in (transposition, cycle):
+        sinv = _tuple_invert_map(sigma)
+        maps.append(
+            tuple(
+                G.index_of(tuple(sigma[p[sinv[i]]] for i in range(n)))
+                for p in map(G.perm, G.elements())
+            )
+        )
+    return _tuple_distinct_maps(G, maps)
+
+
+def _tuple_generating_subset(maps, gens):
+    kept = []
+    seen = {gens}
+    for pos, s in enumerate(maps):
+        if tuple(s[v] for v in gens) in seen:
+            continue
+        kept.append(pos)
+        frontier = list(seen)
+        while frontier:
+            grown = []
+            for t in frontier:
+                for k in kept:
+                    img = tuple(maps[k][v] for v in t)
+                    if img not in seen:
+                        seen.add(img)
+                        grown.append(img)
+            frontier = grown
+    return len(seen), kept
+
+
+def _tuple_backtracking_maps(G):
+    gens = G.generating_tuple()
+    order = G.element_order
+    candidates = [[x for x in G.elements() if order(x) == order(g)] for g in gens]
+    maps = [
+        phi
+        for images in product(*candidates)
+        if (phi := automorphisms._extend_homomorphism(G, gens, images)) is not None
+    ]
+    _, kept = _tuple_generating_subset(maps, gens)
+    return tuple(maps[k] for k in kept)
+
+
+@pytest.mark.parametrize(
+    "spec, route",
+    [
+        ("Zn:5,5", "homocyclic"),
+        ("Zn:2,2,2", "homocyclic"),
+        ("Zn:2,4", "backtracking"),
+        ("Sym:3", "conjugation"),
+        ("Sym:4", "conjugation"),
+        ("Alt:4", "conjugation"),
+        ("Alt:5", "conjugation"),
+        ("q8", "backtracking"),
+    ],
+)
+def test_map_arrays_equal_the_tuple_builders_row_for_row(spec, route, q8):
+    G = q8 if spec == "q8" else construct_group(spec)
+    reference = {
+        "homocyclic": _tuple_homocyclic_maps,
+        "conjugation": _tuple_conjugation_maps,
+        "backtracking": _tuple_backtracking_maps,
+    }[route]
+    for got, want in (
+        (inner_automorphisms(G), _tuple_inner_automorphisms(G)),
+        (automorphism_group(G).generator_maps, reference(G)),
+    ):
+        assert got.shape == (len(want), G.order)
+        assert got.dtype == index_dtype(G.order)
+        assert got.tolist() == [list(m) for m in want]

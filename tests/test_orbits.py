@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from hurwitz_components.orbits import (
     _RowIndex,
     _components,
     _systems,
-    _images,
     _sigma_matrix,
     _sigma_rows,
     _valid_cells,
@@ -83,8 +83,10 @@ def _side_orbits_on_every_system(G, tau):
     one system per Inn class."""
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, EquivalenceConfig())
-    maps = orbits._move_maps(G, canonical) + orbits._element_maps(G, inner_automorphisms(G))
-    root = _components(len(systems), _images(G, systems, maps, "reference"))
+    locate = _RowIndex(systems, G.order)
+    images = [locate(f(systems), "reference") for f in orbits._move_maps(G, canonical)]
+    images += [locate(phi[systems], "reference") for phi in inner_automorphisms(G)]
+    root = _components(len(systems), images)
     is_leader = root == np.arange(len(systems))
     return systems, (np.cumsum(is_leader) - 1)[root], np.flatnonzero(is_leader)
 
@@ -140,7 +142,7 @@ def test_row_index_locates_rows_and_refuses_strangers():
     shuffled = np.random.default_rng(3).permutation(len(systems))
     assert locate(systems[shuffled], "Sym:3").tolist() == shuffled.tolist()
     with pytest.raises(AssertionError, match="left the system set"):
-        list(_images(G, systems, [lambda rows: rows[:, ::-1]], "Sym:3 (0|2,2,3)"))
+        locate(systems[:, ::-1], "Sym:3 (0|2,2,3)")
 
 
 def test_row_index_keys_stay_in_int64():
@@ -155,8 +157,8 @@ def test_row_index_keys_stay_in_int64():
 
 def test_planted_map_that_leaves_the_system_set_raises(monkeypatch):
     G = construct_group("Sym:3")
-    collapse = tuple(G.identity for _ in G.elements())  # not an automorphism
-    monkeypatch.setattr(orbits, "inner_automorphisms", lambda G: (collapse,))
+    collapse = np.full((1, G.order), G.identity, dtype=np.int16)  # not an automorphism
+    monkeypatch.setattr(orbits, "inner_automorphisms", lambda G: collapse)
     with pytest.raises(AssertionError, match="left the system set"):
         side_orbits(G, _tau("0|2,2,3"))
 
@@ -230,6 +232,80 @@ def test_scan_builds_each_side_once_per_group(monkeypatch):
     result = scan_invariants(catalog, chi=1, q=1)
     assert len(built) == distinct
     assert sorted((r.group, r.type1, r.type2, r.h) for r in result.rows) == want
+
+
+def _census_catalog(q8):
+    """The groups of the benchmark's census scan, in its order."""
+    specs = ("Sym:3", "Sym:4", "Alt:4", "Zn:2,2", "Zn:2,4", "Zn:2,2,2", "q8", "Alt:5")
+    return [q8 if spec == "q8" else construct_group(spec) for spec in specs]
+
+
+def _count_row_index_builds(monkeypatch) -> list[int]:
+    """Record the number of rows of every _RowIndex built from now on."""
+    builds = []
+    real = _RowIndex.__init__
+
+    def counted(self, systems, order):
+        builds.append(len(systems))
+        real(self, systems, order)
+
+    monkeypatch.setattr(_RowIndex, "__init__", counted)
+    return builds
+
+
+def test_count_indexes_each_side_once(monkeypatch):
+    G = construct_group("Sym:4")
+    builds = _count_row_index_builds(monkeypatch)
+    rep = count_components(G, _tau("0|2,2,2,4"), _tau("1|3"))
+    assert rep.h > 0  # the pair stage ran in full
+    assert len(builds) == 2
+
+
+def test_census_scan_indexes_each_side_once(monkeypatch, q8):
+    catalog = _census_catalog(q8)
+    sides = {
+        (G.name, t.canonical())
+        for G in catalog
+        for pair in admissible_type_pairs(G, 1, 1)
+        for t in pair
+    }
+    builds = _count_row_index_builds(monkeypatch)
+    scan_invariants(catalog, chi=1, q=1)
+    assert len(builds) == len(sides) == 68
+
+
+def test_admissible_type_pairs_lists_each_angle_sum_once(monkeypatch, q8):
+    catalog = _census_catalog(q8)
+    want = [admissible_type_pairs(G, 1, 1) for G in catalog]
+    targets = []
+    real = orbits.period_multisets_with_angle_sum
+
+    def counted(orders, target):
+        targets.append(target)
+        return real(orders, target)
+
+    monkeypatch.setattr(orbits, "period_multisets_with_angle_sum", counted)
+    for G, pairs in zip(catalog, want):
+        targets.clear()
+        assert admissible_type_pairs(G, 1, 1) == pairs
+        assert len(targets) == len(set(targets))
+
+
+def test_systems_sort_holds_about_twice_the_result():
+    # 36 orderings of the periods; the blocks, their concatenation, the
+    # sort index and a sorted copy once held about 3.5 times the result.
+    G = construct_group("Zn:2,4")
+    tau = _tau("0|2,2,2,2,2,2,2,4,4")
+    assert len(tau.orderings()) > 1
+    tracemalloc.start()
+    try:
+        systems = _systems(G, tau, EquivalenceConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(systems) == 314_784
+    assert peak < 2.5 * systems.nbytes
+    assert np.array_equal(np.unique(systems, axis=0), systems)  # sorted distinct rows
 
 
 def _least_member_by_bfs(n: int, maps: list[list[int]]) -> list[int]:
