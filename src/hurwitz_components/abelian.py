@@ -120,30 +120,6 @@ SIX_RENORMALIZERS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
 )
 
 
-def renormalizer_matrices() -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """Derive the residual matrices from first principles.
-
-    Normalizing the first system to the standard triple (e1, e2, -e1-e2)
-    leaves the choices of ordered basis pair from that triple; the matrix
-    sending a chosen pair back to (e1, e2) is the inverse of its column
-    matrix. There are exactly six.
-    """
-    e1, e2 = (1, 0), (0, 1)
-    e3 = (-1, -1)
-    triple = [e1, e2, e3]
-    out = []
-    for u, v in itertools.permutations(triple, 2):
-        col = ((u[0], v[0]), (u[1], v[1]))
-        det = col[0][0] * col[1][1] - col[0][1] * col[1][0]
-        if det not in (1, -1):
-            continue
-        inv_det = det  # det is +-1 so it is its own inverse
-        adj = ((col[1][1], -col[0][1]), (-col[1][0], col[0][0]))
-        m = tuple(tuple(inv_det * adj[i][j] for j in range(2)) for i in range(2))
-        out.append(m)
-    return out
-
-
 def _mat_apply(m, x, n):
     return ((m[0][0] * x[0] + m[0][1] * x[1]) % n, (m[1][0] * x[0] + m[1][1] * x[1]) % n)
 

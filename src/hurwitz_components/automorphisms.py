@@ -40,14 +40,6 @@ from .groups import AbelianGroup, Group, PermutationGroup, index_dtype, prime_fa
 BACKTRACK_CANDIDATE_LIMIT = 2000
 
 
-def is_automorphism(G: Group, m) -> bool:
-    if len(set(m)) != G.order or m[G.identity] != G.identity:
-        return False
-    return all(
-        m[G.mul(x, y)] == G.mul(m[x], m[y]) for x in G.elements() for y in G.elements()
-    )
-
-
 @dataclass
 class AutGroup:
     """The automorphism group of a backend group, as its order and generators.

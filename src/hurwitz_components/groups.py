@@ -88,6 +88,7 @@ class Group:
         self._cyclic: dict[int, frozenset[int]] = {}
         self._classes: dict[int, frozenset[int]] = {}
         self._joins: SubgroupJoins | None = None
+        self._inner_classes: InnerClasses | None = None
         self._generating_tuple: tuple[int, ...] | None = None
 
     # -- backend hooks -------------------------------------------------
@@ -267,6 +268,13 @@ class Group:
             self._joins = SubgroupJoins(self)
         return self._joins
 
+    def inner_classes(self) -> InnerClasses | None:
+        """The conjugacy tables of InnerClasses, built on first use and kept;
+        None for an abelian group, where every Inn(G) class is one tuple."""
+        if self._inner_classes is None and len(self.center()) < self.order:
+            self._inner_classes = InnerClasses(self)
+        return self._inner_classes
+
     def center(self) -> tuple[int, ...]:
         """The elements that commute with each member of the generating tuple."""
         if self._center is None:
@@ -275,9 +283,6 @@ class Group:
                 z for z in self.elements() if all(self.mul(z, g) == self.mul(g, z) for g in gens)
             )
         return self._center
-
-    def is_abelian(self) -> bool:
-        return len(self.center()) == self.order
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} order={self.order}>"
@@ -374,6 +379,99 @@ class SubgroupJoins:
         for x in rows.T:
             ids = self.join(ids, x)
         return self.orders[ids] == self.G.order
+
+
+class InnerClasses:
+    """Least members of Inn(G) classes of element tuples, for a non-abelian G.
+
+    Per element x it keeps least[x], the least member of the conjugacy
+    class of x, and conjugator[x], an element g with g^-1 x g = least[x].
+    The centralizer C(c) of each class minimum c is the slice of
+    centralizers (sorted members, all centralizers end to end) that starts
+    at centralizer_at[c] and holds centralizer_order[c] elements. Every
+    conjugate of a tuple (x1, ..., xk) whose lead entry is c = least[x1] is
+    the conjugate of (x1, ..., xk)^conjugator[x1] by an element of C(c), so
+    the least conjugate of the tuple is the least of those |C(c)|. Up to
+    TABLE_LIMIT it also keeps the table of conjugates, an (order, order)
+    index array whose row g holds g^-1 x g, so a conjugation is one gather.
+    """
+
+    def __init__(self, G: Group) -> None:
+        self.G = G
+        n = G.order
+        elems = np.arange(n)
+        self.table = None
+        if n <= TABLE_LIMIT:
+            self.table = self.conj(elems, elems[:, None])
+        gens = np.array(G.generating_tuple(), dtype=np.intp)
+        least = np.full(n, -1, dtype=np.int64)
+        reach = np.empty(n, dtype=index_dtype(n))  # h with h^-1 least[x] h = x
+        for c in range(n):  # each class is walked from its least member
+            if least[c] >= 0:
+                continue
+            least[c], reach[c] = c, G.identity
+            frontier = np.array([c])
+            while frontier.size:
+                z = self.conj(frontier[:, None], gens).ravel()
+                h = G.mul_array(reach[frontier][:, None], gens).ravel()
+                z, first = np.unique(z, return_index=True)
+                new = least[z] < 0
+                frontier = z[new]
+                least[frontier], reach[frontier] = c, h[first[new]]
+        self.least = least.astype(reach.dtype)
+        self.conjugator = G.inv_array(reach)
+        minima = np.unique(least)
+        members = [np.flatnonzero(G.mul_array(c, elems) == G.mul_array(elems, c)) for c in minima]
+        sizes = np.array([len(m) for m in members])
+        self.centralizers = np.concatenate(members)
+        self.centralizer_order = np.zeros(n, dtype=np.int64)
+        self.centralizer_order[minima] = sizes
+        self.centralizer_at = np.zeros(n, dtype=np.int64)
+        self.centralizer_at[minima] = np.cumsum(sizes) - sizes
+
+    def conj(self, x, g) -> np.ndarray:
+        """Elementwise g^-1 x g of index arrays, broadcast together."""
+        if self.table is not None:  # one gather, its flat index formed in intp
+            return self.table.take(np.asarray(g, dtype=np.intp) * self.G.order + x)
+        G = self.G
+        return G.mul_array(G.mul_array(G.inv_array(g), x), g)
+
+    def least_conjugates(self, rows: np.ndarray) -> np.ndarray:
+        """The lexicographically least conjugate of each row of a 2-D index array.
+
+        The lead entries go to their class minima by one conjugator gather.
+        Then each row is paired with every element of its lead's
+        centralizer, and the columns are read in turn: a pair stays while
+        its conjugate ties with the least value of its row in every column
+        read. Conjugates by one coset of Z(G) are equal, so the rows are
+        decided once |Z(G)| pairs per row are left. Rows go in chunks of
+        about 2^18 pairs.
+        """
+        if not rows.size:
+            return rows.copy()
+        out = self.conj(rows, self.conjugator[rows[:, 0]][:, None])
+        if (out[:, 0] != self.least[rows[:, 0]]).any():
+            raise AssertionError(f"a conjugator of {self.G.name} misses its class minimum")
+        central = len(self.G.center())
+        pairs = self.centralizer_order[out[:, 0]]
+        ends = np.cumsum(pairs)
+        cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], 1 << 18), side="right"))
+        for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [len(out)]):
+            block = out[lo:hi]
+            count = pairs[lo:hi]
+            row = np.repeat(np.arange(hi - lo), count)
+            first = np.cumsum(count) - count  # the first pair of each row
+            start = np.repeat(self.centralizer_at[block[:, 0]] - first, count)
+            g = self.centralizers[np.arange(len(row)) + start]
+            for col in block[:, 1:].T:
+                if len(row) == (hi - lo) * central:
+                    break
+                value = self.conj(col[row], g)
+                keep = value == np.minimum.reduceat(value, first)[row]
+                first = (np.cumsum(keep) - keep)[first]  # each row keeps a pair
+                row, g = row[keep], g[keep]
+            out[lo:hi] = self.conj(block, g[first][:, None])
+        return out
 
 
 class AbelianGroup(Group):
@@ -522,6 +620,17 @@ class PermutationGroup(Group):
     def _mul_raw(self, x: int, y: int) -> int:
         px, py = self._perms[x], self._perms[y]
         return self._index[tuple(py[i] for i in px)]
+
+    def _mul_table(self) -> np.ndarray:
+        # Row x composes x with every y at once, (x*y)(i) = y(x(i)), and finds
+        # each product among the sorted permutations by its base-degree key.
+        perms = np.array(self._perms, dtype=np.int64).reshape(self.order, self.degree)
+        place = self.degree ** np.arange(self.degree - 1, -1, -1)
+        keys = perms @ place
+        table = np.empty((self.order, self.order), dtype=index_dtype(self.order))
+        for x, px in enumerate(perms):
+            table[x] = np.searchsorted(keys, perms[:, px] @ place)
+        return table
 
     def _inv_raw(self, x: int) -> int:
         p = self._perms[x]

@@ -12,13 +12,16 @@ Two independent routes compute h(G; tau1, tau2):
   generators and the swap, without orbit labels or any quotient.
 
 A side is one sorted (N, k) array of systems, one system per row; there
-is no other model of a system. The routes share only steps that read
-system rows and Sigma rows, never orbit labels or a quotient: _systems
-(enumeration under the budget), _move_maps (the forward moves),
-_RowIndex and _components (index maps and their orbits), and _valid_cells
-(Sigma rows that meet only in the identity). Each route builds its own
-Sigma rows: the oracle calls sigma_set per system, the two-stage engine
-gathers per-element rows over whole system arrays.
+is no other model of a system. The oracle lists every system of a side;
+the two-stage engine lists one row per Inn(G) class, the class's least
+member (see side_orbits), and reduces every image row to its class row
+(InnerClasses.least_conjugates) before it looks it up. The routes share
+only steps that read system rows and Sigma rows, never orbit labels or a
+quotient: _systems (enumeration under the budget), _move_maps (the
+forward moves), _RowIndex and _components (index maps and their orbits),
+and _valid_cells (Sigma rows that meet only in the identity). Each route
+builds its own Sigma rows: the oracle calls sigma_set per system, the
+two-stage engine gathers per-element rows over whole system arrays.
 
 Each move is applied to a whole array at once. An automorphism is a row
 phi of a (maps, |G|) index array (see automorphisms) and acts as the
@@ -28,11 +31,12 @@ AssertionError for a row outside the set; side_orbits builds one per
 side and keeps it on the SidePartition, whose label_of gives the pair
 stage the orbit of each row. Both routes act with generators only
 (forward moves, Inn and Aut generator maps): each permutes a finite set,
-so its inverse is one of its powers. The two-stage side partition
-applies the moves to one system per Inn(G) class, since a move is a word
-in the entries and commutes with conjugation; the oracle applies every
-move to every system. The swap acts exactly when the unordered types
-coincide. Both refuse honestly (BudgetExceeded) instead of degrading.
+so its inverse is one of its powers. A move is a word in the entries and
+commutes with conjugation, so the two-stage side partition applies each
+move once to every class row; the oracle applies every move to every
+system. The swap acts exactly when the unordered types coincide. Both
+refuse honestly (BudgetExceeded) instead of degrading; the two-stage
+budget counts the tuples its restricted enumeration expands.
 """
 from __future__ import annotations
 
@@ -72,16 +76,25 @@ class EquivalenceConfig:
 
 @dataclass
 class SidePartition:
+    """One side's orbits under the moves and Inn(G), held one row per Inn(G) class.
+
+    A class row is the least member of its class, and each class has
+    weight = |G|/|Z(G)| systems (1 for an abelian G, whose classes are
+    single systems). label_of reduces any system to its class row before
+    the lookup, so moves and automorphisms may act on class rows freely.
+    """
+
     group: Group
     tau: SignatureType  # canonical (sorted periods)
-    systems: np.ndarray  # (N, k) element indices, one system per row, rows sorted
-    orbit: np.ndarray  # per system, the index of its orbit
-    leaders: np.ndarray  # per orbit, the row of its least member (ascending)
+    systems: np.ndarray  # (N, k) class rows, one per Inn(G) class, rows sorted
+    orbit: np.ndarray  # per class row, the index of its orbit
+    leaders: np.ndarray  # per orbit, the class row of its least member (ascending)
     locate: _RowIndex  # the row index of systems, built once by side_orbits
+    weight: int  # systems per class row
 
     def label_of(self, rows: np.ndarray, where: str) -> np.ndarray:
-        """The orbit of each row, which must be one of the systems."""
-        return self.orbit[self.locate(rows, where)]
+        """The orbit of each row, which must be a system of the side."""
+        return self.orbit[_class_of(self.group, self.locate, rows, where)]
 
     @property
     def labels(self) -> np.ndarray:
@@ -90,7 +103,8 @@ class SidePartition:
 
     @property
     def orbit_sizes(self) -> np.ndarray:
-        return np.bincount(self.orbit, minlength=len(self.leaders))
+        """The number of systems in each orbit."""
+        return np.bincount(self.orbit, minlength=len(self.leaders)) * self.weight
 
 
 @dataclass
@@ -115,14 +129,20 @@ class OrbitReport:
         }
 
 
-def estimate_system_candidates(G: Group, tau: SignatureType) -> int:
-    """Upper bound on tuples enumerated for the unordered type (pre-filter)."""
-    return sum(candidate_tuples(G, SignatureType(tau.gprime, o)) for o in tau.orderings())
+def estimate_system_candidates(G: Group, tau: SignatureType, inn_classes: bool = False) -> int:
+    """Upper bound on tuples enumerated for the unordered type (pre-filter);
+    with inn_classes, for the enumeration of one row per Inn(G) class."""
+    return sum(
+        candidate_tuples(G, SignatureType(tau.gprime, o), inn_classes) for o in tau.orderings()
+    )
 
 
-def _systems(G: Group, tau: SignatureType, config: EquivalenceConfig) -> np.ndarray:
-    """Every system of tau's unordered type as sorted rows; refuses past the budget."""
-    est = estimate_system_candidates(G, tau)
+def _systems(
+    G: Group, tau: SignatureType, config: EquivalenceConfig, inn_classes: bool = False
+) -> np.ndarray:
+    """Every system of tau's unordered type (with inn_classes, the least
+    member of each Inn(G) class) as sorted rows; refuses past the budget."""
+    est = estimate_system_candidates(G, tau, inn_classes)
     if est > config.max_systems:
         raise BudgetExceeded(
             f"side enumeration for {G.name} type {tau} needs {est} candidate tuples "
@@ -132,7 +152,8 @@ def _systems(G: Group, tau: SignatureType, config: EquivalenceConfig) -> np.ndar
     k = 2 * tau.gprime + tau.r
 
     def block(ordering: tuple[int, ...]) -> np.ndarray:
-        rows = enumerate_systems(G, SignatureType(tau.gprime, ordering))  # or a list of rows
+        rows = enumerate_systems(G, SignatureType(tau.gprime, ordering), inn_classes=inn_classes)
+        # enumerate_systems may hand back a list of rows
         return np.asarray(rows, dtype=index_dtype(G.order)).reshape(len(rows), k)
 
     blocks = [block(ordering) for ordering in tau.orderings()]
@@ -227,47 +248,45 @@ def _move_maps(G: Group, tau: SignatureType) -> list:
     return [lambda rows, m=m: apply_move(G, gp, rows, m) for m in moves]
 
 
+def _class_of(G: Group, locate: _RowIndex, rows: np.ndarray, where: str) -> np.ndarray:
+    """The index of each row's Inn(G) class row among the rows locate indexes."""
+    classes = G.inner_classes()
+    return locate(rows if classes is None else classes.least_conjugates(rows), where)
+
+
 def side_orbits(
     G: Group, tau: SignatureType, config: EquivalenceConfig | None = None
 ) -> SidePartition:
-    """Partition all systems of tau's unordered type into orbits under the
-    moves and Inn(G).
+    """Partition the systems of tau's unordered type into orbits under the
+    moves and Inn(G), one row per Inn(G) class.
 
-    Orbits are numbered by their least members. The Inn classes come first:
-    the components of the Inn generator maps over all systems, each of
-    exactly |G|/|Z(G)| members, since Inn(G) acts freely on generating
-    systems. A move is a word in a system's entries, so it commutes with
-    every inner automorphism and carries whole classes onto classes; each
-    forward move therefore acts on one system per class, the least, and
-    the move orbits are found over the classes. An orbit's least member is
-    the least member of its least class. Without Inn generators (G
-    abelian) every class is a single system.
+    Inn(G) acts freely on generating systems, so a class has |G|/|Z(G)|
+    members; the enumeration lists only the least member of each. A move
+    is a word in a system's entries, so it commutes with conjugation and
+    carries whole classes onto classes: each forward move acts once on
+    every class row, and its images are reduced to their class rows before
+    the lookup. Orbits are numbered by their least members, which are
+    class rows (an orbit's least member is the least member of its least
+    class). Each Inn generator is checked on a sample to keep its rows in
+    their classes, a check on the canonical form.
     """
     config = config or EquivalenceConfig()
     canonical = tau.with_sorted_periods()
-    systems = _systems(G, canonical, config)
+    systems = _systems(G, canonical, config, inn_classes=True)
     inn = inner_automorphisms(G)
-    convention_self_check(G, canonical.gprime, canonical.r, systems[:20], inn)
+    sample = systems[:20]
+    convention_self_check(G, canonical.gprime, canonical.r, sample, inn)
     locate = _RowIndex(systems, G.order)
     where = f"{G.name} {canonical}"
-    n = len(systems)
-    if len(inn):
-        inn_root = _components(n, (locate(phi[systems], where) for phi in inn))
-        is_rep = inn_root == np.arange(n)
-        cls = (np.cumsum(is_rep) - 1)[inn_root]  # class number of each system
-        reps = np.flatnonzero(is_rep)
-        size = G.order // len(G.center())
-        if (np.bincount(cls) != size).any():
-            raise AssertionError(f"Inn(G) classes of {where} do not all have {size} members")
-        rows = systems[reps]
-        images = (cls[locate(f(rows), where)] for f in _move_maps(G, canonical))
-        root = reps[_components(len(reps), images)[cls]]
-    else:
-        images = (locate(f(systems), where) for f in _move_maps(G, canonical))
-        root = _components(n, images)
-    is_leader = root == np.arange(n)
+    for phi in inn:
+        if (_class_of(G, locate, phi[sample], where) != np.arange(len(sample))).any():
+            raise AssertionError(f"an inner automorphism takes a row of {where} out of its class")
+    images = (_class_of(G, locate, f(systems), where) for f in _move_maps(G, canonical))
+    root = _components(len(systems), images)
+    is_leader = root == np.arange(len(systems))
     orbit = (np.cumsum(is_leader) - 1)[root]
-    return SidePartition(G, canonical, systems, orbit, np.flatnonzero(is_leader), locate)
+    weight = G.order // len(G.center())
+    return SidePartition(G, canonical, systems, orbit, np.flatnonzero(is_leader), locate, weight)
 
 
 def _sigma_rows(G: Group) -> np.ndarray:
@@ -285,8 +304,9 @@ def _sigma_matrix(G: Group, part: SidePartition) -> np.ndarray:
 
     A system's Sigma row is the identity column OR-ed with the _sigma_rows
     row of each branch entry, gathered by element index from one table over
-    the whole group. Every system's row is compared with its orbit label's
-    row, a block of systems at a time.
+    the whole group. Every class row's Sigma row is compared with its orbit
+    label's row, a block of rows at a time; Sigma is a union of conjugacy
+    classes, so it is constant on each Inn(G) class.
     """
     branch = part.systems[:, 2 * part.tau.gprime :]
     table = _sigma_rows(G)

@@ -3,11 +3,12 @@
 A system of generators is a flat sequence of element indices
 (a1, b1, ..., ag', bg', c1, ..., cr) subject to the long relation
 c1...cr * prod_k [a_k, b_k] = identity. A system is only ever a row of
-ints: enumerate_systems returns all systems of a type as one 2-D array
-with a system per row, built with numpy gathers on the group's table and
-tested for generation once per finished row by the group's subgroup
-joins, and long_relation_value / long_relation_holds evaluate every row
-of such an array at once. system_valid and sigma_set read one system as a
+ints: enumerate_systems returns all systems of a type (or the least
+member of each Inn(G) class) as one 2-D array with a system per row,
+built with numpy gathers on the group's table and tested for generation
+once per finished row by the group's subgroup joins, and
+long_relation_value / long_relation_holds evaluate every row of such an
+array at once. system_valid and sigma_set read one system as a
 sequence of ints. Two systems are disjoint when their Sigma sets meet
 only in the identity.
 """
@@ -123,16 +124,30 @@ def system_valid(G: Group, tau: SignatureType, entries: tuple[int, ...]) -> bool
     return G.generates(entries)
 
 
-def candidate_tuples(G: Group, tau: SignatureType) -> int:
-    """How many tuples enumerate_systems(G, tau) expands before filtering:
-    |G| per handle entry, times the elements of each period's order but the
-    last (which is solved from the long relation)."""
-    per_order = (np.count_nonzero(G.orders == m) for m in tau.periods[:-1])
-    return G.order ** (2 * tau.gprime) * math.prod(per_order)
+def _free_slots(G: Group, tau: SignatureType, inn_classes: bool) -> list[np.ndarray]:
+    """The values of each free entry (a1, b1, ..., ag', bg', c1, ..., c_{r-1}):
+    every element for a handle entry, the elements of its period's order for
+    a branch entry. With inn_classes, for a non-abelian G, the lead (first)
+    entry takes only the least member of each conjugacy class."""
+    elems = np.arange(G.order, dtype=index_dtype(G.order))
+    gp, r = tau.gprime, tau.r
+    slots = [elems] * (2 * gp) + [elems[G.orders == m] for m in tau.periods[: max(r - 1, 0)]]
+    classes = G.inner_classes() if inn_classes and slots else None
+    if classes is not None:
+        slots[0] = slots[0][classes.least[slots[0]] == slots[0]]
+    return slots
 
 
-def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
-    """Every system of exact (ordered) type tau, one per row, lexicographically.
+def candidate_tuples(G: Group, tau: SignatureType, inn_classes: bool = False) -> int:
+    """How many tuples enumerate_systems(G, tau, inn_classes) expands before
+    filtering: the product of the sizes of the free entries' value sets (the
+    last branch entry is solved from the long relation)."""
+    return math.prod(len(values) for values in _free_slots(G, tau, inn_classes))
+
+
+def enumerate_systems(G: Group, tau: SignatureType, inn_classes: bool = False) -> np.ndarray:
+    """Every system of exact (ordered) type tau, one per row, lexicographically;
+    with inn_classes, only the least member of each Inn(G) class.
 
     Free entries (a1, b1, ..., ag', bg', c1, ..., c_{r-1}) are expanded one
     slot at a time, in blocks of one leading-slot value, so memory stays
@@ -142,12 +157,20 @@ def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
     on its order; for r = 0 the relation K = 1 is checked instead. Of the
     finished rows, one SubgroupJoins.generates call keeps those that
     generate G, so no join is closed for a prefix that the filters discard.
+
+    With inn_classes and G non-abelian, the lead takes only conjugacy-class
+    minima c (every Inn class has members with lead c, and they are the
+    conjugates by C(c)), and a generating row is kept when it is its own
+    least conjugate. Inn(G) acts freely on generating systems, so the C(c)
+    orbits of the generating rows with lead c all have |C(c)|/|Z(G)| rows,
+    |C(c)| read from the conjugacy class of c; a block whose count
+    disagrees raises AssertionError.
     """
     gp, r = tau.gprime, tau.r
     dtype = index_dtype(G.order)
     orders = G.orders
-    elems = np.arange(G.order, dtype=dtype)
-    slots = [elems] * (2 * gp) + [elems[orders == m] for m in tau.periods[: max(r - 1, 0)]]
+    slots = _free_slots(G, tau, inn_classes)
+    classes = G.inner_classes() if inn_classes else None
     joins = G.subgroup_joins()
     blocks = [np.zeros((0, 2 * gp + r), dtype=dtype)]
     for lead in range(len(slots[0])) if slots else [None]:
@@ -172,7 +195,17 @@ def enumerate_systems(G: Group, tau: SignatureType) -> np.ndarray:
             rows = np.concatenate([rows[keep], last[keep, None]], axis=1)
         else:
             rows = rows[acc == G.identity]
-        blocks.append(rows[joins.generates(rows)])
+        rows = rows[joins.generates(rows)]
+        if classes is not None and len(rows):
+            found, c = len(rows), int(rows[0, 0])
+            rows = rows[(classes.least_conjugates(rows) == rows).all(axis=1)]
+            size = G.order // len(G.conjugacy_class(c)) // len(G.center())
+            if found != len(rows) * size:
+                raise AssertionError(
+                    f"{found} systems of {G.name} {tau} with lead {c} do not split "
+                    f"into {len(rows)} orbits of {size} under C({c})"
+                )
+        blocks.append(rows)
     return np.concatenate(blocks)
 
 

@@ -62,7 +62,7 @@ def test_side_orbits_label_partition():
 def test_side_orbits_single_orbit_for_symmetric_triangle():
     G = construct_group("Sym:3")
     part = side_orbits(G, _tau("0|2,2,3"))
-    assert len(part.systems) == 18
+    assert sum(part.orbit_sizes) == 18
     assert len(part.leaders) == 1
 
 
@@ -70,7 +70,9 @@ def test_side_orbits_accept_enumeration_as_row_list(monkeypatch):
     G = construct_group("Sym:4")
     tau = _tau("1|2,2")
     want = side_orbits(G, tau)
-    monkeypatch.setattr(orbits, "enumerate_systems", lambda G, t: list(enumerate_systems(G, t)))
+    monkeypatch.setattr(
+        orbits, "enumerate_systems", lambda G, t, **kw: list(enumerate_systems(G, t, **kw))
+    )
     got = side_orbits(G, tau)
     assert got.systems.dtype == want.systems.dtype
     for field in ("systems", "orbit", "leaders"):
@@ -119,20 +121,90 @@ def test_side_orbits_over_inn_classes_match_every_system(spec, text, q8, monkeyp
 
     monkeypatch.setattr(orbits, "apply_move", counted)
     part = side_orbits(G, tau)
-    assert np.array_equal(part.systems, systems)
-    assert np.array_equal(part.orbit, orbit)
-    assert np.array_equal(part.leaders, leaders)
+    assert np.array_equal(part.labels, systems[leaders])
+    assert np.array_equal(part.orbit_sizes, np.bincount(orbit, minlength=len(leaders)))
     classes = len(systems) // (G.order // len(G.center()))
+    assert len(part.systems) == classes
     assert rows_per_call == [classes] * len(available_moves(tau.gprime, tau.r))
+
+
+def _least_conjugate_by_every_element(G, row):
+    """The least of the |G| conjugates of one row, by plain enumeration."""
+    return min(tuple(G.conj(x, g) for x in row) for g in G.elements())
+
+
+@pytest.mark.parametrize(
+    "spec, text", [("Sym:3", "0|2,2,3"), ("Sym:4", "1|2,2"), ("Alt:5", "0|2,5,5"), ("q8", "1|2")]
+)
+def test_least_conjugates_match_a_minimum_over_every_element(spec, text, q8):
+    G = q8 if spec == "q8" else construct_group(spec)
+    tau = _tau(text)
+    classes = G.inner_classes()
+    part = side_orbits(G, tau)
+    rows = part.systems
+    rows = np.concatenate(
+        [rows]
+        + [f(rows) for f in orbits._move_maps(G, tau)]
+        + [phi[rows] for phi in automorphism_group(G).generator_maps]
+    )
+    sample = np.random.default_rng(4).choice(len(rows), size=min(400, len(rows)), replace=False)
+    rows = rows[np.sort(sample)]
+    want = [_least_conjugate_by_every_element(G, row) for row in rows.tolist()]
+    assert list(map(tuple, classes.least_conjugates(rows).tolist())) == want
+    # every class row is its own least conjugate
+    assert np.array_equal(classes.least_conjugates(part.systems), part.systems)
+    assert classes.least_conjugates(rows[:0]).shape == (0, rows.shape[1])
+
+
+def test_least_conjugates_without_a_table_of_conjugates():
+    # past TABLE_LIMIT a group has no tables, and conjugation falls back to products
+    G = construct_group("Sym:4")
+    classes = G.inner_classes()
+    rows = np.random.default_rng(6).integers(0, G.order, size=(300, 4)).astype(np.int16)
+    want = classes.least_conjugates(rows)
+    classes.table = None
+    assert np.array_equal(classes.least_conjugates(rows), want)
+
+
+def test_abelian_sides_do_no_conjugate_gathers():
+    G = construct_group("Zn:5,5")
+    part = side_orbits(G, _tau("0|5,5,5"))
+    assert G.inner_classes() is None and G._inner_classes is None
+    assert part.weight == 1 and len(part.systems) == 480
 
 
 def test_side_orbits_refuse_inn_classes_of_the_wrong_size(monkeypatch):
     G = construct_group("Sym:4")
-    inn = inner_automorphisms(G)
-    assert len(inn) > 1
-    monkeypatch.setattr(orbits, "inner_automorphisms", lambda G: inn[1:])
-    with pytest.raises(AssertionError, match="do not all have 24 members"):
+    classes = G.inner_classes()
+    c = next(c for c in np.unique(classes.least).tolist() if G.element_order(c) == 2)
+    classes.centralizer_order[c] = 1  # C(c), a lead of 0|2,3,4, missing members
+    with pytest.raises(AssertionError, match="do not split"):
         side_orbits(G, _tau("0|2,3,4"))
+
+
+def test_side_orbits_refuse_a_broken_conjugator_table():
+    G = construct_group("Sym:4")
+    classes = G.inner_classes()
+    moved = np.flatnonzero(classes.least != np.arange(G.order))
+    classes.conjugator[moved] = G.identity  # leaves those leads off their class minima
+    with pytest.raises(AssertionError, match="misses its class minimum"):
+        side_orbits(G, _tau("0|2,3,4"))
+
+
+def test_side_budget_counts_the_restricted_enumeration():
+    G = construct_group("Sym:4")
+    tau = _tau("0|2,3,4")
+    expanded = 0
+    for m1, m2, m3 in tau.orderings():
+        # the lead takes the least member of each class of order m1, the
+        # second entry every element of order m2; the third is solved
+        leads = {min(G.conjugacy_class(x)) for x in G.elements() if G.element_order(x) == m1}
+        seconds = [y for y in G.elements() if G.element_order(y) == m2]
+        expanded += len(leads) * len(seconds)
+        rows = enumerate_systems(G, SignatureType(0, (m1, m2, m3)), inn_classes=True)
+        assert set(rows[:, 0].tolist()) <= leads
+    assert estimate_system_candidates(G, tau, inn_classes=True) == expanded == 60
+    assert estimate_system_candidates(G, tau) == 348  # the oracle's and enumerate's estimate
 
 
 def test_row_index_locates_rows_and_refuses_strangers():
