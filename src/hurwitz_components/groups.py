@@ -97,10 +97,7 @@ class Group:
 
     def _mul_table(self) -> np.ndarray:
         """The full multiplication table, row x holding x * y for every y."""
-        n = self.order
-        return np.array(
-            [[self._mul_raw(x, y) for y in range(n)] for x in range(n)], dtype=index_dtype(n)
-        )
+        raise NotImplementedError
 
     def _inv_raw(self, x: int) -> int:
         raise NotImplementedError
@@ -391,18 +388,13 @@ class InnerClasses:
     at centralizer_at[c] and holds centralizer_order[c] elements. Every
     conjugate of a tuple (x1, ..., xk) whose lead entry is c = least[x1] is
     the conjugate of (x1, ..., xk)^conjugator[x1] by an element of C(c), so
-    the least conjugate of the tuple is the least of those |C(c)|. Up to
-    TABLE_LIMIT it also keeps the table of conjugates, an (order, order)
-    index array whose row g holds g^-1 x g, so a conjugation is one gather.
+    the least conjugate of the tuple is the least of those |C(c)|.
     """
 
     def __init__(self, G: Group) -> None:
         self.G = G
         n = G.order
         elems = np.arange(n)
-        self.table = None
-        if n <= TABLE_LIMIT:
-            self.table = self.conj(elems, elems[:, None])
         gens = np.array(G.generating_tuple(), dtype=np.intp)
         least = np.full(n, -1, dtype=np.int64)
         reach = np.empty(n, dtype=index_dtype(n))  # h with h^-1 least[x] h = x
@@ -431,8 +423,6 @@ class InnerClasses:
 
     def conj(self, x, g) -> np.ndarray:
         """Elementwise g^-1 x g of index arrays, broadcast together."""
-        if self.table is not None:  # one gather, its flat index formed in intp
-            return self.table.take(np.asarray(g, dtype=np.intp) * self.G.order + x)
         G = self.G
         return G.mul_array(G.mul_array(G.inv_array(g), x), g)
 

@@ -79,9 +79,9 @@ class SidePartition:
     """One side's orbits under the moves and Inn(G), held one row per Inn(G) class.
 
     A class row is the least member of its class, and each class has
-    weight = |G|/|Z(G)| systems (1 for an abelian G, whose classes are
-    single systems). label_of reduces any system to its class row before
-    the lookup, so moves and automorphisms may act on class rows freely.
+    |G|/|Z(G)| systems (one for an abelian G, whose classes are single
+    systems). label_of reduces any system to its class row before the
+    lookup, so moves and automorphisms may act on class rows freely.
     """
 
     group: Group
@@ -90,7 +90,6 @@ class SidePartition:
     orbit: np.ndarray  # per class row, the index of its orbit
     leaders: np.ndarray  # per orbit, the class row of its least member (ascending)
     locate: _RowIndex  # the row index of systems, built once by side_orbits
-    weight: int  # systems per class row
 
     def label_of(self, rows: np.ndarray, where: str) -> np.ndarray:
         """The orbit of each row, which must be a system of the side."""
@@ -104,7 +103,8 @@ class SidePartition:
     @property
     def orbit_sizes(self) -> np.ndarray:
         """The number of systems in each orbit."""
-        return np.bincount(self.orbit, minlength=len(self.leaders)) * self.weight
+        per_class = self.group.order // len(self.group.center())
+        return np.bincount(self.orbit, minlength=len(self.leaders)) * per_class
 
 
 @dataclass
@@ -285,8 +285,7 @@ def side_orbits(
     root = _components(len(systems), images)
     is_leader = root == np.arange(len(systems))
     orbit = (np.cumsum(is_leader) - 1)[root]
-    weight = G.order // len(G.center())
-    return SidePartition(G, canonical, systems, orbit, np.flatnonzero(is_leader), locate, weight)
+    return SidePartition(G, canonical, systems, orbit, np.flatnonzero(is_leader), locate)
 
 
 def _sigma_rows(G: Group) -> np.ndarray:

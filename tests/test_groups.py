@@ -281,17 +281,22 @@ def test_join_table_names_plain_closures(spec, texts, q8):
         assert subgroups[joins.table[h, y]] == G.closure(joins.gens[h] + (y,))
 
 
+def _elementwise_table(G: Group) -> np.ndarray:
+    """The multiplication table read off the backend's own product, one pair at a time."""
+    return np.array([[G._mul_raw(x, y) for y in G.elements()] for x in G.elements()])
+
+
 @pytest.mark.parametrize("spec", ["Zn:1", "Zn:6,10", "Zn:2,4,8", "Zn:13,13"])
 def test_abelian_table_matches_elementwise_products(spec):
     G = construct_group(spec)
-    assert np.array_equal(G._mul_table(), Group._mul_table(G))
+    assert np.array_equal(G._mul_table(), _elementwise_table(G))
     assert [G.mul(x, G.inv(x)) for x in G.elements()] == [G.identity] * G.order
 
 
 @pytest.mark.parametrize("spec", ["Sym:1", "Sym:2", "Sym:4", "Alt:4", "Alt:5", "Sym:5"])
 def test_permutation_table_matches_elementwise_products(spec):
     G = construct_group(spec)
-    assert np.array_equal(G._mul_table(), Group._mul_table(G))
+    assert np.array_equal(G._mul_table(), _elementwise_table(G))
 
 
 @pytest.mark.parametrize("spec", ["Zn:17,17", "Zn:19,19"])
