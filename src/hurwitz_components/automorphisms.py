@@ -67,9 +67,14 @@ def inner_automorphisms(G: Group) -> np.ndarray:
     generating tuple.
 
     Identity maps and repeats are dropped, so an abelian group has none.
+    The maps are built on the first call for a group and kept on it, read-only.
     """
-    g = np.array(G.generating_tuple(), dtype=np.intp)[:, None]
-    return _distinct_maps(G, G.mul_array(G.mul_array(G.inv_array(g), np.arange(G.order)), g))
+    if G._inner_maps is None:
+        g = np.array(G.generating_tuple(), dtype=np.intp)[:, None]
+        maps = G.mul_array(G.mul_array(G.inv_array(g), np.arange(G.order)), g)
+        G._inner_maps = _distinct_maps(G, maps)
+        G._inner_maps.flags.writeable = False
+    return G._inner_maps
 
 
 def automorphism_group(G: Group) -> AutGroup:

@@ -89,6 +89,7 @@ class Group:
         self._classes: dict[int, frozenset[int]] = {}
         self._joins: SubgroupJoins | None = None
         self._inner_classes: InnerClasses | None = None
+        self._inner_maps: np.ndarray | None = None  # set by automorphisms.inner_automorphisms
         self._generating_tuple: tuple[int, ...] | None = None
 
     # -- backend hooks -------------------------------------------------

@@ -14,6 +14,7 @@ apply_move takes a 2-D array with one system per row and returns the
 array of images. The move formulas run on whole columns through the
 group's numpy gathers (G.mul_array, G.inv_array, G.comm), so a move acts
 on every system of a side in one call; one system is a 1-row array.
+Each side checks its moves as they act (orbits._checked_move_images).
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import numpy as np
 
 from .errors import UserInputError
 from .groups import Group
-from .ramification import long_relation_holds
 
 _KINDS = ("sigma", "delta", "delta~", "tau", "xi1", "xi2")
 
@@ -188,37 +188,3 @@ def _move(G: Group, gprime: int, entries: list, move: MoveID) -> list:
         return out
 
     raise UserInputError(f"unknown move kind {kind!r}")
-
-
-def convention_self_check(
-    G: Group, gprime: int, r: int, rows: np.ndarray, inner=()
-) -> None:
-    """Assert that every move and its inverse keep the long relation on the
-    samples, and that every forward move commutes with the inner maps.
-
-    rows: a 2-D array of systems already satisfying the long relation.
-    inner: element maps of inner automorphisms (Inn(G) generators), one
-    per row of an index array. The rows are stacked with their image
-    under each map (the gather phi[rows]), and each move acts
-    once on the whole stack; a forward move m must then satisfy
-    phi(m(x)) = m(phi(x)) on every sample x, as a word in the entries
-    does. Raises AssertionError naming the move on a violation.
-    """
-    if (gprime, r) == (0, 0):
-        return
-    stack = np.concatenate([rows] + [phi[rows] for phi in inner])
-    forward = available_moves(gprime, r)
-    for m in forward + [m.inverted() for m in forward]:
-        out = apply_move(G, gprime, stack, m)
-        broken = ~long_relation_holds(G, gprime, out)
-        if broken.any():
-            entries = tuple(stack[np.argmax(broken)].tolist())
-            raise AssertionError(f"move {m} breaks the long relation on {G.name} system {entries}")
-        if m.inverse:
-            continue
-        moved, *conjugates = out.reshape(1 + len(inner), len(rows), out.shape[1])
-        for k, (phi, img) in enumerate(zip(inner, conjugates)):
-            if not np.array_equal(phi[moved], img):
-                raise AssertionError(
-                    f"move {m} does not commute with inner automorphism {k} on {G.name}"
-                )

@@ -17,11 +17,11 @@ the two-stage engine lists one row per Inn(G) class, the class's least
 member (see side_orbits), and reduces every image row to its class row
 (InnerClasses.least_conjugates) before it looks it up. The routes share
 only steps that read system rows and Sigma rows, never orbit labels or a
-quotient: _systems (enumeration under the budget), _move_maps (the
-forward moves), _RowIndex and _components (index maps and their orbits),
-and _valid_cells (Sigma rows that meet only in the identity). Each route
-builds its own Sigma rows: the oracle calls sigma_set per system, the
-two-stage engine gathers per-element rows over whole system arrays.
+quotient: _systems (enumeration under the budget), apply_move, _RowIndex
+and _components (index maps and their orbits), and _valid_cells (Sigma
+rows that meet only in the identity). Each route builds its own Sigma
+rows: the oracle calls sigma_set per system, the two-stage engine
+gathers per-element rows over whole system arrays.
 
 Each move is applied to a whole array at once. An automorphism is a row
 phi of a (maps, |G|) index array (see automorphisms) and acts as the
@@ -43,6 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .automorphisms import (
 )
 from .errors import BudgetExceeded, UserInputError
 from .groups import Group, index_dtype
-from .moves import available_moves, apply_move, convention_self_check
+from .moves import available_moves, apply_move
 from .ramification import (
     SignatureType,
     candidate_tuples,
@@ -254,6 +255,29 @@ def _class_of(G: Group, locate: _RowIndex, rows: np.ndarray, where: str) -> np.n
     return locate(rows if classes is None else classes.least_conjugates(rows), where)
 
 
+def _checked_move_images(G: Group, tau: SignatureType, systems: np.ndarray, inn, locate):
+    """locate(rows, where) of the images of systems under each forward move.
+
+    Each move m acts once on the systems with the Inn images of the sample
+    (the first 20 rows) stacked below them; locate refuses any image that
+    is not a system. On the sample, m must commute with each Inn generator
+    map phi, phi(m(x)) = m(phi(x)), and its inverse, acting once on the
+    images, must give back the sample; else AssertionError names the move.
+    """
+    gp, n, sample = tau.gprime, len(systems), systems[:20]
+    where, s = f"{G.name} {tau}", len(sample)
+    stack = np.concatenate([systems] + [phi[sample] for phi in inn]) if len(inn) else systems
+    for m in available_moves(gp, tau.r) if (gp, tau.r) != (0, 0) else []:
+        out = apply_move(G, gp, stack, m)
+        images, moved = locate(out[:n], where), out[:s]
+        for k, phi in enumerate(inn):
+            if not np.array_equal(phi[moved], out[n + k * s : n + (k + 1) * s]):
+                raise AssertionError(f"move {m} does not commute with Inn(G) map {k} on {G.name}")
+        if not np.array_equal(apply_move(G, gp, moved, m.inverted()), sample):
+            raise AssertionError(f"move {m.inverted()} does not undo move {m} on {where}")
+        yield images
+
+
 def side_orbits(
     G: Group, tau: SignatureType, config: EquivalenceConfig | None = None
 ) -> SidePartition:
@@ -265,23 +289,22 @@ def side_orbits(
     is a word in a system's entries, so it commutes with conjugation and
     carries whole classes onto classes: each forward move acts once on
     every class row, and its images are reduced to their class rows before
-    the lookup. Orbits are numbered by their least members, which are
-    class rows (an orbit's least member is the least member of its least
-    class). Each Inn generator is checked on a sample to keep its rows in
-    their classes, a check on the canonical form.
+    the lookup, in one pass that also checks the move (_checked_move_images).
+    Orbits are numbered by their least members, which are class rows (an
+    orbit's least member is the least member of its least class). Each Inn
+    generator is checked to keep the sample's rows in their classes.
     """
     config = config or EquivalenceConfig()
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, config, inn_classes=True)
     inn = inner_automorphisms(G)
     sample = systems[:20]
-    convention_self_check(G, canonical.gprime, canonical.r, sample, inn)
     locate = _RowIndex(systems, G.order)
     where = f"{G.name} {canonical}"
     for phi in inn:
         if (_class_of(G, locate, phi[sample], where) != np.arange(len(sample))).any():
             raise AssertionError(f"an inner automorphism takes a row of {where} out of its class")
-    images = (_class_of(G, locate, f(systems), where) for f in _move_maps(G, canonical))
+    images = _checked_move_images(G, canonical, systems, inn, partial(_class_of, G, locate))
     root = _components(len(systems), images)
     is_leader = root == np.arange(len(systems))
     orbit = (np.cumsum(is_leader) - 1)[root]
@@ -688,17 +711,16 @@ def verify_inn_lemma(
     """Check that inner automorphisms preserve each braid orbit (g' = 0).
 
     Conjugation by generators of G suffices: if each generator keeps every
-    orbit label, so does every product of them, i.e. all of Inn(G).
+    braid orbit (from _checked_move_images), so does all of Inn(G).
     """
     if tau.gprime != 0:
         raise UserInputError("inner-automorphism audit applies to g' = 0 types only")
     config = config or EquivalenceConfig()
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, config)
-    convention_self_check(G, 0, canonical.r, systems[:20])
-    locate, where = _RowIndex(systems, G.order), f"{G.name} {canonical}"
-    root = _components(len(systems), (locate(f(systems), where) for f in _move_maps(G, canonical)))
     inn = inner_automorphisms(G)
+    locate, where = _RowIndex(systems, G.order), f"{G.name} {canonical}"
+    root = _components(len(systems), _checked_move_images(G, canonical, systems, inn, locate))
     inner_count = G.order // len(G.center())
     images = (locate(phi[systems], f"{where} under an inner automorphism") for phi in inn)
     # The first system (then the first generator) that changes its braid orbit.

@@ -5,12 +5,12 @@ A system of generators is a flat sequence of element indices
 c1...cr * prod_k [a_k, b_k] = identity. A system is only ever a row of
 ints: enumerate_systems returns all systems of a type (or the least
 member of each Inn(G) class) as one 2-D array with a system per row,
-built with numpy gathers on the group's table and tested for generation
-once per finished row by the group's subgroup joins, and
-long_relation_value / long_relation_holds evaluate every row of such an
-array at once. system_valid and sigma_set read one system as a
-sequence of ints. Two systems are disjoint when their Sigma sets meet
-only in the identity.
+built with numpy gathers on the group's table, a block of leads at a
+time, and tested for generation once per finished row by the group's
+subgroup joins, and long_relation_value / long_relation_holds evaluate
+every row of such an array at once. system_valid and sigma_set read one
+system as a sequence of ints. Two systems are disjoint when their Sigma
+sets meet only in the identity.
 """
 from __future__ import annotations
 
@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import UserInputError
 from .groups import Group, index_dtype
+
+BLOCK_ROWS = 1 << 14  # rows per enumerate_systems block: as many leads as fit
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,8 @@ def enumerate_systems(G: Group, tau: SignatureType, inn_classes: bool = False) -
     with inn_classes, only the least member of each Inn(G) class.
 
     Free entries (a1, b1, ..., ag', bg', c1, ..., c_{r-1}) are expanded one
-    slot at a time, in blocks of one leading-slot value, so memory stays
+    slot at a time, in blocks of as many consecutive leading-slot values as
+    fit in BLOCK_ROWS rows (every lead expands as many), so memory stays
     near one block. Each row carries only its entries and the running
     product K = prod_k [a_k, b_k] times c1 ... c_j. The last branch entry
     is solved from the long relation as (K c1 ... c_{r-1})^-1 and filtered
@@ -163,7 +166,7 @@ def enumerate_systems(G: Group, tau: SignatureType, inn_classes: bool = False) -
     conjugates by C(c)), and a generating row is kept when it is its own
     least conjugate. Inn(G) acts freely on generating systems, so the C(c)
     orbits of the generating rows with lead c all have |C(c)|/|Z(G)| rows,
-    |C(c)| read from the conjugacy class of c; a block whose count
+    |C(c)| read from the conjugacy class of c; a lead whose count
     disagrees raises AssertionError.
     """
     gp, r = tau.gprime, tau.r
@@ -172,13 +175,14 @@ def enumerate_systems(G: Group, tau: SignatureType, inn_classes: bool = False) -
     slots = _free_slots(G, tau, inn_classes)
     classes = G.inner_classes() if inn_classes else None
     joins = G.subgroup_joins()
+    step = max(1, BLOCK_ROWS // max(1, math.prod(len(values) for values in slots[1:])))
     blocks = [np.zeros((0, 2 * gp + r), dtype=dtype)]
-    for lead in range(len(slots[0])) if slots else [None]:
+    for start in range(0, len(slots[0]) if slots else 1, step):
         rows = np.zeros((1, 0), dtype=dtype)
         acc = np.full(1, G.identity, dtype=dtype)
         for level, values in enumerate(slots):
             if level == 0:
-                values = values[lead : lead + 1]
+                values = values[start : start + step]
             rows = np.concatenate(
                 [np.repeat(rows, len(values), axis=0), np.tile(values, len(rows))[:, None]],
                 axis=1,
@@ -197,14 +201,16 @@ def enumerate_systems(G: Group, tau: SignatureType, inn_classes: bool = False) -
             rows = rows[acc == G.identity]
         rows = rows[joins.generates(rows)]
         if classes is not None and len(rows):
-            found, c = len(rows), int(rows[0, 0])
+            found = np.bincount(rows[:, 0], minlength=G.order)
             rows = rows[(classes.least_conjugates(rows) == rows).all(axis=1)]
-            size = G.order // len(G.conjugacy_class(c)) // len(G.center())
-            if found != len(rows) * size:
-                raise AssertionError(
-                    f"{found} systems of {G.name} {tau} with lead {c} do not split "
-                    f"into {len(rows)} orbits of {size} under C({c})"
-                )
+            kept = np.bincount(rows[:, 0], minlength=G.order)
+            for c in np.flatnonzero(found).tolist():
+                size = G.order // len(G.conjugacy_class(c)) // len(G.center())
+                if found[c] != kept[c] * size:
+                    raise AssertionError(
+                        f"{found[c]} systems of {G.name} {tau} with lead {c} do not split "
+                        f"into {kept[c]} orbits of {size} under C({c})"
+                    )
         blocks.append(rows)
     return np.concatenate(blocks)
 

@@ -14,6 +14,8 @@ from hurwitz_components.automorphisms import (
     inner_automorphisms,
 )
 from hurwitz_components.groups import AbelianGroup, construct_group, index_dtype
+from hurwitz_components.orbits import side_orbits
+from hurwitz_components.ramification import SignatureType
 
 
 def _closure(G, gens) -> set[tuple[int, ...]]:
@@ -292,3 +294,19 @@ def test_map_arrays_equal_the_tuple_builders_row_for_row(spec, route, q8):
         assert got.shape == (len(want), G.order)
         assert got.dtype == index_dtype(G.order)
         assert got.tolist() == [list(m) for m in want]
+
+
+def test_inner_maps_are_built_once_per_group(monkeypatch):
+    G = construct_group("Sym:4")
+    built = []
+    real = automorphisms._distinct_maps
+    monkeypatch.setattr(
+        automorphisms, "_distinct_maps", lambda G, maps: built.append(len(maps)) or real(G, maps)
+    )
+    side_orbits(G, SignatureType.parse("0|2,3,4"))
+    maps = inner_automorphisms(G)
+    assert built == [len(G.generating_tuple())]
+    side_orbits(G, SignatureType.parse("1|2,2"))  # a second side on the same group
+    assert built == [len(G.generating_tuple())] and inner_automorphisms(G) is maps
+    assert not maps.flags.writeable
+    assert maps.tolist() == [list(m) for m in _tuple_inner_automorphisms(G)]

@@ -5,17 +5,19 @@ import random
 import numpy as np
 import pytest
 
-from hurwitz_components import moves
+from hurwitz_components import orbits
 from hurwitz_components.automorphisms import automorphism_group, inner_automorphisms
 from hurwitz_components.errors import UserInputError
 from hurwitz_components.groups import construct_group
-from hurwitz_components.moves import (
-    MoveID,
-    apply_move,
-    available_moves,
-    convention_self_check,
+from hurwitz_components.moves import MoveID, apply_move, available_moves
+from hurwitz_components.orbits import (
+    EquivalenceConfig,
+    _checked_move_images,
+    _RowIndex,
+    _systems,
+    side_orbits,
+    verify_inn_lemma,
 )
-from hurwitz_components.orbits import EquivalenceConfig, _systems, side_orbits
 from hurwitz_components.ramification import (
     SignatureType,
     enumerate_systems,
@@ -202,40 +204,66 @@ def test_moves_commute_with_automorphisms(rng, q8):
                 assert np.array_equal(lhs, rhs)
 
 
-def test_convention_self_check_accepts_valid_samples():
-    G = construct_group("Sym:3")
-    systems = enumerate_systems(G, SignatureType(0, (2, 2, 3)))
-    convention_self_check(G, 0, 3, systems)
+def _pass_over(G, tau):
+    """The checked move pass of tau's every system, with the Inn generators
+    stacked on its sample: the images of each move, as system indices."""
+    systems = _systems(G, tau, EquivalenceConfig())
+    inn = inner_automorphisms(G)
+    return systems, inn, _checked_move_images(G, tau, systems, inn, _RowIndex(systems, G.order))
 
 
-def test_convention_self_check_rejects_broken_samples():
+def test_checked_move_pass_accepts_valid_systems():
     G = construct_group("Sym:3")
-    systems = enumerate_systems(G, SignatureType(0, (2, 2, 3)))
+    tau = SignatureType(0, (2, 2, 3))
+    systems, _, images = _pass_over(G, tau)
+    for img, mv in zip(images, available_moves(0, 3)):
+        assert np.array_equal(systems[img], apply_move(G, 0, systems, mv))
+
+
+def test_checked_move_pass_refuses_rows_that_break_the_long_relation():
+    G = construct_group("Sym:3")
+    tau = SignatureType(0, (2, 2, 3))
+    systems = _systems(G, tau, EquivalenceConfig())
     # A reversed system has the same entries; keep those whose product c1 c2 c3 != 1.
     reversed_rows = systems[:, ::-1]
     broken = reversed_rows[~long_relation_holds(G, 0, reversed_rows)]
     assert len(broken)
-    with pytest.raises(AssertionError, match="breaks the long relation"):
-        convention_self_check(G, 0, 3, broken)
+    images = _checked_move_images(G, tau, broken, (), _RowIndex(systems, G.order))
+    with pytest.raises(AssertionError, match="left the system set"):
+        next(images)
 
 
-def test_convention_self_check_applies_each_move_once_with_inner_maps(monkeypatch):
+def test_checked_move_pass_applies_each_move_and_its_inverse_once(monkeypatch):
     G = construct_group("Sym:4")
-    systems = enumerate_systems(G, SignatureType(1, (2, 2)))[:20]
-    inner = inner_automorphisms(G)
-    assert len(inner)
+    tau = SignatureType(1, (2, 2))
     calls = []
-    real = moves.apply_move
+    real = orbits.apply_move
 
     def counted(G, gp, rows, mv):
         calls.append((mv, len(rows)))
         return real(G, gp, rows, mv)
 
-    monkeypatch.setattr(moves, "apply_move", counted)
-    convention_self_check(G, 1, 2, systems, inner)
-    forward = available_moves(1, 2)
-    stacked = len(systems) * (1 + len(inner))
-    assert calls == [(mv, stacked) for mv in forward + [mv.inverted() for mv in forward]]
+    monkeypatch.setattr(orbits, "apply_move", counted)
+    systems, inn, images = _pass_over(G, tau)
+    assert len(list(images)) == len(available_moves(1, 2))
+    assert len(inn) and len(systems) > 20
+    stacked = len(systems) + len(inn) * 20
+    assert calls == [
+        call for mv in available_moves(1, 2) for call in ((mv, stacked), (mv.inverted(), 20))
+    ]
+
+
+def _plant(monkeypatch, planted):
+    """Route orbits' moves through planted(real, G, gp, rows, mv)."""
+    real = orbits.apply_move
+    monkeypatch.setattr(orbits, "apply_move", lambda *args: planted(real, *args))
+
+
+def _refused_by_both_routes(G, match):
+    """side_orbits and verify_inn_lemma on G's (0|2,3,4) both raise AssertionError."""
+    for route in (side_orbits, verify_inn_lemma):
+        with pytest.raises(AssertionError, match=match):
+            route(G, SignatureType(0, (2, 3, 4)))
 
 
 def test_a_move_that_conjugates_by_a_non_central_element_is_refused(monkeypatch):
@@ -245,11 +273,28 @@ def test_a_move_that_conjugates_by_a_non_central_element_is_refused(monkeypatch)
     g = next(x for x in G.elements() if x not in G.center())
     conj = np.array([G.conj(x, g) for x in G.elements()])
     planted_move = MoveID("sigma", 2)
-    real = moves.apply_move
 
-    def planted(G, gp, rows, mv):
+    def planted(real, G, gp, rows, mv):
         return conj[rows].astype(rows.dtype) if mv == planted_move else real(G, gp, rows, mv)
 
-    monkeypatch.setattr(moves, "apply_move", planted)
-    with pytest.raises(AssertionError, match="move sigma:2 does not commute"):
-        side_orbits(G, SignatureType(0, (2, 3, 4)))
+    _plant(monkeypatch, planted)
+    _refused_by_both_routes(G, "move sigma:2 does not commute")
+
+
+def test_a_wrong_inverse_formula_is_refused(monkeypatch):
+    # The "inverse" applies the forward move again, which a braid twist is not.
+    def planted(real, G, gp, rows, mv):
+        return real(G, gp, rows, mv.inverted() if mv.inverse else mv)
+
+    _plant(monkeypatch, planted)
+    _refused_by_both_routes(construct_group("Sym:4"), "sigma:1' does not undo move sigma:1")
+
+
+def test_a_move_whose_images_leave_the_system_set_is_refused(monkeypatch):
+    # Swapping c1 and c2 without conjugating is its own inverse and commutes
+    # with Inn(G), but breaks the long relation (and the sorted periods).
+    def planted(real, G, gp, rows, mv):
+        return rows[:, [1, 0, 2]] if mv.i == 1 else real(G, gp, rows, mv)
+
+    _plant(monkeypatch, planted)
+    _refused_by_both_routes(construct_group("Sym:4"), "left the system set")

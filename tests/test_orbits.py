@@ -125,7 +125,11 @@ def test_side_orbits_over_inn_classes_match_every_system(spec, text, q8, monkeyp
     assert np.array_equal(part.orbit_sizes, np.bincount(orbit, minlength=len(leaders)))
     classes = len(systems) // (G.order // len(G.center()))
     assert len(part.systems) == classes
-    assert rows_per_call == [classes] * len(available_moves(tau.gprime, tau.r))
+    # each move acts once on the class rows with the Inn images of the
+    # sample stacked below them, then its inverse once on the sample's images
+    sample = min(classes, 20)
+    stacked = classes + len(inner_automorphisms(G)) * sample
+    assert rows_per_call == [stacked, sample] * len(available_moves(tau.gprime, tau.r))
 
 
 def _least_conjugate_by_every_element(G, row):
@@ -177,10 +181,12 @@ def test_abelian_sides_do_no_conjugate_gathers():
 def test_side_orbits_refuse_inn_classes_of_the_wrong_size(monkeypatch):
     G = construct_group("Sym:4")
     classes = G.inner_classes()
-    c = next(c for c in np.unique(classes.least).tolist() if G.element_order(c) == 2)
-    classes.centralizer_order[c] = 1  # C(c), a lead of 0|2,3,4, missing members
-    with pytest.raises(AssertionError, match="do not split"):
-        side_orbits(G, _tau("0|2,3,4"))
+    # The leads of 1|2,2 (the class minima) share one enumeration block,
+    # and c, a double transposition, is not the first of them.
+    c = max(np.unique(classes.least[G.orders == 2]).tolist())
+    classes.centralizer_order[c] = 1  # C(c) missing members
+    with pytest.raises(AssertionError, match=f"with lead {c} do not split"):
+        side_orbits(G, _tau("1|2,2"))
 
 
 def test_side_orbits_refuse_a_broken_conjugator_table():

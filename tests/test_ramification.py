@@ -6,11 +6,13 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from hurwitz_components import ramification
 from hurwitz_components.errors import UserInputError
-from hurwitz_components.groups import AbelianGroup, construct_group
+from hurwitz_components.groups import AbelianGroup, construct_group, index_dtype
 from hurwitz_components.orbits import EquivalenceConfig, _systems
 from hurwitz_components.ramification import (
     SignatureType,
+    candidate_tuples,
     curve_genus,
     enumerate_systems,
     fraction_to_json,
@@ -192,6 +194,74 @@ def test_enumerate_without_tables_uses_native_arithmetic():
     got = enumerate_systems(G, SignatureType(0, (1031, 1031)))
     assert got.tolist() == [[x, G.inv(x)] for x in range(1, 1031)]
     assert len(enumerate_systems(construct_group("Sym:7"), SignatureType(0, (2, 2)))) == 0
+
+
+def _enumerate_one_lead_per_block(G, tau, inn_classes):
+    """enumerate_systems as it ran before multi-lead blocks: one block per
+    value of the leading free entry, kept as the reference."""
+    gp, r = tau.gprime, tau.r
+    dtype = index_dtype(G.order)
+    slots = ramification._free_slots(G, tau, inn_classes)
+    classes = G.inner_classes() if inn_classes else None
+    joins = G.subgroup_joins()
+    blocks = [np.zeros((0, 2 * gp + r), dtype=dtype)]
+    for lead in range(len(slots[0])) if slots else [None]:
+        rows = np.zeros((1, 0), dtype=dtype)
+        acc = np.full(1, G.identity, dtype=dtype)
+        for level, values in enumerate(slots):
+            if level == 0:
+                values = values[lead : lead + 1]
+            rows = np.concatenate(
+                [np.repeat(rows, len(values), axis=0), np.tile(values, len(rows))[:, None]],
+                axis=1,
+            )
+            acc = np.repeat(acc, len(values))
+            x = rows[:, level]
+            if level >= 2 * gp:
+                acc = G.mul_array(acc, x)
+            elif level % 2:
+                acc = G.mul_array(acc, G.comm(rows[:, level - 1], x))
+        if r:
+            last = G.inv_array(acc)
+            keep = G.orders[last] == tau.periods[-1]
+            rows = np.concatenate([rows[keep], last[keep, None]], axis=1)
+        else:
+            rows = rows[acc == G.identity]
+        rows = rows[joins.generates(rows)]
+        if classes is not None and len(rows):
+            rows = rows[(classes.least_conjugates(rows) == rows).all(axis=1)]
+        blocks.append(rows)
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        ("Zn:1", "2|"),  # r = 0
+        ("q8", "0|4,4,4"),
+        ("q8", "1|2"),
+        ("Zn:2,4", "1|2,2"),
+        ("Zn:7,7", "0|7,7,7"),
+        ("Zn:1031", "0|1031,1031"),  # no multiplication table
+        ("Sym:4", "1|2,2"),
+        ("Sym:4", "0|2,2,3,4"),
+    ],
+)
+@pytest.mark.parametrize("inn_classes", [False, True])
+def test_multi_lead_blocks_match_one_lead_per_block(spec, text, inn_classes, q8, monkeypatch):
+    G = q8 if spec == "q8" else construct_group(spec)
+    tau = SignatureType.parse(text)
+    want = _enumerate_one_lead_per_block(G, tau, inn_classes)
+    slots = ramification._free_slots(G, tau, inn_classes)
+    leads = len(slots[0]) if slots else 1
+    per_lead = candidate_tuples(G, tau, inn_classes) // leads
+    # one lead per block; blocks of about a third of the leads, so block
+    # ends fall inside the run of leads; and the default
+    for block_rows in (1, per_lead * max(1, leads // 3) + 1, ramification.BLOCK_ROWS):
+        monkeypatch.setattr(ramification, "BLOCK_ROWS", block_rows)
+        got = enumerate_systems(G, tau, inn_classes=inn_classes)
+        assert got.dtype == want.dtype and np.array_equal(got, want), block_rows
+    assert len(want)
 
 
 def test_enumerations_of_one_group_share_its_join_table(monkeypatch):
