@@ -71,7 +71,7 @@ def inner_automorphisms(G: Group) -> np.ndarray:
     """
     if G._inner_maps is None:
         g = np.array(G.generating_tuple(), dtype=np.intp)[:, None]
-        maps = G.mul_array(G.mul_array(G.inv_array(g), np.arange(G.order)), g)
+        maps = G.conj(np.arange(G.order), g)
         G._inner_maps = _distinct_maps(G, maps)
         G._inner_maps.flags.writeable = False
     return G._inner_maps

@@ -86,7 +86,6 @@ class Group:
             self._inverses = np.argmax(table == self.identity, axis=1).astype(table.dtype)
         self._center: tuple[int, ...] | None = None
         self._cyclic: dict[int, frozenset[int]] = {}
-        self._classes: dict[int, frozenset[int]] = {}
         self._joins: SubgroupJoins | None = None
         self._inner_classes: InnerClasses | None = None
         self._inner_maps: np.ndarray | None = None  # set by automorphisms.inner_automorphisms
@@ -136,9 +135,9 @@ class Group:
             return np.fromiter(out, index_dtype(self.order), x.size).reshape(x.shape)
         return self._inverses[x]
 
-    def conj(self, x: int, g: int) -> int:
-        """g^-1 x g."""
-        return self.mul(self.mul(self.inv(g), x), g)
+    def conj(self, x, g) -> np.ndarray:
+        """Elementwise g^-1 x g of index arrays (or ints), broadcast together."""
+        return self.mul_array(self.mul_array(self.inv_array(g), x), g)
 
     def comm(self, a, b) -> np.ndarray:
         """Elementwise a b a^-1 b^-1 of index arrays (or ints)."""
@@ -185,22 +184,11 @@ class Group:
         return got
 
     def conjugacy_class(self, x: int) -> frozenset[int]:
-        """{g^-1 x g : g in G}, the orbit of x under conjugation by the
-        generating tuple; kept for every member of the class."""
-        got = self._classes.get(x)
-        if got is None:
-            gens = self.generating_tuple()
-            seen = {x}
-            todo = [x]
-            for y in todo:  # grows while it is walked
-                for g in gens:
-                    z = self.conj(y, g)
-                    if z not in seen:
-                        seen.add(z)
-                        todo.append(z)
-            got = frozenset(seen)
-            self._classes.update(dict.fromkeys(got, got))
-        return got
+        """{g^-1 x g : g in G}, read from inner_classes(); {x} when G is abelian."""
+        classes = self.inner_classes()
+        if classes is None:
+            return frozenset([x])
+        return classes.conjugacy_classes[classes.least.item(x)]
 
     def closure(self, gens) -> frozenset[int]:
         seen = {self.identity}
@@ -274,12 +262,13 @@ class Group:
         return self._inner_classes
 
     def center(self) -> tuple[int, ...]:
-        """The elements that commute with each member of the generating tuple."""
+        """The elements that commute with each member of the generating tuple,
+        one gather comparison per generator."""
         if self._center is None:
-            gens = self.generating_tuple()
-            self._center = tuple(
-                z for z in self.elements() if all(self.mul(z, g) == self.mul(g, z) for g in gens)
-            )
+            elems = np.arange(self.order)
+            gens = np.array(self.generating_tuple(), dtype=np.intp)[:, None]
+            commutes = self.mul_array(elems, gens) == self.mul_array(gens, elems)
+            self._center = tuple(np.flatnonzero(commutes.all(axis=0)).tolist())
         return self._center
 
     def __repr__(self) -> str:
@@ -382,8 +371,11 @@ class SubgroupJoins:
 class InnerClasses:
     """Least members of Inn(G) classes of element tuples, for a non-abelian G.
 
-    Per element x it keeps least[x], the least member of the conjugacy
-    class of x, and conjugator[x], an element g with g^-1 x g = least[x].
+    Its walk over the conjugacy classes is the group's only one. Per
+    element x it keeps least[x], the least member of the conjugacy class of
+    x, and conjugator[x], an element g with g^-1 x g = least[x] (Group.conj);
+    conjugacy_classes maps each class minimum to its class, which
+    Group.conjugacy_class reads.
     The centralizer C(c) of each class minimum c is the slice of
     centralizers (sorted members, all centralizers end to end) that starts
     at centralizer_at[c] and holds centralizer_order[c] elements. Every
@@ -405,7 +397,7 @@ class InnerClasses:
             least[c], reach[c] = c, G.identity
             frontier = np.array([c])
             while frontier.size:
-                z = self.conj(frontier[:, None], gens).ravel()
+                z = G.conj(frontier[:, None], gens).ravel()
                 h = G.mul_array(reach[frontier][:, None], gens).ravel()
                 z, first = np.unique(z, return_index=True)
                 new = least[z] < 0
@@ -414,6 +406,9 @@ class InnerClasses:
         self.least = least.astype(reach.dtype)
         self.conjugator = G.inv_array(reach)
         minima = np.unique(least)
+        self.conjugacy_classes = {
+            c: frozenset(np.flatnonzero(least == c).tolist()) for c in minima.tolist()
+        }
         members = [np.flatnonzero(G.mul_array(c, elems) == G.mul_array(elems, c)) for c in minima]
         sizes = np.array([len(m) for m in members])
         self.centralizers = np.concatenate(members)
@@ -421,11 +416,6 @@ class InnerClasses:
         self.centralizer_order[minima] = sizes
         self.centralizer_at = np.zeros(n, dtype=np.int64)
         self.centralizer_at[minima] = np.cumsum(sizes) - sizes
-
-    def conj(self, x, g) -> np.ndarray:
-        """Elementwise g^-1 x g of index arrays, broadcast together."""
-        G = self.G
-        return G.mul_array(G.mul_array(G.inv_array(g), x), g)
 
     def least_conjugates(self, rows: np.ndarray) -> np.ndarray:
         """The lexicographically least conjugate of each row of a 2-D index array.
@@ -440,7 +430,7 @@ class InnerClasses:
         """
         if not rows.size:
             return rows.copy()
-        out = self.conj(rows, self.conjugator[rows[:, 0]][:, None])
+        out = self.G.conj(rows, self.conjugator[rows[:, 0]][:, None])
         if (out[:, 0] != self.least[rows[:, 0]]).any():
             raise AssertionError(f"a conjugator of {self.G.name} misses its class minimum")
         central = len(self.G.center())
@@ -457,11 +447,11 @@ class InnerClasses:
             for col in block[:, 1:].T:
                 if len(row) == (hi - lo) * central:
                     break
-                value = self.conj(col[row], g)
+                value = self.G.conj(col[row], g)
                 keep = value == np.minimum.reduceat(value, first)[row]
                 first = (np.cumsum(keep) - keep)[first]  # each row keeps a pair
                 row, g = row[keep], g[keep]
-            out[lo:hi] = self.conj(block, g[first][:, None])
+            out[lo:hi] = self.G.conj(block, g[first][:, None])
         return out
 
 
@@ -671,8 +661,8 @@ class CayleyGroup(Group):
             if key not in doc:
                 raise UserInputError(f"{source}: cayley document missing field {key!r}")
         order = doc["order"]
-        if not isinstance(order, int) or order < 1:
-            raise UserInputError(f"{source}: order must be a positive integer")
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+            raise UserInputError(f"{source}: order must be a positive integer, not {order!r}")
         if order > TABLE_LIMIT:  # products are read from the table only
             raise UserInputError(f"{source}: order {order} exceeds limit {TABLE_LIMIT}")
         labels = doc["labels"]
@@ -694,7 +684,7 @@ class CayleyGroup(Group):
                     f"{source}: cayley table violates group axiom: closure (row {i} has wrong length)"
                 )
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < order:
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
                     raise UserInputError(
                         f"{source}: cayley table violates group axiom: closure "
                         f"(entry [{i}][{j}] = {v!r} not an index in 0..{order - 1})"

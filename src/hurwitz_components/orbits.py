@@ -14,12 +14,12 @@ Two independent routes compute h(G; tau1, tau2):
 A side is one sorted (N, k) array of systems, one system per row; there
 is no other model of a system. The oracle lists every system of a side;
 the two-stage engine lists one row per Inn(G) class, the class's least
-member (see side_orbits), and reduces every image row to its class row
-(InnerClasses.least_conjugates) before it looks it up. The routes share
-only steps that read system rows and Sigma rows, never orbit labels or a
-quotient: _systems (enumeration under the budget), apply_move, _RowIndex
-and _components (index maps and their orbits), and _valid_cells (Sigma
-rows that meet only in the identity). Each route builds its own Sigma
+member (see side_orbits); its _RowIndex reduces every image row to
+its class row (InnerClasses.least_conjugates) before the lookup. The
+routes share only steps that read system rows and Sigma rows, never orbit
+labels or a quotient: _systems (enumeration under the budget), apply_move,
+_RowIndex and _components (index maps and their orbits), and _valid_cells
+(Sigma rows that meet only in the identity). Each route builds its own Sigma
 rows: the oracle calls sigma_set per system, the two-stage engine
 gathers per-element rows over whole system arrays.
 
@@ -43,7 +43,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -53,7 +52,7 @@ from .automorphisms import (
     inner_automorphisms,
 )
 from .errors import BudgetExceeded, UserInputError
-from .groups import Group, index_dtype
+from .groups import Group, InnerClasses, index_dtype
 from .moves import available_moves, apply_move
 from .ramification import (
     SignatureType,
@@ -81,7 +80,7 @@ class SidePartition:
 
     A class row is the least member of its class, and each class has
     |G|/|Z(G)| systems (one for an abelian G, whose classes are single
-    systems). label_of reduces any system to its class row before the
+    systems). The row index reduces any system to its class row before the
     lookup, so moves and automorphisms may act on class rows freely.
     """
 
@@ -90,11 +89,11 @@ class SidePartition:
     systems: np.ndarray  # (N, k) class rows, one per Inn(G) class, rows sorted
     orbit: np.ndarray  # per class row, the index of its orbit
     leaders: np.ndarray  # per orbit, the class row of its least member (ascending)
-    locate: _RowIndex  # the row index of systems, built once by side_orbits
+    locate: _RowIndex  # the class-row index of systems, built once by side_orbits
 
     def label_of(self, rows: np.ndarray, where: str) -> np.ndarray:
         """The orbit of each row, which must be a system of the side."""
-        return self.orbit[_class_of(self.group, self.locate, rows, where)]
+        return self.orbit[self.locate(rows, where)]
 
     @property
     def labels(self) -> np.ndarray:
@@ -175,16 +174,21 @@ class _RowIndex:
     |G|^w, with w as large as keeps N * |G|^w below 2^62. For each chunk the
     sorted distinct keys rank(preceding columns) * |G|^w + chunk are kept,
     and a query row's rank is looked up chunk by chunk, so no key overflows
-    int64 for any row width (w = 1 is the column-by-column lookup).
+    int64 for any row width (w = 1 is the column-by-column lookup). Given a
+    group's InnerClasses, the systems are class rows, and each query row is
+    first reduced to its class row (InnerClasses.least_conjugates).
     """
 
-    def __init__(self, systems: np.ndarray, order: int) -> None:
+    def __init__(
+        self, systems: np.ndarray, order: int, classes: InnerClasses | None = None
+    ) -> None:
         n, k = systems.shape
         width = 1
         while width < k and (n + 1) * order ** (width + 1) < 1 << 62:
             width += 1
         self.chunks = [(c, min(c + width, k)) for c in range(0, k, width)]
         self.order = order
+        self.classes = classes
         self.levels = []
         rank = np.zeros(n, dtype=np.int64)
         for chunk in self.chunks:
@@ -202,7 +206,9 @@ class _RowIndex:
         return key
 
     def __call__(self, rows: np.ndarray, where: str) -> np.ndarray:
-        """The index of each row among the systems."""
+        """The index of each row (or of its class row) among the systems."""
+        if self.classes is not None:
+            rows = self.classes.least_conjugates(rows)
         rank = np.zeros(len(rows), dtype=np.int64)
         for keys, chunk in zip(self.levels, self.chunks):
             key = self._key(rank, rows, chunk)
@@ -249,12 +255,6 @@ def _move_maps(G: Group, tau: SignatureType) -> list:
     return [lambda rows, m=m: apply_move(G, gp, rows, m) for m in moves]
 
 
-def _class_of(G: Group, locate: _RowIndex, rows: np.ndarray, where: str) -> np.ndarray:
-    """The index of each row's Inn(G) class row among the rows locate indexes."""
-    classes = G.inner_classes()
-    return locate(rows if classes is None else classes.least_conjugates(rows), where)
-
-
 def _checked_move_images(G: Group, tau: SignatureType, systems: np.ndarray, inn, locate):
     """locate(rows, where) of the images of systems under each forward move.
 
@@ -288,23 +288,24 @@ def side_orbits(
     members; the enumeration lists only the least member of each. A move
     is a word in a system's entries, so it commutes with conjugation and
     carries whole classes onto classes: each forward move acts once on
-    every class row, and its images are reduced to their class rows before
-    the lookup, in one pass that also checks the move (_checked_move_images).
+    every class row, and the side's row index reduces its images to their
+    class rows, in one pass that also checks the move (_checked_move_images).
     Orbits are numbered by their least members, which are class rows (an
-    orbit's least member is the least member of its least class). Each Inn
-    generator is checked to keep the sample's rows in their classes.
+    orbit's least member is the least member of its least class). One
+    lookup checks that no Inn generator moves a sample row out of its class.
     """
     config = config or EquivalenceConfig()
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, config, inn_classes=True)
     inn = inner_automorphisms(G)
     sample = systems[:20]
-    locate = _RowIndex(systems, G.order)
+    locate = _RowIndex(systems, G.order, G.inner_classes())
     where = f"{G.name} {canonical}"
-    for phi in inn:
-        if (_class_of(G, locate, phi[sample], where) != np.arange(len(sample))).any():
+    if len(inn):
+        got = locate(np.concatenate(inn[:, sample]), where)
+        if (got != np.tile(np.arange(len(sample)), len(inn))).any():
             raise AssertionError(f"an inner automorphism takes a row of {where} out of its class")
-    images = _checked_move_images(G, canonical, systems, inn, partial(_class_of, G, locate))
+    images = _checked_move_images(G, canonical, systems, inn, locate)
     root = _components(len(systems), images)
     is_leader = root == np.arange(len(systems))
     orbit = (np.cumsum(is_leader) - 1)[root]

@@ -8,9 +8,9 @@ member of each Inn(G) class) as one 2-D array with a system per row,
 built with numpy gathers on the group's table, a block of leads at a
 time, and tested for generation once per finished row by the group's
 subgroup joins, and long_relation_value / long_relation_holds evaluate
-every row of such an array at once. system_valid and sigma_set read one
-system as a sequence of ints. Two systems are disjoint when their Sigma
-sets meet only in the identity.
+every row of such an array at once. sigma_set reads one system as a
+sequence of ints. Two systems are disjoint when their Sigma sets meet
+only in the identity.
 """
 from __future__ import annotations
 
@@ -111,19 +111,6 @@ def long_relation_value(G: Group, gprime: int, rows: np.ndarray) -> np.ndarray:
 def long_relation_holds(G: Group, gprime: int, rows: np.ndarray) -> np.ndarray:
     """Whether each row of a 2-D system array satisfies the long relation."""
     return long_relation_value(G, gprime, rows) == G.identity
-
-
-def system_valid(G: Group, tau: SignatureType, entries: tuple[int, ...]) -> bool:
-    """Whether one system (a sequence of ints) has exact type tau, satisfies
-    the long relation and generates G."""
-    if len(entries) != 2 * tau.gprime + tau.r:
-        return False
-    branch = entries[2 * tau.gprime :]
-    if any(G.element_order(c) != m for c, m in zip(branch, tau.periods)):
-        return False
-    if not long_relation_holds(G, tau.gprime, np.array([entries], dtype=np.intp))[0]:
-        return False
-    return G.generates(entries)
 
 
 def _free_slots(G: Group, tau: SignatureType, inn_classes: bool) -> list[np.ndarray]:

@@ -142,13 +142,20 @@ def _abelian_cayley_group() -> CayleyGroup:
     return CayleyGroup(doc)
 
 
-@pytest.mark.parametrize("spec", ["Sym:4", "Alt:5", "q8", "Zn:2,4", "cayley-abelian"])
+@pytest.mark.parametrize(
+    "spec", ["Sym:4", "Sym:4-native", "Alt:5", "q8", "Zn:2,4", "cayley-abelian"]
+)
 def test_classes_and_center_match_full_group_definitions(spec, q8):
     # conjugacy classes and the center are read from the generating tuple;
     # pin them to the definitions over every element of G
-    G = {"q8": q8, "cayley-abelian": _abelian_cayley_group()}.get(spec) or construct_group(spec)
+    G = {"q8": q8, "cayley-abelian": _abelian_cayley_group()}.get(spec)
+    G = G or construct_group(spec.removesuffix("-native"))
+    if spec.endswith("-native"):  # the native arithmetic used past TABLE_LIMIT
+        G._products = G._inverses = None
     elems = list(G.elements())
     assert G.generates(G.generating_tuple())
+    x, g = np.array(elems)[:, None], np.array(elems)[None, :]
+    assert G.conj(x, g).tolist() == [[G.mul(G.mul(G.inv(b), a), b) for b in elems] for a in elems]
     for x in elems:
         assert G.conjugacy_class(x) == frozenset(G.mul(G.mul(G.inv(g), x), g) for g in elems)
     assert G.center() == tuple(
@@ -204,6 +211,25 @@ def test_cayley_rejects_broken_tables(tmp_path, q8_path):
         path.write_text(json.dumps(poked))
         with pytest.raises(UserInputError):
             construct_group(f"cayley:{path}")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"order": True, "labels": ["e"], "table": [[False]]}, "order must be a positive integer"),
+        (
+            {"order": 2, "labels": ["e", "a"], "table": [[0, True], [True, 0]]},
+            r"entry \[0\]\[1\] = True not an index",
+        ),
+    ],
+    ids=["order", "table-entry"],
+)
+def test_cayley_rejects_booleans(tmp_path, doc, message):
+    # JSON true and false load as Python bools, which are ints
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(UserInputError, match=message):
+        construct_group(f"cayley:{path}")
 
 
 def test_cayley_order_limit_is_the_table_limit(tmp_path):

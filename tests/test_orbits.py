@@ -35,9 +35,9 @@ from hurwitz_components.ramification import (
     enumerate_systems,
     rh_admissible,
     sigma_set,
-    system_valid,
 )
 from test_automorphisms import _closure
+from test_ramification import _system_valid
 
 
 def _tau(text: str) -> SignatureType:
@@ -119,7 +119,15 @@ def test_side_orbits_over_inn_classes_match_every_system(spec, text, q8, monkeyp
         rows_per_call.append(len(rows))
         return real(G, gp, rows, mv)
 
+    rows_per_lookup = []
+    real_lookup = _RowIndex.__call__
+
+    def located(self, rows, where):
+        rows_per_lookup.append(len(rows))
+        return real_lookup(self, rows, where)
+
     monkeypatch.setattr(orbits, "apply_move", counted)
+    monkeypatch.setattr(_RowIndex, "__call__", located)
     part = side_orbits(G, tau)
     assert np.array_equal(part.labels, systems[leaders])
     assert np.array_equal(part.orbit_sizes, np.bincount(orbit, minlength=len(leaders)))
@@ -128,8 +136,12 @@ def test_side_orbits_over_inn_classes_match_every_system(spec, text, q8, monkeyp
     # each move acts once on the class rows with the Inn images of the
     # sample stacked below them, then its inverse once on the sample's images
     sample = min(classes, 20)
-    stacked = classes + len(inner_automorphisms(G)) * sample
-    assert rows_per_call == [stacked, sample] * len(available_moves(tau.gprime, tau.r))
+    inn = len(inner_automorphisms(G))
+    moves = len(available_moves(tau.gprime, tau.r))
+    assert rows_per_call == [classes + inn * sample, sample] * moves
+    # one lookup checks the sample's images under every Inn generator, then
+    # one per move locates the class rows' images
+    assert rows_per_lookup == [inn * sample] * (inn > 0) + [classes] * moves
 
 
 def _least_conjugate_by_every_element(G, row):
@@ -324,9 +336,9 @@ def _count_row_index_builds(monkeypatch) -> list[int]:
     builds = []
     real = _RowIndex.__init__
 
-    def counted(self, systems, order):
+    def counted(self, systems, order, classes=None):
         builds.append(len(systems))
-        real(self, systems, order)
+        real(self, systems, order, classes)
 
     monkeypatch.setattr(_RowIndex, "__init__", counted)
     return builds
@@ -759,7 +771,7 @@ def test_representatives_are_valid_disjoint_pairs():
         ent1 = tuple(label_to_index[s] for s in pair[0])
         ent2 = tuple(label_to_index[s] for s in pair[1])
         for ent in (ent1, ent2):
-            assert system_valid(G, SignatureType(0, tuple(G.element_order(c) for c in ent)), ent)
+            assert _system_valid(G, SignatureType(0, tuple(G.element_order(c) for c in ent)), ent)
 
 
 def test_inn_lemma_exhaustive_small_cases():

@@ -23,9 +23,22 @@ from hurwitz_components.ramification import (
     rh_admissible,
     sigma_set,
     surface_invariants,
-    system_valid,
 )
 from test_moves import SUITE_SHAPES
+
+
+def _system_valid(G, tau: SignatureType, entries: tuple[int, ...]) -> bool:
+    """Whether one system (a sequence of ints) has exact type tau, satisfies
+    the long relation and generates G: the brute-force reference for
+    enumerate_systems."""
+    if len(entries) != 2 * tau.gprime + tau.r:
+        return False
+    branch = entries[2 * tau.gprime :]
+    if any(G.element_order(c) != m for c, m in zip(branch, tau.periods)):
+        return False
+    if not long_relation_holds(G, tau.gprime, np.array([entries], dtype=np.intp))[0]:
+        return False
+    return G.generates(entries)
 
 
 def test_type_parse_and_str_roundtrip():
@@ -110,7 +123,7 @@ def test_enumerate_matches_brute_force_filter():
     want = {
         ent
         for ent in product(G.elements(), repeat=3)
-        if system_valid(G, tau, ent)
+        if _system_valid(G, tau, ent)
     }
     assert got == want
     assert len(got) == 6
@@ -137,7 +150,7 @@ def test_enumerate_array_matches_product_reference(spec, text, q8):
     got = enumerate_systems(G, tau)
     k = 2 * tau.gprime + tau.r
     want = [
-        ent for ent in product(G.elements(), repeat=k) if system_valid(G, tau, ent)
+        ent for ent in product(G.elements(), repeat=k) if _system_valid(G, tau, ent)
     ]  # product order is lexicographic
     assert got.dtype == np.int16 and got.shape == (len(want), k)
     assert want and list(map(tuple, got.tolist())) == want
@@ -156,7 +169,7 @@ def test_enumerations_on_one_join_table_match_product_reference(spec, texts):
     for text in texts:
         tau = SignatureType.parse(text)
         k = 2 * tau.gprime + tau.r
-        want = [ent for ent in product(G.elements(), repeat=k) if system_valid(G, tau, ent)]
+        want = [ent for ent in product(G.elements(), repeat=k) if _system_valid(G, tau, ent)]
         assert want and enumerate_systems(G, tau).tolist() == list(map(list, want))
 
 
