@@ -15,6 +15,13 @@ array of images. The move formulas run on whole columns through the
 group's numpy gathers (G.mul_array, G.inv_array, G.comm), so a move acts
 on every system of a side in one call; one system is a 1-row array.
 Each side checks its moves as they act (orbits._checked_move_images).
+
+Two lists of forward moves: available_moves is every generator above, and
+generating_moves drops the xi-twists that are words in the kept moves. An
+orbit depends only on the group the moves generate, so the two-stage side
+stage (orbits.side_orbits) acts with generating_moves; the one-stage oracle
+(orbits._move_maps), verify's move audit and the property tests keep
+available_moves, so the oracle's agreement tests the reduction.
 """
 from __future__ import annotations
 
@@ -69,6 +76,27 @@ def available_moves(gprime: int, r: int) -> list[MoveID]:
     moves += [MoveID("xi1", j, d) for j in range(1, gprime + 1) for d in range(1, r + 1)]
     moves += [MoveID("xi2", j, d) for j in range(1, gprime + 1) for d in range(1, r + 1)]
     return moves
+
+
+def generating_moves(gprime: int, r: int) -> list[MoveID]:
+    """available_moves without xi1_{j,d} for d >= 2 and without any xi2.
+
+    The dropped twists are words in the kept moves. Read each word left to
+    right, as the order of application:
+
+    * xi_{j,d} = (sigma_{d-1}', xi_{j,d-1}, sigma_{d-1}), for xi1 and xi2;
+    * xi2_{j,d} = (delta_j', delta~_j', xi1_{j,d}, delta~_j, delta_j).
+
+    Point-pushing twists around different punctures are conjugate by braid
+    half-twists (the Birman exact sequence), which is the first identity;
+    both hold as map identities on rows that satisfy the long relation
+    (tests/test_moves.py). So the kept moves generate the same group and
+    have the same orbits. For g' >= 1 and r >= 1 the list shrinks from
+    3g' - 1 + (r - 1) + 2g'r moves to 4g' - 1 + (r - 1); (1, 1) lists no
+    xi-twist and keeps its delta and delta~, and shapes with g' = 0 or
+    r = 0 have no xi-twist to drop.
+    """
+    return [m for m in available_moves(gprime, r) if m.kind != "xi2" and m.d in (None, 1)]
 
 
 def _check_range(cond: bool, move: MoveID, gprime: int, r: int) -> None:

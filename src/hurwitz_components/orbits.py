@@ -33,10 +33,12 @@ stage the orbit of each row. Both routes act with generators only
 (forward moves, Inn and Aut generator maps): each permutes a finite set,
 so its inverse is one of its powers. A move is a word in the entries and
 commutes with conjugation, so the two-stage side partition applies each
-move once to every class row; the oracle applies every move to every
-system. The swap acts exactly when the unordered types coincide. Both
-refuse honestly (BudgetExceeded) instead of degrading; the two-stage
-budget counts the tuples its restricted enumeration expands.
+move of moves.generating_moves once to every class row; the oracle applies
+every move of moves.available_moves to every system, so its agreement also
+tests that the dropped xi-twists add no orbit. The swap acts exactly when
+the unordered types coincide. Both refuse honestly (BudgetExceeded)
+instead of degrading; the two-stage budget counts the tuples its
+restricted enumeration expands.
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ from .automorphisms import (
 )
 from .errors import BudgetExceeded, UserInputError
 from .groups import Group, InnerClasses, index_dtype
-from .moves import available_moves, apply_move
+from .moves import apply_move, available_moves, generating_moves
 from .ramification import (
     SignatureType,
     candidate_tuples,
@@ -248,15 +250,16 @@ def _components(n: int, images) -> np.ndarray:
 
 
 def _move_maps(G: Group, tau: SignatureType) -> list:
-    """The forward moves of tau's shape as maps on whole system arrays
-    (none for (g', r) = (0, 0))."""
+    """Every forward move of tau's shape (moves.available_moves) as a map
+    on whole system arrays (none for (g', r) = (0, 0)); the oracle's moves."""
     gp, r = tau.gprime, tau.r
     moves = available_moves(gp, r) if (gp, r) != (0, 0) else []
     return [lambda rows, m=m: apply_move(G, gp, rows, m) for m in moves]
 
 
 def _checked_move_images(G: Group, tau: SignatureType, systems: np.ndarray, inn, locate):
-    """locate(rows, where) of the images of systems under each forward move.
+    """locate(rows, where) of the images of systems under each forward move
+    of moves.generating_moves (every move for g' = 0).
 
     Each move m acts once on the systems with the Inn images of the sample
     (the first 20 rows) stacked below them; locate refuses any image that
@@ -267,7 +270,7 @@ def _checked_move_images(G: Group, tau: SignatureType, systems: np.ndarray, inn,
     gp, n, sample = tau.gprime, len(systems), systems[:20]
     where, s = f"{G.name} {tau}", len(sample)
     stack = np.concatenate([systems] + [phi[sample] for phi in inn]) if len(inn) else systems
-    for m in available_moves(gp, tau.r) if (gp, tau.r) != (0, 0) else []:
+    for m in generating_moves(gp, tau.r) if (gp, tau.r) != (0, 0) else []:
         out = apply_move(G, gp, stack, m)
         images, moved = locate(out[:n], where), out[:s]
         for k, phi in enumerate(inn):
@@ -287,9 +290,10 @@ def side_orbits(
     Inn(G) acts freely on generating systems, so a class has |G|/|Z(G)|
     members; the enumeration lists only the least member of each. A move
     is a word in a system's entries, so it commutes with conjugation and
-    carries whole classes onto classes: each forward move acts once on
-    every class row, and the side's row index reduces its images to their
-    class rows, in one pass that also checks the move (_checked_move_images).
+    carries whole classes onto classes: each move of moves.generating_moves
+    acts once on every class row, and the side's row index reduces its
+    images to their class rows, in one pass that also checks the move
+    (_checked_move_images).
     Orbits are numbered by their least members, which are class rows (an
     orbit's least member is the least member of its least class). One
     lookup checks that no Inn generator moves a sample row out of its class.

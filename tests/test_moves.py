@@ -8,8 +8,8 @@ import pytest
 from hurwitz_components import orbits
 from hurwitz_components.automorphisms import automorphism_group, inner_automorphisms
 from hurwitz_components.errors import UserInputError
-from hurwitz_components.groups import construct_group
-from hurwitz_components.moves import MoveID, apply_move, available_moves
+from hurwitz_components.groups import TABLE_LIMIT, construct_group, index_dtype
+from hurwitz_components.moves import MoveID, apply_move, available_moves, generating_moves
 from hurwitz_components.orbits import (
     EquivalenceConfig,
     _checked_move_images,
@@ -153,6 +153,68 @@ def test_available_moves_inventory():
         available_moves(0, 0)
 
 
+IDENTITY_SHAPES = [(1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 2)]
+
+
+def _long_relation_rows(G, gp: int, r: int, n: int, rng) -> np.ndarray:
+    """n random rows of shape (g', r) whose last branch entry is solved from
+    the long relation c1...cr * prod_k [a_k, b_k] = 1."""
+    rows = rng.integers(0, G.order, size=(n, 2 * gp + r)).astype(index_dtype(G.order))
+    head = np.full(n, G.identity, dtype=rows.dtype)
+    for c in rows[:, 2 * gp : -1].T:
+        head = G.mul_array(head, c)
+    handles = np.full(n, G.identity, dtype=rows.dtype)
+    for k in range(gp):
+        handles = G.mul_array(handles, G.comm(rows[:, 2 * k], rows[:, 2 * k + 1]))
+    rows[:, -1] = G.mul_array(G.inv_array(head), G.inv_array(handles))
+    assert long_relation_holds(G, gp, rows).all()
+    return rows
+
+
+@pytest.mark.parametrize("spec, n", [("Sym:6", 1000), ("Sym:7", 300)])
+def test_dropped_xi_twists_are_words_in_the_generating_moves(spec, n):
+    """The identities that let the side stage act with generating_moves, read
+    left to right as the order of application:
+    xi_{j,d} = (sigma_{d-1}', xi_{j,d-1}, sigma_{d-1}) for xi1 and xi2, and
+    xi2_{j,d} = (delta_j', delta~_j', xi1_{j,d}, delta~_j, delta_j)."""
+    G = construct_group(spec)
+    assert (G.order <= TABLE_LIMIT) == (spec == "Sym:6")  # Sym:7 multiplies natively
+    rng = np.random.default_rng(G.order)
+    for gp, r in IDENTITY_SHAPES:
+        rows = _long_relation_rows(G, gp, r, n, rng)
+
+        def word(*moves):
+            out = rows
+            for mv in moves:
+                out = apply_move(G, gp, out, mv)
+            return out
+
+        for j in range(1, gp + 1):
+            delta, delta_t = MoveID("delta", j), MoveID("delta~", j)
+            for d in range(1, r + 1):
+                where = (spec, gp, r, j, d)
+                if d >= 2:
+                    s = MoveID("sigma", d - 1)
+                    for kind in ("xi1", "xi2"):
+                        conjugated = word(s.inverted(), MoveID(kind, j, d - 1), s)
+                        assert np.array_equal(word(MoveID(kind, j, d)), conjugated), (kind, *where)
+                xi1, xi2 = MoveID("xi1", j, d), MoveID("xi2", j, d)
+                twisted = word(delta.inverted(), delta_t.inverted(), xi1, delta_t, delta)
+                assert np.array_equal(word(xi2), twisted), ("xi2 from xi1", *where)
+
+
+@pytest.mark.parametrize("gp, r", [(0, 4), (1, 0), (1, 1), (3, 0), *IDENTITY_SHAPES])
+def test_generating_moves_drop_exactly_the_conjugate_xi_twists(gp, r):
+    full, kept = available_moves(gp, r), generating_moves(gp, r)
+    dropped = [m for m in full if m.kind == "xi2" or (m.kind == "xi1" and m.d >= 2)]
+    assert kept == [m for m in full if m not in dropped]
+    if gp >= 1 and r >= 1 and (gp, r) != (1, 1):
+        assert len(full) == 3 * gp - 1 + (r - 1) + 2 * gp * r
+        assert len(kept) == 4 * gp - 1 + (r - 1)
+    else:  # no xi-twist to drop; (1, 1) lists only delta and delta~
+        assert kept == full
+
+
 def test_out_of_range_moves_rejected():
     G = construct_group("Sym:3")
     ent = enumerate_systems(G, SignatureType(0, (2, 2, 3)))[:1]
@@ -245,11 +307,11 @@ def test_checked_move_pass_applies_each_move_and_its_inverse_once(monkeypatch):
 
     monkeypatch.setattr(orbits, "apply_move", counted)
     systems, inn, images = _pass_over(G, tau)
-    assert len(list(images)) == len(available_moves(1, 2))
+    assert len(list(images)) == len(generating_moves(1, 2))
     assert len(inn) and len(systems) > 20
     stacked = len(systems) + len(inn) * 20
     assert calls == [
-        call for mv in available_moves(1, 2) for call in ((mv, stacked), (mv.inverted(), 20))
+        call for mv in generating_moves(1, 2) for call in ((mv, stacked), (mv.inverted(), 20))
     ]
 
 

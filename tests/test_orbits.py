@@ -10,7 +10,7 @@ import pytest
 from hurwitz_components.automorphisms import AutGroup, automorphism_group, inner_automorphisms
 from hurwitz_components.errors import BudgetExceeded, UserInputError
 from hurwitz_components.groups import AbelianGroup, construct_group
-from hurwitz_components.moves import apply_move, available_moves
+from hurwitz_components.moves import apply_move, available_moves, generating_moves
 from hurwitz_components import orbits
 from hurwitz_components.orbits import (
     EquivalenceConfig,
@@ -80,9 +80,9 @@ def test_side_orbits_accept_enumeration_as_row_list(monkeypatch):
 
 
 def _side_orbits_on_every_system(G, tau):
-    """The side partition with every forward move and every Inn generator
-    map acting on every system: the reference for side_orbits, which moves
-    one system per Inn class."""
+    """The side partition with every forward move (available_moves) and every
+    Inn generator map acting on every system: the reference for side_orbits,
+    which moves one system per Inn class with generating_moves."""
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, EquivalenceConfig())
     locate = _RowIndex(systems, G.order)
@@ -106,6 +106,7 @@ def _side_orbits_on_every_system(G, tau):
         ("q8", "0|4,4,4"),  # a centre of order 2
         ("q8", "1|2"),
         ("Zn:2,4", "1|2,2"),  # no Inn generators
+        ("Zn:2,4", "1|2,2,2,2"),  # 7 of 13 moves dropped
     ],
 )
 def test_side_orbits_over_inn_classes_match_every_system(spec, text, q8, monkeypatch):
@@ -133,11 +134,11 @@ def test_side_orbits_over_inn_classes_match_every_system(spec, text, q8, monkeyp
     assert np.array_equal(part.orbit_sizes, np.bincount(orbit, minlength=len(leaders)))
     classes = len(systems) // (G.order // len(G.center()))
     assert len(part.systems) == classes
-    # each move acts once on the class rows with the Inn images of the
-    # sample stacked below them, then its inverse once on the sample's images
+    # each generating move acts once on the class rows with the Inn images of
+    # the sample stacked below them, then its inverse once on the sample's images
     sample = min(classes, 20)
     inn = len(inner_automorphisms(G))
-    moves = len(available_moves(tau.gprime, tau.r))
+    moves = len(generating_moves(tau.gprime, tau.r))
     assert rows_per_call == [classes + inn * sample, sample] * moves
     # one lookup checks the sample's images under every Inn generator, then
     # one per move locates the class rows' images
@@ -502,6 +503,25 @@ def test_one_stage_agrees_with_two_stage(q8_path):
         a = count_components(G, _tau(t1), _tau(t2), cfg)
         b = count_components_one_stage(G, _tau(t1), _tau(t2), cfg)
         assert a.to_json_dict() == b.to_json_dict(), (spec, t1, t2)
+
+
+@pytest.mark.parametrize(
+    "spec, t1, t2, h",
+    [
+        ("Zn:2,4", "0|2,2,4,4", "1|2,2,2,2", 2),  # 7 of (1|2,2,2,2)'s 13 moves dropped
+        ("Sym:4", "0|2,2,2,4", "1|3,3", 2),  # 3 of (1|3,3)'s 7 moves dropped
+    ],
+)
+def test_routes_agree_where_the_side_stage_drops_xi_twists(spec, t1, t2, h):
+    # The oracle acts with every move, the side stage with generating_moves.
+    G = construct_group(spec)
+    tau2 = _tau(t2)
+    assert len(generating_moves(tau2.gprime, tau2.r)) < len(available_moves(tau2.gprime, tau2.r))
+    cfg = EquivalenceConfig(representatives=True)
+    a = count_components(G, _tau(t1), tau2, cfg)
+    b = count_components_one_stage(G, _tau(t1), tau2, cfg)
+    assert a.h == h
+    assert a.to_json_dict() == b.to_json_dict()
 
 
 def test_swap_defaults_follow_type_equality():
