@@ -292,9 +292,10 @@ class SubgroupJoins:
     * Coset closure: otherwise <H, y> grows as a union of right cosets H r.
       For each representative r and each generator s of H plus y, a product
       r s outside the union adds its whole coset H (r s).
-    * Coset fills: <H, a y> = <H, y a> = <H, y> for every a in H, so one join
-      fills the row of H on both cosets H y and y H, and a new subgroup K
-      fills its own row on K with its id.
+    * Coset fills: <H, a y^j> = <H, y^j a> = <H, y> for every a in H and
+      every j prime to ord(y), since y is then a power of y^j. So one join
+      fills the row of H on the cosets H y^j and y^j H of every generator
+      y^j of <y>, and a new subgroup K fills its own row on K with its id.
     """
 
     def __init__(self, G: Group) -> None:
@@ -322,7 +323,8 @@ class SubgroupJoins:
         return got
 
     def _close(self, h: int, y: int) -> None:
-        """Find <H, y> for y not in H and fill the row of H on H y and y H."""
+        """Find <H, y> for y not in H and fill the row of H on H y^j and y^j H
+        for every j prime to ord(y), two gathers over the generators of <y>."""
         G = self.G
         H = self.members[h]
         gens = self.gens[h] + (y,)
@@ -341,8 +343,15 @@ class SubgroupJoins:
         else:
             members = np.arange(G.order, dtype=H.dtype)
         got = self._subgroup(members, gens)
-        self.table[h, G.mul_array(H, y)] = got
-        self.table[h, G.mul_array(y, H)] = got
+        order = G.element_order(y)
+        powers, acc = [y], y
+        for j in range(2, order):
+            acc = G.mul(acc, y)
+            if math.gcd(j, order) == 1:
+                powers.append(acc)
+        powers = np.array(powers, dtype=H.dtype)
+        self.table[h, G.mul_array(H[:, None], powers)] = got
+        self.table[h, G.mul_array(powers[:, None], H)] = got
 
     def _subgroup(self, members: np.ndarray, gens: tuple[int, ...]) -> int:
         """The id of the subgroup with these sorted members, added if new."""

@@ -19,9 +19,14 @@ its class row (InnerClasses.least_conjugates) before the lookup. The
 routes share only steps that read system rows and Sigma rows, never orbit
 labels or a quotient: _systems (enumeration under the budget), apply_move,
 _RowIndex and _components (index maps and their orbits), and _valid_cells
-(Sigma rows that meet only in the identity). Each route builds its own Sigma
-rows: the oracle calls sigma_set per system, the two-stage engine
-gathers per-element rows over whole system arrays.
+(Sigma rows that share no column). Each route builds its own Sigma rows:
+the oracle calls sigma_set per system and keeps one column per element
+other than the identity; the two-stage engine gathers per-element rows
+over whole system arrays, with one column per conjugacy class of
+subgroups of prime order. Sigma(V) is a union of conjugates of cyclic
+subgroups, so a shared element x != 1 has a shared power of prime order,
+whose whole class of subgroups is then shared: two Sigma sets meet only
+in the identity iff they share no such class.
 
 Each move is applied to a whole array at once. An automorphism is a row
 phi of a (maps, |G|) index array (see automorphisms) and acts as the
@@ -54,7 +59,7 @@ from .automorphisms import (
     inner_automorphisms,
 )
 from .errors import BudgetExceeded, UserInputError
-from .groups import Group, InnerClasses, index_dtype
+from .groups import Group, InnerClasses, index_dtype, prime_factorization
 from .moves import apply_move, available_moves, generating_moves
 from .ramification import (
     SignatureType,
@@ -316,44 +321,84 @@ def side_orbits(
     return SidePartition(G, canonical, systems, orbit, np.flatnonzero(is_leader), locate)
 
 
+def _powers(G: Group, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Elementwise x ** e of an index array and exponents >= 0, by squaring."""
+    out = np.full(len(x), G.identity, dtype=np.intp)
+    base, e = x, e.copy()
+    while e.any():
+        odd = (e & 1).astype(bool)
+        out[odd] = G.mul_array(out[odd], base[odd])
+        base, e = G.mul_array(base, base), e >> 1
+    return out
+
+
 def _sigma_rows(G: Group) -> np.ndarray:
-    """Bool rows, one per element x: the conjugates of the powers of x, which
-    are the cyclic subgroups of its conjugates, the share of a Sigma set that
-    one branch entry x contributes."""
-    rows = np.zeros((G.order, G.order), dtype=bool)
-    for x in G.elements():
-        rows[x, list(frozenset().union(*map(G.cyclic_subgroup, G.conjugacy_class(x))))] = True
+    """Bool table (|G| x C), one column per conjugacy class of subgroups of
+    prime order: row x marks the classes of the prime-order subgroups of <x>,
+    one per prime p dividing ord(x), the class of <x^(ord(x)/p)>. These are
+    the classes of prime-order subgroups inside the conjugates of <x>, the
+    share of a Sigma set that one branch entry x contributes.
+
+    <y> and <z> of prime order are conjugate iff a conjugate of z generates
+    <y>, so the least class minimum over the generators y^j of <y> names its
+    class (the class minimum of an element of an abelian G is itself).
+    """
+    classes = G.inner_classes()
+    least = np.arange(G.order) if classes is None else classes.least
+    orders = G.orders
+    key = np.full(G.order, -1, dtype=np.intp)  # per element y of prime order, the key of <y>
+    marks = []
+    for p in prime_factorization(G.order):
+        gens = np.flatnonzero(orders == p)
+        acc, key[gens] = gens, least[gens]
+        for _ in range(p - 2):
+            acc = G.mul_array(acc, gens)
+            key[gens] = np.minimum(key[gens], least[acc])
+        xs = np.flatnonzero(orders % p == 0)
+        marks.append((xs, _powers(G, xs, orders[xs] // p)))
+    columns = np.unique(key[key >= 0])
+    rows = np.zeros((G.order, len(columns)), dtype=bool)
+    for xs, ys in marks:
+        rows[xs, np.searchsorted(columns, key[ys])] = True
     return rows
 
 
 def _sigma_matrix(G: Group, part: SidePartition) -> np.ndarray:
-    """Bool matrix (labels x |G|) of Sigma sets, checked constant on every orbit.
+    """Bool matrix (labels x C) of Sigma sets over the C conjugacy classes of
+    prime-order subgroups (_sigma_rows), checked constant on every orbit.
 
-    A system's Sigma row is the identity column OR-ed with the _sigma_rows
-    row of each branch entry, gathered by element index from one table over
-    the whole group. Every class row's Sigma row is compared with its orbit
-    label's row, a block of rows at a time; Sigma is a union of conjugacy
-    classes, so it is constant on each Inn(G) class.
+    Sigma(V) is a union of conjugates of cyclic subgroups, so it is closed
+    under powers and conjugation: a shared element x != 1 has a power of
+    prime order, whose whole class of subgroups is then shared. So two
+    Sigma sets meet only in the identity iff their rows share no column.
+    A system's row is the OR of the _sigma_rows rows of its branch entries,
+    gathered by element index from one table over the whole group, with
+    the C columns packed into 64-bit words (one gather moves one word per
+    row). Every class row's row is compared with its orbit label's row, a
+    block of rows at a time; Sigma is a union of conjugacy classes, so it
+    is constant on each Inn(G) class.
     """
     branch = part.systems[:, 2 * part.tau.gprime :]
     table = _sigma_rows(G)
+    columns = table.shape[1]
+    padded = np.pad(table, ((0, 0), (0, -columns % 64)))
+    words = np.packbits(padded, axis=1).view(np.uint64).T.copy()  # (words, |G|)
 
     def sigma(rows: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(rows), G.order), dtype=bool)
-        out[:, G.identity] = True
+        out = np.zeros((len(words), len(rows)), dtype=np.uint64)
         for col in branch[rows].T:
-            out |= table[col]
+            out |= words[:, col]
         return out
 
     mat = sigma(part.leaders)
-    step = max(1, (1 << 20) // G.order)
+    step = max(1, (1 << 20) // max(1, columns))
     for start in range(0, len(part.systems), step):
         rows = np.arange(start, min(start + step, len(part.systems)))
-        bad = (sigma(rows) != mat[part.orbit[rows]]).any(axis=1)
+        bad = (sigma(rows) != mat[:, part.orbit[rows]]).any(axis=0)
         if bad.any():
             orbit = part.orbit[rows[np.argmax(bad)]]
             raise AssertionError(f"Sigma not constant on orbit {orbit} of {G.name} {part.tau}")
-    return mat
+    return np.unpackbits(mat.T.copy().view(np.uint8), axis=1, count=columns).view(bool)
 
 
 def _aut_label_perms(G: Group, part: SidePartition, maps: np.ndarray) -> list[np.ndarray]:
@@ -385,14 +430,16 @@ def count_components(
 
 def _valid_cells(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Bool matrix of row pairs (orbit labels, or systems in the one-stage
-    oracle) whose Sigma rows meet only in the identity, computed in row
-    blocks of at most about a million cells."""
+    oracle) whose Sigma rows share no column, computed in row blocks of at
+    most about a million cells. Neither route keeps an identity column: the
+    two-stage rows have one column per class of prime-order subgroups
+    (_sigma_matrix), and the oracle's rows are whole Sigma sets less the
+    identity, so no shared column means Sigma sets that meet only in 1."""
     valid = np.empty((len(m1), len(m2)), dtype=bool)
     f2 = m2.T.astype(np.float32)
     step = max(1, (1 << 20) // max(1, len(m2)))
     for start in range(0, len(m1), step):
-        block = m1[start : start + step].astype(np.float32) @ f2
-        valid[start : start + step] = block == 1.0  # identity is shared by every Sigma pair
+        valid[start : start + step] = m1[start : start + step].astype(np.float32) @ f2 == 0
     return valid
 
 
@@ -459,8 +506,9 @@ def _count_pairs(
     """The pair stage of count_components, on side partitions already built;
     the swap acts when the unordered types coincide.
 
-    Cells are label pairs (i, j) whose Sigma rows meet only in the
-    identity. Aut(G) splits the side-1 labels into blocks (its orbits), each
+    Cells are label pairs (i, j) whose Sigma sets meet only in the
+    identity (_valid_cells on _sigma_matrix rows). Aut(G) splits the
+    side-1 labels into blocks (its orbits), each
     with a Schreier vector rooted at its least label i0, and every orbit of
     cells under diagonal Aut meets the row of i0 in one orbit of Stab(i0).
     So only the row cells (i0, j) are kept, and their orbits come from
@@ -628,9 +676,11 @@ def count_components_one_stage(
         )
 
     def sigma_rows(t: SignatureType, systems: np.ndarray) -> np.ndarray:
+        """Whole Sigma sets, one element column each, less the identity."""
         rows = np.zeros((len(systems), G.order), dtype=bool)
         for k, ent in enumerate(systems.tolist()):
             rows[k, list(sigma_set(G, t.gprime, ent))] = True
+        rows[:, G.identity] = False
         return rows
 
     sig1 = sigma_rows(t1, sys1)

@@ -307,6 +307,21 @@ def test_join_table_names_plain_closures(spec, texts, q8):
         assert subgroups[joins.table[h, y]] == G.closure(joins.gens[h] + (y,))
 
 
+def test_one_join_fills_the_cosets_of_every_generator(monkeypatch):
+    # <H, y^j> = <H, y> for every j prime to ord(y). On Zn:13,13 the trivial
+    # subgroup is closed once per line <y> (14), and each line once more, as
+    # its 12 other cosets H y^j make up the whole row (14). Filling only
+    # H y and y H closed 336 joins here.
+    G = construct_group("Zn:13,13")
+    joins = G.subgroup_joins()
+    closed = []
+    real = joins._close
+    monkeypatch.setattr(joins, "_close", lambda h, y: closed.append((h, y)) or real(h, y))
+    assert len(enumerate_systems(G, SignatureType(0, (13, 13, 13)))) == 168 * 156
+    assert len(closed) == 28
+    assert sorted(joins.orders[: len(joins.members)].tolist()) == [1] + [13] * 14 + [169]
+
+
 def _elementwise_table(G: Group) -> np.ndarray:
     """The multiplication table read off the backend's own product, one pair at a time."""
     return np.array([[G._mul_raw(x, y) for y in G.elements()] for x in G.elements()])

@@ -257,21 +257,51 @@ def test_planted_map_that_leaves_the_system_set_raises(monkeypatch):
 
 def test_valid_cells_in_row_blocks_match_one_product():
     rng = np.random.default_rng(9)
-    m1 = rng.random((3000, 17)) < 0.2
-    m2 = rng.random((700, 17)) < 0.2
-    m1[:, 0] = m2[:, 0] = True  # the identity is in every Sigma
-    whole = (m1.astype(np.float32) @ m2.astype(np.float32).T) == 1.0
+    m1 = rng.random((3000, 17)) < 0.05
+    m2 = rng.random((700, 17)) < 0.05
+    whole = (m1.astype(np.float32) @ m2.astype(np.float32).T) == 0  # no shared column
     got = _valid_cells(m1, m2)
-    assert got.any() and np.array_equal(got, whole)
+    assert got.any() and not got.all() and np.array_equal(got, whole)
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, n))
+
+
+def _subgroup_class(G, z: int) -> frozenset:
+    """The conjugacy class of the subgroup <z>, as a set of subgroups."""
+    sub = G.cyclic_subgroup(z)
+    return frozenset(frozenset(int(G.conj(x, g)) for x in sub) for g in G.elements())
+
+
+def _class_columns(G, table: np.ndarray) -> dict[int, int]:
+    """The column of each element z of prime order: the one column its row
+    marks. Checked to name the class of <z>, one column per class."""
+    col = {}
+    for z in G.elements():
+        if _is_prime(G.element_order(z)):
+            (col[z],) = np.flatnonzero(table[z]).tolist()
+    named = {(_subgroup_class(G, z), c) for z, c in col.items()}
+    assert len({k for k, _ in named}) == len({c for _, c in named}) == len(named)
+    assert len(named) == table.shape[1]
+    return col
+
+
+def _sigma_classes(G, col: dict[int, int], gprime: int, entries) -> set[int]:
+    """The columns of the prime-order subgroup classes inside sigma_set."""
+    return {col[z] for z in sigma_set(G, gprime, tuple(entries)) if z in col}
 
 
 @pytest.mark.parametrize("spec", ["Sym:4", "Alt:5", "q8", "Zn:5,5"])
 def test_sigma_table_matches_sigma_set(spec, q8):
     G = q8 if spec == "q8" else construct_group(spec)
     table = _sigma_rows(G)
-    assert table.shape == (G.order, G.order)
+    # classes of subgroups of prime order: Zn:p,p has p + 1, Q8 only <-1>
+    columns = {"Sym:4": 3, "Alt:5": 3, "q8": 1, "Zn:5,5": 6}[spec]
+    assert table.shape == (G.order, columns)
+    col = _class_columns(G, table)
     for x in G.elements():
-        assert set(np.flatnonzero(table[x]).tolist()) == sigma_set(G, 0, (x,)), x
+        assert set(np.flatnonzero(table[x]).tolist()) == _sigma_classes(G, col, 0, (x,)), x
 
 
 @pytest.mark.parametrize(
@@ -283,9 +313,76 @@ def test_sigma_matrix_rows_match_sigma_set(spec, text, q8):
     tau = _tau(text)
     part = side_orbits(G, tau)
     mat = _sigma_matrix(G, part)
-    assert mat.shape == (len(part.leaders), G.order)
+    col = _class_columns(G, _sigma_rows(G))
+    assert mat.shape == (len(part.leaders), len(set(col.values())))
     for row, label in zip(mat, part.labels.tolist()):
-        assert set(np.flatnonzero(row).tolist()) == sigma_set(G, tau.gprime, label)
+        assert set(np.flatnonzero(row).tolist()) == _sigma_classes(G, col, tau.gprime, label)
+
+
+def _full_sigma_rows(G):
+    """Sigma rows with one column per element: the conjugates of the powers
+    of x, as the pair stage built them before the class columns."""
+    rows = np.zeros((G.order, G.order), dtype=bool)
+    for x in G.elements():
+        rows[x, list(frozenset().union(*map(G.cyclic_subgroup, G.conjugacy_class(x))))] = True
+    return rows
+
+
+def _full_sigma_matrix(G, part):
+    """(labels x |G|) Sigma rows with the identity column, from _full_sigma_rows."""
+    table = _full_sigma_rows(G)
+    out = np.zeros((len(part.leaders), G.order), dtype=bool)
+    out[:, G.identity] = True
+    for col in part.labels[:, 2 * part.tau.gprime :].T:
+        out |= table[col]
+    return out
+
+
+def _full_valid_cells(m1, m2):
+    """Row pairs whose full Sigma rows share only the identity column."""
+    return (m1.astype(np.float32) @ m2.T.astype(np.float32)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "spec,t1,t2",
+    [
+        ("Sym:4", "0|2,3,4", "0|3,4,4"),
+        ("Sym:4", "0|2,2,2,2,2,2", "0|2,2,2,2,2,2"),
+        ("Sym:4", "0|2,2,2,4", "1|3"),
+        ("Sym:4", "0|3,4,4", "1|2,2"),
+        ("Alt:5", "0|2,5,5", "0|3,3,5"),
+        ("Alt:5", "0|2,5,5", "1|3"),
+        ("q8", "0|4,4,4", "1|2"),
+        ("q8", "0|4,4,4", "2|"),
+        ("Zn:3,3", "0|3,3,3", "0|3,3,3,3"),
+        ("Zn:5,5", "0|5,5,5", "0|5,5,5"),
+        ("Zn:2,2,2", "0|2,2,2,2", "1|2,2"),
+        ("Zn:2,4", "0|2,2,4,4", "1|2,2"),
+        ("Zn:2,4", "0|2,4,4", "2|"),
+    ],
+)
+def test_class_column_validity_matches_full_columns(spec, t1, t2, q8):
+    G = q8 if spec == "q8" else construct_group(spec)
+    side1, side2 = side_orbits(G, _tau(t1)), side_orbits(G, _tau(t2))
+    reduced = _valid_cells(_sigma_matrix(G, side1), _sigma_matrix(G, side2))
+    full = _full_valid_cells(_full_sigma_matrix(G, side1), _full_sigma_matrix(G, side2))
+    assert reduced.shape == full.shape and np.array_equal(reduced, full)
+
+
+@pytest.mark.parametrize("spec", ["Sym:4", "Alt:5", "q8", "Zn:3,3", "Zn:5,5", "Zn:2,2,2", "Zn:2,4"])
+def test_class_columns_decide_disjointness_of_any_entry_tuples(spec, q8):
+    # Any union of conjugates of cyclic subgroups, not only the Sigma sets
+    # of systems: every single element, and random pairs and triples.
+    G = q8 if spec == "q8" else construct_group(spec)
+    rng = np.random.default_rng(3)
+    entries = [np.arange(G.order)[:, None]]
+    entries += [rng.integers(0, G.order, size=(200, k)) for k in (2, 3)]
+    reduced_table, full_table = _sigma_rows(G), _full_sigma_rows(G)
+    for a in entries:
+        for b in entries:
+            reduced = _valid_cells(reduced_table[a].any(axis=1), reduced_table[b].any(axis=1))
+            full = _full_valid_cells(full_table[a].any(axis=1), full_table[b].any(axis=1))
+            assert full.any() and not full.all() and np.array_equal(reduced, full)
 
 
 def test_sigma_matrix_checks_every_system_of_an_orbit():
@@ -298,6 +395,24 @@ def test_sigma_matrix_checks_every_system_of_an_orbit():
     part.orbit = part.orbit.copy()
     part.orbit[row] = other  # file one system under an orbit with another Sigma
     with pytest.raises(AssertionError, match=f"Sigma not constant on orbit {other} "):
+        _sigma_matrix(G, part)
+
+
+def test_sigma_matrix_packs_more_than_64_columns(monkeypatch):
+    # Zn:2^7 has 127 classes of prime-order subgroups; here a real table is
+    # widened to 76 columns (two 64-bit words) and its rows ORed directly.
+    G = AbelianGroup([5, 5])
+    part = side_orbits(G, _tau("0|5,5,5"))
+    table = np.concatenate([np.zeros((G.order, 70), dtype=bool), _sigma_rows(G)], axis=1)
+    table[:, 3] = table[:, 70]  # a bit in each word
+    monkeypatch.setattr(orbits, "_sigma_rows", lambda G: table)
+    want = table[part.labels].any(axis=1)
+    assert want[:, 3].any() and not want[:, 3].all()
+    assert np.array_equal(_sigma_matrix(G, part), want)
+    part.orbit = part.orbit.copy()
+    row = len(part.systems) - 1
+    part.orbit[row] = next(k for k in range(len(want)) if (want[k] != want[part.orbit[row]]).any())
+    with pytest.raises(AssertionError, match="Sigma not constant"):
         _sigma_matrix(G, part)
 
 
@@ -629,7 +744,7 @@ def _frontier_bfs_count(G, tau1, tau2, config):
             mat[i, list(sigma_set(G, part.tau.gprime, label))] = True
         return mat
 
-    valid = _valid_cells(sigma(side1), sigma(side2))
+    valid = _full_valid_cells(sigma(side1), sigma(side2))  # whole sets, identity included
     s1, s2 = side1.orbit_sizes, side2.orbit_sizes
     gens = automorphism_group(G).generator_maps
     perms1 = orbits._aut_label_perms(G, side1, gens)
