@@ -445,10 +445,10 @@ def _quaternion_group() -> CayleyGroup:
     return CayleyGroup({"order": 8, "labels": labels, "table": table}, "<quaternion group>")
 
 
-def _verify_two_routes(cfg: EquivalenceConfig) -> tuple[bool, str]:
-    cfg = dataclasses.replace(cfg, representatives=True)
+def _two_route_panel() -> list:
+    """The (group, type1, type2) cases on which verify compares the two routes."""
     # Q8 is the one group here whose centre and Inn(G) are both non-trivial.
-    cases = [
+    return [
         (construct_group("Zn:5,5"), "0|5,5,5", "0|5,5,5"),
         (construct_group("Zn:2"), "1|2,2", "2|"),
         (construct_group("Sym:4"), "0|2,3,4", "0|2,3,4"),
@@ -457,6 +457,11 @@ def _verify_two_routes(cfg: EquivalenceConfig) -> tuple[bool, str]:
         (construct_group("Sym:4"), "0|3,4,4", "1|2,2"),
         (_quaternion_group(), "0|4,4,4", "2|"),
     ]
+
+
+def _verify_two_routes(cfg: EquivalenceConfig) -> tuple[bool, str]:
+    cfg = dataclasses.replace(cfg, representatives=True)
+    cases = _two_route_panel()
     for G, t1s, t2s in cases:
         t1, t2 = SignatureType.parse(t1s), SignatureType.parse(t2s)
         a = count_components(G, t1, t2, cfg)

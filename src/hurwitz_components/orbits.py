@@ -7,20 +7,26 @@ Two independent routes compute h(G; tau1, tau2):
   per Aut orbit of side-1 labels, and the orbits of the root label's
   stabilizer (plus the factor swap) on the disjoint cells of that one
   root's row;
-* a one-stage oracle: components of the raw disjoint ordered pairs, found
-  from index maps of per-side moves, per-side Inn generators, diagonal Aut
-  generators and the swap, without orbit labels or any quotient.
+* a one-stage oracle: components of the disjoint ordered pairs of Inn(G)
+  class rows, found from index maps of per-side moves, diagonal Aut
+  generators and the swap, without orbit labels or the Aut quotient; each
+  class-row pair weighs (|G|/|Z(G)|)^2 raw pairs.
 
 A side is one sorted (N, k) array of systems, one system per row; there
-is no other model of a system. The oracle lists every system of a side;
-the two-stage engine lists one row per Inn(G) class, the class's least
-member (see side_orbits); its _RowIndex reduces every image row to
-its class row (InnerClasses.least_conjugates) before the lookup. The
+is no other model of a system. Both routes list one row per Inn(G) class,
+the class's least member (see side_orbits), and their _RowIndex reduces
+every image row to its class row (InnerClasses.least_conjugates) before
+the lookup. Full listings still check that enumeration: verify_inn_lemma
+and `hurwitz enumerate` list every system, and the tests pin the routes
+to references that list every system (the side partitions of
+test_side_orbits_over_inn_classes_match_every_system, the pair orbits of
+_full_group_pair_orbits, and a full-listing copy of the oracle). The
 routes share only steps that read system rows and Sigma rows, never orbit
-labels or a quotient: _systems (enumeration under the budget), apply_move,
-_RowIndex and _components (index maps and their orbits), and _valid_cells
-(Sigma rows that share no column). Each route builds its own Sigma rows:
-the oracle calls sigma_set per system and keeps one column per element
+labels or a quotient by Aut(G): _systems (enumeration under the budget),
+apply_move, _RowIndex and _components (index maps and their orbits),
+_check_inn_sample, and _valid_cells (Sigma rows that share no column).
+Each route builds its own Sigma rows:
+the oracle calls sigma_set per class row and keeps one column per element
 other than the identity; the two-stage engine gathers per-element rows
 over whole system arrays, with one column per conjugacy class of
 subgroups of prime order. Sigma(V) is a union of conjugates of cyclic
@@ -39,11 +45,12 @@ stage the orbit of each row. Both routes act with generators only
 so its inverse is one of its powers. A move is a word in the entries and
 commutes with conjugation, so the two-stage side partition applies each
 move of moves.generating_moves once to every class row; the oracle applies
-every move of moves.available_moves to every system, so its agreement also
-tests that the dropped xi-twists add no orbit. The swap acts exactly when
+every move of moves.available_moves to every class row, so its agreement
+also tests that the dropped xi-twists add no orbit. The swap acts exactly when
 the unordered types coincide. Both refuse honestly (BudgetExceeded)
-instead of degrading; the two-stage budget counts the tuples its
-restricted enumeration expands.
+instead of degrading; both count the tuples their restricted enumeration
+expands, and the oracle also refuses past DEFAULT_ONE_STAGE_SCAN_BUDGET
+class-row pairs.
 """
 from __future__ import annotations
 
@@ -286,6 +293,16 @@ def _checked_move_images(G: Group, tau: SignatureType, systems: np.ndarray, inn,
         yield images
 
 
+def _check_inn_sample(systems: np.ndarray, inn: np.ndarray, locate, where: str) -> None:
+    """One lookup of the Inn generator images of the sample (the first 20
+    class rows), which must land on the sample's own rows; else AssertionError."""
+    sample = systems[:20]
+    if len(inn):
+        got = locate(np.concatenate(inn[:, sample]), where)
+        if (got != np.tile(np.arange(len(sample)), len(inn))).any():
+            raise AssertionError(f"an inner automorphism takes a row of {where} out of its class")
+
+
 def side_orbits(
     G: Group, tau: SignatureType, config: EquivalenceConfig | None = None
 ) -> SidePartition:
@@ -307,13 +324,8 @@ def side_orbits(
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, config, inn_classes=True)
     inn = inner_automorphisms(G)
-    sample = systems[:20]
     locate = _RowIndex(systems, G.order, G.inner_classes())
-    where = f"{G.name} {canonical}"
-    if len(inn):
-        got = locate(np.concatenate(inn[:, sample]), where)
-        if (got != np.tile(np.arange(len(sample)), len(inn))).any():
-            raise AssertionError(f"an inner automorphism takes a row of {where} out of its class")
+    _check_inn_sample(systems, inn, locate, f"{G.name} {canonical}")
     images = _checked_move_images(G, canonical, systems, inn, locate)
     root = _components(len(systems), images)
     is_leader = root == np.arange(len(systems))
@@ -429,7 +441,7 @@ def count_components(
 
 
 def _valid_cells(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Bool matrix of row pairs (orbit labels, or systems in the one-stage
+    """Bool matrix of row pairs (orbit labels, or class rows in the one-stage
     oracle) whose Sigma rows share no column, computed in row blocks of at
     most about a million cells. Neither route keeps an identity column: the
     two-stage rows have one column per class of prime-order subgroups
@@ -654,25 +666,32 @@ def count_components_one_stage(
     tau2: SignatureType,
     config: EquivalenceConfig | None = None,
 ) -> OrbitReport:
-    """Components of the raw disjoint ordered pairs; the cross-checking oracle.
+    """Components of the disjoint ordered pairs of Inn(G)-class rows; the
+    cross-checking oracle.
 
-    Pairs are flat ids i * n2 + j into the two sorted system lists. Every
-    move, Inn generator and Aut generator acts once per system as an index
-    map, pair images follow by index arithmetic, and the orbits come from
-    _components without orbit labels or any quotient.
+    Inn(G) acts on each side independently and freely, so each pair of
+    class rows stands for (|G|/|Z(G)|)^2 raw pairs, and an orbit's least
+    raw pair is its least class-row pair. Pairs are flat ids i * n2 + j
+    into the two sorted class-row lists. Every move and Aut generator acts
+    once per class row as an index map (the row index reduces each image to
+    its class row), pair images follow by index arithmetic, and the orbits
+    come from _components without orbit labels or any other quotient. Inn
+    generators fix every class row, so they give no map; one lookup checks
+    that they keep a sample of rows in their classes.
     """
     config = config or EquivalenceConfig()
     t1, t2 = tau1.with_sorted_periods(), tau2.with_sorted_periods()
     same_types = t1.canonical() == t2.canonical()
 
-    sys1 = _systems(G, t1, config)
-    sys2 = sys1 if same_types else _systems(G, t2, config)
+    sys1 = _systems(G, t1, config, inn_classes=True)
+    sys2 = sys1 if same_types else _systems(G, t2, config, inn_classes=True)
     n2 = len(sys2)
-    raw = len(sys1) * n2
-    if raw > DEFAULT_ONE_STAGE_SCAN_BUDGET:
+    cells = len(sys1) * n2
+    if cells > DEFAULT_ONE_STAGE_SCAN_BUDGET:
         raise BudgetExceeded(
-            f"one-stage oracle must scan {raw} raw pairs (> {DEFAULT_ONE_STAGE_SCAN_BUDGET})",
-            required=raw,
+            f"one-stage oracle must scan {cells} class-row pairs "
+            f"(> {DEFAULT_ONE_STAGE_SCAN_BUDGET})",
+            required=cells,
         )
 
     def sigma_rows(t: SignatureType, systems: np.ndarray) -> np.ndarray:
@@ -687,7 +706,8 @@ def count_components_one_stage(
     sig2 = sig1 if same_types else sigma_rows(t2, sys2)
     disjoint = _valid_cells(sig1, sig2).ravel()
     pair_ids = np.flatnonzero(disjoint)
-    total_pairs = len(pair_ids)
+    per_pair = (G.order // len(G.center())) ** 2  # raw pairs per class-row pair
+    total_pairs = len(pair_ids) * per_pair
     representatives: list[dict] | None = [] if config.representatives else None
     report_base = dict(group=G.name, type1=str(t1), type2=str(t2))
     if total_pairs == 0:
@@ -699,23 +719,23 @@ def count_components_one_stage(
     aut_maps = automorphism_group(G).generator_maps
 
     def side_maps(t: SignatureType, systems: np.ndarray):
-        """Index maps of the moves and Inn generators, then of the Aut generators."""
-        locate, where = _RowIndex(systems, G.order), f"{G.name} {t}"
-        own = [locate(f(systems), where) for f in _move_maps(G, t)]
-        own += [locate(phi[systems], where) for phi in inn]
-        return own, [locate(phi[systems], where) for phi in aut_maps]
+        """Index maps of the moves, then of the Aut generators."""
+        locate, where = _RowIndex(systems, G.order, G.inner_classes()), f"{G.name} {t}"
+        _check_inn_sample(systems, inn, locate, where)
+        moves = [locate(f(systems), where) for f in _move_maps(G, t)]
+        return moves, [locate(phi[systems], where) for phi in aut_maps]
 
-    own1, aut1 = side_maps(t1, sys1)
-    own2, aut2 = (own1, aut1) if same_types else side_maps(t2, sys2)
+    moves1, aut1 = side_maps(t1, sys1)
+    moves2, aut2 = (moves1, aut1) if same_types else side_maps(t2, sys2)
     i, j = pair_ids // n2, pair_ids % n2
-    # flat id -> position in pair_ids; int32 holds it under the raw-pair budget
+    # flat id -> position in pair_ids; int32 holds it under the pair budget
     rank = np.cumsum(disjoint, dtype=np.int32)
     rank -= 1
 
     def flat_images():
-        for img in own1:
+        for img in moves1:
             yield img[i] * n2 + j
-        for img in own2:
+        for img in moves2:
             yield i * n2 + img[j]
         for a1, a2 in zip(aut1, aut2):
             yield a1[i] * n2 + a2[j]
@@ -728,9 +748,9 @@ def count_components_one_stage(
                 raise AssertionError("one-stage neighbor left the disjoint-pair set")
             yield rank[f].astype(np.intp)  # so _components' gathers need no cast
 
-    root = _components(total_pairs, pair_images())
-    seeds = np.flatnonzero(root == np.arange(total_pairs))
-    orbit_sizes = np.bincount(root)[seeds].tolist()
+    root = _components(len(pair_ids), pair_images())
+    seeds = np.flatnonzero(root == np.arange(len(pair_ids)))
+    orbit_sizes = (np.bincount(root)[seeds] * per_pair).tolist()
     if sum(orbit_sizes) != total_pairs:
         raise AssertionError("one-stage orbit sizes do not sum to pair count")
     if representatives is not None:

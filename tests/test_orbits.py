@@ -11,7 +11,7 @@ from hurwitz_components.automorphisms import AutGroup, automorphism_group, inner
 from hurwitz_components.errors import BudgetExceeded, UserInputError
 from hurwitz_components.groups import AbelianGroup, construct_group
 from hurwitz_components.moves import apply_move, available_moves, generating_moves
-from hurwitz_components import orbits
+from hurwitz_components import cli, orbits
 from hurwitz_components.orbits import (
     EquivalenceConfig,
     OrbitReport,
@@ -601,8 +601,8 @@ def test_count_components_alternating_cross_types():
     assert rep.total_pairs == 388800
 
 
-def test_one_stage_agrees_with_two_stage(q8_path):
-    cases = [
+def _agreement_cases(q8_path):
+    return [
         ("Zn:5,5", "0|5,5,5", "0|5,5,5"),
         ("Zn:2", "1|2,2", "2|"),
         ("Sym:3", "0|2,2,3", "0|2,2,3"),
@@ -612,21 +612,99 @@ def test_one_stage_agrees_with_two_stage(q8_path):
         (f"cayley:{q8_path}", "0|4,4,4", "2|"),
         ("Zn:1", "2|", "2|"),
     ]
+
+
+XI_TWIST_CASES = [
+    ("Zn:2,4", "0|2,2,4,4", "1|2,2,2,2", 2),  # 7 of (1|2,2,2,2)'s 13 moves dropped
+    ("Sym:4", "0|2,2,2,4", "1|3,3", 2),  # 3 of (1|3,3)'s 7 moves dropped
+]
+
+
+def test_one_stage_agrees_with_two_stage(q8_path):
     cfg = EquivalenceConfig(representatives=True)
-    for spec, t1, t2 in cases:
+    for spec, t1, t2 in _agreement_cases(q8_path):
         G = construct_group(spec)
         a = count_components(G, _tau(t1), _tau(t2), cfg)
         b = count_components_one_stage(G, _tau(t1), _tau(t2), cfg)
         assert a.to_json_dict() == b.to_json_dict(), (spec, t1, t2)
 
 
-@pytest.mark.parametrize(
-    "spec, t1, t2, h",
-    [
-        ("Zn:2,4", "0|2,2,4,4", "1|2,2,2,2", 2),  # 7 of (1|2,2,2,2)'s 13 moves dropped
-        ("Sym:4", "0|2,2,2,4", "1|3,3", 2),  # 3 of (1|3,3)'s 7 moves dropped
-    ],
-)
+def _one_stage_on_every_system(G, tau1, tau2, config):
+    """The one-stage oracle on raw pairs: it lists every system of each side
+    and acts with every move, every Inn generator and every Aut generator as
+    index maps over a plain (class-free) _RowIndex, then the swap. The
+    reference that the oracle's Inn(G)-class quotient is pinned to."""
+    t1, t2 = tau1.with_sorted_periods(), tau2.with_sorted_periods()
+    same_types = t1.canonical() == t2.canonical()
+    sys1 = _systems(G, t1, config)
+    sys2 = sys1 if same_types else _systems(G, t2, config)
+    n2 = len(sys2)
+
+    def sigma_rows(t, systems):
+        rows = np.zeros((len(systems), G.order), dtype=bool)
+        for k, ent in enumerate(systems.tolist()):
+            rows[k, list(sigma_set(G, t.gprime, ent))] = True
+        rows[:, G.identity] = False
+        return rows
+
+    sig1 = sigma_rows(t1, sys1)
+    disjoint = _valid_cells(sig1, sig1 if same_types else sigma_rows(t2, sys2)).ravel()
+    pair_ids = np.flatnonzero(disjoint)
+    representatives = [] if config.representatives else None
+    base = dict(group=G.name, type1=str(t1), type2=str(t2))
+    if not len(pair_ids):
+        return OrbitReport(
+            **base, h=0, orbit_sizes=[], total_pairs=0, representatives=representatives
+        )
+    inn = inner_automorphisms(G)
+    aut_maps = automorphism_group(G).generator_maps
+
+    def side_maps(t, systems):
+        locate = _RowIndex(systems, G.order)
+        own = [locate(f(systems), "reference") for f in orbits._move_maps(G, t)]
+        own += [locate(phi[systems], "reference") for phi in inn]
+        return own, [locate(phi[systems], "reference") for phi in aut_maps]
+
+    own1, aut1 = side_maps(t1, sys1)
+    own2, aut2 = side_maps(t2, sys2)
+    i, j = pair_ids // n2, pair_ids % n2
+    flat = [img[i] * n2 + j for img in own1] + [i * n2 + img[j] for img in own2]
+    flat += [a1[i] * n2 + a2[j] for a1, a2 in zip(aut1, aut2)]
+    if same_types:
+        flat.append(j * n2 + i)
+    assert all(disjoint[f].all() for f in flat)
+    root = _components(len(pair_ids), [np.searchsorted(pair_ids, f) for f in flat])
+    seeds = np.flatnonzero(root == np.arange(len(pair_ids)))
+    if representatives is not None:
+        for seed in pair_ids[seeds].tolist():
+            representatives.append(
+                {
+                    "first": [G.element_label(e) for e in sys1[seed // n2].tolist()],
+                    "second": [G.element_label(e) for e in sys2[seed % n2].tolist()],
+                }
+            )
+    sizes = sorted(np.bincount(root)[seeds].tolist(), reverse=True)
+    return OrbitReport(
+        **base, h=len(seeds), orbit_sizes=sizes, total_pairs=len(pair_ids),
+        representatives=representatives,
+    )
+
+
+@pytest.mark.parametrize("panel", ["two-route test", "verify", "xi-twists"])
+def test_one_stage_over_inn_classes_matches_the_full_listing_oracle(panel, q8_path):
+    if panel == "verify":
+        cases = cli._two_route_panel()
+    else:
+        specs = _agreement_cases(q8_path) if panel == "two-route test" else XI_TWIST_CASES
+        cases = [(construct_group(spec), t1, t2) for spec, t1, t2, *_ in specs]
+    cfg = EquivalenceConfig(representatives=True)
+    for G, t1, t2 in cases:
+        want = _one_stage_on_every_system(G, _tau(t1), _tau(t2), cfg)
+        got = count_components_one_stage(G, _tau(t1), _tau(t2), cfg)
+        assert got.to_json_dict() == want.to_json_dict(), (G.name, t1, t2)
+
+
+@pytest.mark.parametrize("spec, t1, t2, h", XI_TWIST_CASES)
 def test_routes_agree_where_the_side_stage_drops_xi_twists(spec, t1, t2, h):
     # The oracle acts with every move, the side stage with generating_moves.
     G = construct_group(spec)
@@ -893,6 +971,25 @@ def test_one_stage_budget_guard_reports_requirement():
     with pytest.raises(BudgetExceeded) as info:
         count_components_one_stage(G, _tau("0|11,11,11"), _tau("0|11,11,11"))
     assert info.value.required == 174_240_000
+
+
+def test_one_stage_budget_counts_class_row_pairs(monkeypatch):
+    # Sym:4 (0|2,2,2,4) x (1|3): 16 x 9 class rows, 82,944 raw pairs
+    monkeypatch.setattr(orbits, "DEFAULT_ONE_STAGE_SCAN_BUDGET", 143)
+    with pytest.raises(BudgetExceeded, match="144 class-row pairs") as info:
+        count_components_one_stage(construct_group("Sym:4"), _tau("0|2,2,2,4"), _tau("1|3"))
+    assert info.value.required == 144
+
+
+@pytest.mark.parametrize("route", [count_components, count_components_one_stage])
+def test_outer_automorphism_posing_as_inner_is_caught(route, q8, monkeypatch):
+    inner = _closure(q8, inner_automorphisms(q8))
+    maps = automorphism_group(q8).generator_maps
+    outer = [phi for phi in maps if tuple(phi.tolist()) not in inner]
+    assert outer  # Aut(Q8) = Sym:4 is not generated by Inn(Q8) = Zn:2,2
+    monkeypatch.setattr(orbits, "inner_automorphisms", lambda G: np.array(outer[:1]))
+    with pytest.raises(AssertionError, match="out of its class"):
+        route(q8, _tau("0|4,4,4"), _tau("2|"))
 
 
 def test_representatives_are_valid_disjoint_pairs():
