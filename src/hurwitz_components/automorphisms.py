@@ -138,13 +138,11 @@ def _homocyclic_auts(G: AbelianGroup) -> AutGroup:
 # -- Sym(n), Alt(n), n != 6: conjugation inside Sym(n) -------------------
 def _conjugation_auts(G: PermutationGroup) -> AutGroup:
     n = G.degree
-    perms = np.array([G.perm(x) for x in G.elements()])
     maps = []
     transposition = np.array([1, 0] + list(range(2, n)))
     for sigma in (transposition, np.roll(np.arange(n), -1)):  # (0 1), (0 1 ... n-1)
         # the conjugate sigma o p o sigma^-1 of each permutation p
-        images = sigma[perms[:, np.argsort(sigma)]]
-        maps.append([G.index_of(tuple(q)) for q in images.tolist()])
+        maps.append(G.indices_of(sigma[G.images[:, np.argsort(sigma)]]))
     return AutGroup(G, math.factorial(n), _distinct_maps(G, np.array(maps, index_dtype(G.order))))
 
 

@@ -2,11 +2,15 @@
 
 Elements are integer indices 0..order-1 in a fixed canonical encoding per
 backend: lexicographic residue vectors (abelian), lexicographic image tuples
-(permutations), table order (Cayley). Up to TABLE_LIMIT a group holds one
-multiplication table, an (order, order) index array, and the inverses read
-from it: scalar products read one entry as a Python int, and whole index
-arrays are multiplied and inverted by gathers on the same arrays. Element
-orders are one array too, built on first use.
+(permutations), table order (Cayley). Each backend defines its product once,
+on index arrays (Group._products_of and _inverses_of): digit arithmetic
+(abelian), a gather of image rows and a search of their keys (permutations),
+the document table (Cayley). Up to TABLE_LIMIT a group also holds the table
+that product gives on the full grid, an (order, order) index array, and the
+inverses read from it; index arrays are then multiplied and inverted by
+gathers on the table. Past the limit the same calls go to the backend's
+product. Scalar products read either as a Python int. Element orders are one
+array too, built on first use.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ import numpy as np
 from .errors import UserInputError
 
 # Full multiplication/inverse tables are built up to this order; larger groups
-# fall back to native per-backend arithmetic (Cayley documents have none).
+# multiply index arrays by their backend's product (Cayley documents stop here).
 TABLE_LIMIT = 1024
 
 MAX_PERM_DEGREE = 8
@@ -31,6 +35,16 @@ MAX_PERM_DEGREE = 8
 def index_dtype(order: int):
     """The narrowest signed integer dtype that holds every element index."""
     return np.int16 if order <= np.iinfo(np.int16).max else np.int32
+
+
+def distinct(a) -> np.ndarray:
+    """The sorted distinct values of an array, by one sort and an adjacent-difference
+    mask. np.unique's plain form imports numpy.ma on first use, which costs more
+    than the sorts of a whole count."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def prime_factorization(n: int) -> dict[int, int]:
@@ -75,14 +89,16 @@ def invariant_factors(moduli: tuple[int, ...] | list[int]) -> tuple[int, ...]:
 
 
 class Group:
-    """Base class: index arithmetic on one precomputed table, or native."""
+    """Base class: index arithmetic by the backend's product, tabled up to TABLE_LIMIT."""
 
     backend = "generic"
 
     def __init__(self) -> None:
-        table = self._mul_table() if self.order <= TABLE_LIMIT else None
-        self._products, self._inverses = table, None
-        if table is not None:
+        self._products = self._inverses = None
+        if self.order <= TABLE_LIMIT:
+            elems = np.arange(self.order)
+            table = self.mul_array(elems[:, None], elems)  # the backend's product
+            self._products = table
             self._inverses = np.argmax(table == self.identity, axis=1).astype(table.dtype)
         self._center: tuple[int, ...] | None = None
         self._cyclic: dict[int, frozenset[int]] = {}
@@ -92,14 +108,12 @@ class Group:
         self._generating_tuple: tuple[int, ...] | None = None
 
     # -- backend hooks -------------------------------------------------
-    def _mul_raw(self, x: int, y: int) -> int:
+    def _products_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Elementwise x * y of intp index arrays, broadcast together."""
         raise NotImplementedError
 
-    def _mul_table(self) -> np.ndarray:
-        """The full multiplication table, row x holding x * y for every y."""
-        raise NotImplementedError
-
-    def _inv_raw(self, x: int) -> int:
+    def _inverses_of(self, x: np.ndarray) -> np.ndarray:
+        """Elementwise inverse of an intp index array."""
         raise NotImplementedError
 
     def element_label(self, x: int) -> str:
@@ -109,30 +123,26 @@ class Group:
     def mul(self, x: int, y: int) -> int:
         if self._products is not None:
             return self._products.item(x, y)
-        return self._mul_raw(x, y)
+        return self.mul_array(x, y).item()
 
     def inv(self, x: int) -> int:
         if self._inverses is not None:
             return self._inverses.item(x)
-        return self._inv_raw(x)
+        return self.inv_array(x).item()
 
     def mul_array(self, x, y) -> np.ndarray:
         """Elementwise x * y of index arrays (or ints), broadcast together."""
+        # Both operands go to intp first, so no index can wrap in y's dtype.
+        x, y = np.asarray(x, dtype=np.intp), np.asarray(y, dtype=np.intp)
         if self._products is None:
-            x, y = np.broadcast_arrays(x, y)
-            out = map(self._mul_raw, x.ravel().tolist(), y.ravel().tolist())
-            return np.fromiter(out, index_dtype(self.order), x.size).reshape(x.shape)
-        # One gather from the flat table: entry x * |G| + y holds x * y. Both
-        # operands go to intp first, so the index cannot wrap in y's dtype.
-        flat = np.asarray(x, dtype=np.intp) * self.order + np.asarray(y, dtype=np.intp)
-        return self._products.take(flat)
+            return self._products_of(x, y).astype(index_dtype(self.order))
+        return self._products.take(x * self.order + y)  # entry x * |G| + y holds x * y
 
     def inv_array(self, x) -> np.ndarray:
         """Elementwise inverse of an index array (or int)."""
         if self._inverses is None:
-            x = np.asarray(x)
-            out = map(self._inv_raw, x.ravel().tolist())
-            return np.fromiter(out, index_dtype(self.order), x.size).reshape(x.shape)
+            x = np.asarray(x, dtype=np.intp)
+            return self._inverses_of(x).astype(index_dtype(self.order))
         return self._inverses[x]
 
     def conj(self, x, g) -> np.ndarray:
@@ -167,7 +177,7 @@ class Group:
         return self.orders.item(x)
 
     def orders_present(self) -> tuple[int, ...]:
-        return tuple(np.unique(self.orders).tolist())
+        return tuple(distinct(self.orders).tolist())
 
     def cyclic_subgroup(self, x: int) -> frozenset[int]:
         got = self._cyclic.get(x)
@@ -190,24 +200,22 @@ class Group:
             return frozenset([x])
         return classes.conjugacy_classes[classes.least.item(x)]
 
-    def closure(self, gens) -> frozenset[int]:
-        seen = {self.identity}
-        frontier = [self.identity]
-        gl = [g for g in gens]
-        for g in gl:
-            if g not in seen:
-                seen.add(g)
-                frontier.append(g)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gl:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
+    def closure(self, gens, start=()) -> np.ndarray:
+        """The sorted members of the subgroup that gens generate together with
+        start, the members of a subgroup (Seress, Permutation Group Algorithms,
+        section 4.1). The closure grows one layer per round: the new elements
+        of the last round times every generator, one mul_array."""
+        seen = np.zeros(self.order, dtype=bool)
+        seen[self.identity] = True
+        seen[np.asarray(start, dtype=np.intp)] = True
+        gens = np.asarray(gens, dtype=np.intp)
+        frontier = seen.nonzero()[0]
+        while frontier.size:
+            layer = np.zeros(self.order, dtype=bool)
+            layer[self.mul_array(frontier[:, None], gens)] = True
+            frontier = (layer > seen).nonzero()[0]  # reached in this layer only
+            seen |= layer
+        return seen.nonzero()[0].astype(index_dtype(self.order))
 
     def generates(self, gens) -> bool:
         return len(self.closure(gens)) == self.order
@@ -220,26 +228,31 @@ class Group:
         return self._generating_tuple
 
     def _search_generating_tuple(self) -> tuple[int, ...]:
+        """The first generating tuple of the least size d in index order, for
+        d <= 3 while there are at most 100,000 d-subsets; past that, a greedy
+        tuple. G is cyclic iff some element has order |G|, and the first pick
+        of the greedy loop is the first element of greatest order (the largest
+        closure of one element), so both are read off the element orders."""
         if self.order == 1:
             return ()
+        if self.orders.max() == self.order:
+            return (int(np.argmax(self.orders)),)
         elems = [x for x in self.elements() if x != self.identity]
-        for d in (1, 2, 3):
-            count = math.comb(len(elems), d)
-            if count > 100_000:
+        for d in (2, 3):
+            if math.comb(len(elems), d) > 100_000:
                 break
             for combo in combinations(elems, d):
                 if self.generates(combo):
                     return combo
         # Greedy fallback: always terminates, possibly non-minimal.
-        gens: list[int] = []
+        gens = [int(np.argmax(self.orders))]
         closed = self.closure(gens)
         while len(closed) < self.order:
-            best = None
-            best_size = len(closed)
-            for x in self.elements():
-                if x in closed:
-                    continue
-                size = len(self.closure(gens + [x]))
+            best, best_size = None, len(closed)
+            outside = np.ones(self.order, dtype=bool)
+            outside[closed] = False
+            for x in np.flatnonzero(outside).tolist():
+                size = len(self.closure(gens + [x], start=closed))
                 if size > best_size:
                     best, best_size = x, size
                     if size == self.order:
@@ -289,9 +302,8 @@ class SubgroupJoins:
     * Lagrange shortcut: |<H, y>| is a multiple of lcm(|H|, ord y) that
       divides |G| and exceeds |H|. When |G| is the only such divisor, the
       join is G.
-    * Coset closure: otherwise <H, y> grows as a union of right cosets H r.
-      For each representative r and each generator s of H plus y, a product
-      r s outside the union adds its whole coset H (r s).
+    * Layered closure: otherwise <H, y> is Group.closure of the generators
+      of H plus y, started from the members of H.
     * Coset fills: <H, a y^j> = <H, y^j a> = <H, y> for every a in H and
       every j prime to ord(y), since y is then a power of y^j. So one join
       fills the row of H on the cosets H y^j and y^j H of every generator
@@ -315,7 +327,7 @@ class SubgroupJoins:
         todo = got < 0
         if todo.any():
             n = self.G.order
-            for key in np.unique(ids[todo].astype(np.int64) * n + x[todo]).tolist():
+            for key in distinct(ids[todo].astype(np.int64) * n + x[todo]).tolist():
                 h, y = divmod(key, n)
                 if self.table[h, y] < 0:  # not filled by an earlier coset
                     self._close(h, y)
@@ -330,16 +342,7 @@ class SubgroupJoins:
         gens = self.gens[h] + (y,)
         step = math.lcm(len(H), G.element_order(y))
         if any(len(H) < d < G.order and d % step == 0 for d in self.divisors):
-            coset = H.tolist()
-            seen = set(coset)
-            reps = [G.identity]
-            for r in reps:  # grows while it is walked
-                for s in gens:
-                    z = G.mul(r, s)
-                    if z not in seen:
-                        seen.update([G.mul(a, z) for a in coset])
-                        reps.append(z)
-            members = np.array(sorted(seen), dtype=H.dtype)
+            members = G.closure(gens, start=H)
         else:
             members = np.arange(G.order, dtype=H.dtype)
         got = self._subgroup(members, gens)
@@ -414,7 +417,7 @@ class InnerClasses:
                 least[frontier], reach[frontier] = c, h[first[new]]
         self.least = least.astype(reach.dtype)
         self.conjugator = G.inv_array(reach)
-        minima = np.unique(least)
+        minima = distinct(least)
         self.conjugacy_classes = {
             c: frozenset(np.flatnonzero(least == c).tolist()) for c in minima.tolist()
         }
@@ -445,7 +448,7 @@ class InnerClasses:
         central = len(self.G.center())
         pairs = self.centralizer_order[out[:, 0]]
         ends = np.cumsum(pairs)
-        cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], 1 << 18), side="right"))
+        cuts = distinct(np.searchsorted(ends, np.arange(0, ends[-1], 1 << 18), side="right"))
         for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [len(out)]):
             block = out[lo:hi]
             count = pairs[lo:hi]
@@ -483,19 +486,12 @@ class AbelianGroup(Group):
         for i in range(t - 2, -1, -1):
             strides[i] = strides[i + 1] * self.moduli[i + 1]
         self._strides = tuple(strides)
-        self._vectors = [self._decode(i) for i in range(self.order)]
         super().__init__()
 
     @property
     def rank(self) -> int:
         """Minimal number of generators d(G)."""
         return len(self.moduli)
-
-    def _decode(self, idx: int) -> tuple[int, ...]:
-        v = []
-        for m, s in zip(self.moduli, self._strides):
-            v.append((idx // s) % m)
-        return tuple(v)
 
     def encode(self, vec) -> int:
         idx = 0
@@ -504,32 +500,30 @@ class AbelianGroup(Group):
         return idx
 
     def vector(self, x: int) -> tuple[int, ...]:
-        return self._vectors[x]
+        return tuple(x // s % m for m, s in zip(self.moduli, self._strides))
 
-    def _mul_raw(self, x: int, y: int) -> int:
-        vx, vy = self._vectors[x], self._vectors[y]
-        return self.encode(a + b for a, b in zip(vx, vy))
+    # Digit i of index x is x // strides[i] mod moduli[i]: the digits above it
+    # add multiples of moduli[i] to x // strides[i], so sums need no decoding.
+    def _products_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.intp)
+        for m, s in zip(self.moduli, self._strides):
+            out += (x // s + y // s) % m * s
+        return out
 
-    def _mul_table(self) -> np.ndarray:
-        # One coordinate at a time, so no temporary holds more than |G|^2 entries.
-        dtype = index_dtype(self.order)
-        V = np.array(self._vectors, dtype=dtype)
-        table = np.zeros((self.order, self.order), dtype=dtype)
-        for v, m, s in zip(V.T, self.moduli, self._strides):
-            table += (v[:, None] + v[None, :]) % m * s
-        return table
-
-    def _inv_raw(self, x: int) -> int:
-        return self.encode(-a for a in self._vectors[x])
+    def _inverses_of(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        for m, s in zip(self.moduli, self._strides):
+            out += -(x // s) % m * s
+        return out
 
     def element_label(self, x: int) -> str:
-        return "(" + ",".join(str(a) for a in self._vectors[x]) + ")"
+        return "(" + ",".join(str(a) for a in self.vector(x)) + ")"
 
     @cached_property
     def orders(self) -> np.ndarray:
         # The order of a vector is the lcm over coordinates of m / gcd(m, a).
-        V = np.array(self._vectors, dtype=np.int64)
         moduli = np.array(self.moduli, dtype=np.int64)
+        V = np.arange(self.order)[:, None] // np.array(self._strides, dtype=np.int64) % moduli
         return np.lcm.reduce(moduli // np.gcd(moduli, V), axis=1, initial=1)
 
     def _search_generating_tuple(self) -> tuple[int, ...]:
@@ -572,7 +566,10 @@ def cycle_notation(perm: tuple[int, ...]) -> str:
 class PermutationGroup(Group):
     """Full symmetric or alternating group on degree points.
 
-    Permutations compose left-to-right: (x*y)(i) = y(x(i)).
+    Permutations compose left-to-right: (x*y)(i) = y(x(i)). Row x of the
+    (order, degree) image array is the image tuple of x. The rows are sorted,
+    so their base-degree keys are too, and a permutation is found among them
+    by a search of its key.
     """
 
     backend = "permutation"
@@ -591,46 +588,38 @@ class PermutationGroup(Group):
         perms = sorted(permutations(range(degree)))
         if kind == "Alt":
             perms = [p for p in perms if perm_parity(p) == 0]
-        self._perms = perms
-        self._index = {p: i for i, p in enumerate(perms)}
+        self.images = np.array(perms, dtype=np.int8).reshape(len(perms), degree)
+        self._place = degree ** np.arange(degree - 1, -1, -1)
+        self._keys = self.images @ self._place
         self.order = len(perms)
-        self.identity = self._index[tuple(range(degree))]
         self.name = f"{kind}:{degree}"
+        self.identity = self.index_of(tuple(range(degree)))
         super().__init__()
 
     def perm(self, x: int) -> tuple[int, ...]:
-        return self._perms[x]
+        return tuple(self.images[x].tolist())
+
+    def indices_of(self, images: np.ndarray) -> np.ndarray:
+        """The index of each member of G, given as a row of an (..., degree)
+        array of images."""
+        return np.searchsorted(self._keys, images @ self._place)
 
     def index_of(self, perm: tuple[int, ...]) -> int:
-        try:
-            return self._index[perm]
-        except KeyError:
-            raise UserInputError(f"permutation {perm} not in {self.name}") from None
+        if sorted(perm) == list(range(self.degree)):
+            x = self.indices_of(np.array(perm)).item()
+            if x < self.order and self.perm(x) == tuple(perm):
+                return x
+        raise UserInputError(f"permutation {perm} not in {self.name}")
 
-    def _mul_raw(self, x: int, y: int) -> int:
-        px, py = self._perms[x], self._perms[y]
-        return self._index[tuple(py[i] for i in px)]
+    def _products_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # (x*y)(i) = y(x(i)): one gather of the image rows of y at the images of x
+        return self.indices_of(self.images[y[..., None], self.images[x]])
 
-    def _mul_table(self) -> np.ndarray:
-        # Row x composes x with every y at once, (x*y)(i) = y(x(i)), and finds
-        # each product among the sorted permutations by its base-degree key.
-        perms = np.array(self._perms, dtype=np.int64).reshape(self.order, self.degree)
-        place = self.degree ** np.arange(self.degree - 1, -1, -1)
-        keys = perms @ place
-        table = np.empty((self.order, self.order), dtype=index_dtype(self.order))
-        for x, px in enumerate(perms):
-            table[x] = np.searchsorted(keys, perms[:, px] @ place)
-        return table
-
-    def _inv_raw(self, x: int) -> int:
-        p = self._perms[x]
-        out = [0] * self.degree
-        for i, j in enumerate(p):
-            out[j] = i
-        return self._index[tuple(out)]
+    def _inverses_of(self, x: np.ndarray) -> np.ndarray:
+        return self.indices_of(np.argsort(self.images[x], axis=-1))
 
     def element_label(self, x: int) -> str:
-        return cycle_notation(self._perms[x])
+        return cycle_notation(self.perm(x))
 
 
 class CayleyGroup(Group):
@@ -651,8 +640,8 @@ class CayleyGroup(Group):
         self.labels = labels
         self.identity = self._find_identity(table, order, source)
         self._check_inverses(table, order, self.identity, source)
-        self._products = np.array(table, dtype=index_dtype(order))
-        self._check_associativity(self._products, order, source)
+        self._table = np.array(table, dtype=index_dtype(order))
+        self._check_associativity(self._table, order, source)
         canon = json.dumps(
             {"order": order, "labels": labels, "table": table},
             sort_keys=True,
@@ -748,8 +737,8 @@ class CayleyGroup(Group):
             ) from exc
         return cls(doc, source=str(path))
 
-    def _mul_table(self) -> np.ndarray:
-        return self._products  # the validated document table, set in __init__
+    def _products_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._table[x, y]  # the validated document table
 
     def element_label(self, x: int) -> str:
         return self.labels[x]

@@ -66,7 +66,7 @@ from .automorphisms import (
     inner_automorphisms,
 )
 from .errors import BudgetExceeded, UserInputError
-from .groups import Group, InnerClasses, index_dtype, prime_factorization
+from .groups import Group, InnerClasses, distinct, index_dtype, prime_factorization
 from .moves import apply_move, available_moves, generating_moves
 from .ramification import (
     SignatureType,
@@ -368,7 +368,7 @@ def _sigma_rows(G: Group) -> np.ndarray:
             key[gens] = np.minimum(key[gens], least[acc])
         xs = np.flatnonzero(orders % p == 0)
         marks.append((xs, _powers(G, xs, orders[xs] // p)))
-    columns = np.unique(key[key >= 0])
+    columns = distinct(key[key >= 0])
     rows = np.zeros((G.order, len(columns)), dtype=bool)
     for xs, ys in marks:
         rows[xs, np.searchsorted(columns, key[ys])] = True
@@ -508,7 +508,7 @@ def _stabilizer_gens(
         [uinv[perms[t][x]][maps[t][u[x]]] for t, x in (divmod(int(r), n) for r in moved[first])],
         dtype=u.dtype,
     ).reshape(len(first), G.order)
-    pairs = np.unique(root[moved % n] * len(first) + which.ravel())
+    pairs = distinct(root[moved % n] * len(first) + which.ravel())
     return stab, pairs // len(first), pairs % len(first)
 
 

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -366,3 +369,29 @@ def test_library_modules_read_every_import():
         for where in _unread_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert unread == []
+
+
+def test_counts_and_scans_do_not_import_numpy_ma(tmp_path, q8_path):
+    # np.unique's plain form imports numpy.ma (about 15 ms) on first use;
+    # groups.distinct stands in for it, so no count or scan pays that import
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text(f"Sym:3\nSym:4\nZn:2,4\ncayley:{q8_path}\n")
+    runs = [
+        ["count", "--group", "Sym:4", "--type1", "0|3,4,4", "--type2", "1|2,2", "--no-cache"],
+        ["count", "--group", "Sym:4", "--type1", "0|2,2,2,4", "--type2", "1|3", "--no-cache",
+         "--oracle", "one-stage"],
+        ["scan", "--catalog", str(catalog), "--chi", "1", "--q", "1"],
+    ]
+    script = (
+        "import sys\n"
+        "from hurwitz_components import cli\n"
+        f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "assert codes == [0, 0, 0], codes\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -16,10 +16,43 @@ from hurwitz_components.groups import (
     PermutationGroup,
     TABLE_LIMIT,
     construct_group,
+    distinct,
     invariant_factors,
     prime_factorization,
 )
 from hurwitz_components.ramification import SignatureType, enumerate_systems
+
+
+def scalar_closure(G: Group, gens, mul=None) -> frozenset[int]:
+    """<gens> by a breadth-first search with one scalar product at a time (G.mul
+    unless mul is given): the reference for Group.closure, which SubgroupJoins
+    also runs."""
+    mul = mul or G.mul
+    seen = {G.identity}
+    reached = [G.identity]
+    for x in reached:  # grows while it is walked
+        for g in gens:
+            z = mul(x, g)
+            if z not in seen:
+                seen.add(z)
+                reached.append(z)
+    return frozenset(seen)
+
+
+def plain_mul(G: Group):
+    """x * y in plain Python from the backend's own data: image tuples composed
+    as y(x(i)), or residue vectors added modulo the moduli. A Cayley group has
+    only its document table, so G.mul."""
+    if isinstance(G, PermutationGroup):
+        data = [G.perm(x) for x in G.elements()]
+        compose = lambda p, q: tuple(q[i] for i in p)  # noqa: E731
+    elif isinstance(G, AbelianGroup):
+        data = [G.vector(x) for x in G.elements()]
+        compose = lambda u, v: tuple((a + b) % m for a, b, m in zip(u, v, G.moduli))  # noqa: E731
+    else:
+        return G.mul
+    index = {d: x for x, d in enumerate(data)}
+    return lambda x, y: index[compose(data[x], data[y])]
 
 
 @pytest.mark.parametrize("spec", ["Sym:7", "Zn:37,37", "Sym:4", "Zn:5,5", "q8"])
@@ -114,9 +147,13 @@ def test_closure_and_generates():
     G = construct_group("Sym:4")
     t = G.index_of((1, 0, 2, 3))
     c = G.index_of((1, 2, 3, 0))
-    assert len(G.closure([t])) == 2
+    assert G.closure([t]).tolist() == sorted({G.identity, t})
     assert G.generates((t, c))
     assert not G.generates((t,))
+    # started from the members of a subgroup H, the closure is <H, gens>
+    H = G.closure([c])
+    assert G.closure([c, t], start=H).tolist() == G.closure([t, c]).tolist()
+    assert G.closure([], start=H).tolist() == H.tolist()
 
 
 def _is_abelian(G: Group) -> bool:
@@ -142,26 +179,58 @@ def _abelian_cayley_group() -> CayleyGroup:
     return CayleyGroup(doc)
 
 
+# a type per group whose enumeration closes joins below the whole group
+_JOIN_TYPES = {"Sym:4": "0|2,3,4", "Sym:5": "0|2,4,5", "Alt:5": "0|2,5,5", "Zn:5,5": "0|5,5,5"}
+
+
+def _assert_array_path_matches_table(G: Group, T: Group) -> None:
+    """G multiplies by its backend's product, T (the same group) by its table:
+    products, inverses, conjugates, Inn(G) classes, centralizers and joins agree."""
+    assert G._products is None and T._products is not None
+    elems = np.arange(G.order)
+    x, g = elems[:, None], elems[None, :]
+    assert np.array_equal(G.mul_array(x, g), T._products)
+    assert np.array_equal(G.inv_array(elems), T._inverses)
+    assert np.array_equal(G.conj(x, g), T.conj(x, g))
+    classes, want = G.inner_classes(), T.inner_classes()
+    assert (classes is None) == (want is None)
+    if classes is not None:
+        for name in ("least", "conjugator", "centralizers", "centralizer_order", "centralizer_at"):
+            assert np.array_equal(getattr(classes, name), getattr(want, name)), name
+    tau = SignatureType.parse(_JOIN_TYPES[G.name])
+    assert np.array_equal(enumerate_systems(G, tau), enumerate_systems(T, tau))
+    joins, want = G.subgroup_joins(), T.subgroup_joins()
+    assert len(joins.members) == len(want.members) > 2
+    assert all(np.array_equal(a, b) for a, b in zip(joins.members, want.members))
+    assert np.array_equal(joins.table, want.table)
+
+
 @pytest.mark.parametrize(
-    "spec", ["Sym:4", "Sym:4-native", "Alt:5", "q8", "Zn:2,4", "cayley-abelian"]
+    "spec",
+    ["Sym:4", "Sym:4-native", "Sym:5-native", "Alt:5", "Alt:5-native", "Zn:5,5-native",
+     "q8", "Zn:2,4", "cayley-abelian"],
 )
 def test_classes_and_center_match_full_group_definitions(spec, q8):
     # conjugacy classes and the center are read from the generating tuple;
     # pin them to the definitions over every element of G
     G = {"q8": q8, "cayley-abelian": _abelian_cayley_group()}.get(spec)
     G = G or construct_group(spec.removesuffix("-native"))
-    if spec.endswith("-native"):  # the native arithmetic used past TABLE_LIMIT
+    ref = G  # scalar products for the definitions
+    if spec.endswith("-native"):  # the backend's product, as used past TABLE_LIMIT
         G._products = G._inverses = None
+        ref = construct_group(G.name)
+        _assert_array_path_matches_table(G, ref)
     elems = list(G.elements())
     assert G.generates(G.generating_tuple())
     x, g = np.array(elems)[:, None], np.array(elems)[None, :]
-    assert G.conj(x, g).tolist() == [[G.mul(G.mul(G.inv(b), a), b) for b in elems] for a in elems]
+    conj = [[ref.mul(ref.mul(ref.inv(b), a), b) for b in elems] for a in elems]
+    assert G.conj(x, g).tolist() == conj
     for x in elems:
-        assert G.conjugacy_class(x) == frozenset(G.mul(G.mul(G.inv(g), x), g) for g in elems)
+        assert G.conjugacy_class(x) == frozenset(conj[x])
     assert G.center() == tuple(
-        z for z in elems if all(G.mul(z, x) == G.mul(x, z) for x in elems)
+        z for z in elems if all(ref.mul(z, x) == ref.mul(x, z) for x in elems)
     )
-    assert _is_abelian(G) == (spec in ("Zn:2,4", "cayley-abelian"))
+    assert _is_abelian(G) == (spec in ("Zn:2,4", "Zn:5,5-native", "cayley-abelian"))
 
 
 def _burnside_generates(G: AbelianGroup, gens) -> bool:
@@ -189,6 +258,18 @@ def test_abelian_generates_matches_burnside_rank(spec, size):
 
 def test_orders_present():
     assert construct_group("Alt:5").orders_present() == (1, 2, 3, 5)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], [7], [3, 1, 3, 3, 0], np.array([5, -2, 5, 9], dtype=np.int16),
+     np.array([[1 << 40, 3], [3, 0]], dtype=np.int64)],
+    ids=["empty", "one", "repeated", "int16", "int64"],
+)
+def test_distinct_matches_unique(values):
+    values = np.asarray(values, dtype=getattr(values, "dtype", np.intp))
+    got, want = distinct(values), np.unique(values)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_cayley_labels_roundtrip(q8):
@@ -300,11 +381,11 @@ def test_join_table_names_plain_closures(spec, texts, q8):
     subgroups = [frozenset(m.tolist()) for m in joins.members]
     assert len(set(subgroups)) == len(subgroups)
     for h, gens in enumerate(joins.gens):
-        assert subgroups[h] == G.closure(gens) and joins.orders[h] == len(subgroups[h])
+        assert subgroups[h] == scalar_closure(G, gens) and joins.orders[h] == len(subgroups[h])
     filled = np.argwhere(joins.table[: len(subgroups)] >= 0).tolist()
     assert len(filled) > G.order
     for h, y in filled:
-        assert subgroups[joins.table[h, y]] == G.closure(joins.gens[h] + (y,))
+        assert subgroups[joins.table[h, y]] == scalar_closure(G, joins.gens[h] + (y,))
 
 
 def test_one_join_fills_the_cosets_of_every_generator(monkeypatch):
@@ -323,21 +404,74 @@ def test_one_join_fills_the_cosets_of_every_generator(monkeypatch):
 
 
 def _elementwise_table(G: Group) -> np.ndarray:
-    """The multiplication table read off the backend's own product, one pair at a time."""
-    return np.array([[G._mul_raw(x, y) for y in G.elements()] for x in G.elements()])
+    """The multiplication table in plain Python, one pair at a time (plain_mul)."""
+    mul = plain_mul(G)
+    return np.array([[mul(x, y) for y in G.elements()] for x in G.elements()])
+
+
+def _assert_both_paths_match_elementwise_products(G: Group) -> None:
+    want = _elementwise_table(G)
+    assert np.array_equal(G._products, want)
+    inverses = np.argmax(want == G.identity, axis=1)
+    assert np.array_equal(G._inverses, inverses)
+    elems = np.arange(G.order)
+    G._products = G._inverses = None  # the backend's product, as used past TABLE_LIMIT
+    assert np.array_equal(G.mul_array(elems[:, None], elems), want)
+    assert np.array_equal(G.inv_array(elems), inverses)
 
 
 @pytest.mark.parametrize("spec", ["Zn:1", "Zn:6,10", "Zn:2,4,8", "Zn:13,13"])
 def test_abelian_table_matches_elementwise_products(spec):
-    G = construct_group(spec)
-    assert np.array_equal(G._mul_table(), _elementwise_table(G))
-    assert [G.mul(x, G.inv(x)) for x in G.elements()] == [G.identity] * G.order
+    _assert_both_paths_match_elementwise_products(construct_group(spec))
 
 
 @pytest.mark.parametrize("spec", ["Sym:1", "Sym:2", "Sym:4", "Alt:4", "Alt:5", "Sym:5"])
 def test_permutation_table_matches_elementwise_products(spec):
-    G = construct_group(spec)
-    assert np.array_equal(G._mul_table(), _elementwise_table(G))
+    _assert_both_paths_match_elementwise_products(construct_group(spec))
+
+
+def _reference_generating_tuple(G: Group) -> tuple[int, ...]:
+    """Group._search_generating_tuple as it ran before it read the element
+    orders: every closure a scalar breadth-first search."""
+    if G.order == 1:
+        return ()
+    mul = plain_mul(G)
+    elems = [x for x in G.elements() if x != G.identity]
+    for d in (1, 2, 3):
+        if math.comb(len(elems), d) > 100_000:
+            break
+        for combo in itertools.combinations(elems, d):
+            if len(scalar_closure(G, combo, mul)) == G.order:
+                return combo
+    gens: list[int] = []
+    closed = scalar_closure(G, gens, mul)
+    while len(closed) < G.order:
+        best, best_size = None, len(closed)
+        for x in G.elements():
+            if x in closed:
+                continue
+            size = len(scalar_closure(G, gens + [x], mul))
+            if size > best_size:
+                best, best_size = x, size
+                if size == G.order:
+                    break
+        gens.append(best)
+        closed = scalar_closure(G, gens, mul)
+    return tuple(gens)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["Sym:3", "Sym:4", "Sym:5", "Sym:6", "Sym:7", "Alt:4", "Alt:5", "Alt:6", "Alt:7", "q8",
+     "Zn:2,2", "Zn:2,4", "Zn:2,2,2", "Zn:12"],
+)
+def test_generating_tuple_search_matches_reference(spec, q8):
+    # the abelian backend returns its unit vectors, so the shared search is
+    # called directly there; it reads G.orders, which that backend overrides
+    G = q8 if spec == "q8" else construct_group(spec)
+    want = _reference_generating_tuple(G)
+    assert Group._search_generating_tuple(G) == want
+    assert isinstance(G, AbelianGroup) or G.generating_tuple() == want
 
 
 @pytest.mark.parametrize("spec", ["Zn:17,17", "Zn:19,19"])
