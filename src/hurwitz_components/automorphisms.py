@@ -5,10 +5,11 @@ with m[x] = phi(x). A set of maps is one 2-D index array of shape
 (maps, |G|) and dtype index_dtype(|G|), so a map acts on a whole array
 of systems as the gather m[systems]. A group acting on a finite set has
 the same orbits whether every element or only a generating set is
-applied, and on a finite set the inverse of a map is one of its powers.
-So no automorphism group is ever listed in full and no inverse map is
-built: AutGroup holds |Aut(G)| and an array of generator maps, and
-consumers act with those generators alone.
+applied (the inverse of a map is one of its powers), so no automorphism
+group is ever listed in full: AutGroup holds |Aut(G)| and an array of
+generator maps, and consumers act with those generators alone. The one
+place that inverts maps is SchreierTree: the pair stage's walks up its
+tree apply the inverses of the generator maps.
 
 Generators come from the standard generating sets where the group is a
 known family (Seress, Permutation Group Algorithms, ch. 4):
@@ -35,7 +36,8 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceeded
-from .groups import AbelianGroup, Group, PermutationGroup, index_dtype, prime_factorization
+from .groups import AbelianGroup, Group, PermutationGroup, distinct, index_dtype
+from .groups import prime_factorization
 
 BACKTRACK_CANDIDATE_LIMIT = 2000
 
@@ -222,3 +224,62 @@ def _generating_subset(maps: np.ndarray, gens: tuple[int, ...]) -> tuple[int, li
             grown = set(map(tuple, images.tolist())) - seen
             seen |= grown
     return len(seen), kept
+
+
+class SchreierTree:
+    """Schreier vectors of the blocks (orbits) of maps acting on labels by
+    perms, rooted at each block's least label (Seress, §4.1). Grown breadth
+    first, a map t sending x to a new label y sets parent[y] = x and via[y] =
+    t (-1 at a root), so u_y = maps[t] o u_x sends root[y] to y. A map is
+    fixed by its images of gens: u_x is kept on those columns only (ucols).
+    """
+
+    def __init__(self, root: np.ndarray, maps: np.ndarray, perms: list, gens: tuple[int, ...]):
+        n, self.root, self.maps = len(root), root, maps
+        self.perms = np.array(perms, dtype=np.intp).reshape(len(maps), n)
+        self.parent, self.via, self.depth = np.arange(n), np.full(n, -1), np.zeros(n, np.intp)
+        self.ucols = np.empty((n, len(gens)), dtype=maps.dtype)
+        reached = root == np.arange(n)
+        frontier = np.flatnonzero(reached)
+        self.ucols[frontier] = gens
+        while frontier.size and not reached.all():
+            grown = []
+            for t, (s, perm) in enumerate(zip(maps, self.perms)):
+                img = perm[frontier]
+                new = ~reached[img]
+                img, x = img[new], frontier[new]
+                self.parent[img], self.via[img], self.depth[img] = x, t, self.depth[x] + 1
+                self.ucols[img] = s[self.ucols[x]]
+                reached[img] = True
+                grown.append(img)
+            frontier = np.concatenate(grown)
+        self.inverses = np.argsort(maps, axis=1).astype(maps.dtype) if self.depth.any() else None
+
+    def back(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """u_x^-1(z) row by row: level d steps the queries of depth >= d up."""
+        depth = self.depth[x]
+        if not depth.any():
+            return z
+        order = np.argsort(-depth, kind="stable")
+        x, z, out = x[order], z[order], np.empty_like(z)
+        for end in np.searchsorted(-depth[order], -np.arange(1, depth.max() + 1), side="right"):
+            z[:end] = self.inverses[self.via[x[:end], None], z[:end]]
+            x[:end] = self.parent[x[:end]]
+        out[order] = z
+        return out
+
+    def stabilizer_gens(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct Schreier generators u_{s(x)}^-1 o s o u_x != 1 of each
+        Stab(root[x]), as full maps, and the (root, generator) pairs that
+        occur, sorted by root. Those that are 1 on gens never walk the tree."""
+        maps, ucols = self.maps, self.ucols
+        moved = [(s[ucols] != ucols[perm]).any(axis=1) for s, perm in zip(maps, self.perms)]
+        ts, xs = np.nonzero(np.reshape(moved, self.perms.shape))
+        ys = self.perms[ts, xs]
+        images = self.back(ys, maps[ts[:, None], ucols[xs]])  # told apart by these
+        _, first, which = np.unique(images, axis=0, return_index=True, return_inverse=True)
+        ar = np.tile(np.arange(maps.shape[1], dtype=maps.dtype), (len(first), 1))
+        u = np.argsort(self.back(xs[first], ar), axis=1)  # u_x, the inverse of u_x^-1
+        stab = self.back(ys[first], maps[ts[first, None], u])
+        pairs = distinct(self.root[xs] * len(first) + which.ravel())
+        return stab, pairs // len(first), pairs % len(first)

@@ -34,7 +34,7 @@ MAX_PERM_DEGREE = 8
 
 def index_dtype(order: int):
     """The narrowest signed integer dtype that holds every element index."""
-    return np.int16 if order <= np.iinfo(np.int16).max else np.int32
+    return np.int16 if order <= 32767 else np.int32  # 32767 is the int16 maximum
 
 
 def distinct(a) -> np.ndarray:

@@ -3,10 +3,10 @@
 Two independent routes compute h(G; tau1, tau2):
 
 * the two-stage engine: per-side orbit partitions under moves + Inn(G),
-  then the pair stage quotiented by diagonal Aut(G): a Schreier vector
-  per Aut orbit of side-1 labels, and the orbits of the root label's
-  stabilizer (plus the factor swap) on the disjoint cells of that one
-  root's row;
+  then the pair stage quotiented by diagonal Aut(G): a Schreier tree over
+  the Aut orbits of side-1 labels (a parent and a map per label, walked for
+  u_x^-1 only where needed), and the orbits of each root label's stabilizer
+  (plus the factor swap) on the disjoint cells of that root's row;
 * a one-stage oracle: components of the disjoint ordered pairs of Inn(G)
   class rows, found from index maps of per-side moves, diagonal Aut
   generators and the swap, without orbit labels or the Aut quotient; each
@@ -61,6 +61,7 @@ from fractions import Fraction
 import numpy as np
 
 from .automorphisms import (
+    SchreierTree,
     _generating_subset,
     automorphism_group,
     inner_automorphisms,
@@ -132,15 +133,7 @@ class OrbitReport:
     representatives: list[dict] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "type1": self.type1,
-            "type2": self.type2,
-            "h": self.h,
-            "orbit_sizes": self.orbit_sizes,
-            "total_pairs": self.total_pairs,
-            "representatives": self.representatives,
-        }
+        return dict(vars(self))
 
 
 def estimate_system_candidates(G: Group, tau: SignatureType, inn_classes: bool = False) -> int:
@@ -455,63 +448,6 @@ def _valid_cells(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return valid
 
 
-def _transversals(
-    G: Group, n: int, maps: np.ndarray, perms: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """A Schreier vector for each Aut orbit (block) of n labels.
-
-    Returns root, the least label of each label's block, and u, one element
-    map per label whose label permutation sends root[x] to x. The rows of u
-    grow breadth first from the roots: a generator s whose label permutation
-    sends x to a new label y gives u_y = s o u_x, the gather s[u_x].
-    """
-    root = _components(n, perms)
-    u = np.empty((n, G.order), dtype=index_dtype(G.order))
-    reached = root == np.arange(n)
-    frontier = np.flatnonzero(reached)
-    u[frontier] = np.arange(G.order)
-    while frontier.size:
-        grown = []
-        for s, perm in zip(maps, perms):
-            img = perm[frontier]
-            new = ~reached[img]
-            img = img[new]
-            u[img] = s[u[frontier[new]]]
-            reached[img] = True
-            grown.append(img)
-        frontier = np.concatenate(grown) if grown else frontier[:0]
-    return root, u
-
-
-def _stabilizer_gens(
-    G: Group, gens: tuple[int, ...], maps: np.ndarray, perms: list[np.ndarray], root, u, uinv
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schreier generators u_{s(x)}^-1 o s o u_x of Stab(root[x]), over every
-    label x and generator s, without repeats or the identity.
-
-    An automorphism is fixed by its images of the generating tuple gens, so
-    the generators are told apart by those few columns alone. Returns the
-    distinct generators (one element map per row) and the (root, generator)
-    pairs that occur, as two arrays sorted by root.
-    """
-    n = len(root)
-    if not len(maps):
-        none = np.zeros(0, dtype=np.intp)
-        return np.zeros((0, G.order), dtype=u.dtype), none, none
-    gens = np.array(gens, dtype=np.intp)
-    images = np.concatenate([uinv[perm[:, None], s[u[:, gens]]] for s, perm in zip(maps, perms)])
-    moved = np.flatnonzero((images != gens).any(axis=1))  # drop the identity
-    _, first, which = np.unique(
-        images[moved], axis=0, return_index=True, return_inverse=True
-    )
-    stab = np.array(
-        [uinv[perms[t][x]][maps[t][u[x]]] for t, x in (divmod(int(r), n) for r in moved[first])],
-        dtype=u.dtype,
-    ).reshape(len(first), G.order)
-    pairs = distinct(root[moved % n] * len(first) + which.ravel())
-    return stab, pairs // len(first), pairs % len(first)
-
-
 def _count_pairs(
     G: Group, side1: SidePartition, side2: SidePartition, config: EquivalenceConfig
 ) -> OrbitReport:
@@ -520,13 +456,13 @@ def _count_pairs(
 
     Cells are label pairs (i, j) whose Sigma sets meet only in the
     identity (_valid_cells on _sigma_matrix rows). Aut(G) splits the
-    side-1 labels into blocks (its orbits), each
-    with a Schreier vector rooted at its least label i0, and every orbit of
-    cells under diagonal Aut meets the row of i0 in one orbit of Stab(i0).
-    So only the row cells (i0, j) are kept, and their orbits come from
-    _components under the Schreier generators of each Stab(i0) and, for
-    equal types, the swap (i0, j) -> (j, i0) carried back to a row by j's
-    transversal. Label orbit sizes are Aut-invariant, so a row cell weighs
+    side-1 labels into blocks (its orbits), each a tree of one SchreierTree
+    rooted at its least label i0, and every orbit of cells under diagonal
+    Aut meets the row of i0 in one orbit of Stab(i0). So only the row cells
+    (i0, j) are kept, and their orbits come from _components under the
+    Schreier generators of each Stab(i0) and, for equal types, the swap
+    (i0, j) -> (j, i0) carried back to a row by u_j^-1, a walk up j's tree.
+    Label orbit sizes are Aut-invariant, so a row cell weighs
     |block| s1[i0] s2[j]. An orbit's least cell lies in a row and is its
     least row cell, so the _components roots are the representatives, in
     ascending order of the least cells.
@@ -550,14 +486,11 @@ def _count_pairs(
 
     aut = automorphism_group(G)
     maps = aut.generator_maps
-    perms = _aut_label_perms(G, side1, maps)
-    root, u = _transversals(G, L1, maps, perms)
-    uinv = np.empty_like(u)
-    np.put_along_axis(uinv, u, np.arange(G.order, dtype=u.dtype)[None, :], axis=1)
-    gens = G.generating_tuple()
-    stab, use_root, use_gen = _stabilizer_gens(G, gens, maps, perms, root, u, uinv)
-    roots = np.flatnonzero(root == np.arange(L1))
-    block = np.searchsorted(roots, root)  # block number of each side-1 label
+    gens, perms = G.generating_tuple(), _aut_label_perms(G, side1, maps)
+    tree = SchreierTree(_components(L1, perms), maps, perms, gens)
+    stab, use_root, use_gen = tree.stabilizer_gens()
+    roots = np.flatnonzero(tree.root == np.arange(L1))
+    block = np.searchsorted(roots, tree.root)  # block number of each side-1 label
     block_size = np.bincount(block)
 
     fixed = side1.label_of(stab[use_gen[:, None], labels1[use_root]], where1)
@@ -600,8 +533,8 @@ def _count_pairs(
             img[on] = cells_at(cell_i[on].astype(np.int64) * L2 + perm2[cell_j[on]])
             yield img
         if same_types:
-            back = side1.label_of(uinv[cell_j[:, None], labels1[cell_i]], where1)
-            yield cells_at(root[cell_j] * L2 + back)
+            back = side1.label_of(tree.back(cell_j, labels1[cell_i]), where1)
+            yield cells_at(tree.root[cell_j] * L2 + back)
 
     least = _components(len(flat), cell_maps())
     seeds = np.flatnonzero(least == np.arange(len(flat)))
@@ -611,7 +544,7 @@ def _count_pairs(
     if sum(orbit_sizes) != total_pairs:
         raise AssertionError("orbit sizes do not sum to the number of disjoint pairs")
 
-    # A sampled label x of each block: its row of cells is row i0 carried by u_x.
+    # A sampled label x of each block: u_x^-1 carries its row of cells onto row i0.
     members = np.argsort(block, kind="stable")  # by block, each root first
     starts = np.concatenate([[0], np.cumsum(block_size)])
     picked = []
@@ -619,12 +552,14 @@ def _count_pairs(
         others = members[starts[b] + 1 : starts[b + 1]].tolist()
         picked += [(b, x) for x in rng.sample(others, min(3, len(others)))]
     if picked:
-        direct = _valid_cells(m1[[x for _, x in picked]], m2)
+        xs = np.array([x for _, x in picked])
+        pick, jx = np.nonzero(_valid_cells(m1[xs], m2))
+        carried = side2.label_of(tree.back(xs[pick], labels2[jx]), where2)
         row_cuts = np.searchsorted(cell_block, np.arange(len(roots) + 1))
-        for (b, x), row in zip(picked, direct):
+        pick_cuts = np.searchsorted(pick, np.arange(len(picked) + 1))
+        for p, (b, x) in enumerate(picked):
             js = cell_j[row_cuts[b] : row_cuts[b + 1]]
-            carried = side2.label_of(u[x][labels2[js]], where2)
-            if not np.array_equal(np.sort(carried), np.flatnonzero(row)):
+            if not np.array_equal(np.sort(carried[pick_cuts[p] : pick_cuts[p + 1]]), js):
                 raise AssertionError(
                     f"the cells of label {x} are not those of label {roots[b]} carried by "
                     f"its transversal in {G.name} {side1.tau} x {side2.tau}"

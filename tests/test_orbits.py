@@ -7,9 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hurwitz_components.automorphisms import AutGroup, automorphism_group, inner_automorphisms
+from hurwitz_components.automorphisms import (
+    AutGroup,
+    SchreierTree,
+    automorphism_group,
+    inner_automorphisms,
+)
 from hurwitz_components.errors import BudgetExceeded, UserInputError
-from hurwitz_components.groups import AbelianGroup, construct_group
+from hurwitz_components.groups import AbelianGroup, construct_group, distinct, index_dtype
 from hurwitz_components.moves import apply_move, available_moves, generating_moves
 from hurwitz_components import cli, orbits
 from hurwitz_components.orbits import (
@@ -864,24 +869,106 @@ def _frontier_bfs_count(G, tau1, tau2, config):
     )
 
 
-@pytest.mark.parametrize(
-    "spec,t1,t2",
-    [
-        ("Zn:5,5", "0|5,5,5", "0|5,5,5"),
-        ("Zn:7,7", "0|7,7,7", "0|7,7,7"),
-        ("Zn:11,11", "0|11,11,11", "0|11,11,11"),
-        ("Zn:2,4", "0|2,2,4,4", "1|2,2"),  # three Aut orbits of side-1 labels
-        ("Alt:4", "0|3,3,3,3", "1|2"),
-        ("Zn:2,2", "0|2,2,2,2,2,2", "1|2,2"),
-        ("Zn:3,3", "0|3,3,3,3", "0|3,3,3,3"),  # two Aut orbits joined by the swap
-        ("Sym:4", "0|2,2,2,2,2,2", "0|3,4,4"),
-    ],
-)
+AUT_QUOTIENT_PANEL = [
+    ("Zn:5,5", "0|5,5,5", "0|5,5,5"),
+    ("Zn:7,7", "0|7,7,7", "0|7,7,7"),
+    ("Zn:11,11", "0|11,11,11", "0|11,11,11"),
+    ("Zn:2,4", "0|2,2,4,4", "1|2,2"),  # three Aut orbits of side-1 labels
+    ("Alt:4", "0|3,3,3,3", "1|2"),
+    ("Zn:2,2", "0|2,2,2,2,2,2", "1|2,2"),
+    ("Zn:3,3", "0|3,3,3,3", "0|3,3,3,3"),  # two Aut orbits joined by the swap
+    ("Sym:4", "0|2,2,2,2,2,2", "0|3,4,4"),
+]
+
+
+@pytest.mark.parametrize("spec,t1,t2", AUT_QUOTIENT_PANEL)
 def test_aut_quotient_matches_frontier_bfs(spec, t1, t2):
     G = construct_group(spec)
     cfg = EquivalenceConfig(representatives=True)
     want = _frontier_bfs_count(G, _tau(t1), _tau(t2), cfg).to_json_dict()
     assert count_components(G, _tau(t1), _tau(t2), cfg).to_json_dict() == want
+
+
+def _dense_transversals(G, n, maps, perms):
+    """The dense Schreier vector the pair stage kept before its tree: root,
+    and one full element map u_x per label (rows grown breadth first)."""
+    root = _components(n, perms)
+    u = np.empty((n, G.order), dtype=index_dtype(G.order))
+    reached = root == np.arange(n)
+    frontier = np.flatnonzero(reached)
+    u[frontier] = np.arange(G.order)
+    while frontier.size:
+        grown = []
+        for s, perm in zip(maps, perms):
+            img = perm[frontier]
+            new = ~reached[img]
+            img = img[new]
+            u[img] = s[u[frontier[new]]]
+            reached[img] = True
+            grown.append(img)
+        frontier = np.concatenate(grown) if grown else frontier[:0]
+    uinv = np.empty_like(u)
+    np.put_along_axis(uinv, u, np.arange(G.order, dtype=u.dtype)[None, :], axis=1)
+    return root, u, uinv
+
+
+def _dense_stabilizer_gens(G, gens, maps, perms, root, u, uinv):
+    """The distinct Schreier generators and (root, generator) pairs, from the dense rows."""
+    n = len(root)
+    gens = np.array(gens, dtype=np.intp)
+    images = np.concatenate([uinv[perm[:, None], s[u[:, gens]]] for s, perm in zip(maps, perms)])
+    moved = np.flatnonzero((images != gens).any(axis=1))
+    _, first, which = np.unique(images[moved], axis=0, return_index=True, return_inverse=True)
+    stab = np.array(
+        [uinv[perms[t][x]][maps[t][u[x]]] for t, x in (divmod(int(r), n) for r in moved[first])],
+        dtype=u.dtype,
+    ).reshape(len(first), G.order)
+    pairs = distinct(root[moved % n] * len(first) + which.ravel())
+    return stab, pairs // len(first), pairs % len(first)
+
+
+def _tree_matches_dense(G, tree, maps, perms) -> bool:
+    """Do the tree's u_x and u_x^-1 rows, its Schreier-generator images and
+    its stabilizer maps equal those of the dense transversals?"""
+    n, gens = len(tree.root), G.generating_tuple()
+    root, u, uinv = _dense_transversals(G, n, maps, perms)
+    every = np.tile(np.arange(G.order, dtype=u.dtype), (n, 1))
+    walked = tree.back(np.arange(n), every)
+    checks = [
+        np.array_equal(tree.root, root),
+        np.array_equal(tree.ucols, u[:, list(gens)]),
+        np.array_equal(walked, uinv),
+        np.array_equal(np.argsort(walked, axis=1), u),
+    ]
+    for s, perm in zip(maps, perms):  # the Schreier-generator images on the gens columns
+        dense = uinv[perm[:, None], s[u[:, list(gens)]]]
+        checks.append(np.array_equal(tree.back(perm, s[tree.ucols]), dense))
+    want = _dense_stabilizer_gens(G, gens, maps, perms, root, u, uinv)
+    checks += [np.array_equal(a, b) for a, b in zip(tree.stabilizer_gens(), want)]
+    return all(checks)
+
+
+@pytest.mark.parametrize("spec,t1,t2", AUT_QUOTIENT_PANEL)
+def test_schreier_tree_matches_dense_transversals(spec, t1, t2):
+    G = construct_group(spec)
+    side = side_orbits(G, _tau(t1))
+    maps = automorphism_group(G).generator_maps
+    perms = orbits._aut_label_perms(G, side, maps)
+    tree = SchreierTree(_components(len(side.leaders), perms), maps, perms, G.generating_tuple())
+    assert _tree_matches_dense(G, tree, maps, perms)
+
+
+def test_schreier_tree_check_sees_a_swapped_edge():
+    G = AbelianGroup([7, 7])
+    side = side_orbits(G, _tau("0|7,7,7"))
+    maps = automorphism_group(G).generator_maps
+    perms = orbits._aut_label_perms(G, side, maps)
+    tree = SchreierTree(_components(len(side.leaders), perms), maps, perms, G.generating_tuple())
+    assert _tree_matches_dense(G, tree, maps, perms)
+    a = int(np.flatnonzero(tree.via >= 0)[0])
+    b = int(np.flatnonzero((tree.via >= 0) & (tree.via != tree.via[a]))[0])
+    tree.via[[a, b]] = tree.via[[b, a]]  # two non-root labels now step by each other's map
+    assert not _tree_matches_dense(G, tree, maps, perms)
 
 
 def test_pair_stage_reads_only_root_and_sampled_rows(monkeypatch):
@@ -912,13 +999,16 @@ def test_planted_wrong_aut_order_fails_orbit_stabilizer(monkeypatch):
 
 def test_planted_bad_transversal_fails_the_root_check(monkeypatch):
     G = AbelianGroup([7, 7])
-    real = orbits._transversals
 
-    def shifted(G, n, maps, perms):
-        root, u = real(G, n, maps, perms)
-        return root, np.roll(u, 1, axis=0)  # u_x now belongs to label x - 1
+    class Shifted(SchreierTree):  # u_x and u_x^-1 now belong to label x - 1
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.ucols = np.roll(self.ucols, 1, axis=0)
 
-    monkeypatch.setattr(orbits, "_transversals", shifted)
+        def back(self, x, z):
+            return super().back((x - 1) % len(self.root), z)
+
+    monkeypatch.setattr(orbits, "SchreierTree", Shifted)
     with pytest.raises(AssertionError, match="moves the root label"):
         count_components(G, _tau("0|7,7,7"), _tau("0|7,7,7"))
 
