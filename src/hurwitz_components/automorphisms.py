@@ -36,7 +36,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceeded
-from .groups import AbelianGroup, Group, PermutationGroup, distinct, index_dtype
+from .groups import AbelianGroup, Group, PermutationGroup, distinct, distinct_rows, index_dtype
 from .groups import prime_factorization
 
 BACKTRACK_CANDIDATE_LIMIT = 2000
@@ -59,8 +59,7 @@ class AutGroup:
 
 def _distinct_maps(G: Group, maps: np.ndarray) -> np.ndarray:
     """The rows of maps in first-seen order, without repeats or the identity map."""
-    _, first = np.unique(maps, axis=0, return_index=True)
-    first.sort()
+    first = np.sort(distinct_rows(maps)[0])
     return maps[first[(maps[first] != np.arange(G.order)).any(axis=1)]]
 
 
@@ -80,13 +79,20 @@ def inner_automorphisms(G: Group) -> np.ndarray:
 
 
 def automorphism_group(G: Group) -> AutGroup:
-    if isinstance(G, AbelianGroup) and len(set(G.moduli)) == 1:
-        return _homocyclic_auts(G)
-    # Aut(G) is Sym(n) acting by conjugation except at degree 6 and on the
-    # cyclic groups of order at most 3: Sym(1), Sym(2) and Alt(1), ..., Alt(3).
-    if isinstance(G, PermutationGroup) and G.degree != 6 and G.order > 3:
-        return _conjugation_auts(G)
-    return _backtracking_auts(G)
+    """Aut(G), built on the first call for a group and kept on it, its maps
+    read-only. A BudgetExceeded refusal is not kept: each call raises it again."""
+    if G._aut is None:
+        if isinstance(G, AbelianGroup) and len(set(G.moduli)) == 1:
+            aut = _homocyclic_auts(G)
+        # Aut(G) is Sym(n) acting by conjugation except at degree 6 and on the
+        # cyclic groups of order at most 3: Sym(1), Sym(2) and Alt(1), ..., Alt(3).
+        elif isinstance(G, PermutationGroup) and G.degree != 6 and G.order > 3:
+            aut = _conjugation_auts(G)
+        else:
+            aut = _backtracking_auts(G)
+        aut.generator_maps.flags.writeable = False
+        G._aut = aut
+    return G._aut
 
 
 # -- abelian homocyclic (Z/n)^k: GL_k(Z/n) ------------------------------
@@ -277,9 +283,9 @@ class SchreierTree:
         ts, xs = np.nonzero(np.reshape(moved, self.perms.shape))
         ys = self.perms[ts, xs]
         images = self.back(ys, maps[ts[:, None], ucols[xs]])  # told apart by these
-        _, first, which = np.unique(images, axis=0, return_index=True, return_inverse=True)
+        first, which = distinct_rows(images)
         ar = np.tile(np.arange(maps.shape[1], dtype=maps.dtype), (len(first), 1))
         u = np.argsort(self.back(xs[first], ar), axis=1)  # u_x, the inverse of u_x^-1
         stab = self.back(ys[first], maps[ts[first, None], u])
-        pairs = distinct(self.root[xs] * len(first) + which.ravel())
+        pairs = distinct(self.root[xs] * len(first) + which)
         return stab, pairs // len(first), pairs % len(first)

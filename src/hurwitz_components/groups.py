@@ -47,6 +47,21 @@ def distinct(a) -> np.ndarray:
     return a[keep]
 
 
+def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the distinct rows of a 2-D array in ascending order, the index of
+    each one's first occurrence, and for every row the index of its
+    distinct row: np.unique(a, axis=0, return_index=True,
+    return_inverse=True)[1:], by one stable lexsort over the columns and an
+    adjacent-row comparison."""
+    order = np.lexsort(a.T[::-1]) if a.size else np.arange(len(a))
+    ranked = a[order]
+    head = np.ones(len(a), dtype=bool)
+    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    which = np.empty(len(a), dtype=np.intp)
+    which[order] = np.cumsum(head) - 1
+    return order[head], which
+
+
 def prime_factorization(n: int) -> dict[int, int]:
     """Map prime -> exponent for n >= 1."""
     if n < 1:
@@ -105,6 +120,8 @@ class Group:
         self._joins: SubgroupJoins | None = None
         self._inner_classes: InnerClasses | None = None
         self._inner_maps: np.ndarray | None = None  # set by automorphisms.inner_automorphisms
+        self._aut = None  # the AutGroup kept by automorphisms.automorphism_group
+        self._sigma_rows: np.ndarray | None = None  # set by orbits._sigma_rows
         self._generating_tuple: tuple[int, ...] | None = None
 
     # -- backend hooks -------------------------------------------------

@@ -18,10 +18,13 @@ Each side checks its moves as they act (orbits._checked_move_images).
 
 Two lists of forward moves: available_moves is every generator above, and
 generating_moves drops the xi-twists that are words in the kept moves. An
-orbit depends only on the group the moves generate, so the two-stage side
-stage (orbits.side_orbits) acts with generating_moves; the one-stage oracle
-(orbits._move_maps), verify's move audit and the property tests keep
-available_moves, so the oracle's agreement tests the reduction.
+orbit depends only on the group the moves generate. fiber_words builds,
+from generating_moves, words of moves that generate the stabilizer of the
+ascending ordering of a side's periods; the two-stage side stage
+(orbits.side_orbits) acts with them on the systems over that ordering. The
+one-stage oracle (orbits._move_maps), verify's move audit and the property
+tests keep available_moves on every ordering, so the oracle's agreement
+tests both reductions.
 """
 from __future__ import annotations
 
@@ -97,6 +100,45 @@ def generating_moves(gprime: int, r: int) -> list[MoveID]:
     r = 0 have no xi-twist to drop.
     """
     return [m for m in available_moves(gprime, r) if m.kind != "xi2" and m.d in (None, 1)]
+
+
+def fiber_words(gprime: int, periods: tuple[int, ...]) -> list[tuple[MoveID, ...]]:
+    """Words of moves that generate the stabilizer H of an ascending ordering
+    of periods, each read left to right as the order of application.
+
+    The moves act on the orderings of the periods through their image in
+    S_r, so H is the preimage of the Young subgroup of the blocks of equal
+    periods, a mixed braid group (L. Manfredini, "Some subgroups of Artin's
+    braid group", Topology Appl. 1997; J. Birman, Braids, Links, and Mapping
+    Class Groups, 1974, for the pure braids A_ij). Its words:
+
+    * each move of generating_moves but the sigma_h that cross a boundary
+      between blocks (the handle moves fix every branch entry's order);
+    * for blocks a < b, the pure braid A_{e,s} of the last point e of a and
+      the first point s of b: sigma_e^2 after the braid that brings s next
+      to e, (sigma_{s-1}', ..., sigma_{e+1}', sigma_e, sigma_e, sigma_{e+1},
+      ..., sigma_{s-1});
+    * for g' >= 1, xi1_{j,s} at the first point s of each later block
+      (generating_moves keeps xi1_{j,1}).
+
+    Shapes with one block keep generating_moves, so (1, 1) keeps its delta
+    and delta~; (0, 0) has no word.
+    """
+    r = len(periods)
+    if (gprime, r) == (0, 0):
+        return []
+    starts = [h for h in range(1, r + 1) if h == 1 or periods[h - 2] != periods[h - 1]]
+    ends = [s - 1 for s in starts[1:]] + [r]
+    words = [
+        (m,) for m in generating_moves(gprime, r) if m.kind != "sigma" or m.i + 1 not in starts
+    ]
+    for a, e in enumerate(ends):
+        for s in starts[a + 1 :]:
+            down = [MoveID("sigma", h, inverse=True) for h in range(s - 1, e, -1)]
+            up = [MoveID("sigma", h) for h in range(e + 1, s)]
+            words.append((*down, MoveID("sigma", e), MoveID("sigma", e), *up))
+    words += [(MoveID("xi1", j, s),) for s in starts[1:] for j in range(1, gprime + 1)]
+    return words
 
 
 def _check_range(cond: bool, move: MoveID, gprime: int, r: int) -> None:

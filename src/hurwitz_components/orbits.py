@@ -2,55 +2,36 @@
 
 Two independent routes compute h(G; tau1, tau2):
 
-* the two-stage engine: per-side orbit partitions under moves + Inn(G),
-  then the pair stage quotiented by diagonal Aut(G): a Schreier tree over
-  the Aut orbits of side-1 labels (a parent and a map per label, walked for
-  u_x^-1 only where needed), and the orbits of each root label's stabilizer
-  (plus the factor swap) on the disjoint cells of that root's row;
+* the two-stage engine: per-side orbit partitions under moves + Inn(G)
+  over the ascending ordering of the periods (side_orbits), then the pair
+  stage quotiented by diagonal Aut(G) through a Schreier tree of the Aut
+  orbits of side-1 labels (_count_pairs);
 * a one-stage oracle: components of the disjoint ordered pairs of Inn(G)
-  class rows, found from index maps of per-side moves, diagonal Aut
+  class rows of every ordering under the moves, the diagonal Aut
   generators and the swap, without orbit labels or the Aut quotient; each
   class-row pair weighs (|G|/|Z(G)|)^2 raw pairs.
 
-A side is one sorted (N, k) array of systems, one system per row; there
-is no other model of a system. Both routes list one row per Inn(G) class,
-the class's least member (see side_orbits), and their _RowIndex reduces
-every image row to its class row (InnerClasses.least_conjugates) before
-the lookup. Full listings still check that enumeration: verify_inn_lemma
-and `hurwitz enumerate` list every system, and the tests pin the routes
-to references that list every system (the side partitions of
-test_side_orbits_over_inn_classes_match_every_system, the pair orbits of
-_full_group_pair_orbits, and a full-listing copy of the oracle). The
-routes share only steps that read system rows and Sigma rows, never orbit
-labels or a quotient by Aut(G): _systems (enumeration under the budget),
-apply_move, _RowIndex and _components (index maps and their orbits),
-_check_inn_sample, and _valid_cells (Sigma rows that share no column).
-Each route builds its own Sigma rows:
-the oracle calls sigma_set per class row and keeps one column per element
-other than the identity; the two-stage engine gathers per-element rows
-over whole system arrays, with one column per conjugacy class of
-subgroups of prime order. Sigma(V) is a union of conjugates of cyclic
-subgroups, so a shared element x != 1 has a shared power of prime order,
-whose whole class of subgroups is then shared: two Sigma sets meet only
-in the identity iff they share no such class.
-
-Each move is applied to a whole array at once. An automorphism is a row
-phi of a (maps, |G|) index array (see automorphisms) and acts as the
-gather phi[systems]. Image rows are located among the systems by a
-_RowIndex, a rank lookup over chunks of columns that raises
-AssertionError for a row outside the set; side_orbits builds one per
-side and keeps it on the SidePartition, whose label_of gives the pair
-stage the orbit of each row. Both routes act with generators only
-(forward moves, Inn and Aut generator maps): each permutes a finite set,
-so its inverse is one of its powers. A move is a word in the entries and
-commutes with conjugation, so the two-stage side partition applies each
-move of moves.generating_moves once to every class row; the oracle applies
-every move of moves.available_moves to every class row, so its agreement
-also tests that the dropped xi-twists add no orbit. The swap acts exactly when
-the unordered types coincide. Both refuse honestly (BudgetExceeded)
-instead of degrading; both count the tuples their restricted enumeration
-expands, and the oracle also refuses past DEFAULT_ONE_STAGE_SCAN_BUDGET
-class-row pairs.
+A side is one sorted (N, k) array of systems, one row per Inn(G) class
+(its least member, see side_orbits); there is no other model of a
+system. A _RowIndex locates rows among them, each image row reduced to
+its class row first, and raises AssertionError for a row outside the
+set. Full listings still check that enumeration: verify_inn_lemma and
+`hurwitz enumerate` list every system, and the tests pin the routes to
+references that list every system. The routes share only steps that
+read system rows and Sigma rows, never orbit labels or a quotient by
+Aut(G): _systems, apply_move, _RowIndex, _components, _check_inn_sample
+and _valid_cells; each builds its own Sigma rows (sigma_set per class row
+in the oracle, _sigma_matrix in the two-stage engine). An automorphism
+is a row phi of a (maps, |G|) index array and acts as the gather
+phi[systems]. Both routes act with generators only (forward moves, Inn
+and Aut generator maps): each permutes a finite set, so its inverse is
+one of its powers. The oracle acts with every move of
+moves.available_moves, so its agreement also tests the fiber reduction
+and that the xi-twists that moves.generating_moves drops add no orbit.
+The swap acts exactly when the unordered types coincide. Both refuse
+honestly (BudgetExceeded) instead of degrading, past the tuples their
+enumeration expands, and the oracle also past
+DEFAULT_ONE_STAGE_SCAN_BUDGET class-row pairs.
 """
 from __future__ import annotations
 
@@ -68,7 +49,7 @@ from .automorphisms import (
 )
 from .errors import BudgetExceeded, UserInputError
 from .groups import Group, InnerClasses, distinct, index_dtype, prime_factorization
-from .moves import apply_move, available_moves, generating_moves
+from .moves import apply_move, available_moves, fiber_words
 from .ramification import (
     SignatureType,
     candidate_tuples,
@@ -91,17 +72,19 @@ class EquivalenceConfig:
 
 @dataclass
 class SidePartition:
-    """One side's orbits under the moves and Inn(G), held one row per Inn(G) class.
+    """One side's orbits under the moves and Inn(G), held one row per Inn(G)
+    class over the ascending ordering of the periods.
 
     A class row is the least member of its class, and each class has
     |G|/|Z(G)| systems (one for an abelian G, whose classes are single
-    systems). The row index reduces any system to its class row before the
-    lookup, so moves and automorphisms may act on class rows freely.
+    systems); each ordering holds as many systems of an orbit as the
+    ascending one. The row index reduces any system to its class row before
+    the lookup, so moves and automorphisms may act on class rows freely.
     """
 
     group: Group
     tau: SignatureType  # canonical (sorted periods)
-    systems: np.ndarray  # (N, k) class rows, one per Inn(G) class, rows sorted
+    systems: np.ndarray  # (N, k) class rows over the sorted ordering, rows sorted
     orbit: np.ndarray  # per class row, the index of its orbit
     leaders: np.ndarray  # per orbit, the class row of its least member (ascending)
     locate: _RowIndex  # the class-row index of systems, built once by side_orbits
@@ -117,9 +100,9 @@ class SidePartition:
 
     @property
     def orbit_sizes(self) -> np.ndarray:
-        """The number of systems in each orbit."""
-        per_class = self.group.order // len(self.group.center())
-        return np.bincount(self.orbit, minlength=len(self.leaders)) * per_class
+        """The number of systems in each orbit, over every ordering."""
+        weight = self.group.order // len(self.group.center()) * self.tau.ordering_count()
+        return np.bincount(self.orbit, minlength=len(self.leaders)) * weight
 
 
 @dataclass
@@ -136,20 +119,33 @@ class OrbitReport:
         return dict(vars(self))
 
 
-def estimate_system_candidates(G: Group, tau: SignatureType, inn_classes: bool = False) -> int:
+def _orderings(tau: SignatureType, fiber: bool) -> list[tuple[int, ...]]:
+    return [tuple(sorted(tau.periods))] if fiber else tau.orderings()
+
+
+def estimate_system_candidates(
+    G: Group, tau: SignatureType, inn_classes: bool = False, fiber: bool = False
+) -> int:
     """Upper bound on tuples enumerated for the unordered type (pre-filter);
-    with inn_classes, for the enumeration of one row per Inn(G) class."""
+    with inn_classes, for one row per Inn(G) class; with fiber, for the
+    ascending ordering only."""
     return sum(
-        candidate_tuples(G, SignatureType(tau.gprime, o), inn_classes) for o in tau.orderings()
+        candidate_tuples(G, SignatureType(tau.gprime, o), inn_classes)
+        for o in _orderings(tau, fiber)
     )
 
 
 def _systems(
-    G: Group, tau: SignatureType, config: EquivalenceConfig, inn_classes: bool = False
+    G: Group,
+    tau: SignatureType,
+    config: EquivalenceConfig,
+    inn_classes: bool = False,
+    fiber: bool = False,
 ) -> np.ndarray:
     """Every system of tau's unordered type (with inn_classes, the least
-    member of each Inn(G) class) as sorted rows; refuses past the budget."""
-    est = estimate_system_candidates(G, tau, inn_classes)
+    member of each Inn(G) class; with fiber, of the ascending ordering only)
+    as sorted rows; refuses past the budget."""
+    est = estimate_system_candidates(G, tau, inn_classes, fiber)
     if est > config.max_systems:
         raise BudgetExceeded(
             f"side enumeration for {G.name} type {tau} needs {est} candidate tuples "
@@ -163,7 +159,7 @@ def _systems(
         # enumerate_systems may hand back a list of rows
         return np.asarray(rows, dtype=index_dtype(G.order)).reshape(len(rows), k)
 
-    blocks = [block(ordering) for ordering in tau.orderings()]
+    blocks = [block(ordering) for ordering in _orderings(tau, fiber)]
     if len(blocks) == 1:
         return blocks[0]
     systems = np.concatenate(blocks)
@@ -263,26 +259,37 @@ def _move_maps(G: Group, tau: SignatureType) -> list:
 
 
 def _checked_move_images(G: Group, tau: SignatureType, systems: np.ndarray, inn, locate):
-    """locate(rows, where) of the images of systems under each forward move
-    of moves.generating_moves (every move for g' = 0).
+    """locate(rows, where) of the images of systems (over tau's ascending
+    periods) under each word of moves.fiber_words.
 
-    Each move m acts once on the systems with the Inn images of the sample
-    (the first 20 rows) stacked below them; locate refuses any image that
-    is not a system. On the sample, m must commute with each Inn generator
-    map phi, phi(m(x)) = m(phi(x)), and its inverse, acting once on the
-    images, must give back the sample; else AssertionError names the move.
+    Each word acts once, a move at a time, on the systems with the Inn
+    images of the sample (the first 20 rows) stacked below them; locate
+    refuses any image that is not a system. On the sample, the word w must
+    commute with each Inn generator map phi, phi(w(x)) = w(phi(x)), and its
+    reversed word of inverse moves, acting once on the images, must give
+    back the sample; else AssertionError names the word.
     """
     gp, n, sample = tau.gprime, len(systems), systems[:20]
     where, s = f"{G.name} {tau}", len(sample)
     stack = np.concatenate([systems] + [phi[sample] for phi in inn]) if len(inn) else systems
-    for m in generating_moves(gp, tau.r) if (gp, tau.r) != (0, 0) else []:
-        out = apply_move(G, gp, stack, m)
+
+    def act(rows: np.ndarray, word) -> np.ndarray:
+        for m in word:
+            rows = apply_move(G, gp, rows, m)
+        return rows
+
+    for word in fiber_words(gp, tau.periods):
+        undo = tuple(m.inverted() for m in reversed(word))
+        name, back = (" ".join(map(str, w)) for w in (word, undo))
+        out = act(stack, word)
         images, moved = locate(out[:n], where), out[:s]
         for k, phi in enumerate(inn):
             if not np.array_equal(phi[moved], out[n + k * s : n + (k + 1) * s]):
-                raise AssertionError(f"move {m} does not commute with Inn(G) map {k} on {G.name}")
-        if not np.array_equal(apply_move(G, gp, moved, m.inverted()), sample):
-            raise AssertionError(f"move {m.inverted()} does not undo move {m} on {where}")
+                raise AssertionError(
+                    f"move {name} does not commute with Inn(G) map {k} on {G.name}"
+                )
+        if not np.array_equal(act(moved, undo), sample):
+            raise AssertionError(f"move {back} does not undo move {name} on {where}")
         yield images
 
 
@@ -300,22 +307,22 @@ def side_orbits(
     G: Group, tau: SignatureType, config: EquivalenceConfig | None = None
 ) -> SidePartition:
     """Partition the systems of tau's unordered type into orbits under the
-    moves and Inn(G), one row per Inn(G) class.
+    moves and Inn(G), one row per Inn(G) class over the ascending ordering
+    of the periods (the fiber).
 
-    Inn(G) acts freely on generating systems, so a class has |G|/|Z(G)|
-    members; the enumeration lists only the least member of each. A move
-    is a word in a system's entries, so it commutes with conjugation and
-    carries whole classes onto classes: each move of moves.generating_moves
-    acts once on every class row, and the side's row index reduces its
-    images to their class rows, in one pass that also checks the move
-    (_checked_move_images).
-    Orbits are numbered by their least members, which are class rows (an
-    orbit's least member is the least member of its least class). One
-    lookup checks that no Inn generator moves a sample row out of its class.
+    The moves act transitively on the orderings and carry a system's
+    sequence of branch-entry orders with it, so each orbit meets the fiber
+    in one orbit of its stabilizer, generated by moves.fiber_words. Inn(G)
+    acts freely on generating systems, so a class has |G|/|Z(G)| members,
+    and a move commutes with conjugation: each word acts once on every
+    class row, and the row index reduces its images to class rows, in one
+    pass that also checks the word (_checked_move_images). Orbits are
+    numbered by their least members, which are class rows. One lookup
+    checks that no Inn generator moves a sample row out of its class.
     """
     config = config or EquivalenceConfig()
     canonical = tau.with_sorted_periods()
-    systems = _systems(G, canonical, config, inn_classes=True)
+    systems = _systems(G, canonical, config, inn_classes=True, fiber=True)
     inn = inner_automorphisms(G)
     locate = _RowIndex(systems, G.order, G.inner_classes())
     _check_inn_sample(systems, inn, locate, f"{G.name} {canonical}")
@@ -346,8 +353,11 @@ def _sigma_rows(G: Group) -> np.ndarray:
 
     <y> and <z> of prime order are conjugate iff a conjugate of z generates
     <y>, so the least class minimum over the generators y^j of <y> names its
-    class (the class minimum of an element of an abelian G is itself).
+    class (the class minimum of an element of an abelian G is itself). The
+    table is built on the first call for a group and kept on it, read-only.
     """
+    if G._sigma_rows is not None:
+        return G._sigma_rows
     classes = G.inner_classes()
     least = np.arange(G.order) if classes is None else classes.least
     orders = G.orders
@@ -365,6 +375,8 @@ def _sigma_rows(G: Group) -> np.ndarray:
     rows = np.zeros((G.order, len(columns)), dtype=bool)
     for xs, ys in marks:
         rows[xs, np.searchsorted(columns, key[ys])] = True
+    rows.flags.writeable = False
+    G._sigma_rows = rows
     return rows
 
 
@@ -689,7 +701,15 @@ def count_components_one_stage(
     if sum(orbit_sizes) != total_pairs:
         raise AssertionError("one-stage orbit sizes do not sum to pair count")
     if representatives is not None:
-        for seed in pair_ids[seeds].tolist():
+        # the two-stage engine's: the least pair over the ascending orderings
+        def ascending(t: SignatureType, systems: np.ndarray) -> np.ndarray:
+            orders = G.orders[systems[:, 2 * t.gprime :]]
+            return (orders[:, 1:] >= orders[:, :-1]).all(axis=1)
+
+        fiber = np.flatnonzero(ascending(t1, sys1)[i] & ascending(t2, sys2)[j])
+        least = np.full(len(pair_ids), len(pair_ids))
+        np.minimum.at(least, root[fiber], fiber)
+        for seed in pair_ids[np.sort(least[seeds])].tolist():
             representatives.append(
                 {
                     "first": [G.element_label(e) for e in sys1[seed // n2].tolist()],
@@ -721,13 +741,15 @@ def verify_inn_lemma(
     """Check that inner automorphisms preserve each braid orbit (g' = 0).
 
     Conjugation by generators of G suffices: if each generator keeps every
-    braid orbit (from _checked_move_images), so does all of Inn(G).
+    braid orbit, so does all of Inn(G). Inn(G) keeps the fiber over the
+    ascending ordering, where the braid orbits are the orbits of the words
+    of _checked_move_images (side_orbits); every system there is checked.
     """
     if tau.gprime != 0:
         raise UserInputError("inner-automorphism audit applies to g' = 0 types only")
     config = config or EquivalenceConfig()
     canonical = tau.with_sorted_periods()
-    systems = _systems(G, canonical, config)
+    systems = _systems(G, canonical, config, fiber=True)
     inn = inner_automorphisms(G)
     locate, where = _RowIndex(systems, G.order), f"{G.name} {canonical}"
     root = _components(len(systems), _checked_move_images(G, canonical, systems, inn, locate))

@@ -70,6 +70,13 @@ class SignatureType:
             p[i + 1 :] = reversed(p[i + 1 :])
             out.append(tuple(p))
 
+    def ordering_count(self) -> int:
+        """len(self.orderings()), as a multinomial coefficient."""
+        count = math.factorial(self.r)
+        for m in set(self.periods):
+            count //= math.factorial(self.periods.count(m))
+        return count
+
     def __str__(self) -> str:
         return f"{self.gprime}|" + ",".join(str(m) for m in self.periods)
 
@@ -295,22 +302,26 @@ def is_beauville(tau1: SignatureType, tau2: SignatureType) -> bool:
 
 def period_multisets_with_angle_sum(allowed_orders, target: Fraction) -> list[tuple[int, ...]]:
     """Non-decreasing period tuples m_i >= 2 from allowed_orders with
-    sum(1 - 1/m_i) equal to target exactly."""
+    sum(1 - 1/m_i) equal to target exactly, in lexicographic order.
+
+    Scaled by L, the lcm of the allowed orders, each term is the integer
+    L - L/m and the target is target * L; a target * L that is not an
+    integer has no tuple."""
     allowed = sorted({m for m in allowed_orders if m >= 2})
+    scale = math.lcm(*allowed)
+    terms = [scale - scale // m for m in allowed]  # ascending, as the m are
+    total = Fraction(target) * scale
     out: list[tuple[int, ...]] = []
 
-    def rec(start_idx: int, remaining: Fraction, acc: tuple[int, ...]):
+    def rec(start_idx: int, remaining: int, acc: tuple[int, ...]):
         if remaining == 0:
             out.append(acc)
             return
-        if remaining < 0:
-            return
         for i in range(start_idx, len(allowed)):
-            m = allowed[i]
-            term = 1 - Fraction(1, m)
-            if term > remaining:
+            if terms[i] > remaining:
                 break
-            rec(i, remaining - term, acc + (m,))
+            rec(i, remaining - terms[i], acc + (allowed[i],))
 
-    rec(0, target, ())
+    if total.denominator == 1 and total >= 0:
+        rec(0, int(total), ())
     return out

@@ -17,6 +17,7 @@ from hurwitz_components.groups import (
     TABLE_LIMIT,
     construct_group,
     distinct,
+    distinct_rows,
     invariant_factors,
     prime_factorization,
 )
@@ -270,6 +271,15 @@ def test_distinct_matches_unique(values):
     values = np.asarray(values, dtype=getattr(values, "dtype", np.intp))
     got, want = distinct(values), np.unique(values)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (200, 1), (200, 3), (5, 0)])
+def test_distinct_rows_match_unique(shape):
+    rows = np.random.default_rng(shape[0] + shape[1]).integers(0, 4, size=shape).astype(np.int16)
+    first, which = distinct_rows(rows)
+    _, want_first, want_which = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(first, want_first) and np.array_equal(which, want_which.ravel())
+    assert np.array_equal(rows[first][which], rows)
 
 
 def test_cayley_labels_roundtrip(q8):

@@ -9,7 +9,13 @@ from hurwitz_components import orbits
 from hurwitz_components.automorphisms import automorphism_group, inner_automorphisms
 from hurwitz_components.errors import UserInputError
 from hurwitz_components.groups import TABLE_LIMIT, construct_group, index_dtype
-from hurwitz_components.moves import MoveID, apply_move, available_moves, generating_moves
+from hurwitz_components.moves import (
+    MoveID,
+    apply_move,
+    available_moves,
+    fiber_words,
+    generating_moves,
+)
 from hurwitz_components.orbits import (
     EquivalenceConfig,
     _checked_move_images,
@@ -266,20 +272,61 @@ def test_moves_commute_with_automorphisms(rng, q8):
                 assert np.array_equal(lhs, rhs)
 
 
+def _word(G, gp, rows, word):
+    """The images of rows under a word of moves, applied left to right."""
+    for mv in word:
+        rows = apply_move(G, gp, rows, mv)
+    return rows
+
+
 def _pass_over(G, tau):
-    """The checked move pass of tau's every system, with the Inn generators
-    stacked on its sample: the images of each move, as system indices."""
-    systems = _systems(G, tau, EquivalenceConfig())
+    """The checked move pass of every system over tau's ascending ordering,
+    with the Inn generators stacked on its sample: the images of each word
+    of fiber_words, as system indices."""
+    systems = _systems(G, tau, EquivalenceConfig(), fiber=True)
     inn = inner_automorphisms(G)
     return systems, inn, _checked_move_images(G, tau, systems, inn, _RowIndex(systems, G.order))
 
 
 def test_checked_move_pass_accepts_valid_systems():
-    G = construct_group("Sym:3")
-    tau = SignatureType(0, (2, 2, 3))
-    systems, _, images = _pass_over(G, tau)
-    for img, mv in zip(images, available_moves(0, 3)):
-        assert np.array_equal(systems[img], apply_move(G, 0, systems, mv))
+    shapes = [("Sym:3", 0, (2, 2, 3)), ("Sym:4", 0, (2, 3, 4)), ("Sym:4", 1, (2, 3))]
+    for spec, gp, periods in shapes:
+        G = construct_group(spec)
+        systems, _, images = _pass_over(G, SignatureType(gp, periods))
+        words = fiber_words(gp, periods)
+        assert any(len(word) > 1 for word in words)  # a block-pair braid
+        images = list(images)
+        assert len(images) == len(words)
+        for img, word in zip(images, words):
+            assert np.array_equal(systems[img], _word(G, gp, systems, word))
+
+
+@pytest.mark.parametrize(
+    "spec, gp, periods",
+    [
+        ("Sym:4", 0, (2, 3, 4)),
+        ("Sym:5", 0, (2, 2, 3, 3, 5)),
+        ("Sym:4", 1, (2, 2, 3)),
+        ("Sym:3", 2, (2, 2, 3)),
+        ("Sym:4", 1, (3,)),
+    ],
+)
+def test_fiber_words_keep_the_ascending_ordering(spec, gp, periods):
+    """Each word takes systems over the ascending ordering of the periods to
+    systems over it, and its reversed word of inverse moves undoes it."""
+    G = construct_group(spec)
+    rows = enumerate_systems(G, SignatureType(gp, periods))
+    assert len(rows)
+    words = fiber_words(gp, periods)
+    blocks = len(set(periods))
+    assert sum(len(word) > 1 for word in words) == blocks * (blocks - 1) // 2
+    assert len([w for w in words if w[0].kind == "xi1" and w[0].d > 1]) == gp * (blocks - 1)
+    for word in words:
+        out = _word(G, gp, rows, word)
+        assert (G.orders[out[:, 2 * gp :]] == periods).all(), word
+        assert long_relation_holds(G, gp, out).all(), word
+        back = _word(G, gp, out, tuple(mv.inverted() for mv in reversed(word)))
+        assert np.array_equal(back, rows), word
 
 
 def test_checked_move_pass_refuses_rows_that_break_the_long_relation():
@@ -296,8 +343,12 @@ def test_checked_move_pass_refuses_rows_that_break_the_long_relation():
 
 
 def test_checked_move_pass_applies_each_move_and_its_inverse_once(monkeypatch):
+    # each word acts once, a move at a time, on the stacked rows, and its
+    # reversed word of inverse moves once on the sample's images
     G = construct_group("Sym:4")
-    tau = SignatureType(1, (2, 2))
+    tau = SignatureType(1, (2, 3))
+    words = fiber_words(1, (2, 3))
+    assert any(len(word) > 1 for word in words)
     calls = []
     real = orbits.apply_move
 
@@ -307,11 +358,13 @@ def test_checked_move_pass_applies_each_move_and_its_inverse_once(monkeypatch):
 
     monkeypatch.setattr(orbits, "apply_move", counted)
     systems, inn, images = _pass_over(G, tau)
-    assert len(list(images)) == len(generating_moves(1, 2))
+    assert len(list(images)) == len(words)
     assert len(inn) and len(systems) > 20
     stacked = len(systems) + len(inn) * 20
     assert calls == [
-        call for mv in generating_moves(1, 2) for call in ((mv, stacked), (mv.inverted(), 20))
+        call
+        for word in words
+        for call in [(mv, stacked) for mv in word] + [(mv.inverted(), 20) for mv in word[::-1]]
     ]
 
 
@@ -321,11 +374,14 @@ def _plant(monkeypatch, planted):
     monkeypatch.setattr(orbits, "apply_move", lambda *args: planted(real, *args))
 
 
-def _refused_by_both_routes(G, match):
-    """side_orbits and verify_inn_lemma on G's (0|2,3,4) both raise AssertionError."""
+def _refused_by_both_routes(G, periods, match):
+    """side_orbits and verify_inn_lemma on G's (0|periods) both raise AssertionError.
+
+    On (0|3,4,4) sigma:2 is a word of its own; on (0|2,3,4) every word is a
+    block-pair braid (fiber_words)."""
     for route in (side_orbits, verify_inn_lemma):
         with pytest.raises(AssertionError, match=match):
-            route(G, SignatureType(0, (2, 3, 4)))
+            route(G, SignatureType(0, periods))
 
 
 def test_a_move_that_conjugates_by_a_non_central_element_is_refused(monkeypatch):
@@ -340,7 +396,7 @@ def test_a_move_that_conjugates_by_a_non_central_element_is_refused(monkeypatch)
         return conj[rows].astype(rows.dtype) if mv == planted_move else real(G, gp, rows, mv)
 
     _plant(monkeypatch, planted)
-    _refused_by_both_routes(G, "move sigma:2 does not commute")
+    _refused_by_both_routes(G, (3, 4, 4), "move sigma:2 does not commute")
 
 
 def test_a_wrong_inverse_formula_is_refused(monkeypatch):
@@ -349,14 +405,20 @@ def test_a_wrong_inverse_formula_is_refused(monkeypatch):
         return real(G, gp, rows, mv.inverted() if mv.inverse else mv)
 
     _plant(monkeypatch, planted)
-    _refused_by_both_routes(construct_group("Sym:4"), "sigma:1' does not undo move sigma:1")
+    G = construct_group("Sym:4")
+    _refused_by_both_routes(G, (3, 4, 4), "sigma:2' does not undo move sigma:2 ")
+    # the reversed word of inverses of the block-pair braid sigma_1^2
+    _refused_by_both_routes(G, (2, 3, 4), "sigma:1' sigma:1' does not undo move sigma:1 sigma:1 ")
 
 
 def test_a_move_whose_images_leave_the_system_set_is_refused(monkeypatch):
-    # Swapping c1 and c2 without conjugating is its own inverse and commutes
-    # with Inn(G), but breaks the long relation (and the sorted periods).
+    # Swapping c2 and c3 without conjugating is its own inverse and commutes
+    # with Inn(G), but breaks the long relation (and, on (0|2,3,4), inside
+    # the block-pair braid sigma_2' sigma_1 sigma_1 sigma_2, the sorted periods).
     def planted(real, G, gp, rows, mv):
-        return rows[:, [1, 0, 2]] if mv.i == 1 else real(G, gp, rows, mv)
+        return rows[:, [0, 2, 1]] if mv.i == 2 else real(G, gp, rows, mv)
 
     _plant(monkeypatch, planted)
-    _refused_by_both_routes(construct_group("Sym:4"), "left the system set")
+    G = construct_group("Sym:4")
+    _refused_by_both_routes(G, (3, 4, 4), "left the system set")
+    _refused_by_both_routes(G, (2, 3, 4), "left the system set")

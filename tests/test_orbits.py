@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,9 +15,20 @@ from hurwitz_components.automorphisms import (
     inner_automorphisms,
 )
 from hurwitz_components.errors import BudgetExceeded, UserInputError
-from hurwitz_components.groups import AbelianGroup, construct_group, distinct, index_dtype
-from hurwitz_components.moves import apply_move, available_moves, generating_moves
-from hurwitz_components import cli, orbits
+from hurwitz_components.groups import (
+    AbelianGroup,
+    construct_group,
+    distinct,
+    index_dtype,
+    prime_factorization,
+)
+from hurwitz_components.moves import (
+    apply_move,
+    available_moves,
+    fiber_words,
+    generating_moves,
+)
+from hurwitz_components import automorphisms, cli, orbits
 from hurwitz_components.orbits import (
     EquivalenceConfig,
     OrbitReport,
@@ -84,18 +96,30 @@ def test_side_orbits_accept_enumeration_as_row_list(monkeypatch):
         assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
+def _ascending(G, tau, systems) -> np.ndarray:
+    """Which rows lie over the ascending ordering of tau's periods."""
+    orders = G.orders[systems[:, 2 * tau.gprime :]]
+    return (orders[:, 1:] >= orders[:, :-1]).all(axis=1)
+
+
 def _side_orbits_on_every_system(G, tau):
     """The side partition with every forward move (available_moves) and every
-    Inn generator map acting on every system: the reference for side_orbits,
-    which moves one system per Inn class with generating_moves."""
+    Inn generator map acting on every system of every ordering: the
+    reference for side_orbits, which moves one system per Inn class over the
+    ascending ordering with fiber_words. Returns the systems, the least
+    member over the ascending ordering of each orbit (ascending) and each
+    orbit's size, over every ordering."""
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, EquivalenceConfig())
     locate = _RowIndex(systems, G.order)
     images = [locate(f(systems), "reference") for f in orbits._move_maps(G, canonical)]
     images += [locate(phi[systems], "reference") for phi in inner_automorphisms(G)]
     root = _components(len(systems), images)
-    is_leader = root == np.arange(len(systems))
-    return systems, (np.cumsum(is_leader) - 1)[root], np.flatnonzero(is_leader)
+    fiber = np.flatnonzero(_ascending(G, canonical, systems))
+    leaders = np.full(len(systems), len(systems))
+    np.minimum.at(leaders, root[fiber], fiber)
+    leaders = np.sort(leaders[root == np.arange(len(systems))])
+    return systems, leaders, np.bincount(root)[root[leaders]]
 
 
 @pytest.mark.parametrize(
@@ -117,7 +141,7 @@ def _side_orbits_on_every_system(G, tau):
 def test_side_orbits_over_inn_classes_match_every_system(spec, text, q8, monkeypatch):
     G = q8 if spec == "q8" else construct_group(spec)
     tau = _tau(text)
-    systems, orbit, leaders = _side_orbits_on_every_system(G, tau)
+    systems, leaders, sizes = _side_orbits_on_every_system(G, tau)
     rows_per_call = []
     real = orbits.apply_move
 
@@ -136,18 +160,158 @@ def test_side_orbits_over_inn_classes_match_every_system(spec, text, q8, monkeyp
     monkeypatch.setattr(_RowIndex, "__call__", located)
     part = side_orbits(G, tau)
     assert np.array_equal(part.labels, systems[leaders])
-    assert np.array_equal(part.orbit_sizes, np.bincount(orbit, minlength=len(leaders)))
-    classes = len(systems) // (G.order // len(G.center()))
+    assert np.array_equal(part.orbit_sizes, sizes)
+    fiber = np.count_nonzero(_ascending(G, tau, systems))
+    classes = fiber // (G.order // len(G.center()))
     assert len(part.systems) == classes
-    # each generating move acts once on the class rows with the Inn images of
-    # the sample stacked below them, then its inverse once on the sample's images
+    # each word acts once, a move at a time, on the class rows with the Inn
+    # images of the sample stacked below them, then its reversed word of
+    # inverse moves once on the sample's images
     sample = min(classes, 20)
     inn = len(inner_automorphisms(G))
-    moves = len(generating_moves(tau.gprime, tau.r))
-    assert rows_per_call == [classes + inn * sample, sample] * moves
+    words = fiber_words(tau.gprime, tau.with_sorted_periods().periods)
+    assert rows_per_call == [
+        rows for w in words for rows in [classes + inn * sample] * len(w) + [sample] * len(w)
+    ]
     # one lookup checks the sample's images under every Inn generator, then
-    # one per move locates the class rows' images
-    assert rows_per_lookup == [inn * sample] * (inn > 0) + [classes] * moves
+    # one per word locates the class rows' images
+    assert rows_per_lookup == [inn * sample] * (inn > 0) + [classes] * len(words)
+
+
+CENSUS_SPECS = ("Sym:3", "Sym:4", "Alt:4", "Zn:2,2", "Zn:2,4", "Zn:2,2,2", "q8", "Alt:5")  # census order
+PIN_CANDIDATES = 400_000  # candidate class-row tuples over every ordering, past (1, 1)
+
+
+def _pinned_sides(G, blocks: int = 1):
+    """G's census sides: every side at (chi, q) = (1, 1), and those at (2, 1)
+    and (2, 0) with two or more distinct periods (whose fiber is smaller than
+    the side) and at most PIN_CANDIDATES candidate class-row tuples over
+    every ordering; only sides with at least blocks distinct periods."""
+    sides = {}
+    for chi, q in ((1, 1), (2, 1), (2, 0)):
+        for tau in (t for pair in admissible_type_pairs(G, chi, q) for t in pair):
+            if (chi, q) != (1, 1) and (
+                len(set(tau.periods)) < 2
+                or estimate_system_candidates(G, tau, inn_classes=True) > PIN_CANDIDATES
+            ):
+                continue
+            if len(set(tau.periods)) >= blocks:
+                sides.setdefault(tau.canonical(), tau.with_sorted_periods())
+    return list(sides.values())
+
+
+def _side_orbits_over_every_ordering(G, tau):
+    """The side stage before the fiber: class rows of every ordering of the
+    periods, each move of generating_moves acting once. Returns the class
+    rows' index, each class row's orbit root and the orbit sizes by root."""
+    gp = tau.gprime
+    systems = _systems(G, tau, EquivalenceConfig(), inn_classes=True)
+    locate = _RowIndex(systems, G.order, G.inner_classes())
+    moves = generating_moves(gp, tau.r) if (gp, tau.r) != (0, 0) else []
+    root = _components(len(systems), [locate(apply_move(G, gp, systems, m), "") for m in moves])
+    sizes = np.bincount(root, minlength=len(systems)) * (G.order // len(G.center()))
+    return locate, root, sizes
+
+
+@pytest.mark.parametrize("spec", CENSUS_SPECS)
+def test_fiber_partitions_match_every_ordering(spec, q8):
+    # each orbit over every ordering meets the fiber in exactly one fiber
+    # orbit, and its size is that orbit's class rows times their weight
+    G = q8 if spec == "q8" else construct_group(spec)
+    for tau in _pinned_sides(G):
+        locate, root, sizes = _side_orbits_over_every_ordering(G, tau)
+        part = side_orbits(G, tau)
+        old = root[locate(part.systems, str(tau))]
+        lead = old[part.leaders]  # the old orbit of each fiber orbit
+        assert np.array_equal(old, lead[part.orbit]), tau
+        orbits_before = np.count_nonzero(root == np.arange(len(root)))
+        assert len(set(lead.tolist())) == len(lead) == orbits_before, tau
+        assert np.array_equal(part.orbit_sizes, sizes[lead]), tau
+
+
+@pytest.mark.parametrize("dropped", ["block-pair braid", "xi1 twist"])
+def test_fiber_words_without_a_generator_split_orbits(dropped, q8, monkeypatch):
+    # Without the braid of the first two blocks, or the xi1 twists at the
+    # first point of the second block, H's words generate a smaller group:
+    # some pinned side shows more orbits, and none fewer.
+    real = fiber_words
+
+    def fewer(gp, periods):
+        words = real(gp, periods)
+        if dropped == "block-pair braid":
+            cut = [w for w in words if len(w) > 1][:1]
+        else:
+            cut = [w for w in words if w[0].kind == "xi1" and w[0].d > 1][:gp]
+        return [w for w in words if w not in cut]
+
+    sides = [
+        (G, tau)
+        for G in _census_catalog(q8)
+        for tau in _pinned_sides(G, blocks=2)
+        if tau.gprime > 0 or dropped == "block-pair braid"
+    ]
+    before = [len(side_orbits(G, tau).leaders) for G, tau in sides]
+    monkeypatch.setattr(orbits, "fiber_words", fewer)
+    after = [len(side_orbits(G, tau).leaders) for G, tau in sides]
+    assert all(a >= b for a, b in zip(after, before))
+    assert any(a > b for a, b in zip(after, before))
+
+
+def _schreier_words(gp, periods):
+    """Schreier generators of the stabilizer H of the ascending ordering of
+    periods (Seress, Permutation Group Algorithms, section 4.1), as words.
+    The moves of generating_moves act on the orderings (sigma_h swaps places
+    h and h + 1, a handle move fixes them); u_w, a word of a breadth-first
+    tree, takes the ascending ordering to w, and every ordering w and move
+    m give the word u_w, m, u_{m(w)}^-1 unless it is a tree edge."""
+    moves = generating_moves(gp, len(periods))
+
+    def act(m, w):
+        if m.kind != "sigma":
+            return w
+        return w[: m.i - 1] + (w[m.i], w[m.i - 1]) + w[m.i + 1 :]
+
+    tree = {tuple(sorted(periods)): ()}
+    frontier = list(tree)
+    while frontier:
+        grown = []
+        for w in frontier:
+            for m in moves:
+                if act(m, w) not in tree:
+                    tree[act(m, w)] = tree[w] + (m,)
+                    grown.append(act(m, w))
+        frontier = grown
+    return [
+        tree[w] + (m,) + tuple(x.inverted() for x in reversed(tree[act(m, w)]))
+        for w in tree
+        for m in moves
+        if tree[w] + (m,) != tree[act(m, w)]
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        ("Sym:4", "0|2,2,3,3"),
+        ("Sym:4", "0|2,2,4,4"),
+        ("Alt:4", "0|2,2,2,2,3,3"),
+        ("Alt:5", "0|2,2,3,3"),
+        ("Sym:4", "1|2,4,4"),
+        ("Zn:2,4", "1|2,4,4"),
+        ("q8", "1|2,4,4"),
+    ],
+)
+def test_fiber_words_give_the_orbits_of_schreier_generators(spec, text, q8, monkeypatch):
+    # H's Schreier generators generate H, so fiber_words, whose images stay
+    # in the fiber, must give the same partition of it
+    G = q8 if spec == "q8" else construct_group(spec)
+    tau = _tau(text)
+    want = side_orbits(G, tau)
+    monkeypatch.setattr(orbits, "fiber_words", _schreier_words)
+    got = side_orbits(G, tau)
+    assert len(_schreier_words(tau.gprime, tau.periods)) > len(fiber_words(tau.gprime, tau.periods))
+    assert np.array_equal(got.systems, want.systems)
+    assert np.array_equal(got.orbit, want.orbit)
 
 
 def _least_conjugate_by_every_element(G, row):
@@ -230,6 +394,18 @@ def test_side_budget_counts_the_restricted_enumeration():
         assert set(rows[:, 0].tolist()) <= leads
     assert estimate_system_candidates(G, tau, inn_classes=True) == expanded == 60
     assert estimate_system_candidates(G, tau) == 348  # the oracle's and enumerate's estimate
+
+
+def test_side_budget_counts_the_ascending_ordering_only():
+    G = construct_group("Sym:4")
+    tau = _tau("0|4,2,3")
+    # two class minima of order 2 as the lead, eight elements of order 3
+    est = estimate_system_candidates(G, tau, inn_classes=True, fiber=True)
+    assert est == 2 * 8 < estimate_system_candidates(G, tau, inn_classes=True) == 60
+    assert len(side_orbits(G, tau, EquivalenceConfig(max_systems=est)).leaders) == 1
+    with pytest.raises(BudgetExceeded) as info:
+        side_orbits(G, tau, EquivalenceConfig(max_systems=est - 1))
+    assert info.value.required == est
 
 
 def test_row_index_locates_rows_and_refuses_strangers():
@@ -446,10 +622,46 @@ def test_scan_builds_each_side_once_per_group(monkeypatch):
     assert sorted((r.group, r.type1, r.type2, r.h) for r in result.rows) == want
 
 
+def test_scan_builds_aut_and_sigma_rows_once_per_group(monkeypatch, q8_path):
+    # a fresh catalog, so no group holds Aut(G) or its Sigma rows yet
+    catalog = [construct_group(f"cayley:{q8_path}" if s == "q8" else s) for s in CENSUS_SPECS]
+    aut_builds, sigma_builds = [], []
+    for name in ("_homocyclic_auts", "_conjugation_auts", "_backtracking_auts"):
+        real = getattr(automorphisms, name)
+
+        def counted(G, real=real):
+            aut_builds.append(id(G))
+            return real(G)
+
+        monkeypatch.setattr(automorphisms, name, counted)
+    real_powers = orbits._powers
+
+    def powers(G, x, e):  # one call per prime dividing |G| in each _sigma_rows build
+        sigma_builds.append(id(G))
+        return real_powers(G, x, e)
+
+    monkeypatch.setattr(orbits, "_powers", powers)
+    scan_invariants(catalog, chi=1, q=1)
+    assert 0 < len(aut_builds) == len(set(aut_builds)) <= len(catalog)
+    for G in catalog:
+        builds = sigma_builds.count(id(G))
+        assert builds in (0, len(prime_factorization(G.order))), G.name
+        assert (G._aut is not None) == (id(G) in aut_builds)
+        assert builds == 0 or not G._sigma_rows.flags.writeable
+    assert automorphism_group(catalog[1]) is automorphism_group(catalog[1])
+
+
+def test_an_aut_refusal_is_raised_again_and_not_kept():
+    G = construct_group("Alt:6")  # degree 6: backtracking over 7,200 candidate tuples
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded, match="candidate tuples"):
+            automorphism_group(G)
+        assert G._aut is None
+
+
 def _census_catalog(q8):
     """The groups of the benchmark's census scan, in its order."""
-    specs = ("Sym:3", "Sym:4", "Alt:4", "Zn:2,2", "Zn:2,4", "Zn:2,2,2", "q8", "Alt:5")
-    return [q8 if spec == "q8" else construct_group(spec) for spec in specs]
+    return [q8 if spec == "q8" else construct_group(spec) for spec in CENSUS_SPECS]
 
 
 def _count_row_index_builds(monkeypatch) -> list[int]:
@@ -501,6 +713,48 @@ def test_admissible_type_pairs_lists_each_angle_sum_once(monkeypatch, q8):
         targets.clear()
         assert admissible_type_pairs(G, 1, 1) == pairs
         assert len(targets) == len(set(targets))
+
+
+def _fraction_period_multisets(allowed_orders, target):
+    """The Fraction recursion that period_multisets_with_angle_sum replaced."""
+    allowed = sorted({m for m in allowed_orders if m >= 2})
+    out = []
+
+    def rec(start_idx, remaining, acc):
+        if remaining == 0:
+            out.append(acc)
+            return
+        if remaining < 0:
+            return
+        for i in range(start_idx, len(allowed)):
+            term = 1 - Fraction(1, allowed[i])
+            if term > remaining:
+                break
+            rec(i, remaining - term, acc + (allowed[i],))
+
+    rec(0, target, ())
+    return out
+
+
+def test_integer_angle_sums_match_the_fraction_recursion(monkeypatch, q8):
+    calls = []
+    real = orbits.period_multisets_with_angle_sum
+
+    def recorded(orders, target):
+        calls.append((orders, target, real(orders, target)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(orbits, "period_multisets_with_angle_sum", recorded)
+    for G in _census_catalog(q8):
+        for chi in (1, 2, 3):
+            for q in (0, 1, 2):
+                admissible_type_pairs(G, chi, q)
+    assert len(calls) > 100 and any(got for *_, got in calls)
+    for orders, target, got in calls:
+        assert got == _fraction_period_multisets(orders, target), (orders, target)
+    # a target that no scaled sum reaches, and the empty multiset
+    assert real((2, 3), Fraction(1, 7)) == [] == _fraction_period_multisets((2, 3), Fraction(1, 7))
+    assert real((2, 3), 0) == [()] and real((), Fraction(1, 2)) == []
 
 
 def test_systems_sort_holds_about_twice_the_result():
@@ -681,7 +935,12 @@ def _one_stage_on_every_system(G, tau1, tau2, config):
     root = _components(len(pair_ids), [np.searchsorted(pair_ids, f) for f in flat])
     seeds = np.flatnonzero(root == np.arange(len(pair_ids)))
     if representatives is not None:
-        for seed in pair_ids[seeds].tolist():
+        # the least pair over the ascending orderings in each orbit, ascending
+        fiber = np.flatnonzero(_ascending(G, t1, sys1)[i] & _ascending(G, t2, sys2)[j])
+        least = {}
+        for pos in fiber.tolist():
+            least.setdefault(int(root[pos]), pos)
+        for seed in sorted(pair_ids[least[int(c)]] for c in seeds):
             representatives.append(
                 {
                     "first": [G.element_label(e) for e in sys1[seed // n2].tolist()],
