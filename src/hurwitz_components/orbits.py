@@ -28,9 +28,12 @@ and Aut generator maps): each permutes a finite set, so its inverse is
 one of its powers. The oracle acts with every move of
 moves.available_moves, so its agreement also tests the fiber reduction
 and that the xi-twists that moves.generating_moves drops add no orbit.
-The swap acts exactly when the unordered types coincide. Both refuse
-honestly (BudgetExceeded) instead of degrading, past the tuples their
-enumeration expands, and the oracle also past
+The swap acts exactly when the unordered types coincide. Both build a
+type pair's sides by one rule (_pair_sides): the side with fewer
+candidate tuples first, and its partner only when it has a system, so a
+side with no system answers h = 0 without enumerating its partner. Both
+refuse honestly (BudgetExceeded) instead of degrading, past the tuples
+their enumeration expands, and the oracle also past
 DEFAULT_ONE_STAGE_SCAN_BUDGET class-row pairs.
 """
 from __future__ import annotations
@@ -88,6 +91,10 @@ class SidePartition:
     orbit: np.ndarray  # per class row, the index of its orbit
     leaders: np.ndarray  # per orbit, the class row of its least member (ascending)
     locate: _RowIndex  # the class-row index of systems, built once by side_orbits
+
+    def __len__(self) -> int:
+        """The number of class rows."""
+        return len(self.systems)
 
     def label_of(self, rows: np.ndarray, where: str) -> np.ndarray:
         """The orbit of each row, which must be a system of the side."""
@@ -425,6 +432,55 @@ def _aut_label_perms(G: Group, part: SidePartition, maps: np.ndarray) -> list[np
     return [part.label_of(phi[labels], where) for phi in maps]
 
 
+def _pair_sides(G: Group, t1: SignatureType, t2: SignatureType, build, fiber: bool):
+    """The sides build(t1), build(t2) of a type pair, in that order, or None
+    when a side has no rows; the one rule by which both routes build them.
+
+    The side with fewer candidate tuples (estimate_system_candidates over
+    Inn(G) classes, the number its budget checks; t1 on a tie) is built
+    first, and its partner only when it has a row. The pairs counted are
+    pairs of systems, one of each side, so a side with no system leaves
+    none: h = 0, and the partner is never enumerated nor refused. Equal
+    unordered types build one side.
+    """
+    if t1.canonical() == t2.canonical():
+        side = build(t1)
+        return (side, side) if len(side) else None
+    cost = [estimate_system_candidates(G, t, inn_classes=True, fiber=fiber) for t in (t1, t2)]
+    swap = cost[1] < cost[0]
+    first = build(t2 if swap else t1)
+    if not len(first):
+        return None
+    second = build(t1 if swap else t2)
+    if not len(second):
+        return None
+    return (second, first) if swap else (first, second)
+
+
+def _empty_report(
+    G: Group, t1: SignatureType, t2: SignatureType, config: EquivalenceConfig
+) -> OrbitReport:
+    """The document of a pair with no disjoint pair of systems: h = 0."""
+    return OrbitReport(
+        group=G.name,
+        type1=str(t1),
+        type2=str(t2),
+        h=0,
+        orbit_sizes=[],
+        total_pairs=0,
+        representatives=[] if config.representatives else None,
+    )
+
+
+def _count_type_pair(
+    G: Group, t1: SignatureType, t2: SignatureType, build, config: EquivalenceConfig
+) -> OrbitReport:
+    """The two-stage count of sorted types t1, t2 from side partitions
+    build(t) (side_orbits, or a cache of it), built by _pair_sides."""
+    sides = _pair_sides(G, t1, t2, build, fiber=True)
+    return _empty_report(G, t1, t2, config) if sides is None else _count_pairs(G, *sides, config)
+
+
 def count_components(
     G: Group,
     tau1: SignatureType,
@@ -433,16 +489,16 @@ def count_components(
 ) -> OrbitReport:
     """Two-stage component count h(G; tau1, tau2).
 
-    The side partitions under moves and Inn(G) come from side_orbits; the
-    pair stage (_count_pairs) then counts orbits of disjoint label pairs
-    under diagonal Aut(G) and the swap, one row of cells per Aut orbit of
-    side-1 labels.
+    The side partitions under moves and Inn(G) come from side_orbits, the
+    side with fewer candidate tuples first and its partner only when it
+    has a system (_pair_sides; an empty side answers h = 0, however large
+    its partner). The pair stage (_count_pairs) then counts orbits of
+    disjoint label pairs under diagonal Aut(G) and the swap, one row of
+    cells per Aut orbit of side-1 labels.
     """
     config = config or EquivalenceConfig()
     t1, t2 = tau1.with_sorted_periods(), tau2.with_sorted_periods()
-    side1 = side_orbits(G, t1, config)
-    side2 = side1 if t1.canonical() == t2.canonical() else side_orbits(G, t2, config)
-    return _count_pairs(G, side1, side2, config)
+    return _count_type_pair(G, t1, t2, lambda t: side_orbits(G, t, config), config)
 
 
 def _valid_cells(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -463,8 +519,8 @@ def _valid_cells(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
 def _count_pairs(
     G: Group, side1: SidePartition, side2: SidePartition, config: EquivalenceConfig
 ) -> OrbitReport:
-    """The pair stage of count_components, on side partitions already built;
-    the swap acts when the unordered types coincide.
+    """The pair stage of count_components, on side partitions already built,
+    each with a system; the swap acts when the unordered types coincide.
 
     Cells are label pairs (i, j) whose Sigma sets meet only in the
     identity (_valid_cells on _sigma_matrix rows). Aut(G) splits the
@@ -483,11 +539,6 @@ def _count_pairs(
     same_types = side1.tau.canonical() == side2.tau.canonical()
     L1, L2 = len(side1.leaders), len(side2.leaders)
     representatives: list[dict] | None = [] if config.representatives else None
-    report_base = dict(group=G.name, type1=str(side1.tau), type2=str(side2.tau))
-    if L1 == 0 or L2 == 0:
-        return OrbitReport(
-            **report_base, h=0, orbit_sizes=[], total_pairs=0, representatives=representatives
-        )
 
     m1 = _sigma_matrix(G, side1)
     m2 = m1 if same_types else _sigma_matrix(G, side2)
@@ -586,7 +637,9 @@ def _count_pairs(
                 }
             )
     return OrbitReport(
-        **report_base,
+        group=G.name,
+        type1=str(side1.tau),
+        type2=str(side2.tau),
         h=len(seeds),
         orbit_sizes=sorted(orbit_sizes, reverse=True),
         total_pairs=total_pairs,
@@ -624,14 +677,22 @@ def count_components_one_stage(
     its class row), pair images follow by index arithmetic, and the orbits
     come from _components without orbit labels or any other quotient. Inn
     generators fix every class row, so they give no map; one lookup checks
-    that they keep a sample of rows in their classes.
+    that they keep a sample of rows in their classes. The class rows of
+    every ordering are enumerated by the two-stage engine's rule
+    (_pair_sides): the side with fewer candidate tuples first, and its
+    partner only when it has a class row, so a side with none answers
+    h = 0 without enumerating its partner.
     """
     config = config or EquivalenceConfig()
     t1, t2 = tau1.with_sorted_periods(), tau2.with_sorted_periods()
     same_types = t1.canonical() == t2.canonical()
 
-    sys1 = _systems(G, t1, config, inn_classes=True)
-    sys2 = sys1 if same_types else _systems(G, t2, config, inn_classes=True)
+    sides = _pair_sides(
+        G, t1, t2, lambda t: _systems(G, t, config, inn_classes=True), fiber=False
+    )
+    if sides is None:
+        return _empty_report(G, t1, t2, config)
+    sys1, sys2 = sides
     n2 = len(sys2)
     cells = len(sys1) * n2
     if cells > DEFAULT_ONE_STAGE_SCAN_BUDGET:
@@ -655,12 +716,9 @@ def count_components_one_stage(
     pair_ids = np.flatnonzero(disjoint)
     per_pair = (G.order // len(G.center())) ** 2  # raw pairs per class-row pair
     total_pairs = len(pair_ids) * per_pair
-    representatives: list[dict] | None = [] if config.representatives else None
-    report_base = dict(group=G.name, type1=str(t1), type2=str(t2))
     if total_pairs == 0:
-        return OrbitReport(
-            **report_base, h=0, orbit_sizes=[], total_pairs=0, representatives=representatives
-        )
+        return _empty_report(G, t1, t2, config)
+    representatives: list[dict] | None = [] if config.representatives else None
 
     inn = inner_automorphisms(G)
     aut_maps = automorphism_group(G).generator_maps
@@ -717,7 +775,9 @@ def count_components_one_stage(
                 }
             )
     return OrbitReport(
-        **report_base,
+        group=G.name,
+        type1=str(t1),
+        type2=str(t2),
         h=len(seeds),
         orbit_sizes=sorted(orbit_sizes, reverse=True),
         total_pairs=total_pairs,
@@ -837,7 +897,14 @@ def admissible_type_pairs(
 def scan_invariants(
     catalog: list[Group], chi: int, q: int, config: EquivalenceConfig | None = None
 ) -> ScanResult:
-    """Census of components with the given chi and q over the catalog groups."""
+    """Census of components with the given chi and q over the catalog groups.
+
+    Each type pair's sides come from one cache per group, so a side built
+    for one pair is reused by every other, and are built by _pair_sides:
+    the side with fewer candidate tuples first, and its partner only when
+    it has a system. A pair with an empty side has h = 0 and no row, and
+    its partner is neither built nor refused for it.
+    """
     if chi < 1 or q < 0:
         raise UserInputError("scan requires chi >= 1 and q >= 0")
     config = config or EquivalenceConfig()
@@ -854,7 +921,7 @@ def scan_invariants(
 
         for t1, t2 in admissible_type_pairs(G, chi, q):
             try:
-                rep = _count_pairs(G, side(t1), side(t2), config)
+                rep = _count_type_pair(G, t1, t2, side, config)
             except BudgetExceeded as exc:
                 warnings.append(f"{G.name} ({t1}) x ({t2}): skipped, {exc}")
                 continue

@@ -205,6 +205,19 @@ def test_count_one_stage_budget_exit(capsys):
     assert "174240000" in err
 
 
+@pytest.mark.parametrize("oracle", ["two-stage", "one-stage"])
+def test_count_an_empty_side_answers_past_its_partners_budget(capsys, oracle):
+    # Sym:4 (0|3,3,4) has no system; (1|2^8) would need 573,956,280 candidate tuples
+    code, out, _ = run_cli(
+        capsys,
+        "count", "--group", "Sym:4", "--type1", "0|3,3,4", "--type2", "1|2,2,2,2,2,2,2,2",
+        "--oracle", oracle, "--no-cache",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["h"], doc["orbit_sizes"], doc["total_pairs"]) == (0, [], 0)
+
+
 def test_user_error_exit_codes(capsys):
     assert run_cli(capsys, "count", "--group", "Zn:x", "--type1", "2|", "--type2", "2|")[0] == 1
     assert run_cli(capsys, "theta", "--n", "11", "--bogus")[0] == 1

@@ -618,7 +618,8 @@ def test_scan_builds_each_side_once_per_group(monkeypatch):
 
     monkeypatch.setattr(orbits, "side_orbits", counted)
     result = scan_invariants(catalog, chi=1, q=1)
-    assert len(built) == distinct
+    # Zn:2,2 (0|2^8) is only ever the partner of an empty side, so it is never built
+    assert len(built) == len(set(built)) == distinct - 1
     assert sorted((r.group, r.type1, r.type2, r.h) for r in result.rows) == want
 
 
@@ -695,7 +696,144 @@ def test_census_scan_indexes_each_side_once(monkeypatch, q8):
     }
     builds = _count_row_index_builds(monkeypatch)
     scan_invariants(catalog, chi=1, q=1)
-    assert len(builds) == len(sides) == 68
+    # 14 of the 68 sides are only ever the partner of an empty side, so never built
+    assert len(sides) == 68
+    assert (len(builds), sum(builds)) == (54, 3_175)
+
+
+def test_census_scan_builds_the_cheaper_side_first_and_no_partner_of_an_empty_side(
+    monkeypatch, q8
+):
+    catalog = _census_catalog(q8)
+    built = []
+    real = orbits.side_orbits
+
+    def counted(G, tau, config=None):
+        built.append((G.name, tau.canonical()))
+        return real(G, tau, config)
+
+    monkeypatch.setattr(orbits, "side_orbits", counted)
+    scan_invariants(catalog, chi=1, q=1)
+    monkeypatch.undo()
+
+    # the rule replayed: per pair the side with fewer candidate tuples (type1
+    # on a tie), then its partner if that side has a system; each side once
+    want, has_rows = [], {}
+    for G in catalog:
+        for t1, t2 in admissible_type_pairs(G, 1, 1):
+            cost = [estimate_system_candidates(G, t, inn_classes=True, fiber=True) for t in (t1, t2)]
+            for t in (t2, t1) if cost[1] < cost[0] else (t1, t2):
+                key = (G.name, t.canonical())
+                if key not in has_rows:
+                    want.append(key)
+                    has_rows[key] = len(side_orbits(G, t).leaders) > 0
+                if not has_rows[key]:
+                    break
+    assert built == want and len(built) == 54
+
+
+def _scan_building_both_sides(catalog, chi: int, q: int) -> dict:
+    """The scan loop as it was before an empty side settled its pair: both
+    sides of every type pair are built (once per group) and a pair with an
+    empty side answers h = 0. Per (group, type1, type2), the pair's
+    (h, orbit_sizes, total_pairs), or None where a side is refused."""
+    config = EquivalenceConfig()
+    out = {}
+    for G in catalog:
+        sides = {}
+
+        def side(tau):
+            if tau.canonical() not in sides:
+                sides[tau.canonical()] = side_orbits(G, tau, config)
+            return sides[tau.canonical()]
+
+        for t1, t2 in admissible_type_pairs(G, chi, q):
+            key = (G.name, str(t1), str(t2))
+            try:
+                side1, side2 = side(t1), side(t2)
+            except BudgetExceeded:
+                out[key] = None
+                continue
+            if len(side1.leaders) and len(side2.leaders):
+                rep = orbits._count_pairs(G, side1, side2, config)
+                out[key] = (rep.h, rep.orbit_sizes, rep.total_pairs)
+            else:
+                out[key] = (0, [], 0)
+    return out
+
+
+@pytest.mark.parametrize("chi, q, refused", [(1, 1, 0), (2, 1, 3)])
+def test_census_counts_match_the_loop_that_builds_both_sides(chi, q, refused, q8, monkeypatch):
+    catalog = _census_catalog(q8)
+    want = _scan_building_both_sides(catalog, chi, q)
+    assert sum(v is None for v in want.values()) == refused
+    got = {}
+    real = orbits._count_type_pair
+
+    def recorded(G, t1, t2, build, config):
+        rep = real(G, t1, t2, build, config)
+        got[G.name, str(t1), str(t2)] = (rep.h, rep.orbit_sizes, rep.total_pairs)
+        return rep
+
+    monkeypatch.setattr(orbits, "_count_type_pair", recorded)
+    result = scan_invariants(catalog, chi, q)
+    monkeypatch.undo()
+    assert not [w for w in result.warnings if "skipped" in w]
+    assert got.keys() == want.keys()
+    # every refusal of the old loop pairs a side past the budget with an empty side
+    assert all(got[k] == (0, [], 0) for k, v in want.items() if v is None)
+    assert {k: got[k] for k, v in want.items() if v is not None} == {
+        k: v for k, v in want.items() if v is not None
+    }
+    rows = [(r.group, r.type1, r.type2, r.h) for r in result.rows]
+    assert rows == sorted(k + (v[0],) for k, v in got.items() if v[0] > 0)
+    if (chi, q) == (1, 1):  # the count route goes through the same rule
+        for G in catalog:
+            for t1, t2 in admissible_type_pairs(G, chi, q):
+                rep = count_components(G, t1, t2)
+                assert (rep.h, rep.orbit_sizes, rep.total_pairs) == want[G.name, str(t1), str(t2)]
+
+
+@pytest.mark.parametrize(
+    "route, built_by", [(count_components, "side_orbits"), (count_components_one_stage, "_systems")]
+)
+def test_an_empty_side_is_built_alone_and_the_cheaper_side_first(route, built_by, monkeypatch):
+    G = construct_group("Sym:4")
+    built = []
+    real = getattr(orbits, built_by)
+
+    def counted(G, tau, *args, **kwargs):
+        built.append(str(tau.with_sorted_periods()))
+        return real(G, tau, *args, **kwargs)
+
+    monkeypatch.setattr(orbits, built_by, counted)
+    # (0|3,3,4) has no system (two 3-cycles and a 4-cycle have an odd product);
+    # its partner would need 573,956,280 candidate tuples
+    empty, huge = _tau("0|3,3,4"), _tau("1|2,2,2,2,2,2,2,2")
+    for t1, t2 in [(empty, huge), (huge, empty)]:
+        built.clear()
+        rep = route(G, t1, t2, EquivalenceConfig(representatives=True))
+        assert rep == OrbitReport("Sym:4", str(t1), str(t2), 0, [], 0, [])
+        assert built == ["0|3,3,4"]
+    # (1|3) needs 120 candidate tuples, (0|2,2,2,4) 162 over the fiber, 459 over every ordering
+    built.clear()
+    assert route(G, _tau("0|2,2,2,4"), _tau("1|3")).h > 0
+    assert built == ["1|3", "0|2,2,2,4"]
+
+
+@pytest.mark.parametrize("route, fiber", [(count_components, True), (count_components_one_stage, False)])
+@pytest.mark.parametrize("t1, t2", [("0|3,4,4", "1|2,2"), ("0|2,2,2,4", "1|3")])
+def test_a_partner_past_the_budget_is_still_refused(route, fiber, t1, t2):
+    G = construct_group("Sym:4")
+    cost = {t: estimate_system_candidates(G, _tau(t), inn_classes=True, fiber=fiber) for t in (t1, t2)}
+    cheap, dear = sorted(cost, key=cost.get)
+    assert cost[cheap] < cost[dear]
+    cheap_rows = _systems(G, _tau(cheap), EquivalenceConfig(), inn_classes=True, fiber=fiber)
+    assert len(cheap_rows) > 0
+    # the budget admits the cheaper side and refuses its partner
+    with pytest.raises(BudgetExceeded, match=f"type {dear} needs {cost[dear]} ") as info:
+        route(G, _tau(t1), _tau(t2), EquivalenceConfig(max_systems=cost[cheap]))
+    assert info.value.required == cost[dear]
 
 
 def test_admissible_type_pairs_lists_each_angle_sum_once(monkeypatch, q8):
