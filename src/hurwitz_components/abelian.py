@@ -5,7 +5,8 @@ Three independent routes live here:
 * theta(n): the exact rational formula predicting the component count for
   (Z/n)^2 with triple type (n,n,n), gcd(n,6) = 1;
 * quadruple machinery: the normalized parameter space (a,b,c,d) with its
-  residual symmetry, giving a direct class count;
+  residual symmetry, giving a direct class count as the groups._components
+  of the symmetry's maps on quadruple ids (the orbit routine of the engine);
 * existence: the five-clause divisor-chain criterion, cross-checked by a
   from-scratch searcher over atom footprints.
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, UserInputError
-from .groups import AbelianGroup, prime_factorization
+from .groups import AbelianGroup, _components, prime_factorization
 
 
 # ---------------------------------------------------------------------------
@@ -120,70 +121,41 @@ SIX_RENORMALIZERS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
 )
 
 
-def _mat_apply(m, x, n):
-    return ((m[0][0] * x[0] + m[0][1] * x[1]) % n, (m[1][0] * x[0] + m[1][1] * x[1]) % n)
-
-
 def quadruple_classes(n: int) -> tuple[int, list[int]]:
     """Class count and class sizes of valid quadruples under the residual
-    symmetry: column permutations, the six renormalizers, and the side swap."""
-    _require_beauville_modulus(n)
-    mask = quadruple_valid_mask(n)
-    ids = np.flatnonzero(mask)
-    valid = set(int(i) for i in ids)
+    symmetry: column permutations, the six renormalizers, and the side swap.
 
-    def unpack(q: int) -> tuple[int, int, int, int]:
-        d = q % n
-        q //= n
-        c = q % n
-        q //= n
-        b = q % n
-        return q // n, b, c, d
+    A quadruple is its C-order id in (Z/n)^4. Each symmetry maps the valid
+    ids to an array of image ids, built one map at a time (all nine at once
+    double the peak memory) and located among the valid ids by one
+    searchsorted; the classes are the _components of those maps."""
+    ids = np.flatnonzero(quadruple_valid_mask(n))
+    a, b, c, d = (ids // n**k % n for k in (3, 2, 1, 0))
 
-    def pack(a: int, b: int, c: int, d: int) -> int:
-        return ((a * n + b) * n + c) * n + d
+    def pack(w, x, y, z):
+        return ((w % n * n + x % n) * n + y % n) * n + z % n
 
-    def neighbors(q: int) -> list[int]:
-        a, b, c, d = unpack(q)
-        out = []
+    def images():
         # column transpositions generating the S3 on (x1, x2, x3 = -x1-x2)
-        out.append(pack(c, d, a, b))
-        out.append(pack(a, b, (-a - c) % n, (-b - d) % n))
+        yield pack(c, d, a, b)
+        yield pack(a, b, -a - c, -b - d)
         # renormalizers act on both columns simultaneously
-        for m in SIX_RENORMALIZERS:
-            x1 = _mat_apply(m, (a, b), n)
-            x2 = _mat_apply(m, (c, d), n)
-            out.append(pack(x1[0], x1[1], x2[0], x2[1]))
+        for (p, q), (r, s) in SIX_RENORMALIZERS:
+            yield pack(p * a + q * b, r * a + s * b, p * c + q * d, r * c + s * d)
         # swap: the inverse matrix carries the standard triple to the other side
-        det = (a * d - b * c) % n
-        det_inv = pow(det, -1, n)
-        out.append(
-            pack((det_inv * d) % n, (-det_inv * b) % n, (-det_inv * c) % n, (det_inv * a) % n)
-        )
-        return out
+        inverse = np.array([pow(u, -1, n) if math.gcd(u, n) == 1 else 0 for u in range(n)])
+        det_inv = inverse[(a * d - b * c) % n]
+        yield pack(det_inv * d, -det_inv * b, -det_inv * c, det_inv * a)
 
-    seen: set[int] = set()
-    sizes: list[int] = []
-    for seed in ids:
-        seed = int(seed)
-        if seed in seen:
-            continue
-        seen.add(seed)
-        frontier = [seed]
-        size = 0
-        while frontier:
-            nxt = []
-            for q in frontier:
-                size += 1
-                for nb in neighbors(q):
-                    if nb not in seen:
-                        if nb not in valid:
-                            raise AssertionError("symmetry image is not a valid quadruple")
-                        seen.add(nb)
-                        nxt.append(nb)
-            frontier = nxt
-        sizes.append(size)
-    return len(sizes), sorted(sizes, reverse=True)
+    def locate(img):
+        at = np.minimum(np.searchsorted(ids, img), len(ids) - 1)
+        if (ids[at] != img).any():
+            raise AssertionError("symmetry image is not a valid quadruple")
+        return at
+
+    sizes = np.bincount(_components(len(ids), map(locate, images())))
+    sizes = np.sort(sizes[sizes > 0])[::-1]
+    return len(sizes), sizes.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -245,13 +245,15 @@ def _cmd_theta(args) -> str:
         qc = quadruple_count(n)
         doc["quadruple_count"] = qc
         doc["quadruple_count_agrees"] = qc == doc["n_count"]
-        if n_count(n) <= 100_000:
-            classes, _ = quadruple_classes(n)
-            doc["quadruple_classes"] = classes
-            doc["classes_match_theta"] = (classes == value) if doc["integral"] else None
-        else:
-            doc["quadruple_classes"] = None
-            doc["classes_match_theta"] = None
+        classes, _ = quadruple_classes(n)
+        doc["quadruple_classes"] = classes
+        doc["classes_match_theta"] = (classes == value) if doc["integral"] else None
+        if doc["classes_match_theta"] is False:
+            print(
+                f"warning: closed-form value {value} is an integer but the class count "
+                f"is {classes} at n = {n}",
+                file=sys.stderr,
+            )
     return _canonical_json(doc)
 
 
@@ -539,7 +541,6 @@ def _build_parser() -> _Parser:
             default=1,
             help="accepted for compatibility; has no effect (the engine is single-threaded)",
         )
-        p.add_argument("--seed", type=int, default=0)
         if budget:
             p.add_argument(
                 "--budget", type=_positive_int, default=None, help="max candidate systems"
@@ -566,6 +567,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--oracle", choices=["two-stage", "one-stage"], default="two-stage")
     p.add_argument("--representatives", action="store_true")
     common(p, cache=True)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("theta", help="closed-form class count for (Z/n)^2 triples")
     p.add_argument("--n", type=int, required=True)
@@ -585,9 +587,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify", help="run the cross-module property suites")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 

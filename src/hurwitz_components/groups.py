@@ -62,6 +62,35 @@ def distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[head], which
 
 
+def _components(n: int, images) -> np.ndarray:
+    """For each index in range(n), the least index of its orbit under the maps.
+
+    The maps (int index arrays) are taken one at a time, so images may be a
+    generator. Root hooking plus pointer jumping: every edge x -> img[x]
+    whose ends have different roots hooks the larger root onto the smaller,
+    then pointers jump until every tree is a star; this repeats until no
+    edge of the map joins two roots. Merging never splits a class, so the
+    edges of earlier maps stay inside one class. Edges are used in both
+    directions, so the classes are the orbits of the group the maps
+    generate, and the maps need not include their inverses.
+    """
+    root = np.arange(n, dtype=np.int64)
+    for img in images:
+        while True:
+            other = root[img]
+            cut = root != other
+            if not cut.any():
+                break
+            a, b = root[cut], other[cut]
+            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                jumped = root[root]
+                if (jumped == root).all():
+                    break
+                root = jumped
+    return root
+
+
 def prime_factorization(n: int) -> dict[int, int]:
     """Map prime -> exponent for n >= 1."""
     if n < 1:

@@ -19,9 +19,10 @@ set. Full listings still check that enumeration: verify_inn_lemma and
 `hurwitz enumerate` list every system, and the tests pin the routes to
 references that list every system. The routes share only steps that
 read system rows and Sigma rows, never orbit labels or a quotient by
-Aut(G): _systems, apply_move, _RowIndex, _components, _check_inn_sample
-and _valid_cells; each builds its own Sigma rows (sigma_set per class row
-in the oracle, _sigma_matrix in the two-stage engine). An automorphism
+Aut(G): _systems, apply_move, _RowIndex, _components (kept in groups,
+where abelian.quadruple_classes uses it too), _check_inn_sample and
+_valid_cells; each builds its own Sigma rows (sigma_set per class row in
+the oracle, _sigma_matrix in the two-stage engine). An automorphism
 is a row phi of a (maps, |G|) index array and acts as the gather
 phi[systems]. Both routes act with generators only (forward moves, Inn
 and Aut generator maps): each permutes a finite set, so its inverse is
@@ -51,7 +52,7 @@ from .automorphisms import (
     inner_automorphisms,
 )
 from .errors import BudgetExceeded, UserInputError
-from .groups import Group, InnerClasses, distinct, index_dtype, prime_factorization
+from .groups import Group, InnerClasses, _components, distinct, index_dtype, prime_factorization
 from .moves import apply_move, available_moves, fiber_words
 from .ramification import (
     SignatureType,
@@ -226,35 +227,6 @@ class _RowIndex:
             if len(key) and (rank.max() >= len(keys) or (keys[rank] != key).any()):
                 raise AssertionError(f"a map left the system set of {where}")
         return rank
-
-
-def _components(n: int, images) -> np.ndarray:
-    """For each index in range(n), the least index of its orbit under the maps.
-
-    The maps (int index arrays) are taken one at a time, so images may be a
-    generator. Root hooking plus pointer jumping: every edge x -> img[x]
-    whose ends have different roots hooks the larger root onto the smaller,
-    then pointers jump until every tree is a star; this repeats until no
-    edge of the map joins two roots. Merging never splits a class, so the
-    edges of earlier maps stay inside one class. Edges are used in both
-    directions, so the classes are the orbits of the group the maps
-    generate, and callers pass generators without their inverses.
-    """
-    root = np.arange(n, dtype=np.int64)
-    for img in images:
-        while True:
-            other = root[img]
-            cut = root != other
-            if not cut.any():
-                break
-            a, b = root[cut], other[cut]
-            np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-            while True:
-                jumped = root[root]
-                if (jumped == root).all():
-                    break
-                root = jumped
-    return root
 
 
 def _move_maps(G: Group, tau: SignatureType) -> list:

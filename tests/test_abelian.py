@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hurwitz_components import abelian
@@ -17,6 +18,7 @@ from hurwitz_components.abelian import (
     n_count,
     quadruple_classes,
     quadruple_count,
+    quadruple_valid_mask,
     sandwich_bounds,
     theta,
     theta_is_integral,
@@ -87,6 +89,72 @@ def test_quadruple_class_count_equals_theta_at_composite_moduli():
         count, sizes = quadruple_classes(n)
         assert count == theta(n)
         assert sum(sizes) == n_count(n)
+
+
+def _bfs_quadruple_classes(n: int, swap: bool = True) -> tuple[int, list[int]]:
+    """The class count by a breadth-first search over a set of packed ids,
+    one quadruple at a time: the reference the array routine is pinned to.
+    swap=False drops the side swap from the symmetry."""
+    valid = set(np.flatnonzero(quadruple_valid_mask(n)).tolist())
+
+    def mat_apply(m, x):
+        return ((m[0][0] * x[0] + m[0][1] * x[1]) % n, (m[1][0] * x[0] + m[1][1] * x[1]) % n)
+
+    def unpack(q):
+        d = q % n
+        q //= n
+        c = q % n
+        q //= n
+        b = q % n
+        return q // n, b, c, d
+
+    def pack(a, b, c, d):
+        return ((a * n + b) * n + c) * n + d
+
+    def neighbors(q):
+        a, b, c, d = unpack(q)
+        out = [pack(c, d, a, b), pack(a, b, (-a - c) % n, (-b - d) % n)]
+        for m in SIX_RENORMALIZERS:
+            out.append(pack(*mat_apply(m, (a, b)), *mat_apply(m, (c, d))))
+        if swap:
+            det_inv = pow((a * d - b * c) % n, -1, n)
+            out.append(
+                pack((det_inv * d) % n, (-det_inv * b) % n, (-det_inv * c) % n, (det_inv * a) % n)
+            )
+        return out
+
+    seen: set[int] = set()
+    sizes = []
+    for seed in sorted(valid):
+        if seed in seen:
+            continue
+        seen.add(seed)
+        frontier, size = [seed], 0
+        while frontier:
+            size += len(frontier)
+            nxt = []
+            for q in frontier:
+                for nb in neighbors(q):
+                    if nb not in seen:
+                        assert nb in valid, "symmetry image is not a valid quadruple"
+                        seen.add(nb)
+                        nxt.append(nb)
+            frontier = nxt
+        sizes.append(size)
+    return len(sizes), sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13, 17, 19, 25, 35])
+def test_quadruple_classes_match_the_breadth_first_search(n):
+    assert quadruple_classes(n) == _bfs_quadruple_classes(n)
+
+
+@pytest.mark.parametrize("n, without_swap", [(7, 12), (11, 150)])
+def test_the_breadth_first_search_without_the_swap_differs(n, without_swap):
+    # the control for the pin above: the swap is the one image whose loss
+    # changes the classes, so a search that drops it must disagree
+    count, _ = _bfs_quadruple_classes(n, swap=False)
+    assert count == without_swap != quadruple_classes(n)[0]
 
 
 def _renormalizer_matrices() -> list[tuple[tuple[int, int], tuple[int, int]]]:

@@ -226,6 +226,20 @@ def test_user_error_exit_codes(capsys):
     assert run_cli(capsys, "abelian-exists", "--group", "Sym:3", "--r1", "3", "--r2", "3")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariants", "--group", "Zn:2", "--type1", "1|2,2", "--type2", "2|"),
+        ("enumerate", "--group", "Sym:3", "--type", "0|2,2,3"),
+        ("theta", "--n", "5"),
+        ("abelian-exists", "--group", "Zn:5,5", "--r1", "3", "--r2", "3"),
+    ],
+)
+def test_seed_is_rejected_where_nothing_reads_it(capsys, argv):
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv, "--seed", "1")[0] == 1
+
+
 def test_theta_reports_value_and_bounds(capsys):
     code, out, _ = run_cli(capsys, "theta", "--n", "35")
     assert code == 0
@@ -250,6 +264,17 @@ def test_theta_cross_check(capsys):
     assert doc["classes_match_theta"] is None
     code, _, _ = run_cli(capsys, "theta", "--n", "65", "--cross-check")
     assert code == 2
+
+
+def test_theta_cross_check_reports_an_integral_value_that_is_not_the_count(capsys):
+    # theta(37) is an integer, yet not the number of classes
+    code, out, err = run_cli(capsys, "theta", "--n", "37", "--cross-check")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["theta"], doc["integral"]) == (19796, True)
+    assert doc["quadruple_classes"] == 19792
+    assert doc["classes_match_theta"] is False
+    assert err == "warning: closed-form value 19796 is an integer but the class count is 19792 at n = 37\n"
 
 
 def test_abelian_exists_reports_clauses(capsys):

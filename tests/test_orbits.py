@@ -17,6 +17,7 @@ from hurwitz_components.automorphisms import (
 from hurwitz_components.errors import BudgetExceeded, UserInputError
 from hurwitz_components.groups import (
     AbelianGroup,
+    _components,
     construct_group,
     distinct,
     index_dtype,
@@ -33,7 +34,6 @@ from hurwitz_components.orbits import (
     EquivalenceConfig,
     OrbitReport,
     _RowIndex,
-    _components,
     _systems,
     _sigma_matrix,
     _sigma_rows,
