@@ -242,10 +242,9 @@ def _cmd_theta(args) -> str:
                 f"cross-check enumerates {n}^4 quadruples; refusing for n > 60",
                 required=n**4,
             )
-        qc = quadruple_count(n)
-        doc["quadruple_count"] = qc
-        doc["quadruple_count_agrees"] = qc == doc["n_count"]
-        classes, _ = quadruple_classes(n)
+        classes, sizes = quadruple_classes(n)  # the sizes sum to the valid quadruples
+        doc["quadruple_count"] = sum(sizes)
+        doc["quadruple_count_agrees"] = doc["quadruple_count"] == doc["n_count"]
         doc["quadruple_classes"] = classes
         doc["classes_match_theta"] = (classes == value) if doc["integral"] else None
         if doc["classes_match_theta"] is False:

@@ -32,8 +32,10 @@ and that the xi-twists that moves.generating_moves drops add no orbit.
 The swap acts exactly when the unordered types coincide. Both build a
 type pair's sides by one rule (_pair_sides): the side with fewer
 candidate tuples first, and its partner only when it has a system, so a
-side with no system answers h = 0 without enumerating its partner. Both
-refuse honestly (BudgetExceeded) instead of degrading, past the tuples
+side with no system answers h = 0 without enumerating its partner. The
+two-stage engine first answers h = 0 where the types force a common Sigma
+column (_forced_columns); the oracle does not, so it checks those pairs.
+Both refuse honestly (BudgetExceeded) instead of degrading, past the tuples
 their enumeration expands, and the oracle also past
 DEFAULT_ONE_STAGE_SCAN_BUDGET class-row pairs.
 """
@@ -429,6 +431,20 @@ def _pair_sides(G: Group, t1: SignatureType, t2: SignatureType, build, fiber: bo
     return (second, first) if swap else (first, second)
 
 
+def _forced_columns(G: Group, tau: SignatureType) -> np.ndarray:
+    """The Sigma columns (_sigma_rows) that every system of tau marks: the
+    OR over tau's distinct periods m of the columns marked by every element
+    of order m, since each system has a branch entry of each period. A
+    period with no element of its order forces every column (all() over no
+    rows), which is sound: tau then has no system. Two types that force a
+    common column have no disjoint pair of systems, so h = 0."""
+    table = _sigma_rows(G)
+    forced = np.zeros(table.shape[1], dtype=bool)
+    for m in set(tau.periods):
+        forced |= table[G.orders == m].all(axis=0)
+    return forced
+
+
 def _empty_report(
     G: Group, t1: SignatureType, t2: SignatureType, config: EquivalenceConfig
 ) -> OrbitReport:
@@ -448,7 +464,10 @@ def _count_type_pair(
     G: Group, t1: SignatureType, t2: SignatureType, build, config: EquivalenceConfig
 ) -> OrbitReport:
     """The two-stage count of sorted types t1, t2 from side partitions
-    build(t) (side_orbits, or a cache of it), built by _pair_sides."""
+    build(t) (side_orbits, or a cache of it), built by _pair_sides unless
+    the types force a common Sigma column (_forced_columns)."""
+    if (_forced_columns(G, t1) & _forced_columns(G, t2)).any():
+        return _empty_report(G, t1, t2, config)
     sides = _pair_sides(G, t1, t2, build, fiber=True)
     return _empty_report(G, t1, t2, config) if sides is None else _count_pairs(G, *sides, config)
 
@@ -461,12 +480,14 @@ def count_components(
 ) -> OrbitReport:
     """Two-stage component count h(G; tau1, tau2).
 
-    The side partitions under moves and Inn(G) come from side_orbits, the
-    side with fewer candidate tuples first and its partner only when it
-    has a system (_pair_sides; an empty side answers h = 0, however large
-    its partner). The pair stage (_count_pairs) then counts orbits of
-    disjoint label pairs under diagonal Aut(G) and the swap, one row of
-    cells per Aut orbit of side-1 labels.
+    Types that force a common Sigma column answer h = 0 before either side
+    is built (_forced_columns). Else the side partitions under moves and
+    Inn(G) come from side_orbits, the side with fewer candidate tuples
+    first and its partner only when it has a system (_pair_sides; an empty
+    side answers h = 0, however large its partner). The pair stage
+    (_count_pairs) then counts orbits of disjoint label pairs under
+    diagonal Aut(G) and the swap, one row of cells per Aut orbit of side-1
+    labels.
     """
     config = config or EquivalenceConfig()
     t1, t2 = tau1.with_sorted_periods(), tau2.with_sorted_periods()
@@ -871,11 +892,10 @@ def scan_invariants(
 ) -> ScanResult:
     """Census of components with the given chi and q over the catalog groups.
 
-    Each type pair's sides come from one cache per group, so a side built
-    for one pair is reused by every other, and are built by _pair_sides:
-    the side with fewer candidate tuples first, and its partner only when
-    it has a system. A pair with an empty side has h = 0 and no row, and
-    its partner is neither built nor refused for it.
+    Each type pair is counted by count_components' rules, its sides from
+    one cache per group, so a side built for one pair is reused by every
+    other. A pair settled by forced Sigma columns, or with an empty side,
+    has h = 0 and no row, and a side it does not build is not refused.
     """
     if chi < 1 or q < 0:
         raise UserInputError("scan requires chi >= 1 and q >= 0")

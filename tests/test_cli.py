@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hurwitz_components import cli
+from hurwitz_components import abelian, cli
 
 
 @pytest.fixture(autouse=True)
@@ -218,6 +218,21 @@ def test_count_an_empty_side_answers_past_its_partners_budget(capsys, oracle):
     assert (doc["h"], doc["orbit_sizes"], doc["total_pairs"]) == (0, [], 0)
 
 
+def test_count_a_pair_settled_by_forced_columns_answers_past_the_budget(capsys):
+    # every involution of Sym:3 marks its one class of order-2 subgroups, so
+    # (0|2^18) and (1|2,2) have no disjoint pair; (0|2^18) would need
+    # 43,046,721 candidate tuples, and (1|2,2) has systems
+    argv = ("count", "--group", "Sym:3", "--type1", "0|" + ",".join("2" * 18), "--type2", "1|2,2")
+    code, out, _ = run_cli(capsys, *argv, "--no-cache")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["h"], doc["orbit_sizes"], doc["total_pairs"]) == (0, [], 0)
+    # the oracle enumerates without the rule, so it still refuses
+    code, _, err = run_cli(capsys, *argv, "--oracle", "one-stage", "--no-cache")
+    assert code == 2
+    assert "needs 43046721 candidate tuples" in err
+
+
 def test_user_error_exit_codes(capsys):
     assert run_cli(capsys, "count", "--group", "Zn:x", "--type1", "2|", "--type2", "2|")[0] == 1
     assert run_cli(capsys, "theta", "--n", "11", "--bogus")[0] == 1
@@ -266,10 +281,25 @@ def test_theta_cross_check(capsys):
     assert code == 2
 
 
-def test_theta_cross_check_reports_an_integral_value_that_is_not_the_count(capsys):
+def test_theta_cross_check_reports_an_integral_value_that_is_not_the_count(capsys, monkeypatch):
     # theta(37) is an integer, yet not the number of classes
+    masks = []
+    real = abelian.quadruple_valid_mask
+
+    def counted(n):
+        masks.append(n)
+        return real(n)
+
+    monkeypatch.setattr(abelian, "quadruple_valid_mask", counted)
     code, out, err = run_cli(capsys, "theta", "--n", "37", "--cross-check")
     assert code == 0
+    # the valid quadruples are counted from the class sizes, off one mask
+    assert masks == [37]
+    assert out == (
+        '{"classes_match_theta":false,"integral":true,"lower_bound":19635,"n":37,'
+        '"n_count":1413720,"quadruple_classes":19792,"quadruple_count":1413720,'
+        '"quadruple_count_agrees":true,"schema_version":1,"theta":19796,"upper_bound":235620}\n'
+    )
     doc = json.loads(out)
     assert (doc["theta"], doc["integral"]) == (19796, True)
     assert doc["quadruple_classes"] == 19792

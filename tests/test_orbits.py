@@ -608,6 +608,7 @@ def test_scan_builds_each_side_once_per_group(monkeypatch):
     )
     distinct = sum(len({t.canonical() for p in pairs[id(G)] for t in p}) for G in catalog)
     assert distinct < 2 * sum(len(p) for p in pairs.values())  # some type repeats
+    want_built = _replayed_side_builds(catalog, 1, 1)
 
     built = []
     real = orbits.side_orbits
@@ -618,8 +619,11 @@ def test_scan_builds_each_side_once_per_group(monkeypatch):
 
     monkeypatch.setattr(orbits, "side_orbits", counted)
     result = scan_invariants(catalog, chi=1, q=1)
-    # Zn:2,2 (0|2^8) is only ever the partner of an empty side, so it is never built
-    assert len(built) == len(set(built)) == distinct - 1
+    # Zn:2,2 (0|2^8) and each Sym:3 (1|2,2) are only ever the partner of an
+    # empty side; 5 more sides of each Sym:3 serve only pairs settled by
+    # forced Sigma columns
+    assert built == want_built
+    assert (len(built), len(set(built)), distinct) == (11, 11, 24)
     assert sorted((r.group, r.type1, r.type2, r.h) for r in result.rows) == want
 
 
@@ -694,42 +698,67 @@ def test_census_scan_indexes_each_side_once(monkeypatch, q8):
         for pair in admissible_type_pairs(G, 1, 1)
         for t in pair
     }
+    want = _replayed_side_builds(catalog, 1, 1)
     builds = _count_row_index_builds(monkeypatch)
     scan_invariants(catalog, chi=1, q=1)
-    # 14 of the 68 sides are only ever the partner of an empty side, so never built
+    # 35 of the 68 sides serve only pairs settled by forced Sigma columns or
+    # partnered with an empty side, so they are never built
     assert len(sides) == 68
-    assert (len(builds), sum(builds)) == (54, 3_175)
+    assert len(builds) == len(want)
+    assert (len(builds), sum(builds)) == (33, 2_822)
+
+
+def _forces_common_column(G, t1: SignatureType, t2: SignatureType) -> bool:
+    """The forced-column rule from whole Sigma sets: a type forces the
+    elements in the Sigma set of every element of one of its periods, and a
+    pair is settled when its types force a common element other than 1."""
+
+    def forced(t: SignatureType) -> set:
+        out = {G.identity}
+        for m in set(t.periods):
+            sets = [sigma_set(G, 0, (x,)) for x in np.flatnonzero(G.orders == m).tolist()]
+            out |= frozenset.intersection(*sets) if sets else set(range(G.order))
+        return out
+
+    return len(forced(t1) & forced(t2)) > 1
+
+
+def _replayed_side_builds(catalog, chi: int, q: int) -> list[tuple]:
+    """The (id(G), canonical type) of each side scan_invariants builds, in
+    order, by its rule replayed: no side for a pair whose types force a
+    common Sigma column, else the side with fewer candidate tuples (type1 on
+    a tie), then its partner if that side has a system; each side once."""
+    want, has_rows = [], {}
+    for G in catalog:
+        for t1, t2 in admissible_type_pairs(G, chi, q):
+            if _forces_common_column(G, t1, t2):
+                continue
+            cost = [estimate_system_candidates(G, t, inn_classes=True, fiber=True) for t in (t1, t2)]
+            for t in (t2, t1) if cost[1] < cost[0] else (t1, t2):
+                key = (id(G), t.canonical())
+                if key not in has_rows:
+                    want.append(key)
+                    has_rows[key] = len(side_orbits(G, t).leaders) > 0
+                if not has_rows[key]:
+                    break
+    return want
 
 
 def test_census_scan_builds_the_cheaper_side_first_and_no_partner_of_an_empty_side(
     monkeypatch, q8
 ):
     catalog = _census_catalog(q8)
+    want = _replayed_side_builds(catalog, 1, 1)
     built = []
     real = orbits.side_orbits
 
     def counted(G, tau, config=None):
-        built.append((G.name, tau.canonical()))
+        built.append((id(G), tau.canonical()))
         return real(G, tau, config)
 
     monkeypatch.setattr(orbits, "side_orbits", counted)
     scan_invariants(catalog, chi=1, q=1)
-    monkeypatch.undo()
-
-    # the rule replayed: per pair the side with fewer candidate tuples (type1
-    # on a tie), then its partner if that side has a system; each side once
-    want, has_rows = [], {}
-    for G in catalog:
-        for t1, t2 in admissible_type_pairs(G, 1, 1):
-            cost = [estimate_system_candidates(G, t, inn_classes=True, fiber=True) for t in (t1, t2)]
-            for t in (t2, t1) if cost[1] < cost[0] else (t1, t2):
-                key = (G.name, t.canonical())
-                if key not in has_rows:
-                    want.append(key)
-                    has_rows[key] = len(side_orbits(G, t).leaders) > 0
-                if not has_rows[key]:
-                    break
-    assert built == want and len(built) == 54
+    assert built == want and len(built) == 33
 
 
 def _scan_building_both_sides(catalog, chi: int, q: int) -> dict:
@@ -762,11 +791,10 @@ def _scan_building_both_sides(catalog, chi: int, q: int) -> dict:
     return out
 
 
-@pytest.mark.parametrize("chi, q, refused", [(1, 1, 0), (2, 1, 3)])
-def test_census_counts_match_the_loop_that_builds_both_sides(chi, q, refused, q8, monkeypatch):
-    catalog = _census_catalog(q8)
-    want = _scan_building_both_sides(catalog, chi, q)
-    assert sum(v is None for v in want.values()) == refused
+def _scan_documents(catalog, chi: int, q: int, monkeypatch, forced=None):
+    """scan_invariants over the catalog, with orbits._forced_columns replaced
+    by forced when given: per (group, type1, type2) the pair's (h,
+    orbit_sizes, total_pairs), and the ScanResult."""
     got = {}
     real = orbits._count_type_pair
 
@@ -776,8 +804,19 @@ def test_census_counts_match_the_loop_that_builds_both_sides(chi, q, refused, q8
         return rep
 
     monkeypatch.setattr(orbits, "_count_type_pair", recorded)
+    if forced is not None:
+        monkeypatch.setattr(orbits, "_forced_columns", forced)
     result = scan_invariants(catalog, chi, q)
     monkeypatch.undo()
+    return got, result
+
+
+@pytest.mark.parametrize("chi, q, refused", [(1, 1, 0), (2, 1, 3)])
+def test_census_counts_match_the_loop_that_builds_both_sides(chi, q, refused, q8, monkeypatch):
+    catalog = _census_catalog(q8)
+    want = _scan_building_both_sides(catalog, chi, q)
+    assert sum(v is None for v in want.values()) == refused
+    got, result = _scan_documents(catalog, chi, q, monkeypatch)
     assert not [w for w in result.warnings if "skipped" in w]
     assert got.keys() == want.keys()
     # every refusal of the old loop pairs a side past the budget with an empty side
@@ -792,6 +831,94 @@ def test_census_counts_match_the_loop_that_builds_both_sides(chi, q, refused, q8
             for t1, t2 in admissible_type_pairs(G, chi, q):
                 rep = count_components(G, t1, t2)
                 assert (rep.h, rep.orbit_sizes, rep.total_pairs) == want[G.name, str(t1), str(t2)]
+
+
+def _never_forced(G, tau: SignatureType) -> np.ndarray:
+    return np.zeros(_sigma_rows(G).shape[1], dtype=bool)
+
+
+def _settled_pairs_that_differ(catalog, chi: int, q: int, monkeypatch, forced) -> tuple[list, int]:
+    """The census scan with forced columns `forced` against the scan that
+    settles no pair by them: the keys of the pairs whose (h, orbit_sizes,
+    total_pairs) differ ("scan" too if the rows, total_h or warnings
+    differ), and the number of pairs that `forced` settles."""
+    off, off_result = _scan_documents(catalog, chi, q, monkeypatch, _never_forced)
+    on, on_result = _scan_documents(catalog, chi, q, monkeypatch, forced)
+    assert on.keys() == off.keys()
+    differ = [k for k in off if on[k] != off[k]]
+    if (on_result.rows, on_result.total_h, on_result.warnings) != (
+        off_result.rows, off_result.total_h, off_result.warnings
+    ):
+        differ.append("scan")
+    settled = sum(
+        bool((forced(G, t1) & forced(G, t2)).any())
+        for G in catalog
+        for t1, t2 in admissible_type_pairs(G, chi, q)
+    )
+    return differ, settled
+
+
+@pytest.mark.parametrize("chi, q, settled", [(1, 1, 22), (2, 1, 49), (2, 0, 90)])
+def test_forced_columns_change_no_census_count(chi, q, settled, q8, monkeypatch):
+    catalog = _census_catalog(q8)
+    differ, n = _settled_pairs_that_differ(catalog, chi, q, monkeypatch, orbits._forced_columns)
+    assert differ == [] and n == settled
+
+
+def test_a_planted_forced_column_shows_in_the_pin(q8, monkeypatch):
+    # Sym:3 (0|2^6) x (1|3) has h = 1; planting the involution column of
+    # (0|2^6) on (1|3), which only forces the column of <(123)>, settles it
+    catalog = _census_catalog(q8)
+    real = orbits._forced_columns
+
+    def planted(G, tau):
+        if G.name == "Sym:3" and str(tau) == "1|3":
+            return real(G, tau) | real(G, _tau("0|2,2,2,2,2,2"))
+        return real(G, tau)
+
+    differ, n = _settled_pairs_that_differ(catalog, 1, 1, monkeypatch, planted)
+    assert differ == [("Sym:3", "0|2,2,2,2,2,2", "1|3"), "scan"] and n == 23
+
+
+def test_the_oracle_agrees_on_pairs_settled_by_forced_columns(q8, monkeypatch):
+    # every settled census pair at (chi, q) = (1, 1) is within the oracle's
+    # budget; the oracle enumerates each without the rule
+    config = EquivalenceConfig(representatives=True)
+    settled, both_sides = [], []
+    for G in _census_catalog(q8):
+        for t1, t2 in admissible_type_pairs(G, 1, 1):
+            if (orbits._forced_columns(G, t1) & orbits._forced_columns(G, t2)).any():
+                settled.append((G, t1, t2, count_components(G, t1, t2, config)))
+    assert len(settled) == 22 and all(rep.h == 0 for *_, rep in settled)
+
+    def unused(G, tau):
+        raise AssertionError("the oracle read the forced-column rule")
+
+    monkeypatch.setattr(orbits, "_forced_columns", unused)
+    for G, t1, t2, rep in settled:
+        assert count_components_one_stage(G, t1, t2, config) == rep
+        if all(len(_systems(G, t, config, inn_classes=True)) for t in (t1, t2)):
+            both_sides.append((G.name, str(t1), str(t2)))
+    # pairs whose sides both have systems but no disjoint pair, g' > 0 among them
+    assert len(both_sides) == 7
+    assert (q8.name, "0|4,4,4", "1|2,4,4") in both_sides
+    assert ("Alt:4", "0|2,2,3,3", "1|2,2") in both_sides
+
+
+def test_forced_columns_of_q8_sym3_and_abelian_squares(q8):
+    # Q8's one prime-order subgroup is its centre, the square of every order-4 element
+    assert orbits._forced_columns(q8, _tau("0|4,4,4")).tolist() == [True]
+    G = construct_group("Sym:3")
+    involution, rotation = (_sigma_rows(G)[G.orders.tolist().index(m)] for m in (2, 3))
+    assert not (involution & rotation).any()
+    for t in ("0|2,2,2,2,2,2", "1|2,2", "0|2,2,2,2,3"):
+        assert (orbits._forced_columns(G, _tau(t)) == involution | (3 in _tau(t).periods) * rotation).all()
+    # a period that is no element order forces every column: the type has no system
+    assert orbits._forced_columns(G, _tau("0|2,2,4")).all()
+    for p in (5, 7):
+        H = AbelianGroup([p, p])
+        forced = orbits._forced_columns(H, _tau(f"0|{p},{p},{p}"))
+        assert forced.shape == (p + 1,) and not forced.any()
 
 
 @pytest.mark.parametrize(
