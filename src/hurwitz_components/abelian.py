@@ -128,8 +128,11 @@ def quadruple_classes(n: int) -> tuple[int, list[int]]:
     A quadruple is its C-order id in (Z/n)^4. Each symmetry maps the valid
     ids to an array of image ids, built one map at a time (all nine at once
     double the peak memory) and located among the valid ids by one
-    searchsorted; the classes are the _components of those maps."""
-    ids = np.flatnonzero(quadruple_valid_mask(n))
+    searchsorted; the classes are the _components of those maps. Every id
+    is below n^4, so ids, columns and images are int32 while n^4 < 2^31
+    (n <= 215, past the CLI's cap of 60), which cuts the peak memory."""
+    dtype = np.int32 if n**4 < 2**31 else np.int64
+    ids = np.flatnonzero(quadruple_valid_mask(n)).astype(dtype)
     a, b, c, d = (ids // n**k % n for k in (3, 2, 1, 0))
 
     def pack(w, x, y, z):
@@ -143,7 +146,9 @@ def quadruple_classes(n: int) -> tuple[int, list[int]]:
         for (p, q), (r, s) in SIX_RENORMALIZERS:
             yield pack(p * a + q * b, r * a + s * b, p * c + q * d, r * c + s * d)
         # swap: the inverse matrix carries the standard triple to the other side
-        inverse = np.array([pow(u, -1, n) if math.gcd(u, n) == 1 else 0 for u in range(n)])
+        inverse = np.array(
+            [pow(u, -1, n) if math.gcd(u, n) == 1 else 0 for u in range(n)], dtype=dtype
+        )
         det_inv = inverse[(a * d - b * c) % n]
         yield pack(det_inv * d, -det_inv * b, -det_inv * c, det_inv * a)
 

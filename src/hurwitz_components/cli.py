@@ -319,17 +319,7 @@ def _cmd_scan(args) -> str:
         "schema_version": SCHEMA_VERSION,
         "chi": result.chi,
         "q": result.q,
-        "rows": [
-            {
-                "group": r.group,
-                "type1": r.type1,
-                "type2": r.type2,
-                "h": r.h,
-                "g1": r.g1,
-                "g2": r.g2,
-            }
-            for r in result.rows
-        ],
+        "rows": [vars(r) for r in result.rows],
         "total_h": result.total_h,
         "warning_count": len(warnings),
     }

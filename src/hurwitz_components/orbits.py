@@ -21,8 +21,11 @@ references that list every system. The routes share only steps that
 read system rows and Sigma rows, never orbit labels or a quotient by
 Aut(G): _systems, apply_move, _RowIndex, _components (kept in groups,
 where abelian.quadruple_classes uses it too), _check_inn_sample and
-_valid_cells; each builds its own Sigma rows (sigma_set per class row in
-the oracle, _sigma_matrix in the two-stage engine). An automorphism
+_valid_cells, and the one builder of the document (_report), which
+reads only the orbit sizes and representative rows each route hands it
+and checks the sizes against that route's own pair count. Each builds
+its own Sigma rows (sigma_set per class row in the oracle, _sigma_matrix
+in the two-stage engine). An automorphism
 is a row phi of a (maps, |G|) index array and acts as the gather
 phi[systems]. Both routes act with generators only (forward moves, Inn
 and Aut generator maps): each permutes a finite set, so its inverse is
@@ -166,7 +169,8 @@ def _systems(
 
     def block(ordering: tuple[int, ...]) -> np.ndarray:
         rows = enumerate_systems(G, SignatureType(tau.gprime, ordering), inn_classes=inn_classes)
-        # enumerate_systems may hand back a list of rows
+        # a list of rows too: the benchmark's traced run wraps
+        # orbits.enumerate_systems with consume=True, which returns a list
         return np.asarray(rows, dtype=index_dtype(G.order)).reshape(len(rows), k)
 
     blocks = [block(ordering) for ordering in _orderings(tau, fiber)]
@@ -445,18 +449,26 @@ def _forced_columns(G: Group, tau: SignatureType) -> np.ndarray:
     return forced
 
 
-def _empty_report(
-    G: Group, t1: SignatureType, t2: SignatureType, config: EquivalenceConfig
+def _report(
+    G: Group, t1: SignatureType, t2: SignatureType, config: EquivalenceConfig,
+    sizes=(), total_pairs: int = 0, firsts=(), seconds=(),
 ) -> OrbitReport:
-    """The document of a pair with no disjoint pair of systems: h = 0."""
+    """The one document of a type pair, for both routes and every settled
+    pair: one orbit per entry of sizes (none by default, h = 0), which must
+    sum to total_pairs, else AssertionError; with config.representatives,
+    orbit k's pair of system rows (firsts[k], seconds[k]) in element labels."""
+    if sum(sizes) != total_pairs:
+        raise AssertionError("orbit sizes do not sum to the number of disjoint pairs")
+    representatives = None
+    if config.representatives:
+        def named(row: np.ndarray) -> list[str]:
+            return [G.element_label(x) for x in row.tolist()]
+
+        representatives = [{"first": named(a), "second": named(b)} for a, b in zip(firsts, seconds)]
     return OrbitReport(
-        group=G.name,
-        type1=str(t1),
-        type2=str(t2),
-        h=0,
-        orbit_sizes=[],
-        total_pairs=0,
-        representatives=[] if config.representatives else None,
+        group=G.name, type1=str(t1), type2=str(t2), h=len(sizes),
+        orbit_sizes=sorted(sizes, reverse=True), total_pairs=total_pairs,
+        representatives=representatives,
     )
 
 
@@ -466,10 +478,9 @@ def _count_type_pair(
     """The two-stage count of sorted types t1, t2 from side partitions
     build(t) (side_orbits, or a cache of it), built by _pair_sides unless
     the types force a common Sigma column (_forced_columns)."""
-    if (_forced_columns(G, t1) & _forced_columns(G, t2)).any():
-        return _empty_report(G, t1, t2, config)
-    sides = _pair_sides(G, t1, t2, build, fiber=True)
-    return _empty_report(G, t1, t2, config) if sides is None else _count_pairs(G, *sides, config)
+    forced = (_forced_columns(G, t1) & _forced_columns(G, t2)).any()
+    sides = None if forced else _pair_sides(G, t1, t2, build, fiber=True)
+    return _report(G, t1, t2, config) if sides is None else _count_pairs(G, *sides, config)
 
 
 def count_components(
@@ -531,7 +542,6 @@ def _count_pairs(
     rng = random.Random(config.seed)
     same_types = side1.tau.canonical() == side2.tau.canonical()
     L1, L2 = len(side1.leaders), len(side2.leaders)
-    representatives: list[dict] | None = [] if config.representatives else None
 
     m1 = _sigma_matrix(G, side1)
     m2 = m1 if same_types else _sigma_matrix(G, side2)
@@ -596,9 +606,6 @@ def _count_pairs(
     seeds = np.flatnonzero(least == np.arange(len(flat)))
     sizes = np.zeros(len(flat), dtype=np.int64)
     np.add.at(sizes, least, weight)
-    orbit_sizes = sizes[seeds].tolist()
-    if sum(orbit_sizes) != total_pairs:
-        raise AssertionError("orbit sizes do not sum to the number of disjoint pairs")
 
     # A sampled label x of each block: u_x^-1 carries its row of cells onto row i0.
     members = np.argsort(block, kind="stable")  # by block, each root first
@@ -621,22 +628,9 @@ def _count_pairs(
                     f"its transversal in {G.name} {side1.tau} x {side2.tau}"
                 )
 
-    if representatives is not None:
-        for c in seeds.tolist():
-            representatives.append(
-                {
-                    "first": [G.element_label(x) for x in labels1[cell_i[c]].tolist()],
-                    "second": [G.element_label(x) for x in labels2[cell_j[c]].tolist()],
-                }
-            )
-    return OrbitReport(
-        group=G.name,
-        type1=str(side1.tau),
-        type2=str(side2.tau),
-        h=len(seeds),
-        orbit_sizes=sorted(orbit_sizes, reverse=True),
-        total_pairs=total_pairs,
-        representatives=representatives,
+    return _report(
+        G, side1.tau, side2.tau, config, sizes[seeds].tolist(), total_pairs,
+        labels1[cell_i[seeds]], labels2[cell_j[seeds]],
     )
 
 
@@ -684,7 +678,7 @@ def count_components_one_stage(
         G, t1, t2, lambda t: _systems(G, t, config, inn_classes=True), fiber=False
     )
     if sides is None:
-        return _empty_report(G, t1, t2, config)
+        return _report(G, t1, t2, config)
     sys1, sys2 = sides
     n2 = len(sys2)
     cells = len(sys1) * n2
@@ -710,8 +704,7 @@ def count_components_one_stage(
     per_pair = (G.order // len(G.center())) ** 2  # raw pairs per class-row pair
     total_pairs = len(pair_ids) * per_pair
     if total_pairs == 0:
-        return _empty_report(G, t1, t2, config)
-    representatives: list[dict] | None = [] if config.representatives else None
+        return _report(G, t1, t2, config)
 
     inn = inner_automorphisms(G)
     aut_maps = automorphism_group(G).generator_maps
@@ -748,10 +741,8 @@ def count_components_one_stage(
 
     root = _components(len(pair_ids), pair_images())
     seeds = np.flatnonzero(root == np.arange(len(pair_ids)))
-    orbit_sizes = (np.bincount(root)[seeds] * per_pair).tolist()
-    if sum(orbit_sizes) != total_pairs:
-        raise AssertionError("one-stage orbit sizes do not sum to pair count")
-    if representatives is not None:
+    firsts = seconds = ()
+    if config.representatives:
         # the two-stage engine's: the least pair over the ascending orderings
         def ascending(t: SignatureType, systems: np.ndarray) -> np.ndarray:
             orders = G.orders[systems[:, 2 * t.gprime :]]
@@ -760,22 +751,10 @@ def count_components_one_stage(
         fiber = np.flatnonzero(ascending(t1, sys1)[i] & ascending(t2, sys2)[j])
         least = np.full(len(pair_ids), len(pair_ids))
         np.minimum.at(least, root[fiber], fiber)
-        for seed in pair_ids[np.sort(least[seeds])].tolist():
-            representatives.append(
-                {
-                    "first": [G.element_label(e) for e in sys1[seed // n2].tolist()],
-                    "second": [G.element_label(e) for e in sys2[seed % n2].tolist()],
-                }
-            )
-    return OrbitReport(
-        group=G.name,
-        type1=str(t1),
-        type2=str(t2),
-        h=len(seeds),
-        orbit_sizes=sorted(orbit_sizes, reverse=True),
-        total_pairs=total_pairs,
-        representatives=representatives,
-    )
+        picked = pair_ids[np.sort(least[seeds])]
+        firsts, seconds = sys1[picked // n2], sys2[picked % n2]
+    sizes = (np.bincount(root)[seeds] * per_pair).tolist()
+    return _report(G, t1, t2, config, sizes, total_pairs, firsts, seconds)
 
 
 @dataclass

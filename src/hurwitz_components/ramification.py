@@ -243,17 +243,7 @@ class SurfaceInvariants:
     mu2: Fraction | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "g1": self.g1,
-            "g2": self.g2,
-            "chi": fraction_to_json(self.chi),
-            "ksq": fraction_to_json(self.ksq),
-            "e": fraction_to_json(self.e),
-            "q": self.q,
-            "pg": fraction_to_json(self.pg),
-            "mu1": fraction_to_json(self.mu1) if self.mu1 is not None else None,
-            "mu2": fraction_to_json(self.mu2) if self.mu2 is not None else None,
-        }
+        return {k: v if v is None else fraction_to_json(v) for k, v in vars(self).items()}
 
 
 def fraction_to_json(fr: Fraction):

@@ -963,6 +963,56 @@ def test_a_partner_past_the_budget_is_still_refused(route, fiber, t1, t2):
     assert info.value.required == cost[dear]
 
 
+SIZES_DO_NOT_SUM = "orbit sizes do not sum to the number of disjoint pairs"
+
+
+def test_report_checks_the_sizes_and_names_the_representatives():
+    G, t = construct_group("Zn:3,3"), _tau("0|3,3,3")
+    for sizes, total in [([4, 2], 5), ((), 1), ([6], 0)]:
+        with pytest.raises(AssertionError, match=SIZES_DO_NOT_SUM):
+            orbits._report(G, t, t, EquivalenceConfig(), sizes, total)
+    rows = np.array([[1, 3, 5], [2, 6, 1]])
+    config = EquivalenceConfig(representatives=True)
+    rep = orbits._report(G, t, t, config, [2, 4], 6, rows, rows[::-1])
+    named = [[G.element_label(x) for x in row] for row in rows.tolist()]
+    reps = [{"first": named[0], "second": named[1]}, {"first": named[1], "second": named[0]}]
+    assert rep == OrbitReport("Zn:3,3", "0|3,3,3", "0|3,3,3", 2, [4, 2], 6, reps)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("route", ["two-stage", "one-stage"])
+def test_a_final_root_at_a_non_root_fails_the_one_size_check(route, corrupt, monkeypatch):
+    """A control on each route's last _components call (the row cells of
+    the pair stage, the class-row pairs of the oracle): one orbit's root
+    pointed at a member that is not a root loses that orbit's pairs, and
+    _report's one size check must see it."""
+    # h = 1 over 4 row cells (two-stage) and over every class-row pair (oracle)
+    G, t = construct_group("Zn:5,5"), _tau("0|5,5,5")
+    config = EquivalenceConfig()
+    if route == "two-stage":
+        side = side_orbits(G, t, config)
+        count, final = (lambda: orbits._count_pairs(G, side, side, config)), 2  # labels, then cells
+    else:
+        count, final = (lambda: count_components_one_stage(G, t, t, config)), 1
+    calls = []
+
+    def components(n, images):
+        root = _components(n, images)
+        calls.append(n)
+        if corrupt and len(calls) == final:
+            x = np.flatnonzero(root != np.arange(n))[0]  # a member of an orbit, not its root
+            root[root[x]] = x
+        return root
+
+    monkeypatch.setattr(orbits, "_components", components)
+    if corrupt:
+        with pytest.raises(AssertionError, match=SIZES_DO_NOT_SUM):
+            count()
+    else:
+        assert count().h == 1
+    assert len(calls) == final
+
+
 def test_admissible_type_pairs_lists_each_angle_sum_once(monkeypatch, q8):
     catalog = _census_catalog(q8)
     want = [admissible_type_pairs(G, 1, 1) for G in catalog]
