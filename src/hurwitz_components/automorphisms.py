@@ -67,13 +67,16 @@ def inner_automorphisms(G: Group) -> np.ndarray:
     """Generators of Inn(G), one map per row: x -> g^-1 x g for g in the
     generating tuple.
 
-    Identity maps and repeats are dropped, so an abelian group has none.
-    The maps are built on the first call for a group and kept on it, read-only.
+    Identity maps and repeats are dropped, so an abelian group has none; it
+    conjugates nothing (and builds no conjugation table, Group.conj). The
+    maps are built on the first call for a group and kept on it, read-only.
     """
     if G._inner_maps is None:
-        g = np.array(G.generating_tuple(), dtype=np.intp)[:, None]
-        maps = G.conj(np.arange(G.order), g)
-        G._inner_maps = _distinct_maps(G, maps)
+        if len(G.center()) == G.order:
+            G._inner_maps = np.empty((0, G.order), dtype=index_dtype(G.order))
+        else:
+            g = np.array(G.generating_tuple(), dtype=np.intp)[:, None]
+            G._inner_maps = _distinct_maps(G, G.conj(np.arange(G.order), g))
         G._inner_maps.flags.writeable = False
     return G._inner_maps
 

@@ -8,6 +8,7 @@ CSV for scan tables); diagnostics go to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import io
@@ -310,9 +311,10 @@ def _cmd_scan(args) -> str:
         print(f"warning: {w}", file=sys.stderr)
     if args.format == "csv":
         buf = io.StringIO()
-        buf.write("group,type1,type2,h,g1,g2\n")
+        writer = csv.writer(buf, lineterminator="\n")  # quotes the fields that hold commas
+        writer.writerow(["group", "type1", "type2", "h", "g1", "g2"])
         for row in result.rows:
-            buf.write(f"{row.group},{row.type1},{row.type2},{row.h},{row.g1},{row.g2}\n")
+            writer.writerow([row.group, row.type1, row.type2, row.h, row.g1, row.g2])
         print(f"total_h={result.total_h}", file=sys.stderr)
         return buf.getvalue()
     doc = {

@@ -8,7 +8,8 @@ on index arrays (Group._products_of and _inverses_of): digit arithmetic
 the document table (Cayley). Up to TABLE_LIMIT a group also holds the table
 that product gives on the full grid, an (order, order) index array, and the
 inverses read from it; index arrays are then multiplied and inverted by
-gathers on the table. Past the limit the same calls go to the backend's
+gathers on the table, and conjugated by a gather on a conjugation table
+built from it on first use. Past the limit the same calls go to the backend's
 product. Scalar products read either as a Python int. Element orders are one
 array too, built on first use.
 """
@@ -144,6 +145,7 @@ class Group:
             table = self.mul_array(elems[:, None], elems)  # the backend's product
             self._products = table
             self._inverses = np.argmax(table == self.identity, axis=1).astype(table.dtype)
+        self._conjugates: np.ndarray | None = None  # the conjugation table, built by conj
         self._center: tuple[int, ...] | None = None
         self._cyclic: dict[int, frozenset[int]] = {}
         self._joins: SubgroupJoins | None = None
@@ -193,7 +195,15 @@ class Group:
 
     def conj(self, x, g) -> np.ndarray:
         """Elementwise g^-1 x g of index arrays (or ints), broadcast together."""
-        return self.mul_array(self.mul_array(self.inv_array(g), x), g)
+        if self._products is None:
+            return self.mul_array(self.mul_array(self.inv_array(g), x), g)
+        if self._conjugates is None:  # built on the first call, kept read-only
+            elems = np.arange(self.order)
+            left = self._products[self._inverses, elems[:, None]]  # g^-1 x at (x, g)
+            self._conjugates = self._products[left, elems]
+            self._conjugates.flags.writeable = False
+        x, g = np.asarray(x, dtype=np.intp), np.asarray(g, dtype=np.intp)
+        return self._conjugates.take(x * self.order + g)  # entry x * |G| + g holds g^-1 x g
 
     def comm(self, a, b) -> np.ndarray:
         """Elementwise a b a^-1 b^-1 of index arrays (or ints)."""
@@ -478,38 +488,42 @@ class InnerClasses:
     def least_conjugates(self, rows: np.ndarray) -> np.ndarray:
         """The lexicographically least conjugate of each row of a 2-D index array.
 
-        The lead entries go to their class minima by one conjugator gather.
-        Then each row is paired with every element of its lead's
-        centralizer, and the columns are read in turn: a pair stays while
-        its conjugate ties with the least value of its row in every column
-        read. Conjugates by one coset of Z(G) are equal, so the rows are
-        decided once |Z(G)| pairs per row are left. Rows go in chunks of
-        about 2^18 pairs.
+        Each row is paired with every element c of its lead's class
+        minimum's centralizer, as the conjugator g = t c, where t is the
+        lead's conjugator: one product per pair. The columns of the input
+        rows are read in turn: a pair stays while its conjugate ties with
+        the least value of its row in every column read. Conjugates by one
+        coset of Z(G) are equal, so the rows are decided once |Z(G)| pairs
+        per row are left, and each row is conjugated once, by its chosen g.
+        Rows go in chunks of about 2^18 pairs.
         """
         if not rows.size:
             return rows.copy()
-        out = self.G.conj(rows, self.conjugator[rows[:, 0]][:, None])
-        if (out[:, 0] != self.least[rows[:, 0]]).any():
-            raise AssertionError(f"a conjugator of {self.G.name} misses its class minimum")
-        central = len(self.G.center())
-        pairs = self.centralizer_order[out[:, 0]]
+        G = self.G
+        out = np.empty(rows.shape, dtype=index_dtype(G.order))
+        lead = self.least[rows[:, 0]]
+        conjugator = self.conjugator[rows[:, 0]]
+        central = len(G.center())
+        pairs = self.centralizer_order[lead]
         ends = np.cumsum(pairs)
         cuts = distinct(np.searchsorted(ends, np.arange(0, ends[-1], 1 << 18), side="right"))
         for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [len(out)]):
-            block = out[lo:hi]
+            block = rows[lo:hi]
             count = pairs[lo:hi]
             row = np.repeat(np.arange(hi - lo), count)
             first = np.cumsum(count) - count  # the first pair of each row
-            start = np.repeat(self.centralizer_at[block[:, 0]] - first, count)
-            g = self.centralizers[np.arange(len(row)) + start]
+            start = np.repeat(self.centralizer_at[lead[lo:hi]] - first, count)
+            g = G.mul_array(conjugator[lo:hi][row], self.centralizers[np.arange(len(row)) + start])
             for col in block[:, 1:].T:
                 if len(row) == (hi - lo) * central:
                     break
-                value = self.G.conj(col[row], g)
+                value = G.conj(col[row], g)
                 keep = value == np.minimum.reduceat(value, first)[row]
                 first = (np.cumsum(keep) - keep)[first]  # each row keeps a pair
                 row, g = row[keep], g[keep]
-            out[lo:hi] = self.G.conj(block, g[first][:, None])
+            out[lo:hi] = G.conj(block, g[first][:, None])
+        if (out[:, 0] != lead).any():
+            raise AssertionError(f"a conjugator of {G.name} misses its class minimum")
         return out
 
 

@@ -19,8 +19,9 @@ set. Full listings still check that enumeration: verify_inn_lemma and
 `hurwitz enumerate` list every system, and the tests pin the routes to
 references that list every system. The routes share only steps that
 read system rows and Sigma rows, never orbit labels or a quotient by
-Aut(G): _systems, apply_move, _RowIndex, _components (kept in groups,
-where abelian.quadruple_classes uses it too), _check_inn_sample and
+Aut(G): _systems, apply_move, _RowIndex, _located (which stacks image
+rows into its lookups), _components (kept in groups, where
+abelian.quadruple_classes uses it too), _check_inn_sample and
 _valid_cells, and the one builder of the document (_report), which
 reads only the orbit sizes and representative rows each route hands it
 and checks the sizes against that route's own pair count. Each builds
@@ -47,6 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -60,6 +62,7 @@ from .errors import BudgetExceeded, UserInputError
 from .groups import Group, InnerClasses, _components, distinct, index_dtype, prime_factorization
 from .moves import apply_move, available_moves, fiber_words
 from .ramification import (
+    BLOCK_ROWS,
     SignatureType,
     candidate_tuples,
     curve_genus,
@@ -243,16 +246,39 @@ def _move_maps(G: Group, tau: SignatureType) -> list:
     return [lambda rows, m=m: apply_move(G, gp, rows, m) for m in moves]
 
 
+def _located(locate, images, where: str):
+    """locate(rows, where) of each of a run of row arrays of one length, one
+    index array per array, in order. As many consecutive arrays as fit in
+    ramification.BLOCK_ROWS rows are stacked into one lookup; an array of
+    more rows than that has its own, uncopied. images may be a generator,
+    drawn one array at a time, each before the lookup that holds it."""
+
+    def stacked(batch: list[np.ndarray]) -> np.ndarray:
+        rows = batch[0] if len(batch) == 1 else np.concatenate(batch)
+        return locate(rows, where).reshape(len(batch), len(batch[0]))
+
+    batch: list[np.ndarray] = []
+    for rows in images:
+        if batch and (len(batch) + 1) * len(rows) > BLOCK_ROWS:
+            yield from stacked(batch)
+            batch = []
+        batch.append(rows)
+    if batch:
+        yield from stacked(batch)
+
+
 def _checked_move_images(G: Group, tau: SignatureType, systems: np.ndarray, inn, locate):
     """locate(rows, where) of the images of systems (over tau's ascending
     periods) under each word of moves.fiber_words.
 
     Each word acts once, a move at a time, on the systems with the Inn
     images of the sample (the first 20 rows) stacked below them; locate
-    refuses any image that is not a system. On the sample, the word w must
-    commute with each Inn generator map phi, phi(w(x)) = w(phi(x)), and its
-    reversed word of inverse moves, acting once on the images, must give
-    back the sample; else AssertionError names the word.
+    refuses any image that is not a system, the images of consecutive
+    words stacked into one lookup (_located). On the sample, the word w
+    must commute with each Inn generator map phi, phi(w(x)) = w(phi(x)),
+    and its reversed word of inverse moves, acting once on the images, must
+    give back the sample; else AssertionError names the word. A word is
+    checked before the lookup that holds its images.
     """
     gp, n, sample = tau.gprime, len(systems), systems[:20]
     where, s = f"{G.name} {tau}", len(sample)
@@ -263,19 +289,22 @@ def _checked_move_images(G: Group, tau: SignatureType, systems: np.ndarray, inn,
             rows = apply_move(G, gp, rows, m)
         return rows
 
-    for word in fiber_words(gp, tau.periods):
-        undo = tuple(m.inverted() for m in reversed(word))
-        name, back = (" ".join(map(str, w)) for w in (word, undo))
-        out = act(stack, word)
-        images, moved = locate(out[:n], where), out[:s]
-        for k, phi in enumerate(inn):
-            if not np.array_equal(phi[moved], out[n + k * s : n + (k + 1) * s]):
-                raise AssertionError(
-                    f"move {name} does not commute with Inn(G) map {k} on {G.name}"
-                )
-        if not np.array_equal(act(moved, undo), sample):
-            raise AssertionError(f"move {back} does not undo move {name} on {where}")
-        yield images
+    def checked():
+        for word in fiber_words(gp, tau.periods):
+            undo = tuple(m.inverted() for m in reversed(word))
+            name, back = (" ".join(map(str, w)) for w in (word, undo))
+            out = act(stack, word)
+            moved = out[:s]
+            for k, phi in enumerate(inn):
+                if not np.array_equal(phi[moved], out[n + k * s : n + (k + 1) * s]):
+                    raise AssertionError(
+                        f"move {name} does not commute with Inn(G) map {k} on {G.name}"
+                    )
+            if not np.array_equal(act(moved, undo), sample):
+                raise AssertionError(f"move {back} does not undo move {name} on {where}")
+            yield out[:n]
+
+    yield from _located(locate, checked(), where)
 
 
 def _check_inn_sample(systems: np.ndarray, inn: np.ndarray, locate, where: str) -> None:
@@ -404,10 +433,12 @@ def _sigma_matrix(G: Group, part: SidePartition) -> np.ndarray:
 
 
 def _aut_label_perms(G: Group, part: SidePartition, maps: np.ndarray) -> list[np.ndarray]:
-    """The permutation each automorphism (a row of maps) induces on the orbit labels."""
-    labels = part.labels
+    """The permutation each automorphism (a row of maps) induces on the orbit
+    labels, the label images of consecutive maps stacked into one lookup
+    (_located)."""
     where = f"{G.name} {part.tau} under an automorphism"
-    return [part.label_of(phi[labels], where) for phi in maps]
+    images = (phi[part.labels] for phi in maps)
+    return [part.orbit[i] for i in _located(part.locate, images, where)]
 
 
 def _pair_sides(G: Group, t1: SignatureType, t2: SignatureType, build, fiber: bool):
@@ -710,11 +741,14 @@ def count_components_one_stage(
     aut_maps = automorphism_group(G).generator_maps
 
     def side_maps(t: SignatureType, systems: np.ndarray):
-        """Index maps of the moves, then of the Aut generators."""
+        """Index maps of the moves, then of the Aut generators, stacked into
+        as few lookups as _located allows."""
         locate, where = _RowIndex(systems, G.order, G.inner_classes()), f"{G.name} {t}"
         _check_inn_sample(systems, inn, locate, where)
-        moves = [locate(f(systems), where) for f in _move_maps(G, t)]
-        return moves, [locate(phi[systems], where) for phi in aut_maps]
+        moves = _move_maps(G, t)
+        images = chain((f(systems) for f in moves), (phi[systems] for phi in aut_maps))
+        maps = list(_located(locate, images, where))
+        return maps[: len(moves)], maps[len(moves) :]
 
     moves1, aut1 = side_maps(t1, sys1)
     moves2, aut2 = (moves1, aut1) if same_types else side_maps(t2, sys2)

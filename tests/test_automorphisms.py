@@ -296,6 +296,14 @@ def test_map_arrays_equal_the_tuple_builders_row_for_row(spec, route, q8):
         assert got.tolist() == [list(m) for m in want]
 
 
+def test_abelian_inner_maps_build_no_conjugation_table():
+    G = construct_group("Zn:13,13")
+    maps = inner_automorphisms(G)
+    assert maps.shape == (0, 169) and maps.dtype == index_dtype(G.order)
+    assert G._conjugates is None
+    assert len(inner_automorphisms(construct_group("Sym:4"))) == 2
+
+
 def test_inner_maps_are_built_once_per_group(monkeypatch):
     G = construct_group("Sym:4")
     built = []

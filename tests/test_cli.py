@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import csv
+import io
 import json
 import os
 import subprocess
@@ -347,6 +349,25 @@ def test_scan_csv_format(capsys):
     lines = out.splitlines()
     assert lines[0] == "group,type1,type2,h,g1,g2"
     assert lines[1] == "Zn:1,2|,2|,1,2,2"
+
+
+def test_scan_csv_reads_back_as_the_json_rows(capsys, tmp_path, q8_path):
+    # group names (Zn:2,4) and types (0|3,3,3,3) hold commas, so those fields are quoted
+    catalog = tmp_path / "census.txt"
+    specs = ["Sym:3", "Sym:4", "Alt:4", "Zn:2,2", "Zn:2,4", "Zn:2,2,2", f"cayley:{q8_path}", "Alt:5"]
+    catalog.write_text("\n".join(specs) + "\n")
+    argv = ["scan", "--catalog", str(catalog), "--chi", "1", "--q", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    table = list(csv.reader(io.StringIO(out)))
+    assert table[0] == ["group", "type1", "type2", "h", "g1", "g2"]
+    assert all(len(row) == 6 for row in table)
+    code, out, _ = run_cli(capsys, *argv)
+    rows = json.loads(out)["rows"]
+    assert len(rows) == len(table) - 1 > 0
+    assert any("," in row["type1"] for row in rows)
+    assert [row[:3] for row in table[1:]] == [[r["group"], r["type1"], r["type2"]] for r in rows]
+    assert [list(map(int, row[3:])) for row in table[1:]] == [[r["h"], r["g1"], r["g2"]] for r in rows]
 
 
 def test_scan_missing_source_is_user_error(capsys):

@@ -13,6 +13,7 @@ from hurwitz_components.groups import (
     AbelianGroup,
     CayleyGroup,
     Group,
+    InnerClasses,
     PermutationGroup,
     TABLE_LIMIT,
     construct_group,
@@ -232,6 +233,78 @@ def test_classes_and_center_match_full_group_definitions(spec, q8):
         z for z in elems if all(ref.mul(z, x) == ref.mul(x, z) for x in elems)
     )
     assert _is_abelian(G) == (spec in ("Zn:2,4", "Zn:5,5-native", "cayley-abelian"))
+
+
+def _conj_by_products(G: Group, x, g) -> np.ndarray:
+    """g^-1 x g as two products and an inverse: Group.conj before its table."""
+    return G.mul_array(G.mul_array(G.inv_array(g), x), g)
+
+
+@pytest.mark.parametrize("spec", ["Sym:3", "Sym:4", "Sym:5", "Alt:4", "Alt:5", "q8"])
+def test_conjugation_table_matches_three_products(spec, q8):
+    # up to TABLE_LIMIT, conj is one gather from a table built on first use
+    G = q8 if spec == "q8" else construct_group(spec)
+    x, g = np.arange(G.order)[:, None], np.arange(G.order)
+    want = _conj_by_products(G, x, g)
+    got = G.conj(x, g)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert G._conjugates.shape == (G.order, G.order) and not G._conjugates.flags.writeable
+    assert G.conj(int(x[-1, 0]), int(g[1])) == want[-1, 1]
+
+
+def test_conjugation_past_the_table_limit_reads_products():
+    G = construct_group("Sym:7")
+    rng = np.random.default_rng(7)
+    x, g = rng.integers(0, G.order, size=(2, 50))
+    want = [G.mul(G.mul(G.inv(b), a), b) for a, b in zip(x.tolist(), g.tolist())]
+    assert G.conj(x, g).tolist() == want
+    assert G._conjugates is None
+
+
+def _two_pass_least_conjugates(classes: InnerClasses, rows: np.ndarray) -> np.ndarray:
+    """InnerClasses.least_conjugates before its one-pass form, on
+    three-product conjugation: every row conjugated by its lead's
+    conjugator, then again by the centralizer element that its columns pick."""
+    G = classes.G
+
+    def conj(x, g):
+        return _conj_by_products(G, x, g)
+
+    out = conj(rows, classes.conjugator[rows[:, 0]][:, None])
+    assert (out[:, 0] == classes.least[rows[:, 0]]).all()
+    central = len(G.center())
+    pairs = classes.centralizer_order[out[:, 0]]
+    ends = np.cumsum(pairs)
+    cuts = distinct(np.searchsorted(ends, np.arange(0, ends[-1], 1 << 18), side="right"))
+    for lo, hi in zip(cuts.tolist(), cuts[1:].tolist() + [len(out)]):
+        block = out[lo:hi]
+        count = pairs[lo:hi]
+        row = np.repeat(np.arange(hi - lo), count)
+        first = np.cumsum(count) - count
+        start = np.repeat(classes.centralizer_at[block[:, 0]] - first, count)
+        g = classes.centralizers[np.arange(len(row)) + start]
+        for col in block[:, 1:].T:
+            if len(row) == (hi - lo) * central:
+                break
+            value = conj(col[row], g)
+            keep = value == np.minimum.reduceat(value, first)[row]
+            first = (np.cumsum(keep) - keep)[first]
+            row, g = row[keep], g[keep]
+        out[lo:hi] = conj(block, g[first][:, None])
+    return out
+
+
+@pytest.mark.parametrize("spec, width", [("Sym:4", 4), ("Alt:5", 5), ("q8", 3)])
+def test_one_pass_least_conjugates_match_the_two_pass_routine(spec, width, q8):
+    G = q8 if spec == "q8" else construct_group(spec)
+    classes = G.inner_classes()
+    rng = np.random.default_rng(G.order)
+    for size in (1, 7, 500, 60_000):
+        rows = rng.integers(0, G.order, size=(size, width)).astype(np.int16)
+        got = classes.least_conjugates(rows)
+        assert got.dtype == np.int16 and np.array_equal(got, _two_pass_least_conjugates(classes, rows))
+    # the last call spans more than one chunk of 2^18 pairs
+    assert classes.centralizer_order[classes.least[rows[:, 0]]].sum() > 1 << 18
 
 
 def _burnside_generates(G: AbelianGroup, gens) -> bool:

@@ -48,6 +48,7 @@ from hurwitz_components.orbits import (
     verify_inn_lemma,
 )
 from hurwitz_components.ramification import (
+    BLOCK_ROWS,
     SignatureType,
     enumerate_systems,
     rh_admissible,
@@ -174,8 +175,74 @@ def test_side_orbits_over_inn_classes_match_every_system(spec, text, q8, monkeyp
         rows for w in words for rows in [classes + inn * sample] * len(w) + [sample] * len(w)
     ]
     # one lookup checks the sample's images under every Inn generator, then
-    # one per word locates the class rows' images
-    assert rows_per_lookup == [inn * sample] * (inn > 0) + [classes] * len(words)
+    # the class rows' images of as many consecutive words as fit in
+    # BLOCK_ROWS rows go to one lookup
+    per = max(1, BLOCK_ROWS // classes) if classes else len(words)
+    stacks = [classes * len(words[at : at + per]) for at in range(0, len(words), per)]
+    assert rows_per_lookup == [inn * sample] * (inn > 0) + stacks
+
+
+def test_a_stranger_in_a_middle_word_of_a_stack_is_refused(monkeypatch):
+    # Sym:4 (1|3,3,3): 756 class rows, so its 5 words share one lookup. One
+    # row past the sample of the middle word's images becomes the identity
+    # tuple, which generates nothing: the word's own checks (on the sample)
+    # pass, and the stacked lookup must still refuse it.
+    G = construct_group("Sym:4")
+    tau = _tau("1|3,3,3")
+    words = fiber_words(tau.gprime, tau.periods)
+    middle = len(words) // 2
+    planted_call = sum(2 * len(w) for w in words[:middle]) + len(words[middle]) - 1
+    calls = []
+    real = orbits.apply_move
+
+    def planted(G, gp, rows, mv):
+        out = real(G, gp, rows, mv)
+        if len(calls) == planted_call:
+            out[20] = G.identity
+        calls.append(len(rows))
+        return out
+
+    rows_per_lookup = []
+    real_lookup = _RowIndex.__call__
+
+    def located(self, rows, where):
+        rows_per_lookup.append(len(rows))
+        return real_lookup(self, rows, where)
+
+    monkeypatch.setattr(orbits, "apply_move", planted)
+    monkeypatch.setattr(_RowIndex, "__call__", located)
+    with pytest.raises(AssertionError, match=r"a map left the system set of Sym:4 1\|3,3,3$"):
+        side_orbits(G, tau)
+    assert 3 <= len(words) <= BLOCK_ROWS // 756
+    assert rows_per_lookup[-1] == 756 * len(words)  # the refusing lookup held every word
+
+
+def test_stacked_label_perms_match_one_lookup_per_map(monkeypatch):
+    # Alt:4 (1|3,3,3) has 4 orbit labels; its 24 automorphisms, 5 to a
+    # stack of 20 rows, must permute them as 24 lookups of one map each do
+    G = construct_group("Alt:4")
+    part = side_orbits(G, _tau("1|3,3,3"))
+    maps = np.array(sorted(_closure(G, automorphism_group(G).generator_maps)), dtype=np.int16)
+    assert len(maps) == 24 and len(part.leaders) == 4
+    where = "Alt:4 (1|3,3,3) under an automorphism"
+    want = [part.label_of(phi[part.labels], where) for phi in maps]
+    assert sorted(map(tuple, np.array(want).tolist())) != [tuple(range(4))] * 24
+    lookups = []
+    real_lookup = _RowIndex.__call__
+
+    def located(self, rows, where):
+        lookups.append(len(rows))
+        return real_lookup(self, rows, where)
+
+    monkeypatch.setattr(_RowIndex, "__call__", located)
+    got = orbits._aut_label_perms(G, part, maps)
+    assert lookups == [96]  # one stack under BLOCK_ROWS
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    monkeypatch.setattr(orbits, "BLOCK_ROWS", 20)
+    lookups.clear()
+    got = orbits._aut_label_perms(G, part, maps)
+    assert lookups == [20] * 4 + [16]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 CENSUS_SPECS = ("Sym:3", "Sym:4", "Alt:4", "Zn:2,2", "Zn:2,4", "Zn:2,2,2", "q8", "Alt:5")  # census order
