@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,11 @@ from .errors import UserInputError
 TABLE_LIMIT = 1024
 
 MAX_PERM_DEGREE = 8
+
+# Closures run together on a (rows, order) bool matrix of at most about this
+# many cells: subgroup joins in rounds of CLOSURE_CELLS // order keys, the
+# generating-tuple search in chunks of up to an eighth of that.
+CLOSURE_CELLS = 1 << 18
 
 
 def index_dtype(order: int):
@@ -258,20 +263,36 @@ class Group:
 
     def closure(self, gens, start=()) -> np.ndarray:
         """The sorted members of the subgroup that gens generate together with
-        start, the members of a subgroup (Seress, Permutation Group Algorithms,
-        section 4.1). The closure grows one layer per round: the new elements
-        of the last round times every generator, one mul_array."""
-        seen = np.zeros(self.order, dtype=bool)
-        seen[self.identity] = True
-        seen[np.asarray(start, dtype=np.intp)] = True
-        gens = np.asarray(gens, dtype=np.intp)
-        frontier = seen.nonzero()[0]
+        start, the members of a subgroup: the one-row case of closures."""
+        seen = np.zeros((1, self.order), dtype=bool)
+        seen[0, self.identity] = True
+        seen[0, np.asarray(start, dtype=np.intp)] = True
+        self.closures(seen, np.asarray(gens, dtype=np.intp)[None, :], self.order)
+        return seen[0].nonzero()[0].astype(index_dtype(self.order))
+
+    def closures(self, seen: np.ndarray, gens: np.ndarray, caps) -> np.ndarray:
+        """Grow each row of a (k, |G|) bool matrix, in place, to its members
+        times every product of its row of a (k, m) generator array, which is
+        the subgroup those generate when the members lie in it (Seress,
+        Permutation Group Algorithms, section 4.1), and return each row's
+        member count. The rows grow one layer per round: every element a row
+        reached in the last round times each of its generators, one
+        mul_array. A row whose count passes its cap (an int or one per row)
+        stops there (Lagrange stop: a caller that knows no subgroup between
+        the cap and G can hold the row reads it as G)."""
+        n = self.order
+        flat = seen.reshape(-1)
+        counts = np.count_nonzero(seen, axis=1)
+        frontier = np.flatnonzero(flat)  # row * |G| + element
         while frontier.size:
-            layer = np.zeros(self.order, dtype=bool)
-            layer[self.mul_array(frontier[:, None], gens)] = True
-            frontier = (layer > seen).nonzero()[0]  # reached in this layer only
-            seen |= layer
-        return seen.nonzero()[0].astype(index_dtype(self.order))
+            row = frontier // n
+            reached = self.mul_array((frontier - row * n)[:, None], gens[row]) + (row * n)[:, None]
+            reached = reached.ravel()
+            frontier = distinct(reached[~flat[reached]])
+            flat[frontier] = True
+            counts += np.bincount(frontier // n, minlength=len(seen))
+            frontier = frontier[(counts <= caps)[frontier // n]]
+        return counts
 
     def generates(self, gens) -> bool:
         return len(self.closure(gens)) == self.order
@@ -288,34 +309,67 @@ class Group:
         d <= 3 while there are at most 100,000 d-subsets; past that, a greedy
         tuple. G is cyclic iff some element has order |G|, and the first pick
         of the greedy loop is the first element of greatest order (the largest
-        closure of one element), so both are read off the element orders."""
-        if self.order == 1:
+        closure of one element), so both are read off the element orders.
+        The candidates of each step are closed together, in chunks of
+        _chunk_rows."""
+        n = self.order
+        if n == 1:
             return ()
-        if self.orders.max() == self.order:
+        if self.orders.max() == n:
             return (int(np.argmax(self.orders)),)
         elems = [x for x in self.elements() if x != self.identity]
         for d in (2, 3):
             if math.comb(len(elems), d) > 100_000:
                 break
-            for combo in combinations(elems, d):
-                if self.generates(combo):
-                    return combo
+            combos = combinations(elems, d)
+            for rows in self._chunk_rows():
+                chunk = np.array(list(islice(combos, rows)), dtype=np.intp).reshape(-1, d)
+                if not chunk.size:
+                    break
+                whole = np.flatnonzero(self._join_orders([self.identity], chunk) == n)
+                if whole.size:
+                    return tuple(chunk[whole[0]].tolist())
         # Greedy fallback: always terminates, possibly non-minimal.
         gens = [int(np.argmax(self.orders))]
         closed = self.closure(gens)
-        while len(closed) < self.order:
-            best, best_size = None, len(closed)
-            outside = np.ones(self.order, dtype=bool)
+        while True:
+            outside = np.ones(n, dtype=bool)
             outside[closed] = False
-            for x in np.flatnonzero(outside).tolist():
-                size = len(self.closure(gens + [x], start=closed))
-                if size > best_size:
-                    best, best_size = x, size
-                    if size == self.order:
-                        break
+            outside = np.flatnonzero(outside)
+            best, best_size, at = None, len(closed), 0
+            for rows in self._chunk_rows():
+                chunk = outside[at : at + rows]
+                at += rows
+                sizes = self._join_orders(closed, np.column_stack([np.tile(gens, (len(chunk), 1)), chunk]))
+                i = int(np.argmax(sizes))
+                if sizes[i] > best_size:  # the first x of the largest closure
+                    best, best_size = int(chunk[i]), int(sizes[i])
+                if best_size == n or at >= len(outside):
+                    break
             gens.append(best)
+            if best_size == n:
+                return tuple(gens)
             closed = self.closure(gens)
-        return tuple(gens)
+
+    def _join_orders(self, members, gens: np.ndarray) -> np.ndarray:
+        """The order of the subgroup that each row of gens generates together
+        with the members of a subgroup, by closures with the Lagrange stop at
+        the largest proper divisor of |G|."""
+        cap = self.order // min(prime_factorization(self.order))
+        seen = np.zeros((len(gens), self.order), dtype=bool)
+        seen[:, members] = True
+        orders = self.closures(seen, gens, cap)
+        orders[orders > cap] = self.order
+        return orders
+
+    def _chunk_rows(self):
+        """Row counts 1, 2, 4, ... for the searches, up to an eighth of
+        CLOSURE_CELLS // |G|: the rows of a chunk past its first generating
+        one are wasted, and each grows to about half of G before it stops."""
+        rows, most = 1, max(1, CLOSURE_CELLS // 8 // self.order)
+        while True:
+            yield min(rows, most)
+            rows *= 2
 
     def subgroup_joins(self) -> SubgroupJoins:
         """The table of subgroup joins <H, x>, built on first use and kept."""
@@ -352,24 +406,28 @@ class SubgroupJoins:
     joins <H, y> are kept in a dense table, filled on demand as generates
     folds join over the columns of finished systems. The group keeps one
     (Group.subgroup_joins), so every enumeration of its systems reuses the
-    joins of the ones before. A join is found without listing <H, y>
-    element by element:
+    joins of the ones before. One join call finds its pending joins
+    together, in rounds of CLOSURE_CELLS // |G| keys (H, y), without
+    listing any <H, y> element by element:
 
     * Lagrange shortcut: |<H, y>| is a multiple of lcm(|H|, ord y) that
-      divides |G| and exceeds |H|. When |G| is the only such divisor, the
-      join is G.
-    * Layered closure: otherwise <H, y> is Group.closure of the generators
-      of H plus y, started from the members of H.
+      divides |G| and exceeds |H|. The largest such divisor below |G| is the
+      key's cap; when there is none, the join is G and takes no closure.
+    * Layered closure: each other key of a round is one row of
+      Group.closures, started from the members of H and y, with the
+      generators of H plus y. A row whose count passes its cap is G and
+      stops growing.
     * Coset fills: <H, a y^j> = <H, y^j a> = <H, y> for every a in H and
-      every j prime to ord(y), since y is then a power of y^j. So one join
-      fills the row of H on the cosets H y^j and y^j H of every generator
-      y^j of <y>, and a new subgroup K fills its own row on K with its id.
+      every j prime to ord(y), since y is then a power of y^j. So each
+      closed key fills the row of H on the cosets H y^j and y^j H of every
+      generator y^j of <y>, which answers most keys of later rounds, and a
+      new subgroup K fills its own row on K with its id.
     """
 
     def __init__(self, G: Group) -> None:
         self.G = G
         n = G.order
-        self.divisors = [d for d in range(1, n + 1) if n % d == 0]
+        self.divisors = np.array([d for d in range(1, n) if n % d == 0], dtype=np.int64)
         self.members: list[np.ndarray] = []
         self.gens: list[tuple[int, ...]] = []
         self.ids: dict[bytes, int] = {}
@@ -383,34 +441,71 @@ class SubgroupJoins:
         todo = got < 0
         if todo.any():
             n = self.G.order
-            for key in distinct(ids[todo].astype(np.int64) * n + x[todo]).tolist():
-                h, y = divmod(key, n)
-                if self.table[h, y] < 0:  # not filled by an earlier coset
-                    self._close(h, y)
+            keys = distinct(ids[todo].astype(np.int64) * n + x[todo])
+            rows = max(1, CLOSURE_CELLS // n)
+            while True:
+                keys = keys[self.table[keys // n, keys % n] < 0]  # not filled by earlier rounds
+                if not keys.size:
+                    break
+                self._close(keys[:rows] // n, keys[:rows] % n)
+                keys = keys[rows:]
             got = self.table[ids, x]
         return got
 
-    def _close(self, h: int, y: int) -> None:
-        """Find <H, y> for y not in H and fill the row of H on H y^j and y^j H
-        for every j prime to ord(y), two gathers over the generators of <y>."""
+    def caps(self, h: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """For each key (H, y), the largest divisor of |G| below |G| that
+        exceeds |H| and is a multiple of lcm(|H|, ord y); 0 if there is none."""
+        order = self.orders[h][:, None]
+        step = np.lcm(order, self.G.orders[y][:, None])
+        fits = (self.divisors > order) & (self.divisors % step == 0)
+        return np.where(fits, self.divisors, 0).max(axis=1, initial=0)
+
+    def _close(self, h: np.ndarray, y: np.ndarray) -> None:
+        """Find <H, y> for each key (y not in H) and write it to the table."""
+        caps = self.caps(h, y)
+        got = np.empty(len(h), dtype=np.int32)
+        shortcut = caps == 0
+        if shortcut.any():
+            n, i = self.G.order, shortcut.argmax()
+            whole = np.arange(n, dtype=index_dtype(n))
+            got[shortcut] = self._subgroup(whole, self.gens[h[i]] + (y.item(i),))
+        if not shortcut.all():
+            closed = ~shortcut
+            got[closed] = self._closed_joins(h[closed], y[closed], caps[closed])
+        self.table[h, y] = got
+
+    def _closed_joins(self, h: np.ndarray, y: np.ndarray, caps: np.ndarray) -> np.ndarray:
+        """The ids of <H, y> by one layered closure of all the keys, each
+        distinct member row added once; then the row of H is filled on H y^j
+        and y^j H for every j prime to ord(y), one pair of mul_array calls
+        per j over the members of all the keys."""
         G = self.G
-        H = self.members[h]
-        gens = self.gens[h] + (y,)
-        step = math.lcm(len(H), G.element_order(y))
-        if any(len(H) < d < G.order and d % step == 0 for d in self.divisors):
-            members = G.closure(gens, start=H)
-        else:
-            members = np.arange(G.order, dtype=H.dtype)
-        got = self._subgroup(members, gens)
-        order = G.element_order(y)
-        powers, acc = [y], y
-        for j in range(2, order):
-            acc = G.mul(acc, y)
-            if math.gcd(j, order) == 1:
-                powers.append(acc)
-        powers = np.array(powers, dtype=H.dtype)
-        self.table[h, G.mul_array(H[:, None], powers)] = got
-        self.table[h, G.mul_array(powers[:, None], H)] = got
+        n = G.order
+        seen = self.table[h] == h[:, None]
+        key, member = np.nonzero(seen)  # every key's members of H
+        seen[np.arange(len(h)), y] = True
+        gens = [self.gens[i] + (j,) for i, j in zip(h.tolist(), y.tolist())]
+        width = max(map(len, gens))
+        padded = np.array([g + (G.identity,) * (width - len(g)) for g in gens], dtype=np.intp)
+        whole = G.closures(seen, padded, caps) > caps
+        packed = np.packbits(seen, axis=1)
+        got = np.empty(len(h), dtype=np.int32)
+        found: dict[bytes | None, int] = {}  # None stands for G
+        for i, g in enumerate(gens):
+            row = None if whole[i] else packed[i].tobytes()
+            if row not in found:
+                members = np.arange(n) if whole[i] else np.flatnonzero(seen[i])
+                found[row] = self._subgroup(members.astype(index_dtype(n)), g)
+            got[i] = found[row]
+        orders = G.orders[y]
+        power = y
+        for j in range(1, int(orders.max())):
+            live = ((j < orders) & (np.gcd(j, orders) == 1))[key]
+            at, a = key[live], member[live]
+            self.table[h[at], G.mul_array(a, power[at])] = got[at]
+            self.table[h[at], G.mul_array(power[at], a)] = got[at]
+            power = G.mul_array(power, y)
+        return got
 
     def _subgroup(self, members: np.ndarray, gens: tuple[int, ...]) -> int:
         """The id of the subgroup with these sorted members, added if new."""

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from hurwitz_components import groups
 from hurwitz_components.abelian import _rank_mod_p
 from hurwitz_components.errors import UserInputError
 from hurwitz_components.groups import (
@@ -15,6 +16,7 @@ from hurwitz_components.groups import (
     Group,
     InnerClasses,
     PermutationGroup,
+    SubgroupJoins,
     TABLE_LIMIT,
     construct_group,
     distinct,
@@ -27,8 +29,8 @@ from hurwitz_components.ramification import SignatureType, enumerate_systems
 
 def scalar_closure(G: Group, gens, mul=None) -> frozenset[int]:
     """<gens> by a breadth-first search with one scalar product at a time (G.mul
-    unless mul is given): the reference for Group.closure, which SubgroupJoins
-    also runs."""
+    unless mul is given): the reference for Group.closure, the one-row case of
+    the Group.closures that SubgroupJoins runs."""
     mul = mul or G.mul
     seen = {G.identity}
     reached = [G.identity]
@@ -472,18 +474,169 @@ def test_join_table_names_plain_closures(spec, texts, q8):
 
 
 def test_one_join_fills_the_cosets_of_every_generator(monkeypatch):
-    # <H, y^j> = <H, y> for every j prime to ord(y). On Zn:13,13 the trivial
-    # subgroup is closed once per line <y> (14), and each line once more, as
-    # its 12 other cosets H y^j make up the whole row (14). Filling only
-    # H y and y H closed 336 joins here.
-    G = construct_group("Zn:13,13")
-    joins = G.subgroup_joins()
-    closed = []
-    real = joins._close
-    monkeypatch.setattr(joins, "_close", lambda h, y: closed.append((h, y)) or real(h, y))
-    assert len(enumerate_systems(G, SignatureType(0, (13, 13, 13)))) == 168 * 156
-    assert len(closed) == 28
-    assert sorted(joins.orders[: len(joins.members)].tolist()) == [1] + [13] * 14 + [169]
+    # <H, y^j> = <H, y> for every j prime to ord(y). On Zn:13,13 one join
+    # call closes its pending keys together, in rounds of at most
+    # CLOSURE_CELLS // 169 = 1,551 keys. The trivial subgroup joined with
+    # the 97 leads of the first enumeration block is one round of 97 layered
+    # closures, and their coset fills answer the leads of the second block.
+    # A line joined with any of the 156 elements outside it is G by
+    # Lagrange's theorem (no divisor of 169 lies between 13 and 169): its
+    # 14 * 156 = 2,184 keys take two rounds and no closure. Closed one key at
+    # a time, 28 joins took a closure here (336 filling only H y and y H).
+    tau = SignatureType(0, (13, 13, 13))
+
+    def enumerate_counting_rounds():
+        G = construct_group("Zn:13,13")
+        joins = G.subgroup_joins()
+        batches, rows = [], []
+        close, closures = joins._close, G.closures
+        monkeypatch.setattr(joins, "_close", lambda h, y: batches.append(len(h)) or close(h, y))
+        monkeypatch.setattr(
+            G, "closures", lambda seen, gens, caps: rows.append(len(seen)) or closures(seen, gens, caps)
+        )
+        systems = enumerate_systems(G, tau)
+        assert len(systems) == 168 * 156
+        assert sorted(joins.orders[: len(joins.members)].tolist()) == [1] + [13] * 14 + [169]
+        batches_before, rows_before = batches[:], rows[:]
+        batches.clear(), rows.clear()
+        assert np.array_equal(enumerate_systems(G, tau), systems)
+        assert batches == rows == []  # every join is already in the group's table
+        return batches_before, rows_before
+
+    assert enumerate_counting_rounds() == ([97, 1551, 633], [97])
+    # in rounds of 8 keys, the fills of each round answer the other keys
+    # on its lines before the next round: 3 rounds of closures, not 13
+    monkeypatch.setattr(groups, "CLOSURE_CELLS", 169 * 8)
+    batches, rows = enumerate_counting_rounds()
+    assert rows == [8, 8, 8] and sum(batches) == 24 + 2184
+
+
+class _SequentialJoins:
+    """SubgroupJoins as it ran before joins were closed in batches, kept as
+    the reference: one key at a time, in ascending order, each skipped when
+    an earlier key's coset fills answered it, else closed by a layered
+    closure of its own unless Lagrange's theorem leaves only G."""
+
+    def __init__(self, G: Group) -> None:
+        self.G = G
+        n = G.order
+        self.divisors = [d for d in range(1, n + 1) if n % d == 0]
+        self.members: list[np.ndarray] = []
+        self.gens: list[tuple[int, ...]] = []
+        self.ids: dict[bytes, int] = {}
+        self.table = np.full((0, n), -1, dtype=np.int32)
+        self._subgroup(np.array([G.identity], dtype=np.int64), ())
+
+    def _subgroup(self, members: np.ndarray, gens: tuple[int, ...]) -> int:
+        key = members.tobytes()
+        if key not in self.ids:
+            self.ids[key] = len(self.members)
+            self.members.append(members)
+            self.gens.append(gens)
+            self.table = np.concatenate([self.table, np.full((1, self.G.order), -1, dtype=np.int32)])
+            self.table[-1, members] = self.ids[key]
+        return self.ids[key]
+
+    def join(self, ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+        got = self.table[ids, x]
+        todo = got < 0
+        if todo.any():
+            n = self.G.order
+            for key in distinct(ids[todo].astype(np.int64) * n + x[todo]).tolist():
+                h, y = divmod(key, n)
+                if self.table[h, y] < 0:  # not filled by an earlier coset
+                    self._close(h, y)
+            got = self.table[ids, x]
+        return got
+
+    def _close(self, h: int, y: int) -> None:
+        G = self.G
+        H = self.members[h]
+        gens = self.gens[h] + (y,)
+        order = G.element_order(y)
+        step = math.lcm(len(H), order)
+        if any(len(H) < d < G.order and d % step == 0 for d in self.divisors):
+            seen = np.zeros(G.order, dtype=bool)
+            seen[H] = True
+            frontier = H
+            while frontier.size:  # one layer of products by the generators per round
+                layer = np.zeros(G.order, dtype=bool)
+                layer[G.mul_array(frontier[:, None], gens)] = True
+                frontier = (layer > seen).nonzero()[0]
+                seen |= layer
+            members = seen.nonzero()[0]
+        else:
+            members = np.arange(G.order)
+        got = self._subgroup(members, gens)
+        powers, acc = [y], y
+        for j in range(2, order):
+            acc = G.mul(acc, y)
+            if math.gcd(j, order) == 1:
+                powers.append(acc)
+        powers = np.array(powers)
+        self.table[h, G.mul_array(H[:, None], powers)] = got
+        self.table[h, G.mul_array(powers[:, None], H)] = got
+
+    def generates(self, rows: np.ndarray) -> np.ndarray:
+        ids = np.zeros(len(rows), dtype=np.int32)
+        for x in rows.T:
+            ids = self.join(ids, x)
+        return np.array([len(self.members[i]) for i in ids.tolist()]) == self.G.order
+
+
+def _batched_join_mismatches(G: Group, texts) -> list[str]:
+    """Enumerate the types on a fresh G and compare its batched joins with
+    _SequentialJoins: the generates mask of every block of finished rows,
+    then every entry that either table filled, by the members it names."""
+    joins, ref = G.subgroup_joins(), _SequentialJoins(G)
+    blocks = []
+    real = joins.generates
+    joins.generates = lambda rows: blocks.append((rows, real(rows))) or blocks[-1][1]
+    for text in texts:
+        enumerate_systems(G, SignatureType.parse(text))
+    assert any(got.any() for _, got in blocks)
+    bad = [f"generates on {len(rows)} rows" for rows, got in blocks if not np.array_equal(got, ref.generates(rows))]
+    for a, b in ((joins, ref), (ref, joins)):  # the entries a filled, read in b
+        members = [m.astype(np.int64) for m in a.members]
+        ids = [b._subgroup(m.astype(b.members[0].dtype), g) for m, g in zip(members, a.gens)]
+        h, y = np.nonzero(a.table[: len(members)] >= 0)
+        want = b.join(np.array(ids)[h], y)
+        for i, j, u, v in zip(h.tolist(), y.tolist(), a.table[h, y].tolist(), want.tolist()):
+            if not np.array_equal(members[u], b.members[v]):
+                bad.append(f"<{members[i].tolist()}, {j}>")
+    return bad
+
+
+@pytest.mark.parametrize(
+    "spec,texts",
+    [
+        ("Sym:4", ("1|2,2,3", "0|2,2,3,4")),
+        ("Alt:5", ("0|2,5,5", "0|3,3,5")),
+        ("q8", ("0|4,4,4", "1|2")),
+        ("Zn:2,2,2", ("0|2,2,2,2", "1|2,2")),
+        ("Zn:13,13", ("0|13,13,13",)),
+        ("Sym:5-native", ("0|2,4,5", "0|3,4,4")),
+    ],
+)
+def test_batched_joins_match_one_key_at_a_time(spec, texts, q8_path):
+    G = construct_group(f"cayley:{q8_path}" if spec == "q8" else spec.removesuffix("-native"))
+    if spec.endswith("-native"):  # the backend's product, as used past TABLE_LIMIT
+        G._products = G._inverses = None
+    assert _batched_join_mismatches(G, texts) == []
+
+
+def test_batched_joins_see_a_cap_one_divisor_too_low(monkeypatch):
+    # control: each cap lowered to the next divisor of |G| below it, so a
+    # join that closes to a proper subgroup of the cap's order passes its
+    # lowered cap and reads as G
+    caps = SubgroupJoins.caps
+
+    def lowered(self, h, y):
+        got = caps(self, h, y)
+        return np.where(got > 0, self.divisors[np.searchsorted(self.divisors, got) - 1], 0)
+
+    monkeypatch.setattr(SubgroupJoins, "caps", lowered)
+    assert _batched_join_mismatches(construct_group("Sym:4"), ("1|2,2,3", "0|2,2,3,4"))
 
 
 def _elementwise_table(G: Group) -> np.ndarray:
@@ -545,16 +698,18 @@ def _reference_generating_tuple(G: Group) -> tuple[int, ...]:
 
 @pytest.mark.parametrize(
     "spec",
-    ["Sym:3", "Sym:4", "Sym:5", "Sym:6", "Sym:7", "Alt:4", "Alt:5", "Alt:6", "Alt:7", "q8",
-     "Zn:2,2", "Zn:2,4", "Zn:2,2,2", "Zn:12"],
+    ["Sym:3", "Sym:4", "Sym:5", "Sym:6", "Sym:7", "Alt:4", "Alt:5", "Alt:6", "Alt:7", "Alt:8",
+     "q8", "Zn:2,2", "Zn:2,4", "Zn:2,2,2", "Zn:12"],
 )
-def test_generating_tuple_search_matches_reference(spec, q8):
+def test_generating_tuple_search_matches_reference(spec, q8, monkeypatch):
     # the abelian backend returns its unit vectors, so the shared search is
     # called directly there; it reads G.orders, which that backend overrides
     G = q8 if spec == "q8" else construct_group(spec)
     want = _reference_generating_tuple(G)
     assert Group._search_generating_tuple(G) == want
     assert isinstance(G, AbelianGroup) or G.generating_tuple() == want
+    monkeypatch.setattr(Group, "_chunk_rows", lambda self: iter(lambda: 1, None))  # one row per chunk
+    assert Group._search_generating_tuple(G) == want
 
 
 @pytest.mark.parametrize("spec", ["Zn:17,17", "Zn:19,19"])
