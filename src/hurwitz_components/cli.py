@@ -19,6 +19,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .abelian import (
     AbelianProfile,
@@ -49,7 +51,7 @@ from .ramification import (
     fraction_to_json,
     is_beauville,
     long_relation_holds,
-    sigma_set,
+    sigma_masks,
     surface_invariants,
 )
 
@@ -345,7 +347,7 @@ def _verify_moves(rng_seed: int) -> tuple[bool, str]:
         if not len(systems):
             continue
         sample = systems[rng.sample(range(len(systems)), min(40, len(systems)))]
-        sigmas = [sigma_set(G, gp, ent) for ent in sample.tolist()]
+        sigmas = sigma_masks(G, gp, sample)
         moves = available_moves(gp, tau.r)
         moves += [mv.inverted() for mv in moves]
         order_multiset = sorted(periods)
@@ -357,11 +359,11 @@ def _verify_moves(rng_seed: int) -> tuple[bool, str]:
                 out.shape == sample.shape
                 and (branch_orders == order_multiset).all()
                 and long_relation_holds(G, gp, out).all()
-                and all(map(G.generates, out.tolist()))
+                and G.subgroup_joins().generates(out).all()
             )
             if not ok:
                 return False, f"move {mv} broke a system invariant on {tau}"
-            if [sigma_set(G, gp, ent) for ent in out.tolist()] != sigmas:
+            if not np.array_equal(sigma_masks(G, gp, out), sigmas):
                 return False, f"move {mv} changed the Sigma set on {tau}"
             if not (apply_move(G, gp, out, mv.inverted()) == sample).all():
                 return False, f"move {mv} is not inverted by {mv.inverted()} on {tau}"

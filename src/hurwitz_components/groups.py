@@ -152,7 +152,6 @@ class Group:
             self._inverses = np.argmax(table == self.identity, axis=1).astype(table.dtype)
         self._conjugates: np.ndarray | None = None  # the conjugation table, built by conj
         self._center: tuple[int, ...] | None = None
-        self._cyclic: dict[int, frozenset[int]] = {}
         self._joins: SubgroupJoins | None = None
         self._inner_classes: InnerClasses | None = None
         self._inner_maps: np.ndarray | None = None  # set by automorphisms.inner_automorphisms
@@ -240,26 +239,12 @@ class Group:
     def orders_present(self) -> tuple[int, ...]:
         return tuple(distinct(self.orders).tolist())
 
-    def cyclic_subgroup(self, x: int) -> frozenset[int]:
-        got = self._cyclic.get(x)
-        if got is None:
-            elems = set()
-            acc = self.identity
-            while True:
-                elems.add(acc)
-                acc = self.mul(acc, x)
-                if acc == self.identity:
-                    break
-            got = frozenset(elems)
-            self._cyclic[x] = got
-        return got
-
     def conjugacy_class(self, x: int) -> frozenset[int]:
-        """{g^-1 x g : g in G}, read from inner_classes(); {x} when G is abelian."""
+        """{g^-1 x g : g in G}: x's class in inner_classes(); {x} when G is abelian."""
         classes = self.inner_classes()
         if classes is None:
             return frozenset([x])
-        return classes.conjugacy_classes[classes.least.item(x)]
+        return frozenset(np.flatnonzero(classes.least == classes.least[x]).tolist())
 
     def closure(self, gens, start=()) -> np.ndarray:
         """The sorted members of the subgroup that gens generate together with
@@ -538,9 +523,7 @@ class InnerClasses:
 
     Its walk over the conjugacy classes is the group's only one. Per
     element x it keeps least[x], the least member of the conjugacy class of
-    x, and conjugator[x], an element g with g^-1 x g = least[x] (Group.conj);
-    conjugacy_classes maps each class minimum to its class, which
-    Group.conjugacy_class reads.
+    x, and conjugator[x], an element g with g^-1 x g = least[x] (Group.conj).
     The centralizer C(c) of each class minimum c is the slice of
     centralizers (sorted members, all centralizers end to end) that starts
     at centralizer_at[c] and holds centralizer_order[c] elements. Every
@@ -571,9 +554,6 @@ class InnerClasses:
         self.least = least.astype(reach.dtype)
         self.conjugator = G.inv_array(reach)
         minima = distinct(least)
-        self.conjugacy_classes = {
-            c: frozenset(np.flatnonzero(least == c).tolist()) for c in minima.tolist()
-        }
         members = [np.flatnonzero(G.mul_array(c, elems) == G.mul_array(elems, c)) for c in minima]
         sizes = np.array([len(m) for m in members])
         self.centralizers = np.concatenate(members)

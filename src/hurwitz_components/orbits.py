@@ -25,8 +25,8 @@ abelian.quadruple_classes uses it too), _check_inn_sample and
 _valid_cells, and the one builder of the document (_report), which
 reads only the orbit sizes and representative rows each route hands it
 and checks the sizes against that route's own pair count. Each builds
-its own Sigma rows (sigma_set per class row in the oracle, _sigma_matrix
-in the two-stage engine). An automorphism
+its own Sigma rows (sigma_masks, one element column each, in the oracle;
+_sigma_matrix in the two-stage engine). An automorphism
 is a row phi of a (maps, |G|) index array and acts as the gather
 phi[systems]. Both routes act with generators only (forward moves, Inn
 and Aut generator maps): each permutes a finite set, so its inverse is
@@ -68,7 +68,7 @@ from .ramification import (
     curve_genus,
     enumerate_systems,
     period_multisets_with_angle_sum,
-    sigma_set,
+    sigma_masks,
 )
 
 DEFAULT_MAX_SYSTEMS = 10_000_000
@@ -720,16 +720,9 @@ def count_components_one_stage(
             required=cells,
         )
 
-    def sigma_rows(t: SignatureType, systems: np.ndarray) -> np.ndarray:
-        """Whole Sigma sets, one element column each, less the identity."""
-        rows = np.zeros((len(systems), G.order), dtype=bool)
-        for k, ent in enumerate(systems.tolist()):
-            rows[k, list(sigma_set(G, t.gprime, ent))] = True
-        rows[:, G.identity] = False
-        return rows
-
-    sig1 = sigma_rows(t1, sys1)
-    sig2 = sig1 if same_types else sigma_rows(t2, sys2)
+    sig1 = sigma_masks(G, t1.gprime, sys1)
+    sig2 = sig1 if same_types else sigma_masks(G, t2.gprime, sys2)
+    sig1[:, G.identity] = sig2[:, G.identity] = False  # whole Sigma sets less the identity
     disjoint = _valid_cells(sig1, sig2).ravel()
     pair_ids = np.flatnonzero(disjoint)
     per_pair = (G.order // len(G.center())) ** 2  # raw pairs per class-row pair

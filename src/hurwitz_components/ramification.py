@@ -8,9 +8,10 @@ member of each Inn(G) class) as one 2-D array with a system per row,
 built with numpy gathers on the group's table, a block of leads at a
 time, and tested for generation once per finished row by the group's
 subgroup joins, and long_relation_value / long_relation_holds evaluate
-every row of such an array at once. sigma_set reads one system as a
-sequence of ints. Two systems are disjoint when their Sigma sets meet
-only in the identity.
+every row of such an array at once; so does sigma_masks, one bool row
+over G per system for its Sigma set (sigma_set is its one-row case, one
+system read as a sequence of ints). Two systems are disjoint when their
+Sigma sets meet only in the identity.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import UserInputError
-from .groups import Group, index_dtype
+from .groups import Group, distinct, index_dtype
 
 BLOCK_ROWS = 1 << 14  # rows per enumerate_systems block: as many leads as fit
 
@@ -160,8 +161,8 @@ def enumerate_systems(G: Group, tau: SignatureType, inn_classes: bool = False) -
     conjugates by C(c)), and a generating row is kept when it is its own
     least conjugate. Inn(G) acts freely on generating systems, so the C(c)
     orbits of the generating rows with lead c all have |C(c)|/|Z(G)| rows,
-    |C(c)| read from the conjugacy class of c; a lead whose count
-    disagrees raises AssertionError.
+    |C(c)| = |G| over the size of the class of c, counted in
+    InnerClasses.least; a lead whose count disagrees raises AssertionError.
     """
     gp, r = tau.gprime, tau.r
     dtype = index_dtype(G.order)
@@ -198,8 +199,9 @@ def enumerate_systems(G: Group, tau: SignatureType, inn_classes: bool = False) -
             found = np.bincount(rows[:, 0], minlength=G.order)
             rows = rows[(classes.least_conjugates(rows) == rows).all(axis=1)]
             kept = np.bincount(rows[:, 0], minlength=G.order)
+            class_size = np.bincount(classes.least, minlength=G.order)
             for c in np.flatnonzero(found).tolist():
-                size = G.order // len(G.conjugacy_class(c)) // len(G.center())
+                size = G.order // class_size[c] // len(G.center())
                 if found[c] != kept[c] * size:
                     raise AssertionError(
                         f"{found[c]} systems of {G.name} {tau} with lead {c} do not split "
@@ -209,13 +211,36 @@ def enumerate_systems(G: Group, tau: SignatureType, inn_classes: bool = False) -
     return np.concatenate(blocks)
 
 
+def sigma_masks(G: Group, gprime: int, systems) -> np.ndarray:
+    """Bool matrix (rows, |G|) marking Sigma(V) of each row V of a 2-D system
+    array, the identity included: the cyclic subgroups of the conjugates of
+    its branch entries, as (g^-1 c g)^k = g^-1 c^k g. Each conjugacy class
+    among the entries gets one row, the union of <y> over its members y
+    (InnerClasses.least; one element each in an abelian G), by one mul_array
+    per power over every class's members at once; a system's row ORs its
+    entries' class rows, one gather per branch column."""
+    branch = np.asarray(systems, dtype=np.intp)[:, 2 * gprime :]
+    classes = G.inner_classes()
+    least = np.arange(G.order) if classes is None else classes.least
+    keys = distinct(least[branch])
+    members = np.flatnonzero(np.isin(least, keys))
+    row, power = np.searchsorted(keys, least[members]), members
+    table = np.zeros((len(keys), G.order), dtype=bool)
+    while members.size:
+        table[row, power] = True
+        live = power != G.identity
+        members, row, power = members[live], row[live], power[live]
+        power = G.mul_array(power, members)
+    out = np.zeros((len(branch), G.order), dtype=bool)
+    out[:, G.identity] = True
+    for col in branch.T:
+        out |= table[np.searchsorted(keys, least[col])]
+    return out
+
+
 def sigma_set(G: Group, gprime: int, entries: tuple[int, ...]) -> frozenset[int]:
-    """All conjugates of all powers of the branch entries, plus the identity:
-    the cyclic subgroups of the conjugates, since (g^-1 c g)^k = g^-1 c^k g."""
-    out = {G.identity}
-    for c in entries[2 * gprime :]:
-        out.update(*map(G.cyclic_subgroup, G.conjugacy_class(c)))
-    return frozenset(out)
+    """Sigma of one system, a sequence of ints: the one-row case of sigma_masks."""
+    return frozenset(np.flatnonzero(sigma_masks(G, gprime, [entries])[0]).tolist())
 
 
 def curve_genus(group_order: int, tau: SignatureType) -> Fraction:

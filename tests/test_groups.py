@@ -143,8 +143,8 @@ def test_element_order_matches_brute_force(q8):
 
 def test_cyclic_subgroup():
     G = construct_group("Zn:12")
-    assert len(G.cyclic_subgroup(1)) == 12
-    assert G.cyclic_subgroup(4) == {0, 4, 8}
+    assert len(G.closure([1])) == 12
+    assert G.closure([4]).tolist() == [0, 4, 8]
 
 
 def test_closure_and_generates():

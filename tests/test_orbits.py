@@ -518,7 +518,7 @@ def _is_prime(n: int) -> bool:
 
 def _subgroup_class(G, z: int) -> frozenset:
     """The conjugacy class of the subgroup <z>, as a set of subgroups."""
-    sub = G.cyclic_subgroup(z)
+    sub = G.closure([z]).tolist()
     return frozenset(frozenset(int(G.conj(x, g)) for x in sub) for g in G.elements())
 
 
@@ -572,7 +572,7 @@ def _full_sigma_rows(G):
     of x, as the pair stage built them before the class columns."""
     rows = np.zeros((G.order, G.order), dtype=bool)
     for x in G.elements():
-        rows[x, list(frozenset().union(*map(G.cyclic_subgroup, G.conjugacy_class(x))))] = True
+        rows[x, np.concatenate([G.closure([y]) for y in G.conjugacy_class(x)])] = True
     return rows
 
 

@@ -21,6 +21,7 @@ from hurwitz_components.ramification import (
     long_relation_value,
     period_multisets_with_angle_sum,
     rh_admissible,
+    sigma_masks,
     sigma_set,
     surface_invariants,
 )
@@ -299,11 +300,75 @@ def test_enumerations_of_one_group_share_its_join_table(monkeypatch):
 def _sigma_by_conjugation(G, gprime, entries):
     """Sigma as first defined: every conjugate of every power of a branch entry."""
     out = {G.identity}
+    elems = np.arange(G.order)
     for c in entries[2 * gprime :]:
-        for y in G.cyclic_subgroup(c):
-            for g in G.elements():
-                out.add(G.conj(y, g))
+        for y in G.closure([c]).tolist():
+            out.update(G.conj(y, elems).tolist())
     return frozenset(out)
+
+
+# Every census group (Q8 as its Cayley table), Sym:5 and Alt:7, with a g' = 0
+# and a g' = 1 type each; Alt:7's rows are its Inn-class rows.
+SIGMA_MASK_CASES = [
+    ("Sym:3", "0|2,2,3"), ("Sym:3", "1|3"),
+    ("Sym:4", "0|2,3,4"), ("Sym:4", "1|3"),
+    ("Alt:4", "0|2,3,3"), ("Alt:4", "1|2"),
+    ("Zn:2,2", "0|2,2,2"), ("Zn:2,2", "1|2,2"),
+    ("Zn:2,4", "0|2,4,4"), ("Zn:2,4", "1|4,4"),
+    ("Zn:2,2,2", "0|2,2,2,2"), ("Zn:2,2,2", "1|2,2"),
+    ("q8", "0|4,4,4"), ("q8", "1|2"),
+    ("Alt:5", "0|2,5,5"), ("Alt:5", "1|3"),
+    ("Sym:5", "0|2,4,5"), ("Sym:5", "1|2"),
+    ("Alt:7", "0|5,5,7"), ("Alt:7", "1|2"),
+]
+
+
+def _sigma_mask_rows(G, tau):
+    """At most about 200 systems of tau, spread over its enumeration."""
+    systems = enumerate_systems(G, tau, inn_classes=G.order > 120)
+    assert len(systems)
+    return systems[:: max(1, len(systems) // 200)]
+
+
+def _masks_differ(G, tau, systems):
+    """The first system whose sigma_masks row is not its _sigma_by_conjugation
+    set, or None."""
+    masks = sigma_masks(G, tau.gprime, systems)
+    assert masks.shape == (len(systems), G.order)
+    for row, ent in zip(masks, systems.tolist()):
+        if set(np.flatnonzero(row).tolist()) != _sigma_by_conjugation(G, tau.gprime, ent):
+            return ent
+    return None
+
+
+@pytest.mark.parametrize("spec,text", SIGMA_MASK_CASES)
+def test_sigma_masks_match_conjugation_closure(spec, text, q8):
+    G = q8 if spec == "q8" else construct_group(spec)
+    tau = SignatureType.parse(text)
+    assert _masks_differ(G, tau, _sigma_mask_rows(G, tau)) is None
+
+
+def test_sigma_masks_without_conjugates_fail_on_sym4(monkeypatch):
+    """Control: with no Inn(G) classes every element is its own class, so
+    the class rows hold only each entry's own powers; the pin must fail."""
+    G = construct_group("Sym:4")
+    tau = SignatureType.parse("0|2,3,4")
+    systems = _sigma_mask_rows(G, tau)
+    assert _masks_differ(G, tau, systems) is None
+    monkeypatch.setattr(G, "inner_classes", lambda: None)
+    assert _masks_differ(G, tau, systems) is not None
+
+
+@pytest.mark.parametrize("spec,text", [("Sym:4", "0|2,3,4"), ("q8", "1|2"), ("Zn:2,4", "1|4,4")])
+def test_sigma_set_is_the_one_row_case_of_sigma_masks(spec, text, q8):
+    G = q8 if spec == "q8" else construct_group(spec)
+    tau = SignatureType.parse(text)
+    systems = _sigma_mask_rows(G, tau)
+    masks = sigma_masks(G, tau.gprime, systems)
+    for row, ent in zip(masks, systems.tolist()):
+        assert sigma_set(G, tau.gprime, ent) == frozenset(np.flatnonzero(row).tolist())
+    assert sigma_masks(G, tau.gprime, systems[:0]).shape == (0, G.order)
+    assert sigma_set(G, 0, ()) == {G.identity}
 
 
 @pytest.mark.parametrize("spec,text", [("Sym:4", "0|2,3,4"), ("Alt:5", "0|2,5,5"), ("q8", "1|2")])
@@ -338,7 +403,7 @@ def test_sigma_set_abelian_is_union_of_cyclic_subgroups():
     sig = sigma_set(G, 0, entries)
     want = set()
     for c in entries:
-        want |= G.cyclic_subgroup(c)
+        want |= set(G.closure([c]).tolist())
     assert sig == frozenset(want)
 
 
