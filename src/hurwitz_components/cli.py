@@ -4,12 +4,23 @@ Subcommands: invariants, enumerate, count, theta, abelian-exists, scan,
 verify. One structured document goes to stdout (canonical JSON by default,
 CSV for scan tables); diagnostics go to stderr. Exit codes: 0 success,
 1 user error or failed verification, 2 budget exhaustion.
+
+`_COMMANDS` is the one place a subcommand is declared: its name, help text,
+arguments and handler. The first `main` call in a process builds the parser
+from that table and every later call reuses it. The parser holds only the
+declaration: each parse returns a fresh Namespace, and every handler returns
+(stdout text, exit code). Handlers look up the engine names they call, such
+as `construct_group` and `count_components`, at call time, so a wrapper set
+on this module reaches every call. The `--version` string is the package's
+`__version__`, read once when the parser is built; `_cmd_count` reads
+`__version__` on every call for its cache key.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -102,7 +113,7 @@ def _config_from_args(args) -> EquivalenceConfig:
 # subcommand handlers
 
 
-def _cmd_invariants(args) -> str:
+def _cmd_invariants(args) -> tuple[str, int]:
     G = construct_group(args.group)
     t1 = SignatureType.parse(args.type1)
     t2 = SignatureType.parse(args.type2)
@@ -116,10 +127,10 @@ def _cmd_invariants(args) -> str:
         "beauville": is_beauville(t1, t2),
     }
     doc.update(inv.to_json_dict())
-    return _canonical_json(doc)
+    return _canonical_json(doc), 0
 
 
-def _cmd_enumerate(args) -> str:
+def _cmd_enumerate(args) -> tuple[str, int]:
     G = construct_group(args.group)
     tau = SignatureType.parse(args.type)
     cfg = _config_from_args(args)
@@ -136,10 +147,10 @@ def _cmd_enumerate(args) -> str:
         "count": len(systems),
         "systems": [[G.element_label(x) for x in ent] for ent in systems],
     }
-    return _canonical_json(doc)
+    return _canonical_json(doc), 0
 
 
-def _cmd_count(args) -> str:
+def _cmd_count(args) -> tuple[str, int]:
     G = construct_group(args.group)
     t1 = SignatureType.parse(args.type1)
     t2 = SignatureType.parse(args.type2)
@@ -164,7 +175,7 @@ def _cmd_count(args) -> str:
                 text, h = cached
                 print("cache hit", file=sys.stderr)
                 _print_bound_warning(G, t1, t2, h)
-                return text
+                return text, 0
             print(f"cache entry {cache_file} is damaged; recomputing it", file=sys.stderr)
     t0 = time.monotonic()
     if args.oracle == "one-stage":
@@ -182,7 +193,7 @@ def _cmd_count(args) -> str:
             _write_cache_entry(cache_file, out)
         except OSError as exc:
             print(f"warning: result not cached: {exc}", file=sys.stderr)
-    return out
+    return out, 0
 
 
 def _print_bound_warning(G: Group, t1: SignatureType, t2: SignatureType, h: int) -> None:
@@ -220,7 +231,7 @@ def _write_cache_entry(path: Path, text: str) -> None:
         raise
 
 
-def _cmd_theta(args) -> str:
+def _cmd_theta(args) -> tuple[str, int]:
     n = args.n
     value = theta(n)
     lo, hi = sandwich_bounds(n)
@@ -256,10 +267,10 @@ def _cmd_theta(args) -> str:
                 f"is {classes} at n = {n}",
                 file=sys.stderr,
             )
-    return _canonical_json(doc)
+    return _canonical_json(doc), 0
 
 
-def _cmd_abelian_exists(args) -> str:
+def _cmd_abelian_exists(args) -> tuple[str, int]:
     G = construct_group(args.group)
     if not isinstance(G, AbelianGroup):
         raise UserInputError("existence test requires an abelian group (Zn:...)")
@@ -273,7 +284,7 @@ def _cmd_abelian_exists(args) -> str:
         "r2": args.r2,
     }
     doc.update(report.to_json_dict())
-    return _canonical_json(doc)
+    return _canonical_json(doc), 0
 
 
 def ingest_catalog(path: str) -> tuple[list[Group], list[str]]:
@@ -297,7 +308,7 @@ def ingest_catalog(path: str) -> tuple[list[Group], list[str]]:
     return catalog, warnings
 
 
-def _cmd_scan(args) -> str:
+def _cmd_scan(args) -> tuple[str, int]:
     catalog: list[Group] = []
     warnings: list[str] = []
     if args.catalog:
@@ -318,7 +329,7 @@ def _cmd_scan(args) -> str:
         for row in result.rows:
             writer.writerow([row.group, row.type1, row.type2, row.h, row.g1, row.g2])
         print(f"total_h={result.total_h}", file=sys.stderr)
-        return buf.getvalue()
+        return buf.getvalue(), 0
     doc = {
         "schema_version": SCHEMA_VERSION,
         "chi": result.chi,
@@ -327,7 +338,7 @@ def _cmd_scan(args) -> str:
         "total_h": result.total_h,
         "warning_count": len(warnings),
     }
-    return _canonical_json(doc)
+    return _canonical_json(doc), 0
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +498,7 @@ def _verify_existence() -> tuple[bool, str]:
     return True, f"existence criterion matches the search on {checked} instances"
 
 
-def _cmd_verify(args) -> tuple[str, bool]:
+def _cmd_verify(args) -> tuple[str, int]:
     cfg = _config_from_args(args)
     checks = []
     suite = [
@@ -515,108 +526,96 @@ def _cmd_verify(args) -> tuple[str, bool]:
             file=sys.stderr,
         )
     doc = {"schema_version": SCHEMA_VERSION, "passed": all_ok, "checks": checks}
-    return _canonical_json(doc), all_ok
+    return _canonical_json(doc), 0 if all_ok else 1
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# the command table
 
 
+def _arg(flag: str, **options) -> tuple[str, dict]:
+    return flag, options
+
+
+_THREADS = _arg(
+    "--threads",
+    type=int,
+    default=1,
+    help="accepted for compatibility; has no effect (the engine is single-threaded)",
+)
+_BUDGET = _arg("--budget", type=_positive_int, default=None, help="max candidate systems")
+_SEED = _arg("--seed", type=int, default=0)
+_PAIR = (
+    _arg("--group", required=True),
+    _arg("--type1", required=True),
+    _arg("--type2", required=True),
+)
+
+# name, help, handler, arguments (in the order --help lists them)
+_COMMANDS = (
+    ("invariants", "numerical invariants of the paired covering", _cmd_invariants,
+     (*_PAIR, _THREADS)),
+    ("enumerate", "list all generator systems of a type", _cmd_enumerate,
+     (_arg("--group", required=True), _arg("--type", required=True), _THREADS, _BUDGET)),
+    ("count", "count components h(G; type1, type2)", _cmd_count, (
+        *_PAIR,
+        _arg("--oracle", choices=["two-stage", "one-stage"], default="two-stage"),
+        _arg("--representatives", action="store_true"),
+        _THREADS,
+        _BUDGET,
+        _arg("--no-cache", action="store_true"),
+        _arg("--cache-dir", default=None),
+        _SEED,
+    )),
+    ("theta", "closed-form class count for (Z/n)^2 triples", _cmd_theta,
+     (_arg("--n", type=int, required=True), _arg("--cross-check", action="store_true"), _THREADS)),
+    ("abelian-exists", "existence of an unmixed pair of sizes (r1, r2)", _cmd_abelian_exists, (
+        _arg("--group", required=True),
+        _arg("--r1", type=int, required=True),
+        _arg("--r2", type=int, required=True),
+        _THREADS,
+    )),
+    ("scan", "census of component counts at fixed chi and q", _cmd_scan, (
+        _arg("--catalog", default=None, help="file of newline-delimited group specs"),
+        _arg("--group", action="append", default=None),
+        _arg("--chi", type=int, required=True),
+        _arg("--q", type=int, required=True),
+        _arg("--format", choices=["json", "csv"], default="json"),
+        _THREADS,
+        _BUDGET,
+        _SEED,
+    )),
+    ("verify", "run the cross-module property suites", _cmd_verify, (_THREADS, _BUDGET, _SEED)),
+)
+
+
+@functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="hurwitz", description=__doc__)
+    # --help shows the docstring's first two paragraphs
+    parser = _Parser(prog="hurwitz", description="\n\n".join(__doc__.split("\n\n")[:2]))
     parser.add_argument("--version", action="version", version=__version__)
+    # no handler reads the dest; argparse's errors name it ("required: subcommand")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, cache: bool = False, budget: bool = True):
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="accepted for compatibility; has no effect (the engine is single-threaded)",
-        )
-        if budget:
-            p.add_argument(
-                "--budget", type=_positive_int, default=None, help="max candidate systems"
-            )
-        if cache:
-            p.add_argument("--no-cache", action="store_true")
-            p.add_argument("--cache-dir", default=None)
-
-    p = sub.add_parser("invariants", help="numerical invariants of the paired covering")
-    p.add_argument("--group", required=True)
-    p.add_argument("--type1", required=True)
-    p.add_argument("--type2", required=True)
-    common(p, budget=False)
-
-    p = sub.add_parser("enumerate", help="list all generator systems of a type")
-    p.add_argument("--group", required=True)
-    p.add_argument("--type", required=True)
-    common(p)
-
-    p = sub.add_parser("count", help="count components h(G; type1, type2)")
-    p.add_argument("--group", required=True)
-    p.add_argument("--type1", required=True)
-    p.add_argument("--type2", required=True)
-    p.add_argument("--oracle", choices=["two-stage", "one-stage"], default="two-stage")
-    p.add_argument("--representatives", action="store_true")
-    common(p, cache=True)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("theta", help="closed-form class count for (Z/n)^2 triples")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cross-check", action="store_true")
-    common(p, budget=False)
-
-    p = sub.add_parser("abelian-exists", help="existence of an unmixed pair of sizes (r1, r2)")
-    p.add_argument("--group", required=True)
-    p.add_argument("--r1", type=int, required=True)
-    p.add_argument("--r2", type=int, required=True)
-    common(p, budget=False)
-
-    p = sub.add_parser("scan", help="census of component counts at fixed chi and q")
-    p.add_argument("--catalog", default=None, help="file of newline-delimited group specs")
-    p.add_argument("--group", action="append", default=None)
-    p.add_argument("--chi", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    common(p)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("verify", help="run the cross-module property suites")
-    common(p)
-    p.add_argument("--seed", type=int, default=0)
-
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.subcommand == "invariants":
-            out = _cmd_invariants(args)
-        elif args.subcommand == "enumerate":
-            out = _cmd_enumerate(args)
-        elif args.subcommand == "count":
-            out = _cmd_count(args)
-        elif args.subcommand == "theta":
-            out = _cmd_theta(args)
-        elif args.subcommand == "abelian-exists":
-            out = _cmd_abelian_exists(args)
-        elif args.subcommand == "scan":
-            out = _cmd_scan(args)
-        else:
-            out, ok = _cmd_verify(args)
-            sys.stdout.write(out)
-            return 0 if ok else 1
-        sys.stdout.write(out)
-        return 0
+        args = _build_parser().parse_args(argv)
+        out, code = args.handler(args)
     except UserInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(out)
+    return code
 
 
 if __name__ == "__main__":

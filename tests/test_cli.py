@@ -478,9 +478,87 @@ def test_counts_and_scans_do_not_import_numpy_ma(tmp_path, q8_path):
         "assert codes == [0, 0, 0], codes\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
+    _run_in_a_fresh_interpreter(script)
+
+
+def _run_in_a_fresh_interpreter(script: str) -> str:
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout
+
+
+def test_one_parser_serves_every_call_in_a_process():
+    # each add_argument builds a help formatter; main builds the table's parser
+    # (one top-level parser and one per subcommand) on its first call only
+    runs = [
+        ["theta", "--n", "5"],
+        ["invariants", "--group", "Zn:2", "--type1", "1|2,2", "--type2", "2|"],
+        ["count", "--group", "Zn:1", "--type1", "2|", "--type2", "2|", "--no-cache"],
+        ["count", "--group", "Zn:1", "--type1", "2|", "--type2", "2|", "--budget", "0"],
+    ]
+    script = (
+        "import argparse, contextlib, io, json\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "from hurwitz_components import cli\n"
+        "counts = []\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        cli.main(argv)\n"
+        "    counts.append(len(built))\n"
+        "print(json.dumps([counts, built.count('hurwitz')]))\n"
+    )
+    counts, top_level = json.loads(_run_in_a_fresh_interpreter(script))
+    assert counts == [8, 8, 8, 8]
+    assert top_level == 1
+
+
+def _on_a_fresh_parser(capsys, *argv: str):
+    cli._build_parser.cache_clear()
+    return run_cli(capsys, *argv)
+
+
+def test_scan_groups_do_not_pile_up_across_calls(capsys):
+    run_cli(capsys, "scan", "--group", "Sym:3", "--chi", "1", "--q", "1")
+    argv = ("scan", "--group", "Zn:2,2", "--chi", "1", "--q", "1")
+    reused = run_cli(capsys, *argv)
+    assert {row["group"] for row in json.loads(reused[1])["rows"]} == {"Zn:2,2"}
+    assert reused == _on_a_fresh_parser(capsys, *argv)
+
+
+def test_a_flag_does_not_outlive_its_call(capsys):
+    argv = ("count", "--group", "Zn:5,5", "--type1", "0|5,5,5", "--type2", "0|5,5,5", "--no-cache")
+    code, out, _ = run_cli(capsys, *argv, "--representatives")
+    assert code == 0 and json.loads(out)["representatives"] is not None
+    code, reused, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(reused)["representatives"] is None
+    assert reused == _on_a_fresh_parser(capsys, *argv)[1]
+
+
+def test_a_refused_parse_leaves_the_parser_usable(capsys):
+    argv = ("count", "--group", "Zn:5,5", "--type1", "0|5,5,5", "--type2", "0|5,5,5", "--no-cache")
+    code, out, err = run_cli(capsys, *argv, "--budget", "0")
+    assert code == 1 and out == "" and err.startswith("error:")
+    reused = run_cli(capsys, *argv)
+    assert reused[0] == 0
+    assert reused[:2] == _on_a_fresh_parser(capsys, *argv)[:2]
+
+
+def test_help_lists_every_subcommand_on_a_reused_parser(capsys):
+    run_cli(capsys, "theta", "--n", "5")
+    helps = []
+    for run in (run_cli, _on_a_fresh_parser):
+        with pytest.raises(SystemExit) as done:
+            run(capsys, "--help")
+        assert done.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert "{invariants,enumerate,count,theta,abelian-exists,scan,verify}" in helps[0]
