@@ -22,10 +22,14 @@ known family (Seress, Permutation Group Algorithms, ch. 4):
   (0 1 ... n-1).
 
 Every other group (Cayley tables, non-homocyclic abelian groups, degree
-6, and the permutation groups of order at most 3) goes through
-backtracking over images of the group's generating tuple
-(Group.generating_tuple); that route is also the reference the family
-rules are tested against. Inn(G) is conjugation by the same tuple.
+6, and the permutation groups of order at most 3) goes through a search
+over images of the group's generating tuple (Group.generating_tuple;
+Holt, Eick and O'Brien, Handbook of Computational Group Theory):
+every tuple of same-order images is one row of a candidate array, all
+rows are extended to maps together along one spanning tree of the Cayley
+graph, and gathers keep the rows that are automorphisms. That route is
+also the reference the family rules are tested against. Inn(G) is
+conjugation by the same tuple.
 """
 from __future__ import annotations
 
@@ -52,7 +56,6 @@ class AutGroup:
     reachable by closure.
     """
 
-    group: Group
     order: int
     generator_maps: np.ndarray
 
@@ -143,7 +146,7 @@ def _homocyclic_auts(G: AbelianGroup) -> AutGroup:
     place = np.array([G.encode(e) for e in np.eye(k, dtype=np.int64).tolist()])
     vectors = np.arange(G.order)[:, None] // place % n
     images = vectors @ np.array(mats, dtype=np.int64).reshape(-1, k, k) % n @ place
-    return AutGroup(G, order, _distinct_maps(G, images.astype(index_dtype(G.order))))
+    return AutGroup(order, _distinct_maps(G, images.astype(index_dtype(G.order))))
 
 
 # -- Sym(n), Alt(n), n != 6: conjugation inside Sym(n) -------------------
@@ -154,42 +157,41 @@ def _conjugation_auts(G: PermutationGroup) -> AutGroup:
     for sigma in (transposition, np.roll(np.arange(n), -1)):  # (0 1), (0 1 ... n-1)
         # the conjugate sigma o p o sigma^-1 of each permutation p
         maps.append(G.indices_of(sigma[G.images[:, np.argsort(sigma)]]))
-    return AutGroup(G, math.factorial(n), _distinct_maps(G, np.array(maps, index_dtype(G.order))))
+    return AutGroup(math.factorial(n), _distinct_maps(G, np.array(maps, index_dtype(G.order))))
 
 
-# -- generic backtracking -------------------------------------------------
-def _extend_homomorphism(G: Group, gens, images) -> tuple[int, ...] | None:
-    """Extend gens -> images to a map on all of G via BFS replay; None if inconsistent."""
-    n = G.order
-    phi = [-1] * n
-    phi[G.identity] = G.identity
-    frontier = [G.identity]
-    seen_count = 1
-    while frontier:
-        nxt = []
-        for x in frontier:
-            fx = phi[x]
-            for g, img in zip(gens, images):
-                y = G.mul(x, g)
-                fy = G.mul(fx, img)
-                if phi[y] == -1:
-                    phi[y] = fy
-                    nxt.append(y)
-                    seen_count += 1
-                elif phi[y] != fy:
-                    return None
-        frontier = nxt
-    if seen_count != n:
-        return None
-    # Homomorphism property on generators extends to all products.
-    for x in range(n):
-        fx = phi[x]
-        for g, img in zip(gens, images):
-            if phi[G.mul(x, g)] != G.mul(fx, img):
-                return None
-    if len(set(phi)) != n:
-        return None
-    return tuple(phi)
+# -- every other group: images of the generating tuple -------------------
+def _extend_automorphisms(G: Group, gens: tuple[int, ...], images: np.ndarray) -> np.ndarray:
+    """The element maps, in row order, of the rows of images (candidates, k)
+    whose gens[t] -> images[:, t] extends to an automorphism of G.
+
+    A breadth-first spanning tree of G's Cayley graph on gens writes each
+    new element y of a layer as x * gens[t] for an x of the layer before, so
+    every candidate's map phi is filled a layer at a time, one product for
+    all rows. A row is kept iff phi is a bijection and phi(x gens[t]) =
+    phi(x) images[t] for every x and t, which makes it a homomorphism.
+    """
+    n, k = G.order, len(gens)
+    phi = np.empty((len(images), n), dtype=index_dtype(n))
+    phi[:, G.identity] = G.identity
+    reached = np.zeros(n, dtype=bool)
+    reached[G.identity] = True
+    layer = np.array([G.identity])
+    while layer.size:
+        products = G.mul_array(layer[:, None], gens).ravel()  # layer[i] * gens[t] at i * k + t
+        edge = np.full(n, -1)
+        edge[products] = np.arange(products.size)  # one tree edge into each product
+        new = np.flatnonzero((edge >= 0) & ~reached)
+        reached[new] = True
+        e = edge[new]
+        phi[:, new] = G.mul_array(phi[:, layer[e // k]], images[:, e % k])
+        layer = new
+    bijective = (np.sort(phi, axis=1) == np.arange(n)).all(axis=1)
+    phi, images = phi[bijective], images[bijective]
+    keep = np.ones(len(phi), dtype=bool)
+    for t, step in enumerate(G.mul_array(np.arange(n)[:, None], gens).T):  # x -> x * gens[t]
+        keep &= (phi[:, step] == G.mul_array(phi, images[:, t, None])).all(axis=1)
+    return phi[keep]
 
 
 def _backtracking_auts(G: Group) -> AutGroup:
@@ -202,12 +204,12 @@ def _backtracking_auts(G: Group) -> AutGroup:
             f"(> {BACKTRACK_CANDIDATE_LIMIT})",
             required=total,
         )
-    found = (_extend_homomorphism(G, gens, images) for images in product(*candidates))
-    maps = np.array([phi for phi in found if phi is not None], index_dtype(G.order))
+    images = np.array(list(product(*candidates)), dtype=np.intp)  # (total, k), one row per candidate
+    maps = _extend_automorphisms(G, gens, images)
     order, kept = _generating_subset(maps, gens)
     if order != len(maps):
         raise AssertionError(f"Aut({G.name}): the kept maps generate {order} of {len(maps)}")
-    return AutGroup(G, order, maps[kept])
+    return AutGroup(order, maps[kept])
 
 
 def _generating_subset(maps: np.ndarray, gens: tuple[int, ...]) -> tuple[int, list[int]]:

@@ -10,8 +10,7 @@ that product gives on the full grid, an (order, order) index array, and the
 inverses read from it; index arrays are then multiplied and inverted by
 gathers on the table, and conjugated by a gather on a conjugation table
 built from it on first use. Past the limit the same calls go to the backend's
-product. Scalar products read either as a Python int. Element orders are one
-array too, built on first use.
+product. Element orders are one array too, built on first use.
 """
 from __future__ import annotations
 
@@ -172,16 +171,6 @@ class Group:
         raise NotImplementedError
 
     # -- arithmetic ----------------------------------------------------
-    def mul(self, x: int, y: int) -> int:
-        if self._products is not None:
-            return self._products.item(x, y)
-        return self.mul_array(x, y).item()
-
-    def inv(self, x: int) -> int:
-        if self._inverses is not None:
-            return self._inverses.item(x)
-        return self.inv_array(x).item()
-
     def mul_array(self, x, y) -> np.ndarray:
         """Elementwise x * y of index arrays (or ints), broadcast together."""
         # Both operands go to intp first, so no index can wrap in y's dtype.

@@ -9,7 +9,10 @@ import sympy
 
 from hurwitz_components import automorphisms
 from hurwitz_components.automorphisms import (
+    BACKTRACK_CANDIDATE_LIMIT,
     _backtracking_auts,
+    _extend_automorphisms,
+    _generating_subset,
     automorphism_group,
     inner_automorphisms,
 )
@@ -118,11 +121,10 @@ def test_inner_count_is_index_of_center(q8):
 
 
 def _is_automorphism(G, m) -> bool:
-    if len(set(m)) != G.order or m[G.identity] != G.identity:
+    m, elems = np.asarray(m), np.arange(G.order)
+    if len(set(m.tolist())) != G.order or m[G.identity] != G.identity:
         return False
-    return all(
-        m[G.mul(x, y)] == G.mul(m[x], m[y]) for x in G.elements() for y in G.elements()
-    )
+    return np.array_equal(m[G.mul_array(elems[:, None], elems)], G.mul_array(m[:, None], m))
 
 
 def test_every_map_is_an_automorphism(q8):
@@ -254,15 +256,62 @@ def _tuple_generating_subset(maps, gens):
     return len(seen), kept
 
 
-def _tuple_backtracking_maps(G):
+def _extend_homomorphism(table, identity, gens, images) -> tuple[int, ...] | None:
+    """Extend gens -> images to a map on all of G via BFS replay, one scalar
+    product (an entry of the nested-list table) at a time; None if inconsistent.
+    The route _extend_automorphisms replaced."""
+    n = len(table)
+    phi = [-1] * n
+    phi[identity] = identity
+    frontier = [identity]
+    seen_count = 1
+    while frontier:
+        nxt = []
+        for x in frontier:
+            fx = phi[x]
+            for g, img in zip(gens, images):
+                y = table[x][g]
+                fy = table[fx][img]
+                if phi[y] == -1:
+                    phi[y] = fy
+                    nxt.append(y)
+                    seen_count += 1
+                elif phi[y] != fy:
+                    return None
+        frontier = nxt
+    if seen_count != n:
+        return None
+    # Homomorphism property on generators extends to all products.
+    for x in range(n):
+        fx = phi[x]
+        for g, img in zip(gens, images):
+            if phi[table[x][g]] != table[fx][img]:
+                return None
+    if len(set(phi)) != n:
+        return None
+    return tuple(phi)
+
+
+def _scalar_extensions(G, gens, images) -> list[tuple[int, ...]]:
+    """The maps _extend_homomorphism finds for the rows of images, in row order."""
+    elems = np.arange(G.order)
+    table = G.mul_array(elems[:, None], elems).tolist()
+    found = (_extend_homomorphism(table, G.identity, gens, row) for row in images.tolist())
+    return [phi for phi in found if phi is not None]
+
+
+def _order_matched_images(G):
+    """The generating tuple and, one row per tuple of images of the same
+    element orders, the candidate array _backtracking_auts extends."""
     gens = G.generating_tuple()
     order = G.element_order
     candidates = [[x for x in G.elements() if order(x) == order(g)] for g in gens]
-    maps = [
-        phi
-        for images in product(*candidates)
-        if (phi := automorphisms._extend_homomorphism(G, gens, images)) is not None
-    ]
+    return gens, np.array(list(product(*candidates)), dtype=np.intp)
+
+
+def _tuple_backtracking_maps(G):
+    gens, images = _order_matched_images(G)
+    maps = _scalar_extensions(G, gens, images)
     _, kept = _tuple_generating_subset(maps, gens)
     return tuple(maps[k] for k in kept)
 
@@ -318,3 +367,74 @@ def test_inner_maps_are_built_once_per_group(monkeypatch):
     assert built == [len(G.generating_tuple())] and inner_automorphisms(G) is maps
     assert not maps.flags.writeable
     assert maps.tolist() == [list(m) for m in _tuple_inner_automorphisms(G)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["q8", "Zn:2,4", "Zn:3,9", "Zn:2,2,4", "Zn:2,8", "Zn:4,8", "Sym:3", "Sym:4", "Alt:4",
+     "Alt:5", "Zn:5,5", "Zn:5,25"],
+)
+def test_array_extension_matches_the_scalar_reference_row_for_row(spec, q8):
+    # every order-matched candidate at once; Zn:5,25 has 2,400 candidates, past
+    # BACKTRACK_CANDIDATE_LIMIT, so its array goes to the routine directly
+    G = q8 if spec == "q8" else construct_group(spec)
+    gens, images = _order_matched_images(G)
+    assert (len(images) > BACKTRACK_CANDIDATE_LIMIT) == (spec == "Zn:5,25")
+    got = _extend_automorphisms(G, gens, images)
+    assert got.dtype == index_dtype(G.order)
+    assert got.tolist() == [list(phi) for phi in _scalar_extensions(G, gens, images)]
+    assert len(got) == (2000 if spec == "Zn:5,25" else automorphism_group(G).order)
+
+
+def test_array_extension_lists_aut_of_alt6():
+    # 7,200 candidates past the limit (the scalar reference takes over a second):
+    # 1,440 maps, whose kept generators are automorphisms that close to 1,440
+    G = construct_group("Alt:6")
+    gens, images = _order_matched_images(G)
+    maps = _extend_automorphisms(G, gens, images)
+    assert len(images) == 7200 and len(maps) == 1440
+    order, kept = _generating_subset(maps, gens)
+    assert order == 1440
+    assert all(_is_automorphism(G, m) for m in maps[kept])
+
+
+def test_array_extension_drops_maps_that_are_not_bijections():
+    # Zn:2,4 on its unit vectors: each of the 12 order-matched image pairs
+    # respects the relations, so its map passes the generator check, but only
+    # 8 of them are onto; (0,2), (0,1) sends both generators into <(0,1)>
+    G = construct_group("Zn:2,4")
+    gens, images = _order_matched_images(G)
+    assert gens == (G.encode((1, 0)), G.encode((0, 1))) and len(images) == 12
+    maps = _extend_automorphisms(G, gens, images)
+    assert len(maps) == 8
+    assert [G.encode((0, 2)), G.encode((0, 1))] not in maps[:, list(gens)].tolist()
+
+
+def test_array_extension_drops_bijections_that_are_not_homomorphisms():
+    # Sym:3 on its tuple (1, 2) with all 36 image pairs, orders unmatched: only
+    # the 6 pairs of distinct transpositions give automorphisms. Along the
+    # spanning tree, 6 other pairs, such as (3, 1), fill bijections, which only
+    # the generator check rejects
+    G = construct_group("Sym:3")
+    gens = G.generating_tuple()
+    images = np.array(list(product(G.elements(), repeat=2)), dtype=np.intp)
+    assert gens == (1, 2)
+    maps = _extend_automorphisms(G, gens, images)
+    transpositions = np.flatnonzero(G.orders == 2).tolist()
+    assert maps[:, list(gens)].tolist() == [
+        [a, b] for a in transpositions for b in transpositions if a != b
+    ]
+    assert maps.tolist() == [list(phi) for phi in _scalar_extensions(G, gens, images)]
+
+
+def test_psl27_cayley_table_aut_by_backtracking(psl27):
+    # PSL(2,7) has outer automorphisms: |Aut| = 336 from 1,176 candidates
+    G = psl27
+    gens, images = _order_matched_images(G)
+    assert len(images) == 1176 <= BACKTRACK_CANDIDATE_LIMIT
+    listing = _extend_automorphisms(G, gens, images)
+    assert listing.tolist() == [list(phi) for phi in _scalar_extensions(G, gens, images)]
+    aut = _backtracking_auts(G)
+    assert aut.order == len(listing) == 336
+    assert _closure(G, aut.generator_maps) == set(map(tuple, listing.tolist()))
+    assert aut.generator_maps.tolist() == [list(m) for m in _tuple_backtracking_maps(G)]

@@ -27,11 +27,27 @@ from hurwitz_components.groups import (
 from hurwitz_components.ramification import SignatureType, enumerate_systems
 
 
+def scalar_mul(G: Group):
+    """x * y one pair at a time, as a Python int: up to TABLE_LIMIT an entry
+    of the table Group.mul_array gives, read once into nested lists; past it
+    one Group.mul_array call."""
+    if G.order > TABLE_LIMIT:
+        return lambda x, y: G.mul_array(x, y).item()
+    elems = np.arange(G.order)
+    table = G.mul_array(elems[:, None], elems).tolist()
+    return lambda x, y: table[x][y]
+
+
+def scalar_inv(G: Group):
+    """x^-1 one element at a time, as a Python int, from Group.inv_array."""
+    return G.inv_array(np.arange(G.order)).tolist().__getitem__
+
+
 def scalar_closure(G: Group, gens, mul=None) -> frozenset[int]:
-    """<gens> by a breadth-first search with one scalar product at a time (G.mul
-    unless mul is given): the reference for Group.closure, the one-row case of
-    the Group.closures that SubgroupJoins runs."""
-    mul = mul or G.mul
+    """<gens> by a breadth-first search with one scalar product at a time
+    (scalar_mul unless mul is given): the reference for Group.closure, the
+    one-row case of the Group.closures that SubgroupJoins runs."""
+    mul = mul or scalar_mul(G)
     seen = {G.identity}
     reached = [G.identity]
     for x in reached:  # grows while it is walked
@@ -46,7 +62,7 @@ def scalar_closure(G: Group, gens, mul=None) -> frozenset[int]:
 def plain_mul(G: Group):
     """x * y in plain Python from the backend's own data: image tuples composed
     as y(x(i)), or residue vectors added modulo the moduli. A Cayley group has
-    only its document table, so G.mul."""
+    only its document table."""
     if isinstance(G, PermutationGroup):
         data = [G.perm(x) for x in G.elements()]
         compose = lambda p, q: tuple(q[i] for i in p)  # noqa: E731
@@ -54,7 +70,7 @@ def plain_mul(G: Group):
         data = [G.vector(x) for x in G.elements()]
         compose = lambda u, v: tuple((a + b) % m for a, b, m in zip(u, v, G.moduli))  # noqa: E731
     else:
-        return G.mul
+        return G._table.item
     index = {d: x for x, d in enumerate(data)}
     return lambda x, y: index[compose(data[x], data[y])]
 
@@ -68,12 +84,12 @@ def test_array_arithmetic_matches_scalar(spec, q8):
     y = rng.integers(0, G.order, size=(20, 10)).astype(np.int16)
     prod, inv = G.mul_array(x, y), G.inv_array(x)
     assert prod.dtype == inv.dtype == np.int16 and prod.shape == inv.shape == x.shape
+    mul = plain_mul(G)
     pairs = zip(x.ravel().tolist(), y.ravel().tolist())
-    assert prod.ravel().tolist() == [G.mul(a, b) for a, b in pairs]
-    assert inv.ravel().tolist() == [G.inv(a) for a in x.ravel().tolist()]
+    assert prod.ravel().tolist() == [mul(a, b) for a, b in pairs]
+    assert all(mul(a, b) == G.identity for a, b in zip(x.ravel().tolist(), inv.ravel().tolist()))
     g = int(y[0, 0])
-    assert type(G.mul(int(x[0, 0]), g)) is int and type(G.inv(g)) is int
-    assert G.mul_array(x, g).tolist() == [[G.mul(a, g) for a in row] for row in x.tolist()]
+    assert G.mul_array(x, g).tolist() == [[mul(a, g) for a in row] for row in x.tolist()]
     assert G.mul_array(x[:0], y[:0]).shape == (0, 10)
 
 
@@ -106,14 +122,14 @@ def test_abelian_encode_vector_roundtrip():
     assert G.moduli == (4, 12)
     for x in G.elements():
         assert G.encode(G.vector(x)) == x
-    assert G.mul(G.encode((1, 2)), G.encode((3, 11))) == G.encode((0, 1))
+    assert G.mul_array(G.encode((1, 2)), G.encode((3, 11))) == G.encode((0, 1))
 
 
 def test_mul_convention_applies_left_factor_first():
     G = PermutationGroup("Sym", 3)
     x = G.index_of((1, 0, 2))
     y = G.index_of((0, 2, 1))
-    composite = G.perm(G.mul(x, y))
+    composite = G.perm(G.mul_array(x, y).item())
     # apply x then y: 0 -> 1 -> 2
     assert composite[0] == 2
 
@@ -121,22 +137,24 @@ def test_mul_convention_applies_left_factor_first():
 def test_group_identities_hold_on_samples(rng, q8):
     for G in (construct_group("Sym:4"), construct_group("Zn:2,4"), q8):
         elems = list(G.elements())
+        mul, inv = G.mul_array, G.inv_array
         for _ in range(200):
             x, y, g = (rng.choice(elems) for _ in range(3))
-            assert G.mul(x, G.identity) == x
-            assert G.mul(G.inv(x), x) == G.identity
-            assert G.conj(x, g) == G.mul(G.mul(G.inv(g), x), g)
-            assert G.inv(G.mul(x, y)) == G.mul(G.inv(y), G.inv(x))
-            assert G.conj(G.mul(x, y), g) == G.mul(G.conj(x, g), G.conj(y, g))
+            assert mul(x, G.identity) == x
+            assert mul(inv(x), x) == G.identity
+            assert G.conj(x, g) == mul(mul(inv(g), x), g)
+            assert inv(mul(x, y)) == mul(inv(y), inv(x))
+            assert G.conj(mul(x, y), g) == mul(G.conj(x, g), G.conj(y, g))
 
 
 def test_element_order_matches_brute_force(q8):
     for spec in ("Zn:12", "Sym:4", "Alt:4", "Zn:2,4,8", "q8", "Zn:37,37", "Sym:7"):
         G = q8 if spec == "q8" else construct_group(spec)
+        mul = scalar_mul(G)
         for x in G.elements():
             k, acc = 1, x
             while acc != G.identity:
-                acc = G.mul(acc, x)
+                acc = mul(acc, x)
                 k += 1
             assert G.element_order(x) == k
 
@@ -219,7 +237,7 @@ def test_classes_and_center_match_full_group_definitions(spec, q8):
     # pin them to the definitions over every element of G
     G = {"q8": q8, "cayley-abelian": _abelian_cayley_group()}.get(spec)
     G = G or construct_group(spec.removesuffix("-native"))
-    ref = G  # scalar products for the definitions
+    ref = G  # the products for the definitions
     if spec.endswith("-native"):  # the backend's product, as used past TABLE_LIMIT
         G._products = G._inverses = None
         ref = construct_group(G.name)
@@ -227,12 +245,13 @@ def test_classes_and_center_match_full_group_definitions(spec, q8):
     elems = list(G.elements())
     assert G.generates(G.generating_tuple())
     x, g = np.array(elems)[:, None], np.array(elems)[None, :]
-    conj = [[ref.mul(ref.mul(ref.inv(b), a), b) for b in elems] for a in elems]
+    mul, inv = scalar_mul(ref), scalar_inv(ref)
+    conj = [[mul(mul(inv(b), a), b) for b in elems] for a in elems]
     assert G.conj(x, g).tolist() == conj
     for x in elems:
         assert G.conjugacy_class(x) == frozenset(conj[x])
     assert G.center() == tuple(
-        z for z in elems if all(ref.mul(z, x) == ref.mul(x, z) for x in elems)
+        z for z in elems if all(mul(z, x) == mul(x, z) for x in elems)
     )
     assert _is_abelian(G) == (spec in ("Zn:2,4", "Zn:5,5-native", "cayley-abelian"))
 
@@ -258,7 +277,8 @@ def test_conjugation_past_the_table_limit_reads_products():
     G = construct_group("Sym:7")
     rng = np.random.default_rng(7)
     x, g = rng.integers(0, G.order, size=(2, 50))
-    want = [G.mul(G.mul(G.inv(b), a), b) for a, b in zip(x.tolist(), g.tolist())]
+    mul, inv = plain_mul(G), scalar_inv(G)
+    want = [mul(mul(inv(b), a), b) for a, b in zip(x.tolist(), g.tolist())]
     assert G.conj(x, g).tolist() == want
     assert G._conjugates is None
 
@@ -411,7 +431,7 @@ def test_cayley_table_is_its_document(q8, q8_path):
     table = json.loads(q8_path.read_text())["table"]
     elems = np.arange(q8.order)
     assert q8.mul_array(elems[:, None], elems[None, :]).tolist() == table
-    assert [[q8.mul(x, y) for y in q8.elements()] for x in q8.elements()] == table
+    assert [[q8.mul_array(x, y).item() for y in q8.elements()] for x in q8.elements()] == table
 
 
 def test_cayley_and_builtin_agree_on_quaternion_orders(q8):
@@ -443,7 +463,7 @@ def _parity(perm: tuple[int, ...]) -> int:
 def test_trivial_group():
     G = construct_group("Zn:1")
     assert G.order == 1
-    assert math.prod([G.mul(0, 0) + 1]) == 1
+    assert G.mul_array(0, 0) == G.inv_array(0) == 0
     assert G.generates(())
 
 
@@ -570,7 +590,7 @@ class _SequentialJoins:
         got = self._subgroup(members, gens)
         powers, acc = [y], y
         for j in range(2, order):
-            acc = G.mul(acc, y)
+            acc = G.mul_array(acc, y).item()
             if math.gcd(j, order) == 1:
                 powers.append(acc)
         powers = np.array(powers)
@@ -719,5 +739,6 @@ def test_mul_array_scalar_times_small_index_array_matches_mul(spec):
     G = construct_group(spec)
     H = np.arange(G.order, dtype=np.int16)
     for y in (113, G.order - 1):
-        assert G.mul_array(y, H).tolist() == [G.mul(y, h) for h in range(G.order)]
-        assert G.mul_array(H, y).tolist() == [G.mul(h, y) for h in range(G.order)]
+        mul = plain_mul(G)
+        assert G.mul_array(y, H).tolist() == [mul(y, h) for h in range(G.order)]
+        assert G.mul_array(H, y).tolist() == [mul(h, y) for h in range(G.order)]

@@ -1632,7 +1632,7 @@ def test_pair_stage_reads_only_root_and_sampled_rows(monkeypatch):
 def test_planted_wrong_aut_order_fails_orbit_stabilizer(monkeypatch):
     G = AbelianGroup([5, 5])
     aut = automorphism_group(G)
-    wrong = AutGroup(G, 2 * aut.order, aut.generator_maps)
+    wrong = AutGroup(2 * aut.order, aut.generator_maps)
     monkeypatch.setattr(orbits, "automorphism_group", lambda G: wrong)
     with pytest.raises(AssertionError, match="orbit-stabilizer"):
         count_components(G, _tau("0|5,5,5"), _tau("0|5,5,5"))

@@ -25,7 +25,7 @@ from hurwitz_components.ramification import (
     sigma_set,
     surface_invariants,
 )
-from test_groups import scalar_closure
+from test_groups import scalar_closure, scalar_inv, scalar_mul
 from test_moves import SUITE_SHAPES
 
 
@@ -74,31 +74,35 @@ def test_long_relation_explicit_symmetric_case():
     G = construct_group("Sym:3")
     c1 = G.index_of((1, 0, 2))
     c2 = G.index_of((0, 2, 1))
-    prod = G.mul(c1, c2)
-    rows = np.array([(c1, c2, G.inv(prod)), (c1, c2, prod)], dtype=np.int16)
+    prod = G.mul_array(c1, c2)
+    rows = np.array([(c1, c2, G.inv_array(prod)), (c1, c2, prod)], dtype=np.int16)
     assert long_relation_value(G, 0, rows)[0] == G.identity
     holds = long_relation_holds(G, 0, rows)
     assert holds.shape == (2,) and holds[0]
-    assert not holds[1] or prod == G.inv(prod)
+    assert not holds[1] or prod == G.inv_array(prod)
 
 
 def test_long_relation_with_handles():
     G = construct_group("Sym:4")
     a, b = 5, 9
     comm = G.comm(a, b)
-    rows = np.array([(a, b, G.inv(comm))], dtype=np.int16)
+    rows = np.array([(a, b, G.inv_array(comm))], dtype=np.int16)
     assert long_relation_holds(G, 1, rows).all()
 
 
-def _scalar_long_relation(G, gprime: int, ent: list[int]) -> int:
-    """c1...cr * prod_k a_k b_k a_k^-1 b_k^-1, folded one G.mul at a time."""
-    acc = G.identity
-    for x in ent[2 * gprime :]:
-        acc = G.mul(acc, x)
-    for a, b in zip(ent[0 : 2 * gprime : 2], ent[1 : 2 * gprime : 2]):
-        for x in (a, b, G.inv(a), G.inv(b)):
-            acc = G.mul(acc, x)
-    return acc
+def _scalar_long_relation(G, gprime: int, rows: list[list[int]]) -> list[int]:
+    """c1...cr * prod_k a_k b_k a_k^-1 b_k^-1 of each row, folded one product at a time."""
+    mul, inv = scalar_mul(G), scalar_inv(G)
+    values = []
+    for ent in rows:
+        acc = G.identity
+        for x in ent[2 * gprime :]:
+            acc = mul(acc, x)
+        for a, b in zip(ent[0 : 2 * gprime : 2], ent[1 : 2 * gprime : 2]):
+            for x in (a, b, inv(a), inv(b)):
+                acc = mul(acc, x)
+        values.append(acc)
+    return values
 
 
 @pytest.mark.parametrize("spec,gp,periods", SUITE_SHAPES + [("Zn:1031", 0, (1031, 1031))])
@@ -111,7 +115,7 @@ def test_long_relation_rows_match_scalar_fold(spec, gp, periods, q8):
     for rows in (systems, random_rows):
         value = long_relation_value(G, gp, rows)
         assert value.shape == (len(rows),)
-        assert value.tolist() == [_scalar_long_relation(G, gp, ent) for ent in rows.tolist()]
+        assert value.tolist() == _scalar_long_relation(G, gp, rows.tolist())
         assert np.array_equal(long_relation_holds(G, gp, rows), value == G.identity)
     assert len(systems) and long_relation_holds(G, gp, systems).all()
     if periods:  # with branch entries, random rows are mostly not relations
@@ -207,7 +211,7 @@ def test_generation_closes_joins_only_for_prefixes_of_finished_rows(spec, text, 
 def test_enumerate_without_tables_uses_native_arithmetic():
     G = construct_group("Zn:1031")  # order above TABLE_LIMIT: no tables
     got = enumerate_systems(G, SignatureType(0, (1031, 1031)))
-    assert got.tolist() == [[x, G.inv(x)] for x in range(1, 1031)]
+    assert got.tolist() == [[x, G.inv_array(x)] for x in range(1, 1031)]
     assert len(enumerate_systems(construct_group("Sym:7"), SignatureType(0, (2, 2)))) == 0
 
 
