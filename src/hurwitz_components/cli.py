@@ -164,7 +164,6 @@ def _cmd_count(args) -> tuple[str, int]:
         "oracle": args.oracle,
         "representatives": cfg.representatives,
         "budget": cfg.max_systems,
-        "seed": cfg.seed,
     }
     cache_file = None
     if not args.no_cache:
@@ -537,12 +536,6 @@ def _arg(flag: str, **options) -> tuple[str, dict]:
     return flag, options
 
 
-_THREADS = _arg(
-    "--threads",
-    type=int,
-    default=1,
-    help="accepted for compatibility; has no effect (the engine is single-threaded)",
-)
 _BUDGET = _arg("--budget", type=_positive_int, default=None, help="max candidate systems")
 _SEED = _arg("--seed", type=int, default=0)
 _PAIR = (
@@ -554,26 +547,24 @@ _PAIR = (
 # name, help, handler, arguments (in the order --help lists them)
 _COMMANDS = (
     ("invariants", "numerical invariants of the paired covering", _cmd_invariants,
-     (*_PAIR, _THREADS)),
+     _PAIR),
     ("enumerate", "list all generator systems of a type", _cmd_enumerate,
-     (_arg("--group", required=True), _arg("--type", required=True), _THREADS, _BUDGET)),
+     (_arg("--group", required=True), _arg("--type", required=True), _BUDGET)),
     ("count", "count components h(G; type1, type2)", _cmd_count, (
         *_PAIR,
         _arg("--oracle", choices=["two-stage", "one-stage"], default="two-stage"),
         _arg("--representatives", action="store_true"),
-        _THREADS,
         _BUDGET,
         _arg("--no-cache", action="store_true"),
         _arg("--cache-dir", default=None),
         _SEED,
     )),
     ("theta", "closed-form class count for (Z/n)^2 triples", _cmd_theta,
-     (_arg("--n", type=int, required=True), _arg("--cross-check", action="store_true"), _THREADS)),
+     (_arg("--n", type=int, required=True), _arg("--cross-check", action="store_true"))),
     ("abelian-exists", "existence of an unmixed pair of sizes (r1, r2)", _cmd_abelian_exists, (
         _arg("--group", required=True),
         _arg("--r1", type=int, required=True),
         _arg("--r2", type=int, required=True),
-        _THREADS,
     )),
     ("scan", "census of component counts at fixed chi and q", _cmd_scan, (
         _arg("--catalog", default=None, help="file of newline-delimited group specs"),
@@ -581,11 +572,17 @@ _COMMANDS = (
         _arg("--chi", type=int, required=True),
         _arg("--q", type=int, required=True),
         _arg("--format", choices=["json", "csv"], default="json"),
-        _THREADS,
+        _arg(
+            "--threads",
+            type=int,
+            default=1,
+            help="has no effect (the engine is single-threaded); accepted because "
+            "the benchmark's census command passes it",
+        ),
         _BUDGET,
         _SEED,
     )),
-    ("verify", "run the cross-module property suites", _cmd_verify, (_THREADS, _BUDGET, _SEED)),
+    ("verify", "run the cross-module property suites", _cmd_verify, (_BUDGET, _SEED)),
 )
 
 

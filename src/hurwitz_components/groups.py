@@ -32,8 +32,8 @@ TABLE_LIMIT = 1024
 MAX_PERM_DEGREE = 8
 
 # Closures run together on a (rows, order) bool matrix of at most about this
-# many cells: subgroup joins in rounds of CLOSURE_CELLS // order keys, the
-# generating-tuple search in chunks of up to a 32nd of that.
+# many cells: subgroup joins in rounds of CLOSURE_CELLS // order keys; the
+# generating-tuple search hands those joins chunks of up to a 32nd of that.
 CLOSURE_CELLS = 1 << 18
 
 
@@ -284,13 +284,15 @@ class Group:
         tuple. G is cyclic iff some element has order |G|, and the first pick
         of the greedy loop is the first element of greatest order (the largest
         closure of one element), so both are read off the element orders.
-        The candidates of each step are closed together, in chunks of
-        _chunk_rows."""
+        The candidates of each step are joined together, in chunks of
+        _chunk_rows, through the group's subgroup_joins table, the one that
+        enumeration reads next."""
         n = self.order
         if n == 1:
             return ()
         if self.orders.max() == n:
             return (int(np.argmax(self.orders)),)
+        joins = self.subgroup_joins()
         elems = [x for x in self.elements() if x != self.identity]
         for d in (2, 3):
             if math.comb(len(elems), d) > 100_000:
@@ -300,41 +302,27 @@ class Group:
                 chunk = np.array(list(islice(combos, rows)), dtype=np.intp).reshape(-1, d)
                 if not chunk.size:
                     break
-                whole = np.flatnonzero(self._join_orders([self.identity], chunk) == n)
+                whole = np.flatnonzero(joins.generates(chunk))
                 if whole.size:
                     return tuple(chunk[whole[0]].tolist())
         # Greedy fallback: always terminates, possibly non-minimal.
         gens = [int(np.argmax(self.orders))]
-        closed = self.closure(gens)
-        while True:
-            outside = np.ones(n, dtype=bool)
-            outside[closed] = False
-            outside = np.flatnonzero(outside)
-            best, best_size, at = None, len(closed), 0
+        h = joins.join(np.zeros(1, dtype=np.intp), np.array(gens)).item()
+        while joins.orders[h] < n:
+            outside = np.flatnonzero(joins.table[h] != h)
+            best, best_h, at = None, h, 0
             for rows in self._chunk_rows():
                 chunk = outside[at : at + rows]
                 at += rows
-                sizes = self._join_orders(closed, np.column_stack([np.tile(gens, (len(chunk), 1)), chunk]))
-                i = int(np.argmax(sizes))
-                if sizes[i] > best_size:  # the first x of the largest closure
-                    best, best_size = int(chunk[i]), int(sizes[i])
-                if best_size == n or at >= len(outside):
+                got = joins.join(np.full(len(chunk), h), chunk)
+                i = int(np.argmax(joins.orders[got]))
+                if joins.orders[got[i]] > joins.orders[best_h]:  # the first x of the largest join
+                    best, best_h = int(chunk[i]), got[i].item()
+                if joins.orders[best_h] == n or at >= len(outside):
                     break
             gens.append(best)
-            if best_size == n:
-                return tuple(gens)
-            closed = self.closure(gens)
-
-    def _join_orders(self, members, gens: np.ndarray) -> np.ndarray:
-        """The order of the subgroup that each row of gens generates together
-        with the members of a subgroup, by closures with the Lagrange stop at
-        the largest proper divisor of |G|."""
-        cap = self.order // min(prime_factorization(self.order))
-        seen = np.zeros((len(gens), self.order), dtype=bool)
-        seen[:, members] = True
-        orders = self.closures(seen, gens, cap)
-        orders[orders > cap] = self.order
-        return orders
+            h = best_h
+        return tuple(gens)
 
     def _chunk_rows(self):
         """Row counts 1, 2, 4, ... for the searches, up to a 32nd of
@@ -656,21 +644,6 @@ class AbelianGroup(Group):
         return self._strides  # the unit vector e_i encodes to strides[i]
 
 
-def perm_parity(perm: tuple[int, ...]) -> int:
-    """0 for even, 1 for odd."""
-    n = len(perm)
-    seen = [False] * n
-    cycles = 0
-    for i in range(n):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return (n - cycles) % 2
-
-
 def cycle_notation(perm: tuple[int, ...]) -> str:
     n = len(perm)
     seen = [False] * n
@@ -711,13 +684,15 @@ class PermutationGroup(Group):
             )
         self.kind = kind
         self.degree = degree
-        perms = sorted(permutations(range(degree)))
-        if kind == "Alt":
-            perms = [p for p in perms if perm_parity(p) == 0]
-        self.images = np.array(perms, dtype=np.int8).reshape(len(perms), degree)
+        # itertools lists the permutations in lexicographic order
+        images = np.array(list(permutations(range(degree))), dtype=np.int8).reshape(-1, degree)
+        if kind == "Alt":  # the even ones: an even number of inversions
+            i, j = np.triu_indices(degree, 1)
+            images = images[np.count_nonzero(images[:, i] > images[:, j], axis=1) % 2 == 0]
+        self.images = images
         self._place = degree ** np.arange(degree - 1, -1, -1)
         self._keys = self.images @ self._place
-        self.order = len(perms)
+        self.order = len(self.images)
         self.name = f"{kind}:{degree}"
         self.identity = self.index_of(tuple(range(degree)))
         super().__init__()

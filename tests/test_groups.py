@@ -460,6 +460,16 @@ def _parity(perm: tuple[int, ...]) -> int:
     return swaps % 2
 
 
+@pytest.mark.parametrize("kind", ["Sym", "Alt"])
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_permutation_images_are_the_itertools_listing(kind, degree):
+    # the rows are the lexicographic listing of every permutation (Sym) or of
+    # the even ones (Alt), parity counted here cycle by cycle
+    perms = itertools.permutations(range(degree))
+    want = [list(p) for p in perms if kind == "Sym" or _parity(p) == 0]
+    assert PermutationGroup(kind, degree).images.tolist() == want
+
+
 def test_trivial_group():
     G = construct_group("Zn:1")
     assert G.order == 1
@@ -719,12 +729,13 @@ def _reference_generating_tuple(G: Group) -> tuple[int, ...]:
 @pytest.mark.parametrize(
     "spec",
     ["Sym:3", "Sym:4", "Sym:5", "Sym:6", "Sym:7", "Alt:4", "Alt:5", "Alt:6", "Alt:7", "Alt:8",
-     "q8", "Zn:2,2", "Zn:2,4", "Zn:2,2,2", "Zn:12"],
+     "q8", "psl27", "Zn:2,2", "Zn:2,4", "Zn:2,2,2", "Zn:2,2,2,2", "Zn:12"],
 )
-def test_generating_tuple_search_matches_reference(spec, q8, monkeypatch):
+def test_generating_tuple_search_matches_reference(spec, q8, psl27, monkeypatch):
     # the abelian backend returns its unit vectors, so the shared search is
-    # called directly there; it reads G.orders, which that backend overrides
-    G = q8 if spec == "q8" else construct_group(spec)
+    # called directly there; it reads G.orders, which that backend overrides.
+    # Zn:2,2,2,2 needs four generators, so its search ends in the greedy phase.
+    G = {"q8": q8, "psl27": psl27}.get(spec) or construct_group(spec)
     want = _reference_generating_tuple(G)
     assert Group._search_generating_tuple(G) == want
     assert isinstance(G, AbelianGroup) or G.generating_tuple() == want
