@@ -1,7 +1,7 @@
 """Counting connected components of moduli of product-quotient surfaces."""
 from __future__ import annotations
 
-__version__ = "0.1.3"
+__version__ = "0.1.4"
 
 from .errors import BudgetExceeded, UserInputError
 from .groups import AbelianGroup, CayleyGroup, Group, PermutationGroup, construct_group

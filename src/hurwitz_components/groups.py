@@ -222,27 +222,18 @@ class Group:
             k += 1
         return orders
 
-    def element_order(self, x: int) -> int:
-        return self.orders.item(x)
+    @cached_property
+    def class_keys(self) -> np.ndarray:
+        """Per element x, ord(x) * |G| plus the least member of x's conjugacy
+        class (x itself in an abelian G). A system is class-sorted when its
+        branch entries' keys do not descend: its periods ascend, and within
+        each block of equal periods so do its entries' class minima."""
+        classes = self.inner_classes()
+        least = np.arange(self.order) if classes is None else classes.least
+        return self.orders * self.order + least
 
     def orders_present(self) -> tuple[int, ...]:
         return tuple(distinct(self.orders).tolist())
-
-    def conjugacy_class(self, x: int) -> frozenset[int]:
-        """{g^-1 x g : g in G}: x's class in inner_classes(); {x} when G is abelian."""
-        classes = self.inner_classes()
-        if classes is None:
-            return frozenset([x])
-        return frozenset(np.flatnonzero(classes.least == classes.least[x]).tolist())
-
-    def closure(self, gens, start=()) -> np.ndarray:
-        """The sorted members of the subgroup that gens generate together with
-        start, the members of a subgroup: the one-row case of closures."""
-        seen = np.zeros((1, self.order), dtype=bool)
-        seen[0, self.identity] = True
-        seen[0, np.asarray(start, dtype=np.intp)] = True
-        self.closures(seen, np.asarray(gens, dtype=np.intp)[None, :], self.order)
-        return seen[0].nonzero()[0].astype(index_dtype(self.order))
 
     def closures(self, seen: np.ndarray, gens: np.ndarray, caps) -> np.ndarray:
         """Grow each row of a (k, |G|) bool matrix, in place, to its members
@@ -267,9 +258,6 @@ class Group:
             counts += np.bincount(frontier // n, minlength=len(seen))
             frontier = frontier[(counts <= caps)[frontier // n]]
         return counts
-
-    def generates(self, gens) -> bool:
-        return len(self.closure(gens)) == self.order
 
     def generating_tuple(self) -> tuple[int, ...]:
         """A short generating tuple of G, searched once and kept. Inn(G), the

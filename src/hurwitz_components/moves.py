@@ -19,12 +19,13 @@ Each side checks its moves as they act (orbits._checked_move_images).
 Two lists of forward moves: available_moves is every generator above, and
 generating_moves drops the xi-twists that are words in the kept moves. An
 orbit depends only on the group the moves generate. fiber_words builds,
-from generating_moves, words of moves that generate the stabilizer of the
-ascending ordering of a side's periods; the two-stage side stage
-(orbits.side_orbits) acts with them on the systems over that ordering. The
-one-stage oracle (orbits._move_maps), verify's move audit and the property
-tests keep available_moves on every ordering, so the oracle's agreement
-tests both reductions.
+from generating_moves, words of moves that generate the stabilizer of a
+sequence of block labels; the two-stage side stage (orbits.side_orbits)
+acts with them on the class-sorted systems, the labels being the branch
+entries' conjugacy classes, so the words keep each row's class sequence.
+The one-stage oracle (orbits._move_maps), verify's move audit and the
+property tests keep available_moves on every ordering, so the oracle's
+agreement tests both reductions.
 """
 from __future__ import annotations
 
@@ -102,15 +103,19 @@ def generating_moves(gprime: int, r: int) -> list[MoveID]:
     return [m for m in available_moves(gprime, r) if m.kind != "xi2" and m.d in (None, 1)]
 
 
-def fiber_words(gprime: int, periods: tuple[int, ...]) -> list[tuple[MoveID, ...]]:
-    """Words of moves that generate the stabilizer H of an ascending ordering
-    of periods, each read left to right as the order of application.
+def fiber_words(gprime: int, blocks: tuple) -> list[tuple[MoveID, ...]]:
+    """Words of moves that generate the stabilizer H of a sequence of r block
+    labels whose equal labels are adjacent (the branch entries' periods, or
+    their conjugacy classes), each read left to right as the order of
+    application. Only which neighbours are equal matters.
 
-    The moves act on the orderings of the periods through their image in
-    S_r, so H is the preimage of the Young subgroup of the blocks of equal
-    periods, a mixed braid group (L. Manfredini, "Some subgroups of Artin's
-    braid group", Topology Appl. 1997; J. Birman, Braids, Links, and Mapping
-    Class Groups, 1974, for the pure braids A_ij). Its words:
+    The moves act on the branch slots through their image in S_r (sigma_h
+    swaps the labels of slots h and h + 1, a handle move or xi-twist keeps
+    every entry's class), so H is the preimage of the Young subgroup of the
+    blocks of equal labels, a mixed braid group (L. Manfredini, "Some
+    subgroups of Artin's braid group", Topology Appl. 1997; J. Birman,
+    Braids, Links, and Mapping Class Groups, 1974, for the pure braids
+    A_ij). Its words:
 
     * each move of generating_moves but the sigma_h that cross a boundary
       between blocks (the handle moves fix every branch entry's order);
@@ -124,10 +129,10 @@ def fiber_words(gprime: int, periods: tuple[int, ...]) -> list[tuple[MoveID, ...
     Shapes with one block keep generating_moves, so (1, 1) keeps its delta
     and delta~; (0, 0) has no word.
     """
-    r = len(periods)
+    r = len(blocks)
     if (gprime, r) == (0, 0):
         return []
-    starts = [h for h in range(1, r + 1) if h == 1 or periods[h - 2] != periods[h - 1]]
+    starts = [h for h in range(1, r + 1) if h == 1 or blocks[h - 2] != blocks[h - 1]]
     ends = [s - 1 for s in starts[1:]] + [r]
     words = [
         (m,) for m in generating_moves(gprime, r) if m.kind != "sigma" or m.i + 1 not in starts

@@ -3,7 +3,7 @@
 Two independent routes compute h(G; tau1, tau2):
 
 * the two-stage engine: per-side orbit partitions under moves + Inn(G)
-  over the ascending ordering of the periods (side_orbits), then the pair
+  over the class-sorted fiber (side_orbits), then the pair
   stage quotiented by diagonal Aut(G) through a Schreier tree of the Aut
   orbits of side-1 labels (_count_pairs);
 * a one-stage oracle: components of the disjoint ordered pairs of Inn(G)
@@ -31,8 +31,9 @@ is a row phi of a (maps, |G|) index array and acts as the gather
 phi[systems]. Both routes act with generators only (forward moves, Inn
 and Aut generator maps): each permutes a finite set, so its inverse is
 one of its powers. The oracle acts with every move of
-moves.available_moves, so its agreement also tests the fiber reduction
-and that the xi-twists that moves.generating_moves drops add no orbit.
+moves.available_moves on every ordering, so its agreement also tests the
+fiber reduction and that the xi-twists that moves.generating_moves drops
+add no orbit.
 The swap acts exactly when the unordered types coincide. Both build a
 type pair's sides by one rule (_pair_sides): the side with fewer
 candidate tuples first, and its partner only when it has a system, so a
@@ -45,6 +46,7 @@ DEFAULT_ONE_STAGE_SCAN_BUDGET class-row pairs.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,8 +61,16 @@ from .automorphisms import (
     inner_automorphisms,
 )
 from .errors import BudgetExceeded, UserInputError
-from .groups import Group, InnerClasses, _components, distinct, index_dtype, prime_factorization
-from .moves import apply_move, available_moves, fiber_words
+from .groups import (
+    Group,
+    InnerClasses,
+    _components,
+    distinct,
+    distinct_rows,
+    index_dtype,
+    prime_factorization,
+)
+from .moves import MoveID, apply_move, available_moves, fiber_words
 from .ramification import (
     BLOCK_ROWS,
     SignatureType,
@@ -85,18 +95,21 @@ class EquivalenceConfig:
 @dataclass
 class SidePartition:
     """One side's orbits under the moves and Inn(G), held one row per Inn(G)
-    class over the ascending ordering of the periods.
+    class over the class-sorted fiber (Group.class_keys).
 
     A class row is the least member of its class, and each class has
     |G|/|Z(G)| systems (one for an abelian G, whose classes are single
-    systems); each ordering holds as many systems of an orbit as the
-    ascending one. The row index reduces any system to its class row before
-    the lookup, so moves and automorphisms may act on class rows freely.
+    systems). The moves carry an orbit's systems over one ordering of its
+    class multiset bijectively onto those over any other, so a class row
+    weighs |G|/|Z(G)| times the number of orderings of its class multiset.
+    The row index reduces any system to its class row before the lookup,
+    and label_of first braid-sorts a row back into class order, so moves
+    and automorphisms may act on class rows freely.
     """
 
     group: Group
     tau: SignatureType  # canonical (sorted periods)
-    systems: np.ndarray  # (N, k) class rows over the sorted ordering, rows sorted
+    systems: np.ndarray  # (N, k) class-sorted class rows, rows sorted
     orbit: np.ndarray  # per class row, the index of its orbit
     leaders: np.ndarray  # per orbit, the class row of its least member (ascending)
     locate: _RowIndex  # the class-row index of systems, built once by side_orbits
@@ -105,9 +118,14 @@ class SidePartition:
         """The number of class rows."""
         return len(self.systems)
 
+    def sorted_locate(self, rows: np.ndarray, where: str) -> np.ndarray:
+        """The index of each row's class row, which must be a system of the
+        side over the ascending periods, braid-sorted (_braid_sorted) first."""
+        return self.locate(_braid_sorted(self.group, self.tau.gprime, rows), where)
+
     def label_of(self, rows: np.ndarray, where: str) -> np.ndarray:
-        """The orbit of each row, which must be a system of the side."""
-        return self.orbit[self.locate(rows, where)]
+        """The orbit of each row, found by sorted_locate."""
+        return self.orbit[self.sorted_locate(rows, where)]
 
     @property
     def labels(self) -> np.ndarray:
@@ -116,9 +134,18 @@ class SidePartition:
 
     @property
     def orbit_sizes(self) -> np.ndarray:
-        """The number of systems in each orbit, over every ordering."""
-        weight = self.group.order // len(self.group.center()) * self.tau.ordering_count()
-        return np.bincount(self.orbit, minlength=len(self.leaders)) * weight
+        """The number of systems in each orbit, over every ordering: its class
+        rows times |G|/|Z(G)| times the orderings of its label's class
+        multiset, r! over the factorials of the runs of equal classes (run
+        counts 1, 2, ... along each run, so a run's product is its factorial)."""
+        branch = self.group.class_keys[self.labels[:, 2 * self.tau.gprime :]]
+        run = np.ones(branch.shape, dtype=np.int64)
+        for h in range(1, self.tau.r):
+            same = branch[:, h] == branch[:, h - 1]
+            run[same, h] = run[same, h - 1] + 1
+        orderings = math.factorial(self.tau.r) // run.prod(axis=1)
+        inner = self.group.order // len(self.group.center())
+        return np.bincount(self.orbit, minlength=len(self.leaders)) * orderings * inner
 
 
 @dataclass
@@ -133,6 +160,37 @@ class OrbitReport:
 
     def to_json_dict(self) -> dict:
         return dict(vars(self))
+
+
+def _braid_sorted(G: Group, gprime: int, rows: np.ndarray) -> np.ndarray:
+    """Systems over ascending periods, each carried into class order
+    (Group.class_keys) by bubble passes of sigma_h on adjacent slots
+    whose keys descend. sigma_h swaps the two slots' classes, so each pass
+    stays inside the row's orbit under the moves. Only rows with a
+    descending neighbour pair are copied and moved. In an abelian G sigma_h
+    swaps two entries, so the passes sort the branch entries by key, which
+    one argsort does."""
+    keys, r = G.class_keys, rows.shape[1] - 2 * gprime
+    branch = keys[rows[:, 2 * gprime :]]
+    unsorted = np.flatnonzero((branch[:, 1:] < branch[:, :-1]).any(axis=1))
+    if not len(unsorted):
+        return rows
+    rows, sub = rows.copy(), rows[unsorted]
+    if G.inner_classes() is None:
+        order = np.argsort(branch[unsorted], axis=1, kind="stable")
+        sub[:, 2 * gprime :] = np.take_along_axis(sub[:, 2 * gprime :], order, axis=1)
+    else:
+        swapped = True
+        while swapped:
+            swapped = False
+            for h in range(1, r):
+                pair = keys[sub[:, 2 * gprime + h - 1 : 2 * gprime + h + 1]]
+                swap = pair[:, 0] > pair[:, 1]
+                if swap.any():
+                    sub[swap] = apply_move(G, gprime, sub[swap], MoveID("sigma", h))
+                    swapped = True
+    rows[unsorted] = sub
+    return rows
 
 
 def _orderings(tau: SignatureType, fiber: bool) -> list[tuple[int, ...]]:
@@ -159,8 +217,9 @@ def _systems(
     fiber: bool = False,
 ) -> np.ndarray:
     """Every system of tau's unordered type (with inn_classes, the least
-    member of each Inn(G) class; with fiber, of the ascending ordering only)
-    as sorted rows; refuses past the budget."""
+    member of each Inn(G) class; with fiber, the class-sorted ones only,
+    over the ascending ordering) as sorted rows; refuses past the budget,
+    which counts the ordering's candidate tuples before class sorting."""
     est = estimate_system_candidates(G, tau, inn_classes, fiber)
     if est > config.max_systems:
         raise BudgetExceeded(
@@ -171,7 +230,9 @@ def _systems(
     k = 2 * tau.gprime + tau.r
 
     def block(ordering: tuple[int, ...]) -> np.ndarray:
-        rows = enumerate_systems(G, SignatureType(tau.gprime, ordering), inn_classes=inn_classes)
+        rows = enumerate_systems(
+            G, SignatureType(tau.gprime, ordering), inn_classes=inn_classes, class_sorted=fiber
+        )
         # a list of rows too: the benchmark's traced run wraps
         # orbits.enumerate_systems with consume=True, which returns a list
         return np.asarray(rows, dtype=index_dtype(G.order)).reshape(len(rows), k)
@@ -247,42 +308,72 @@ def _move_maps(G: Group, tau: SignatureType) -> list:
 
 
 def _located(locate, images, where: str):
-    """locate(rows, where) of each of a run of row arrays of one length, one
-    index array per array, in order. As many consecutive arrays as fit in
+    """locate(rows, where) of each of a run of row arrays, one index array
+    per array, in order. As many consecutive arrays as fit in
     ramification.BLOCK_ROWS rows are stacked into one lookup; an array of
     more rows than that has its own, uncopied. images may be a generator,
     drawn one array at a time, each before the lookup that holds it."""
 
-    def stacked(batch: list[np.ndarray]) -> np.ndarray:
-        rows = batch[0] if len(batch) == 1 else np.concatenate(batch)
-        return locate(rows, where).reshape(len(batch), len(batch[0]))
+    def stacked(batch: list[np.ndarray]):
+        got = locate(batch[0] if len(batch) == 1 else np.concatenate(batch), where)
+        at = 0
+        for rows in batch:
+            yield got[at : at + len(rows)]
+            at += len(rows)
 
     batch: list[np.ndarray] = []
+    held = 0
     for rows in images:
-        if batch and (len(batch) + 1) * len(rows) > BLOCK_ROWS:
+        if batch and held + len(rows) > BLOCK_ROWS:
             yield from stacked(batch)
-            batch = []
+            batch, held = [], 0
         batch.append(rows)
+        held += len(rows)
     if batch:
         yield from stacked(batch)
 
 
-def _checked_move_images(G: Group, tau: SignatureType, systems: np.ndarray, inn, locate):
-    """locate(rows, where) of the images of systems (over tau's ascending
-    periods) under each word of moves.fiber_words.
+def _word_rows(G: Group, gprime: int, systems: np.ndarray) -> list:
+    """Each word of moves.fiber_words over the class blocks of some
+    class-sorted row, with the indices of the rows whose blocks it belongs
+    to: one word set per distinct mask of equal neighbouring classes. For
+    an abelian G and g' = 0 there is none: sigma_h swaps two entries there,
+    so every word fixes every class-sorted row."""
+    if gprime == 0 and G.inner_classes() is None:
+        return []
+    keys, branch = G.class_keys, systems[:, 2 * gprime :]
+    equal = np.zeros((len(systems), max(branch.shape[1] - 1, 0)), dtype=bool)
+    for h in range(equal.shape[1]):
+        equal[:, h] = keys[branch[:, h]] == keys[branch[:, h + 1]]
+    firsts, mask = distinct_rows(np.packbits(equal, axis=1))
+    masks_of: dict[tuple, list[int]] = {}
+    for m, first in enumerate(firsts.tolist()):
+        for word in fiber_words(gprime, tuple(keys[branch[first]].tolist())):
+            masks_of.setdefault(word, []).append(m)
+    every = np.arange(len(systems))  # one array shared by the words of every mask
+    return [
+        (word, every if len(ms) == len(firsts) else np.flatnonzero(np.isin(mask, ms)))
+        for word, ms in masks_of.items()
+    ]
 
-    Each word acts once, a move at a time, on the systems with the Inn
-    images of the sample (the first 20 rows) stacked below them; locate
-    refuses any image that is not a system, the images of consecutive
-    words stacked into one lookup (_located). On the sample, the word w
-    must commute with each Inn generator map phi, phi(w(x)) = w(phi(x)),
-    and its reversed word of inverse moves, acting once on the images, must
-    give back the sample; else AssertionError names the word. A word is
-    checked before the lookup that holds its images.
+
+def _checked_move_images(G: Group, tau: SignatureType, systems: np.ndarray, inn, locate):
+    """For each word of _word_rows, an index map of the systems (class-sorted,
+    over tau's ascending periods): locate(rows, where) of the images of the
+    rows the word acts on, and each other row fixed.
+
+    A word keeps each of its rows' class sequence, so its images are
+    class-sorted. Each word acts once, a move at a time, on its rows with
+    the Inn images of their sample (the first 20 of them) stacked below;
+    locate refuses any image that is not a system, the images of
+    consecutive words stacked into one lookup (_located). On the sample,
+    the word w must commute with each Inn generator map phi, phi(w(x)) =
+    w(phi(x)), and its reversed word of inverse moves, acting once on the
+    images, must give back the sample; else AssertionError names the word.
+    A word is checked before the lookup that holds its images.
     """
-    gp, n, sample = tau.gprime, len(systems), systems[:20]
-    where, s = f"{G.name} {tau}", len(sample)
-    stack = np.concatenate([systems] + [phi[sample] for phi in inn]) if len(inn) else systems
+    gp, n, where = tau.gprime, len(systems), f"{G.name} {tau}"
+    words = _word_rows(G, gp, systems)
 
     def act(rows: np.ndarray, word) -> np.ndarray:
         for m in word:
@@ -290,21 +381,31 @@ def _checked_move_images(G: Group, tau: SignatureType, systems: np.ndarray, inn,
         return rows
 
     def checked():
-        for word in fiber_words(gp, tau.periods):
+        for word, at in words:
+            rows = systems if len(at) == n else systems[at]
+            sample = rows[:20]
+            s, held = len(sample), len(rows)
+            stack = np.concatenate([rows] + [phi[sample] for phi in inn]) if len(inn) else rows
             undo = tuple(m.inverted() for m in reversed(word))
             name, back = (" ".join(map(str, w)) for w in (word, undo))
             out = act(stack, word)
             moved = out[:s]
             for k, phi in enumerate(inn):
-                if not np.array_equal(phi[moved], out[n + k * s : n + (k + 1) * s]):
+                if not np.array_equal(phi[moved], out[held + k * s : held + (k + 1) * s]):
                     raise AssertionError(
                         f"move {name} does not commute with Inn(G) map {k} on {G.name}"
                     )
             if not np.array_equal(act(moved, undo), sample):
                 raise AssertionError(f"move {back} does not undo move {name} on {where}")
-            yield out[:n]
+            yield out[:held]
 
-    yield from _located(locate, checked(), where)
+    for (_, at), got in zip(words, _located(locate, checked(), where)):
+        if len(at) == n:
+            yield got
+        else:
+            img = np.arange(n)
+            img[at] = got
+            yield img
 
 
 def _check_inn_sample(systems: np.ndarray, inn: np.ndarray, locate, where: str) -> None:
@@ -321,30 +422,35 @@ def side_orbits(
     G: Group, tau: SignatureType, config: EquivalenceConfig | None = None
 ) -> SidePartition:
     """Partition the systems of tau's unordered type into orbits under the
-    moves and Inn(G), one row per Inn(G) class over the ascending ordering
-    of the periods (the fiber).
+    moves and Inn(G), one row per Inn(G) class over the class-sorted fiber:
+    periods ascending, and within each block of equal periods the branch
+    entries' class minima ascending (Group.class_keys).
 
-    The moves act transitively on the orderings and carry a system's
-    sequence of branch-entry orders with it, so each orbit meets the fiber
-    in one orbit of its stabilizer, generated by moves.fiber_words. Inn(G)
-    acts freely on generating systems, so a class has |G|/|Z(G)| members,
-    and a move commutes with conjugation: each word acts once on every
-    class row, and the row index reduces its images to class rows, in one
-    pass that also checks the word (_checked_move_images). Orbits are
-    numbered by their least members, which are class rows. One lookup
-    checks that no Inn generator moves a sample row out of its class.
+    The moves keep a system's multiset of branch-entry classes and act on
+    its orderings through S_r, transitively, so each orbit meets the fiber
+    in the systems of one class sequence, and there in one orbit of that
+    sequence's stabilizer, generated by moves.fiber_words over its blocks
+    of equal classes (one word set per mask of equal neighbours,
+    _word_rows). Inn(G) acts freely on generating systems, so a class has
+    |G|/|Z(G)| members, and a move commutes with conjugation: each word acts
+    once on the class rows of its masks, and the row index reduces its
+    images to class rows, in one pass that also checks the word
+    (_checked_move_images). Orbits are numbered by their least members,
+    which are class rows. One lookup then checks that no Inn generator
+    moves a sample row out of its class.
     """
     config = config or EquivalenceConfig()
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, config, inn_classes=True, fiber=True)
     inn = inner_automorphisms(G)
     locate = _RowIndex(systems, G.order, G.inner_classes())
-    _check_inn_sample(systems, inn, locate, f"{G.name} {canonical}")
-    images = _checked_move_images(G, canonical, systems, inn, locate)
-    root = _components(len(systems), images)
+    root = _components(len(systems), _checked_move_images(G, canonical, systems, inn, locate))
     is_leader = root == np.arange(len(systems))
     orbit = (np.cumsum(is_leader) - 1)[root]
-    return SidePartition(G, canonical, systems, orbit, np.flatnonzero(is_leader), locate)
+    part = SidePartition(G, canonical, systems, orbit, np.flatnonzero(is_leader), locate)
+    # through the braid sort, as label_of, so a map that moves classes shows
+    _check_inn_sample(systems, inn, part.sorted_locate, f"{G.name} {canonical}")
+    return part
 
 
 def _powers(G: Group, x: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -434,11 +540,11 @@ def _sigma_matrix(G: Group, part: SidePartition) -> np.ndarray:
 
 def _aut_label_perms(G: Group, part: SidePartition, maps: np.ndarray) -> list[np.ndarray]:
     """The permutation each automorphism (a row of maps) induces on the orbit
-    labels, the label images of consecutive maps stacked into one lookup
-    (_located)."""
+    labels, as label_of gives it: the label images of consecutive maps
+    stacked into one braid sort and lookup (_located, part.sorted_locate)."""
     where = f"{G.name} {part.tau} under an automorphism"
     images = (phi[part.labels] for phi in maps)
-    return [part.orbit[i] for i in _located(part.locate, images, where)]
+    return [part.orbit[i] for i in _located(part.sorted_locate, images, where)]
 
 
 def _pair_sides(G: Group, t1: SignatureType, t2: SignatureType, build, fiber: bool):
@@ -770,12 +876,14 @@ def count_components_one_stage(
     seeds = np.flatnonzero(root == np.arange(len(pair_ids)))
     firsts = seconds = ()
     if config.representatives:
-        # the two-stage engine's: the least pair over the ascending orderings
-        def ascending(t: SignatureType, systems: np.ndarray) -> np.ndarray:
-            orders = G.orders[systems[:, 2 * t.gprime :]]
-            return (orders[:, 1:] >= orders[:, :-1]).all(axis=1)
+        # the two-stage engine's: the least pair over class-sorted rows
+        keys = G.class_keys
 
-        fiber = np.flatnonzero(ascending(t1, sys1)[i] & ascending(t2, sys2)[j])
+        def class_sorted(t: SignatureType, systems: np.ndarray) -> np.ndarray:
+            branch = keys[systems[:, 2 * t.gprime :]]
+            return (branch[:, 1:] >= branch[:, :-1]).all(axis=1)
+
+        fiber = np.flatnonzero(class_sorted(t1, sys1)[i] & class_sorted(t2, sys2)[j])
         least = np.full(len(pair_ids), len(pair_ids))
         np.minimum.at(least, root[fiber], fiber)
         picked = pair_ids[np.sort(least[seeds])]
@@ -800,9 +908,11 @@ def verify_inn_lemma(
     """Check that inner automorphisms preserve each braid orbit (g' = 0).
 
     Conjugation by generators of G suffices: if each generator keeps every
-    braid orbit, so does all of Inn(G). Inn(G) keeps the fiber over the
-    ascending ordering, where the braid orbits are the orbits of the words
-    of _checked_move_images (side_orbits); every system there is checked.
+    braid orbit, so does all of Inn(G). Inn(G) keeps each entry's class, so
+    it keeps the class-sorted fiber, where the braid orbits are the orbits
+    of the words of _checked_move_images (side_orbits); every system there
+    is checked, each image braid-sorted (_braid_sorted) before its lookup so
+    that a map that moves classes is reported too.
     """
     if tau.gprime != 0:
         raise UserInputError("inner-automorphism audit applies to g' = 0 types only")
@@ -813,7 +923,10 @@ def verify_inn_lemma(
     locate, where = _RowIndex(systems, G.order), f"{G.name} {canonical}"
     root = _components(len(systems), _checked_move_images(G, canonical, systems, inn, locate))
     inner_count = G.order // len(G.center())
-    images = (locate(phi[systems], f"{where} under an inner automorphism") for phi in inn)
+    images = (
+        locate(_braid_sorted(G, 0, phi[systems]), f"{where} under an inner automorphism")
+        for phi in inn
+    )
     # The first system (then the first generator) that changes its braid orbit.
     bad = []
     for k, img in enumerate(images):

@@ -4,14 +4,13 @@ A system of generators is a flat sequence of element indices
 (a1, b1, ..., ag', bg', c1, ..., cr) subject to the long relation
 c1...cr * prod_k [a_k, b_k] = identity. A system is only ever a row of
 ints: enumerate_systems returns all systems of a type (or the least
-member of each Inn(G) class) as one 2-D array with a system per row,
-built with numpy gathers on the group's table, a block of leads at a
-time, and tested for generation once per finished row by the group's
-subgroup joins, and long_relation_value / long_relation_holds evaluate
-every row of such an array at once; so does sigma_masks, one bool row
-over G per system for its Sigma set (sigma_set is its one-row case, one
-system read as a sequence of ints). Two systems are disjoint when their
-Sigma sets meet only in the identity.
+member of each Inn(G) class, or only the class-sorted systems) as one
+2-D array with a system per row, built with numpy gathers on the group's
+table, a block of leads at a time, and tested for generation once per
+finished row by the group's subgroup joins, and long_relation_value /
+long_relation_holds evaluate every row of such an array at once; so does
+sigma_masks, one bool row over G per system for its Sigma set. Two
+systems are disjoint when their Sigma sets meet only in the identity.
 """
 from __future__ import annotations
 
@@ -70,13 +69,6 @@ class SignatureType:
             p[i], p[j] = p[j], p[i]
             p[i + 1 :] = reversed(p[i + 1 :])
             out.append(tuple(p))
-
-    def ordering_count(self) -> int:
-        """len(self.orderings()), as a multinomial coefficient."""
-        count = math.factorial(self.r)
-        for m in set(self.periods):
-            count //= math.factorial(self.periods.count(m))
-        return count
 
     def __str__(self) -> str:
         return f"{self.gprime}|" + ",".join(str(m) for m in self.periods)
@@ -142,9 +134,12 @@ def candidate_tuples(G: Group, tau: SignatureType, inn_classes: bool = False) ->
     return math.prod(len(values) for values in _free_slots(G, tau, inn_classes))
 
 
-def enumerate_systems(G: Group, tau: SignatureType, inn_classes: bool = False) -> np.ndarray:
+def enumerate_systems(
+    G: Group, tau: SignatureType, inn_classes: bool = False, class_sorted: bool = False
+) -> np.ndarray:
     """Every system of exact (ordered) type tau, one per row, lexicographically;
-    with inn_classes, only the least member of each Inn(G) class.
+    with inn_classes, only the least member of each Inn(G) class; with
+    class_sorted, only the class-sorted systems (Group.class_keys).
 
     Free entries (a1, b1, ..., ag', bg', c1, ..., c_{r-1}) are expanded one
     slot at a time, in blocks of as many consecutive leading-slot values as
@@ -152,8 +147,10 @@ def enumerate_systems(G: Group, tau: SignatureType, inn_classes: bool = False) -
     near one block. Each row carries only its entries and the running
     product K = prod_k [a_k, b_k] times c1 ... c_j. The last branch entry
     is solved from the long relation as (K c1 ... c_{r-1})^-1 and filtered
-    on its order; for r = 0 the relation K = 1 is checked instead. Of the
-    finished rows, one SubgroupJoins.generates call keeps those that
+    on its order; for r = 0 the relation K = 1 is checked instead. With
+    class_sorted, a prefix is dropped as soon as a branch entry's key falls
+    below the one before it, and the solved entry is filtered the same way.
+    Of the finished rows, one SubgroupJoins.generates call keeps those that
     generate G, so no join is closed for a prefix that the filters discard.
 
     With inn_classes and G non-abelian, the lead takes only conjugacy-class
@@ -163,10 +160,13 @@ def enumerate_systems(G: Group, tau: SignatureType, inn_classes: bool = False) -
     orbits of the generating rows with lead c all have |C(c)|/|Z(G)| rows,
     |C(c)| = |G| over the size of the class of c, counted in
     InnerClasses.least; a lead whose count disagrees raises AssertionError.
+    Conjugation keeps each entry's class, so class sorting keeps whole Inn
+    classes and the count holds on the class-sorted rows too.
     """
     gp, r = tau.gprime, tau.r
     dtype = index_dtype(G.order)
     orders = G.orders
+    keys = G.class_keys if class_sorted else None
     slots = _free_slots(G, tau, inn_classes)
     classes = G.inner_classes() if inn_classes else None
     joins = G.subgroup_joins()
@@ -183,6 +183,10 @@ def enumerate_systems(G: Group, tau: SignatureType, inn_classes: bool = False) -
                 axis=1,
             )
             acc = np.repeat(acc, len(values))
+            if keys is not None and level > 2 * gp:
+                keep = keys[rows[:, level]] >= keys[rows[:, level - 1]]
+                if not keep.all():
+                    rows, acc = rows[keep], acc[keep]
             x = rows[:, level]
             if level >= 2 * gp:
                 acc = G.mul_array(acc, x)
@@ -191,6 +195,8 @@ def enumerate_systems(G: Group, tau: SignatureType, inn_classes: bool = False) -
         if r:
             last = G.inv_array(acc)
             keep = orders[last] == tau.periods[-1]
+            if keys is not None and r > 1:
+                keep &= keys[last] >= keys[rows[:, -1]]
             rows = np.concatenate([rows[keep], last[keep, None]], axis=1)
         else:
             rows = rows[acc == G.identity]
@@ -236,11 +242,6 @@ def sigma_masks(G: Group, gprime: int, systems) -> np.ndarray:
     for col in branch.T:
         out |= table[np.searchsorted(keys, least[col])]
     return out
-
-
-def sigma_set(G: Group, gprime: int, entries: tuple[int, ...]) -> frozenset[int]:
-    """Sigma of one system, a sequence of ints: the one-row case of sigma_masks."""
-    return frozenset(np.flatnonzero(sigma_masks(G, gprime, [entries])[0]).tolist())
 
 
 def curve_genus(group_order: int, tau: SignatureType) -> Fraction:

@@ -28,8 +28,15 @@ from hurwitz_components.ramification import (
     SignatureType,
     enumerate_systems,
     long_relation_holds,
-    sigma_set,
+    sigma_masks,
 )
+from test_groups import element_order, generates
+
+
+def sigma_set(G, gprime: int, entries: tuple[int, ...]) -> frozenset[int]:
+    """Sigma of one system, a sequence of ints: the one-row case of sigma_masks."""
+    return frozenset(np.flatnonzero(sigma_masks(G, gprime, [entries])[0]).tolist())
+
 
 def _tuples(systems) -> list[tuple[int, ...]]:
     """The rows of a system array as tuples of Python ints."""
@@ -93,10 +100,10 @@ def run_move_property_suite(q8_group, rng: random.Random, per_shape: int):
                 violations.append(f"{where}: system shape changed")
                 continue
             for ent, sig in zip(_tuples(out), sigmas):
-                branch_orders = sorted(G.element_order(c) for c in ent[2 * gp:])
+                branch_orders = sorted(element_order(G, c) for c in ent[2 * gp:])
                 if branch_orders != order_multiset:
                     violations.append(f"{where}: period multiset changed")
-                if not G.generates(ent):
+                if not generates(G, ent):
                     violations.append(f"{where}: generation lost")
                 if sigma_set(G, gp, ent) != sig:
                     violations.append(f"{where}: Sigma set changed")

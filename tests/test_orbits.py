@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import permutations
 import tracemalloc
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from hurwitz_components.groups import (
     prime_factorization,
 )
 from hurwitz_components.moves import (
+    MoveID,
     apply_move,
     available_moves,
     fiber_words,
@@ -52,9 +54,10 @@ from hurwitz_components.ramification import (
     SignatureType,
     enumerate_systems,
     rh_admissible,
-    sigma_set,
 )
 from test_automorphisms import _closure
+from test_groups import closure, conjugacy_class, element_order
+from test_moves import sigma_set
 from test_ramification import _system_valid
 
 
@@ -66,15 +69,19 @@ def test_side_orbits_label_partition():
     G = AbelianGroup([5, 5])
     part = side_orbits(G, _tau("0|5,5,5"))
     systems = list(map(tuple, part.systems.tolist()))
-    assert len(systems) == 480 and systems == sorted(set(systems))
+    # one class-sorted row of the 480 systems per entry multiset (every
+    # entry has order 5, so the rows ascend by element index)
+    assert len(systems) == 80 and systems == sorted(set(systems))
+    assert all(list(ent) == sorted(ent) for ent in systems)
     assert len(part.leaders) == 80
     assert sum(part.orbit_sizes) == 480
-    # orbit ids are contiguous from zero and each orbit's label is its least member
+    # orbit ids are contiguous from zero and each orbit's label is its least
+    # member; it weighs the orderings of its entries
     assert set(part.orbit.tolist()) == set(range(80))
     for oid, seed in enumerate(map(tuple, part.labels.tolist())):
         members = [ent for ent, k in zip(systems, part.orbit.tolist()) if k == oid]
         assert seed == min(members)
-        assert len(members) == part.orbit_sizes[oid]
+        assert len(members) * len(set(permutations(seed))) == part.orbit_sizes[oid]
 
 
 def test_side_orbits_single_orbit_for_symmetric_triangle():
@@ -97,26 +104,29 @@ def test_side_orbits_accept_enumeration_as_row_list(monkeypatch):
         assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
-def _ascending(G, tau, systems) -> np.ndarray:
-    """Which rows lie over the ascending ordering of tau's periods."""
-    orders = G.orders[systems[:, 2 * tau.gprime :]]
-    return (orders[:, 1:] >= orders[:, :-1]).all(axis=1)
+def _class_sorted(G, tau, systems) -> np.ndarray:
+    """Which rows are class-sorted: their branch entries' (order, least
+    member of the conjugacy class) pairs do not descend."""
+    key = [(element_order(G, x), min(conjugacy_class(G, x))) for x in G.elements()]
+    rank = {k: i for i, k in enumerate(sorted(set(key)))}
+    keys = np.array([rank[k] for k in key])[systems[:, 2 * tau.gprime :]]
+    return (keys[:, 1:] >= keys[:, :-1]).all(axis=1)
 
 
 def _side_orbits_on_every_system(G, tau):
     """The side partition with every forward move (available_moves) and every
     Inn generator map acting on every system of every ordering: the
     reference for side_orbits, which moves one system per Inn class over the
-    ascending ordering with fiber_words. Returns the systems, the least
-    member over the ascending ordering of each orbit (ascending) and each
-    orbit's size, over every ordering."""
+    class-sorted fiber with fiber_words. Returns the systems, the least
+    class-sorted member of each orbit (ascending) and each orbit's size,
+    over every ordering."""
     canonical = tau.with_sorted_periods()
     systems = _systems(G, canonical, EquivalenceConfig())
     locate = _RowIndex(systems, G.order)
     images = [locate(f(systems), "reference") for f in orbits._move_maps(G, canonical)]
     images += [locate(phi[systems], "reference") for phi in inner_automorphisms(G)]
     root = _components(len(systems), images)
-    fiber = np.flatnonzero(_ascending(G, canonical, systems))
+    fiber = np.flatnonzero(_class_sorted(G, canonical, systems))
     leaders = np.full(len(systems), len(systems))
     np.minimum.at(leaders, root[fiber], fiber)
     leaders = np.sort(leaders[root == np.arange(len(systems))])
@@ -162,24 +172,29 @@ def test_side_orbits_over_inn_classes_match_every_system(spec, text, q8, monkeyp
     part = side_orbits(G, tau)
     assert np.array_equal(part.labels, systems[leaders])
     assert np.array_equal(part.orbit_sizes, sizes)
-    fiber = np.count_nonzero(_ascending(G, tau, systems))
+    fiber = np.count_nonzero(_class_sorted(G, tau, systems))
     classes = fiber // (G.order // len(G.center()))
     assert len(part.systems) == classes
-    # each word acts once, a move at a time, on the class rows with the Inn
-    # images of the sample stacked below them, then its reversed word of
-    # inverse moves once on the sample's images
-    sample = min(classes, 20)
+    # each word acts once, a move at a time, on the class rows of its masks
+    # with the Inn images of their sample stacked below them, then its
+    # reversed word of inverse moves once on the sample's images
     inn = len(inner_automorphisms(G))
-    words = fiber_words(tau.gprime, tau.with_sorted_periods().periods)
+    words = [(w, len(at)) for w, at in orbits._word_rows(G, tau.gprime, part.systems)]
     assert rows_per_call == [
-        rows for w in words for rows in [classes + inn * sample] * len(w) + [sample] * len(w)
+        rows
+        for w, n in words
+        for rows in [n + inn * min(n, 20)] * len(w) + [min(n, 20)] * len(w)
     ]
-    # one lookup checks the sample's images under every Inn generator, then
-    # the class rows' images of as many consecutive words as fit in
-    # BLOCK_ROWS rows go to one lookup
-    per = max(1, BLOCK_ROWS // classes) if classes else len(words)
-    stacks = [classes * len(words[at : at + per]) for at in range(0, len(words), per)]
-    assert rows_per_lookup == [inn * sample] * (inn > 0) + stacks
+    # the images of as many consecutive words as fit in BLOCK_ROWS rows go
+    # to one lookup, then one lookup checks the sample's images under every
+    # Inn generator
+    stacks = []
+    for _, n in words:
+        if stacks and stacks[-1] + n <= BLOCK_ROWS:
+            stacks[-1] += n
+        else:
+            stacks.append(n)
+    assert rows_per_lookup == stacks + [inn * min(classes, 20)] * (inn > 0)
 
 
 def test_a_stranger_in_a_middle_word_of_a_stack_is_refused(monkeypatch):
@@ -270,24 +285,28 @@ def _pinned_sides(G, blocks: int = 1):
 def _side_orbits_over_every_ordering(G, tau):
     """The side stage before the fiber: class rows of every ordering of the
     periods, each move of generating_moves acting once. Returns the class
-    rows' index, each class row's orbit root and the orbit sizes by root."""
+    rows, their index, each class row's orbit root and the orbit sizes by
+    root."""
     gp = tau.gprime
     systems = _systems(G, tau, EquivalenceConfig(), inn_classes=True)
     locate = _RowIndex(systems, G.order, G.inner_classes())
     moves = generating_moves(gp, tau.r) if (gp, tau.r) != (0, 0) else []
     root = _components(len(systems), [locate(apply_move(G, gp, systems, m), "") for m in moves])
     sizes = np.bincount(root, minlength=len(systems)) * (G.order // len(G.center()))
-    return locate, root, sizes
+    return systems, locate, root, sizes
 
 
 @pytest.mark.parametrize("spec", CENSUS_SPECS)
 def test_fiber_partitions_match_every_ordering(spec, q8):
-    # each orbit over every ordering meets the fiber in exactly one fiber
-    # orbit, and its size is that orbit's class rows times their weight
+    # the fiber is the class-sorted class rows; each orbit over every
+    # ordering meets it in exactly one fiber orbit, and its size is that
+    # orbit's class rows times their weight
     G = q8 if spec == "q8" else construct_group(spec)
     for tau in _pinned_sides(G):
-        locate, root, sizes = _side_orbits_over_every_ordering(G, tau)
+        systems, locate, root, sizes = _side_orbits_over_every_ordering(G, tau)
         part = side_orbits(G, tau)
+        fiber = systems[_class_sorted(G, tau, systems)]
+        assert np.array_equal(part.systems, fiber), tau
         old = root[locate(part.systems, str(tau))]
         lead = old[part.leaders]  # the old orbit of each fiber orbit
         assert np.array_equal(old, lead[part.orbit]), tau
@@ -303,8 +322,8 @@ def test_fiber_words_without_a_generator_split_orbits(dropped, q8, monkeypatch):
     # some pinned side shows more orbits, and none fewer.
     real = fiber_words
 
-    def fewer(gp, periods):
-        words = real(gp, periods)
+    def fewer(gp, blocks):
+        words = real(gp, blocks)
         if dropped == "block-pair braid":
             cut = [w for w in words if len(w) > 1][:1]
         else:
@@ -322,6 +341,105 @@ def test_fiber_words_without_a_generator_split_orbits(dropped, q8, monkeypatch):
     after = [len(side_orbits(G, tau).leaders) for G, tau in sides]
     assert all(a >= b for a, b in zip(after, before))
     assert any(a > b for a, b in zip(after, before))
+
+
+def _class_keys_of(G, row) -> tuple:
+    """The (order, least member of the conjugacy class) of each entry of a row."""
+    return tuple((element_order(G, x), min(conjugacy_class(G, x))) for x in row)
+
+
+@pytest.mark.parametrize(
+    "spec, text", [("Alt:4", "0|3,3,3,3,3,3"), ("Sym:4", "0|2,2,2,3,3"), ("Alt:4", "1|3,3,3")]
+)
+def test_each_row_gets_the_words_of_its_class_blocks(spec, text):
+    # one word set per mask of equal neighbouring classes, not per class
+    # sequence: Alt:4 (0|3^6) has 3 class sequences over its two classes of
+    # 3-cycles (3 of each, or 6 of one: the product maps to Zn:3) but 2
+    # masks, as the all-equal rows of either class share one
+    G = construct_group(spec)
+    tau = _tau(text)
+    part = side_orbits(G, tau)
+    acting = [set() for _ in part.systems]
+    words = orbits._word_rows(G, tau.gprime, part.systems)
+    for word, at in words:
+        for i in at.tolist():
+            acting[i].add(word)
+    sequences = set()
+    for i, row in enumerate(part.systems.tolist()):
+        keys = _class_keys_of(G, row[2 * tau.gprime :])
+        sequences.add(keys)
+        assert acting[i] == set(fiber_words(tau.gprime, keys)), row
+    masks = {tuple(a == b for a, b in zip(k, k[1:])) for k in sequences}
+    assert len({frozenset(a) for a in acting}) == len(masks)
+    if spec == "Alt:4" and tau.gprime == 0:
+        assert (len(sequences), len(masks)) == (3, 2)
+
+
+@pytest.mark.parametrize(
+    "spec, text, fixed",
+    [
+        ("Zn:2,2", "0|2,2,2,2,2,2", True),
+        ("Zn:2,4", "0|2,2,4,4", True),
+        ("Zn:7,7", "0|7,7,7", True),
+        ("Sym:3", "0|2,2,2,2", False),  # the control: sigma_1 conjugates
+    ],
+)
+def test_class_block_words_fix_every_abelian_row(spec, text, fixed):
+    # in an abelian G with g' = 0, sigma_h swaps two entries, so every word
+    # over a row's class blocks fixes the row, and side_orbits acts with none
+    G = construct_group(spec)
+    tau = _tau(text)
+    systems = _systems(G, tau, EquivalenceConfig(), fiber=True)
+    assert len(systems) and _class_sorted(G, tau, systems).all()
+    by_keys = {}
+    for i, row in enumerate(systems.tolist()):
+        by_keys.setdefault(_class_keys_of(G, row), []).append(i)
+    moved = 0
+    for keys, at in by_keys.items():
+        rows = systems[at]
+        for word in fiber_words(0, keys):
+            out = rows
+            for m in word:
+                out = apply_move(G, 0, out, m)
+            moved += np.count_nonzero((out != rows).any(axis=1))
+    assert (moved == 0) == fixed
+    assert (orbits._word_rows(G, 0, systems) == []) == fixed
+    if fixed:
+        part = side_orbits(G, tau)
+        assert len(part.leaders) == len(part.systems) == len(systems)
+
+
+def _bubble_sorted(G, gp, rows) -> np.ndarray:
+    """Each row carried into class order by passes of sigma_h over adjacent
+    slots whose (order, class minimum) keys descend, one row at a time: the
+    reference for orbits._braid_sorted."""
+    out = []
+    for row in rows:
+        row, r, moved = row[None, :], len(row) - 2 * gp, True
+        while moved:
+            moved = False
+            for h in range(1, r):
+                keys = _class_keys_of(G, row[0, 2 * gp + h - 1 : 2 * gp + h + 1].tolist())
+                if keys[0] > keys[1]:
+                    row, moved = apply_move(G, gp, row, MoveID("sigma", h)), True
+        out.append(row[0])
+    return np.array(out, dtype=rows.dtype).reshape(rows.shape)
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [("Zn:5,5", "0|5,5,5"), ("Zn:2,4", "1|2,2,4,4"), ("Alt:4", "0|3,3,3,3,3,3"), ("q8", "0|4,4,4,4")],
+)
+def test_braid_sort_matches_one_row_bubble_passes(spec, text, q8):
+    # automorphism images of the labels, as the pair stage sorts them; an
+    # abelian G takes one argsort, a non-abelian one the passes of sigma_h
+    G = q8 if spec == "q8" else construct_group(spec)
+    tau = _tau(text)
+    labels = side_orbits(G, tau).labels
+    rows = np.concatenate([phi[labels] for phi in automorphism_group(G).generator_maps])
+    got = orbits._braid_sorted(G, tau.gprime, rows)
+    assert np.array_equal(got, _bubble_sorted(G, tau.gprime, rows))
+    assert not np.array_equal(got, rows) and _class_sorted(G, tau, got).all()
 
 
 def _schreier_words(gp, periods):
@@ -424,7 +542,7 @@ def test_abelian_sides_do_no_conjugate_gathers():
     G = construct_group("Zn:5,5")
     part = side_orbits(G, _tau("0|5,5,5"))
     assert G.inner_classes() is None and G._inner_classes is None
-    assert len(part.systems) == 480 and part.orbit_sizes.sum() == 480
+    assert len(part.systems) == 80 and part.orbit_sizes.sum() == 480  # 480 systems, sorted
 
 
 def test_side_orbits_refuse_inn_classes_of_the_wrong_size(monkeypatch):
@@ -454,8 +572,8 @@ def test_side_budget_counts_the_restricted_enumeration():
     for m1, m2, m3 in tau.orderings():
         # the lead takes the least member of each class of order m1, the
         # second entry every element of order m2; the third is solved
-        leads = {min(G.conjugacy_class(x)) for x in G.elements() if G.element_order(x) == m1}
-        seconds = [y for y in G.elements() if G.element_order(y) == m2]
+        leads = {min(conjugacy_class(G, x)) for x in G.elements() if element_order(G, x) == m1}
+        seconds = [y for y in G.elements() if element_order(G, y) == m2]
         expanded += len(leads) * len(seconds)
         rows = enumerate_systems(G, SignatureType(0, (m1, m2, m3)), inn_classes=True)
         assert set(rows[:, 0].tolist()) <= leads
@@ -518,7 +636,7 @@ def _is_prime(n: int) -> bool:
 
 def _subgroup_class(G, z: int) -> frozenset:
     """The conjugacy class of the subgroup <z>, as a set of subgroups."""
-    sub = G.closure([z]).tolist()
+    sub = closure(G, [z]).tolist()
     return frozenset(frozenset(int(G.conj(x, g)) for x in sub) for g in G.elements())
 
 
@@ -527,7 +645,7 @@ def _class_columns(G, table: np.ndarray) -> dict[int, int]:
     marks. Checked to name the class of <z>, one column per class."""
     col = {}
     for z in G.elements():
-        if _is_prime(G.element_order(z)):
+        if _is_prime(element_order(G, z)):
             (col[z],) = np.flatnonzero(table[z]).tolist()
     named = {(_subgroup_class(G, z), c) for z, c in col.items()}
     assert len({k for k, _ in named}) == len({c for _, c in named}) == len(named)
@@ -572,7 +690,7 @@ def _full_sigma_rows(G):
     of x, as the pair stage built them before the class columns."""
     rows = np.zeros((G.order, G.order), dtype=bool)
     for x in G.elements():
-        rows[x, np.concatenate([G.closure([y]) for y in G.conjugacy_class(x)])] = True
+        rows[x, np.concatenate([closure(G, [y]) for y in conjugacy_class(G, x)])] = True
     return rows
 
 
@@ -634,8 +752,9 @@ def test_class_columns_decide_disjointness_of_any_entry_tuples(spec, q8):
 
 
 def test_sigma_matrix_checks_every_system_of_an_orbit():
-    G = AbelianGroup([5, 5])
-    part = side_orbits(G, _tau("0|5,5,5"))
+    # an abelian side with g' = 1: its handle moves join class-sorted rows
+    G = AbelianGroup([2, 4])
+    part = side_orbits(G, _tau("1|2,2,2,2"))
     mat = _sigma_matrix(G, part)
     row = len(part.systems) - 1  # the last system is no orbit's least member
     assert row not in part.leaders.tolist()
@@ -769,10 +888,11 @@ def test_census_scan_indexes_each_side_once(monkeypatch, q8):
     builds = _count_row_index_builds(monkeypatch)
     scan_invariants(catalog, chi=1, q=1)
     # 35 of the 68 sides serve only pairs settled by forced Sigma columns or
-    # partnered with an empty side, so they are never built
+    # partnered with an empty side, so they are never built; the 33 built
+    # hold 605 class-sorted class rows (2,822 over the ascending periods)
     assert len(sides) == 68
     assert len(builds) == len(want)
-    assert (len(builds), sum(builds)) == (33, 2_822)
+    assert (len(builds), sum(builds)) == (33, 605)
 
 
 def _forces_common_column(G, t1: SignatureType, t2: SignatureType) -> bool:
@@ -1317,8 +1437,8 @@ def _one_stage_on_every_system(G, tau1, tau2, config):
     root = _components(len(pair_ids), [np.searchsorted(pair_ids, f) for f in flat])
     seeds = np.flatnonzero(root == np.arange(len(pair_ids)))
     if representatives is not None:
-        # the least pair over the ascending orderings in each orbit, ascending
-        fiber = np.flatnonzero(_ascending(G, t1, sys1)[i] & _ascending(G, t2, sys2)[j])
+        # the least pair of class-sorted rows in each orbit, ascending
+        fiber = np.flatnonzero(_class_sorted(G, t1, sys1)[i] & _class_sorted(G, t2, sys2)[j])
         least = {}
         for pos in fiber.tolist():
             least.setdefault(int(root[pos]), pos)
@@ -1734,7 +1854,7 @@ def test_representatives_are_valid_disjoint_pairs():
         ent1 = tuple(label_to_index[s] for s in pair[0])
         ent2 = tuple(label_to_index[s] for s in pair[1])
         for ent in (ent1, ent2):
-            assert _system_valid(G, SignatureType(0, tuple(G.element_order(c) for c in ent)), ent)
+            assert _system_valid(G, SignatureType(0, tuple(element_order(G, c) for c in ent)), ent)
 
 
 def test_inn_lemma_exhaustive_small_cases():
@@ -1753,11 +1873,13 @@ def test_inn_lemma_reports_the_least_moved_system(monkeypatch):
     maps = automorphism_group(G).generator_maps
     part = side_orbits(G, tau)  # G is abelian: Inn(G) is trivial, so braid orbits only
     index = {ent: i for i, ent in enumerate(map(tuple, part.systems.tolist()))}
+    # sigma_h swaps two entries of an abelian G: an image's class-sorted
+    # member of its braid orbit is the image with its entries sorted
     moved = [
         (row, k)
         for k, phi in enumerate(maps)
         for ent, row in index.items()
-        if part.orbit[index[tuple(phi[x] for x in ent)]] != part.orbit[row]
+        if part.orbit[index[tuple(sorted(phi[x] for x in ent))]] != part.orbit[row]
     ]
     row, k = min(moved)  # the least system, then the first map that moves it
     ent = part.systems[row].tolist()

@@ -22,11 +22,10 @@ from hurwitz_components.ramification import (
     period_multisets_with_angle_sum,
     rh_admissible,
     sigma_masks,
-    sigma_set,
     surface_invariants,
 )
-from test_groups import scalar_closure, scalar_inv, scalar_mul
-from test_moves import SUITE_SHAPES
+from test_groups import closure, element_order, scalar_closure, scalar_inv, scalar_mul
+from test_moves import SUITE_SHAPES, sigma_set
 
 
 def _system_valid(G, tau: SignatureType, entries: tuple[int, ...]) -> bool:
@@ -36,7 +35,7 @@ def _system_valid(G, tau: SignatureType, entries: tuple[int, ...]) -> bool:
     if len(entries) != 2 * tau.gprime + tau.r:
         return False
     branch = entries[2 * tau.gprime :]
-    if any(G.element_order(c) != m for c, m in zip(branch, tau.periods)):
+    if any(element_order(G, c) != m for c, m in zip(branch, tau.periods)):
         return False
     if not long_relation_holds(G, tau.gprime, np.array([entries], dtype=np.intp))[0]:
         return False
@@ -197,7 +196,7 @@ def test_generation_closes_joins_only_for_prefixes_of_finished_rows(spec, text, 
     G = construct_group(f"cayley:{q8_path}" if spec == "q8" else spec)
     tau = SignatureType.parse(text)
     slots = [G.elements()] * (2 * tau.gprime) + [
-        [x for x in G.elements() if G.element_order(x) == m] for m in tau.periods
+        [x for x in G.elements() if element_order(G, x) == m] for m in tau.periods
     ]
     rows = np.array(list(product(*slots)), dtype=np.intp)
     rows = rows[long_relation_holds(G, tau.gprime, rows)]
@@ -306,7 +305,7 @@ def _sigma_by_conjugation(G, gprime, entries):
     out = {G.identity}
     elems = np.arange(G.order)
     for c in entries[2 * gprime :]:
-        for y in G.closure([c]).tolist():
+        for y in closure(G, [c]).tolist():
             out.update(G.conj(y, elems).tolist())
     return frozenset(out)
 
@@ -407,7 +406,7 @@ def test_sigma_set_abelian_is_union_of_cyclic_subgroups():
     sig = sigma_set(G, 0, entries)
     want = set()
     for c in entries:
-        want |= set(G.closure([c]).tolist())
+        want |= set(closure(G, [c]).tolist())
     assert sig == frozenset(want)
 
 
